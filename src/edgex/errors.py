@@ -55,7 +55,8 @@ class MissingEdgeError(EdgexError):
 
 
 class InvalidPrecoloringError(EdgexError):
-    """A precoloring fails validation; carries the full violation report."""
+    """A precoloring fails validation; carries the full violation report, or
+    the message of a palette mismatch."""
 
     def __init__(self, report):
         self.report = report

@@ -29,7 +29,7 @@ from .graph import (
     Graph,
     bipartition,
     canonical_edge,
-    distances_from,
+    close_edge_pairs,
     max_degree,
 )
 
@@ -133,30 +133,24 @@ def find_covering_induced_matching(g: Graph, v: int) -> list[Edge] | None:
     candidates = sorted(
         e for e in g.edges if v not in e and not hood.isdisjoint(e)
     )
-    compatible = _distance2_table(g, candidates)
+    close = _close_edges(g, candidates)
     lo = (len(hood) + 1) // 2
     for size in range(lo, len(hood) + 1):
         for combo in itertools.combinations(candidates, size):
             if not hood <= {x for e in combo for x in e}:
                 continue
-            if all(compatible[a][b] for a, b in itertools.combinations(combo, 2)):
+            if all(b not in close[a] for a, b in itertools.combinations(combo, 2)):
                 return list(combo)
     return None
 
 
-def _distance2_table(g: Graph, edges: list[Edge]) -> dict[Edge, dict[Edge, bool]]:
-    """Pairwise edge-distance >= 2 predicate over the given edges."""
-    dist = {}
-    for e in edges:
-        for x in e:
-            if x not in dist:
-                dist[x] = distances_from(g, x)
-    table: dict[Edge, dict[Edge, bool]] = {e: {} for e in edges}
-    for e, f in itertools.combinations(edges, 2):
-        ok = min(dist[x][y] for x in e for y in f) >= 2
-        table[e][f] = ok
-        table[f][e] = ok
-    return table
+def _close_edges(g: Graph, edges: list[Edge]) -> dict[Edge, set[Edge]]:
+    """For each given edge, the given edges at edge distance < 2 from it."""
+    close: dict[Edge, set[Edge]] = {e: set() for e in edges}
+    for e, f, _d in close_edge_pairs(g, edges):
+        close[e].add(f)
+        close[f].add(e)
+    return close
 
 
 @dataclass(frozen=True)
@@ -344,14 +338,14 @@ def explore_bipartite_factor(
 def _all_distance2_matchings(g: Graph) -> list[tuple[Edge, ...]]:
     """Every distance-2 matching of g, the empty one included."""
     edges = list(g.edges)
-    compatible = _distance2_table(g, edges)
+    close = _close_edges(g, edges)
     out: list[tuple[Edge, ...]] = []
 
     def grow(prefix: list[Edge], start: int) -> None:
         out.append(tuple(prefix))
         for i in range(start, len(edges)):
             e = edges[i]
-            if all(compatible[f][e] for f in prefix):
+            if close[e].isdisjoint(prefix):
                 prefix.append(e)
                 grow(prefix, i + 1)
                 prefix.pop()

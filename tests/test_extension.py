@@ -5,6 +5,7 @@ import pytest
 from edgex import (
     EdgeColoring,
     Precoloring,
+    ValidationReport,
     build_graph,
     canonical_edge,
     cartesian_product,
@@ -12,6 +13,7 @@ from edgex import (
     color_fibers,
     complete,
     decide_extendable,
+    edge_distance,
     extend_hypercube,
     extend_over_complete,
     extend_over_hypercube,
@@ -71,6 +73,53 @@ class TestValidatePrecoloring:
     def test_unknown_edge_raises(self):
         with pytest.raises(UnknownEdgeError):
             validate_precoloring(path(3), Precoloring(3, {(0, 2): 1}))
+
+    def test_reversed_key_is_canonicalized(self):
+        report = validate_precoloring(hypercube(3), Precoloring(3, {(1, 0): 4, (7, 6): 1}))
+        assert report.color_violations == (((0, 1), 4),)
+        assert report.distance_violations == ()
+
+    def test_key_in_both_orders_pairs_with_itself(self):
+        report = validate_precoloring(hypercube(3), Precoloring(3, {(0, 1): 1, (1, 0): 1}))
+        assert report.distance_violations == (((0, 1), (0, 1), 0),)
+
+    def test_matches_pairwise_bfs_reference(self):
+        rng = random.Random(12)
+        seen_ok = seen_bad = 0
+        for _ in range(60):
+            g = random_connected_bipartite(rng, max_n=6, max_degree_cap=3)
+            h = random_connected_bipartite(rng, max_n=4, max_degree_cap=2)
+            product = cartesian_product(g, h).graph
+            palette = max_degree(g) + max_degree(h)
+            if rng.random() < 0.5:
+                pre = random_valid_precoloring(rng, product, palette, 4)
+            else:
+                picked = rng.sample(product.edges, min(len(product.edges), rng.randint(1, 5)))
+                pre = Precoloring(palette, {
+                    (e if rng.random() < 0.5 else e[::-1]): rng.randint(0, palette + 1)
+                    for e in picked
+                })
+            report = validate_precoloring(product, pre)
+            assert report == _pairwise_report(product, pre)
+            seen_ok += report.ok
+            seen_bad += not report.ok
+        assert seen_ok and seen_bad
+
+
+def _pairwise_report(g, pre):
+    """The validation report built pair by pair from BFS edge distances."""
+    entries = sorted((canonical_edge(*e), c) for e, c in pre.entries.items())
+    edges = [e for e, _c in entries]
+    close = []
+    for i, e in enumerate(edges):
+        for f in edges[i + 1:]:
+            d = edge_distance(g, e, f)
+            if d < 2:
+                close.append((e, f, d))
+    return ValidationReport(
+        color_violations=tuple((e, c) for e, c in entries if not 1 <= c <= pre.palette_size),
+        distance_violations=tuple(close),
+    )
 
 
 class TestClassifyPrecolored:
@@ -368,6 +417,22 @@ class TestExtendOverStar:
         col = extend_over_star(g, 2, pre)
         assert verify_proper(product.graph, col).ok
         assert brute_force_extendable(product.graph, pre, 3) is not None
+
+
+@pytest.mark.parametrize(
+    "extend, args, palette, entries",
+    [
+        (extend_hypercube, (3,), 3, {(0, 1): 1, (6, 7): 1}),
+        (extend_over_complete, (path(3), 1), 3, {(0, 2): 3}),
+        (extend_over_hypercube, (path(3), 2), 4, {(0, 1): 4, (6, 7): 4}),
+        (extend_over_star, (path(3), 2), 4, {(0, 3): 4}),
+    ],
+)
+def test_reversed_keys_extend_like_canonical_ones(extend, args, palette, entries):
+    reversed_entries = {(v, u): c for (u, v), c in entries.items()}
+    assert extend(*args, Precoloring(palette, reversed_entries)) == extend(
+        *args, Precoloring(palette, entries)
+    )
 
 
 def test_determinism_across_runs():

@@ -1,11 +1,15 @@
+import random
+
 import pytest
 
 from edgex import (
     build_graph,
+    canonical_edge,
     cartesian_product,
     complete,
     complete_bipartite,
     cycle,
+    edge_distance,
     embed_star_in_hypercube,
     hypercube,
     max_degree,
@@ -17,6 +21,12 @@ from edgex import (
 )
 from edgex.errors import BadParameterError
 from edgex.families import FiberEdge, LayerEdge
+
+from helpers import (
+    connected_bipartite_catalog,
+    random_connected_bipartite,
+    random_distance2_matching,
+)
 
 
 class TestStandardFamilies:
@@ -129,12 +139,22 @@ class TestCartesianProduct:
                 assert p.graph.has_edge(p.vertex(u, w), p.vertex(v, w))
 
     def test_hypercube_is_iterated_k2_product(self):
-        for d in (1, 2, 3, 4):
+        # the extension pipeline colors Q_d as Q_{d-1} x K_2 in Q_d's indices
+        for d in range(1, 11):
             direct = hypercube(d)
-            grown = hypercube(d - 1)
-            p = cartesian_product(grown, complete(2))
+            p = cartesian_product(hypercube(d - 1), complete(2))
             assert p.graph.edges == direct.edges
             assert p.graph.n == direct.n
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_cube_product_splits_on_last_bit(self, m):
+        # extend_over_hypercube colors G x Q_m as (G x Q_{m-1}) x K_2
+        for g in connected_bipartite_catalog():
+            direct = cartesian_product(g, hypercube(m)).graph
+            base = cartesian_product(g, hypercube(m - 1)).graph
+            split = cartesian_product(base, complete(2)).graph
+            assert split.n == direct.n
+            assert split.edges == direct.edges
 
 
 class TestStarEmbedding:
@@ -164,6 +184,27 @@ class TestStarEmbedding:
         for i, a in enumerate(leaves):
             for b in leaves[i + 1:]:
                 assert vertex_distance(q, a, b) == 2
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_star_product_matchings_map_to_cube_product_matchings(self, m):
+        # extend_over_star relies on this instead of checking the image at run time
+        rng = random.Random(40 + m)
+        emb = embed_star_in_hypercube(m)
+
+        def to_cube(i):
+            u, s = divmod(i, m + 1)
+            return u * (1 << m) + emb.image(s)
+
+        for _ in range(15):
+            g = random_connected_bipartite(rng, max_n=6, max_degree_cap=3)
+            source = cartesian_product(g, star(m)).graph
+            cube = cartesian_product(g, hypercube(m)).graph
+            assert all(cube.has_edge(to_cube(u), to_cube(v)) for u, v in source.edges)
+            matching = random_distance2_matching(rng, source, 6)
+            image = [canonical_edge(to_cube(u), to_cube(v)) for u, v in matching]
+            for i, e in enumerate(image):
+                for f in image[i + 1:]:
+                    assert edge_distance(cube, e, f) >= 2
 
     def test_bad_parameter(self):
         with pytest.raises(BadParameterError):

@@ -9,8 +9,10 @@ from edgex import (
     cartesian_product,
     check_local_obstruction,
     complete,
+    complete_bipartite,
     cycle,
     decide_extendable,
+    edge_distance,
     explore_bipartite_factor,
     extend_over_complete,
     find_covering_induced_matching,
@@ -23,6 +25,7 @@ from edgex import (
 )
 from edgex.errors import BadParameterError, BudgetExceededError, InapplicableError
 from edgex.graph import distances_from
+from edgex.oracle import _all_distance2_matchings
 
 from helpers import (
     brute_force_extendable,
@@ -247,3 +250,28 @@ class TestExploreBipartiteFactor:
     def test_rejects_bad_shape(self):
         with pytest.raises(BadParameterError):
             explore_bipartite_factor(complete(2), 1, 2, budget=10)
+
+    @pytest.mark.parametrize(
+        "g, h",
+        [
+            (path(2), complete_bipartite(2, 1)),
+            (path(3), complete(2)),
+            (cycle(4), complete(2)),
+            (star(2), complete_bipartite(2, 1)),
+            (path(2), complete_bipartite(2, 2)),
+        ],
+    )
+    def test_matchings_agree_with_bfs_enumeration(self, g, h):
+        product = cartesian_product(g, h).graph
+        edges = product.edges
+        far = {
+            (e, f): edge_distance(product, e, f) >= 2
+            for e, f in itertools.combinations(edges, 2)
+        }
+        expected = [
+            combo
+            for size in range(len(edges) + 1)
+            for combo in itertools.combinations(edges, size)
+            if all(far[pair] for pair in itertools.combinations(combo, 2))
+        ]
+        assert _all_distance2_matchings(product) == sorted(expected)

@@ -8,21 +8,27 @@ Three engines cooperate:
   one stable matching per palette color, preferences read off a fixed base
   coloring (low base color wins on the X side, high on the Y side). Complete
   whenever every list has at least max-degree colors.
-* ``exact_list_color`` is the complete fallback and cross-check: plain
-  backtracking with minimum-remaining-values ordering and forward checking.
+* ``exact_list_color`` is the complete fallback and cross-check: backtracking
+  with minimum-remaining-values ordering and forward checking on an explicit
+  stack (no recursion limit), shared with the oracle's budgeted search.
 
 ``demand_list_color`` dispatches between the last two under the guarantee that
 lists of size max(deg(u), deg(w)) per edge uw always suffice on bipartite
 graphs, so a failure of the fallback is reported as a library bug, never as
-an unsatisfiable instance.
+an unsatisfiable instance. For G box K_2 (so for Q_d, G box Q_m and
+G box K_{1,m}) a residual edge between two prescriptions of different colors
+keeps a list below max degree, so the search runs on nearly every maximal
+precolored matching.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .errors import (
+    BudgetExceededError,
     DemandViolationError,
     ListTooShortError,
     MissingEdgeError,
@@ -266,38 +272,69 @@ def exact_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring | None:
     broken by canonical edge order and ascending color, so the result is
     deterministic.
     """
-    neighbors = _edge_neighbors(g)
-    domains = {e: set(lists.lists[e]) for e in g.edges}
-    assignment: dict[Edge, int] = {}
+    assignment = _search(g, {e: set(lists.lists[e]) for e in g.edges})
+    if assignment is None:
+        return None
+    palette = max((c for cs in lists.lists.values() for c in cs), default=0)
+    return EdgeColoring(palette_size=palette, assignment=assignment)
 
-    def solve() -> bool:
-        if len(assignment) == len(g.edges):
-            return True
+
+def _search(
+    g: Graph,
+    domains: dict[Edge, set[int]],
+    budget: int | None = None,
+    pinned: Iterable[tuple[Edge, int]] = (),
+) -> dict[Edge, int] | None:
+    """A proper coloring of g from the given domains, or None if none exists.
+
+    The pinned (edge, color in its domain) pairs are assigned first, in
+    order, as no search nodes. Then a depth-first search with forward
+    checking: the unassigned edge with the fewest colors left goes next (ties
+    by canonical edge), its colors are tried in ascending order, one node
+    each; passing the node budget raises BudgetExceededError. Domains are
+    trimmed in place.
+    """
+    neighbors = {e: [f for v in e for f in g.incident_edges(v) if f != e] for e in g.edges}
+    assignment: dict[Edge, int] = {}
+    trimmed: dict[Edge, list[Edge]] = {}  # assigned edge -> neighbors that lost its color
+
+    def assign(e: Edge, c: int) -> bool:
+        """Assign and forward-check; False when a neighbor's domain empties."""
+        assignment[e] = c
+        trimmed[e] = [f for f in neighbors[e] if f not in assignment and c in domains[f]]
+        for f in trimmed[e]:
+            domains[f].discard(c)
+        return all(domains[f] for f in trimmed[e])
+
+    for e, c in pinned:
+        if not assign(e, c):
+            return None
+    nodes = 0
+    stack: list[tuple[Edge, Iterator[int]]] = []  # search edges, each with its untried colors
+    while len(assignment) < len(g.edges):
         e = min(
             (e for e in g.edges if e not in assignment),
             key=lambda e: (len(domains[e]), e),
         )
-        for c in sorted(domains[e]):
-            assignment[e] = c
-            trimmed = []
-            wipeout = False
-            for f in neighbors[e]:
-                if f not in assignment and c in domains[f]:
-                    domains[f].discard(c)
-                    trimmed.append(f)
-                    if not domains[f]:
-                        wipeout = True
-            if not wipeout and solve():
-                return True
-            for f in trimmed:
-                domains[f].add(c)
-            del assignment[e]
-        return False
-
-    if not solve():
-        return None
-    palette = max((c for cs in lists.lists.values() for c in cs), default=0)
-    return EdgeColoring(palette_size=palette, assignment=assignment)
+        stack.append((e, iter(sorted(domains[e]))))
+        while stack:
+            e, colors = stack[-1]
+            if e in assignment:
+                c = assignment.pop(e)
+                for f in trimmed.pop(e):
+                    domains[f].add(c)
+            c = next(colors, None)
+            if c is None:
+                stack.pop()
+                continue
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceededError(nodes - 1)
+            if assign(e, c):
+                break
+        else:
+            return None
+    return assignment
 
 
 def demand_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
@@ -324,19 +361,6 @@ def demand_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
     if result is None:
         raise TheoremViolationError("demand-sized lists reported unsatisfiable")
     return result
-
-
-def _edge_neighbors(g: Graph) -> dict[Edge, list[Edge]]:
-    out: dict[Edge, list[Edge]] = {}
-    for e in g.edges:
-        seen = []
-        for v in e:
-            for w in g.adjacency[v]:
-                f = canonical_edge(v, w)
-                if f != e:
-                    seen.append(f)
-        out[e] = seen
-    return out
 
 
 def one_factorization(order: int) -> list[list[Edge]]:

@@ -18,6 +18,7 @@ than checked at run time.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .coloring import EdgeColoring, ListAssignment, demand_list_color, one_factorization, verify_proper
@@ -25,9 +26,9 @@ from .errors import (
     BadParameterError,
     InvalidPrecoloringError,
     ProofInvariantError,
+    UnknownEdgeError,
 )
 from .families import (
-    LayerEdge,
     ProductGraph,
     cartesian_product,
     complete,
@@ -121,15 +122,21 @@ def require_valid(p: ProductGraph | Graph, pre: Precoloring) -> None:
 
 def classify_precolored(p: ProductGraph, pre: Precoloring):
     """Split entries into layer entries (base edge, copy, color) and fiber
-    entries (base vertex, right pair, color) using the product metadata."""
+    entries (base vertex, right pair, color) from the vertex indexing."""
+    return _classify(pre, p.right_order, p.graph.check_edge)
+
+
+def _classify(pre: Precoloring, width: int, check_edge: Callable[[Edge], Edge]):
+    """classify_precolored for a product whose right factor has `width`
+    vertices; check_edge canonicalizes a key or raises UnknownEdgeError."""
     layer = []
     fiber = []
     for e in sorted(pre.entries):
-        kind = p.edge_kind[p.graph.check_edge(e)]
-        if isinstance(kind, LayerEdge):
-            layer.append((kind.base_edge, kind.right_vertex, pre.entries[e]))
+        (u, w), (v, z) = (divmod(x, width) for x in check_edge(e))
+        if w == z:
+            layer.append(((u, v), w, pre.entries[e]))
         else:
-            fiber.append((kind.base_vertex, kind.right_edge, pre.entries[e]))
+            fiber.append((u, (w, z), pre.entries[e]))
     return layer, fiber
 
 
@@ -144,9 +151,18 @@ def reduce_instance(g: Graph, m: int, pre: Precoloring) -> ReducedInstance:
     """
     if m < 1:
         raise BadParameterError("m must be >= 1")
-    product = cartesian_product(g, complete(2 * m))
+    width = 2 * m
+
+    def check_edge(e: Edge) -> Edge:
+        # membership in G box K_2m by index arithmetic, without the product
+        a, b = canonical_edge(*e)
+        (u, w), (v, z) = divmod(a, width), divmod(b, width)
+        if not (g.has_edge(u, v) if w == z else u == v and 0 <= u < g.n):
+            raise UnknownEdgeError(f"edge {(a, b)} not in graph")
+        return a, b
+
     palette = max_degree(g) + 2 * m - 1
-    layer, fiber = classify_precolored(product, pre)
+    layer, fiber = _classify(pre, width, check_edge)
 
     forced_layer: dict[Edge, int] = {}
     for base_edge, _copy, color in layer:

@@ -15,10 +15,9 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .coloring import EdgeColoring, verify_proper
+from .coloring import EdgeColoring, _search, verify_proper
 from .errors import (
     BadParameterError,
-    BudgetExceededError,
     InapplicableError,
     ProofInvariantError,
 )
@@ -52,65 +51,15 @@ def decide_extendable(
         if not 1 <= c <= palette:
             raise BadParameterError(f"prescribed color {c} on {e} outside 1..{palette}")
 
-    neighbors: dict[Edge, list[Edge]] = {}
-    for e in g.edges:
-        adj = []
-        for v in e:
-            adj.extend(f for f in g.incident_edges(v) if f != e)
-        neighbors[e] = adj
-
-    domains: dict[Edge, set[int]] = {}
-    for e in g.edges:
-        domains[e] = {entries[e]} if e in entries else set(range(1, palette + 1))
-    assignment: dict[Edge, int] = {}
-    # pin the prescription first; a dead end here means the prescription
-    # itself is improper or strangled, hence not extendable
-    for e in sorted(entries):
-        c = entries[e]
-        if c not in domains[e]:
-            return None
-        assignment[e] = c
-        for f in neighbors[e]:
-            if f not in assignment:
-                domains[f].discard(c)
-                if not domains[f]:
-                    return None
-            elif assignment[f] == c:
-                return None
-
-    nodes = 0
-
-    def solve() -> bool:
-        nonlocal nodes
-        if len(assignment) == len(g.edges):
-            return True
-        e = min(
-            (e for e in g.edges if e not in assignment),
-            key=lambda e: (len(domains[e]), e),
-        )
-        for c in sorted(domains[e]):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceededError(nodes - 1)
-            assignment[e] = c
-            trimmed = []
-            wipeout = False
-            for f in neighbors[e]:
-                if f not in assignment and c in domains[f]:
-                    domains[f].discard(c)
-                    trimmed.append(f)
-                    if not domains[f]:
-                        wipeout = True
-            if not wipeout and solve():
-                return True
-            for f in trimmed:
-                domains[f].add(c)
-            del assignment[e]
-        return False
-
-    if not solve():
+    domains = {
+        e: {entries[e]} if e in entries else set(range(1, palette + 1)) for e in g.edges
+    }
+    # the prescription is pinned first; a dead end there means it is itself
+    # improper or strangled, hence not extendable
+    assignment = _search(g, domains, budget, pinned=sorted(entries.items()))
+    if assignment is None:
         return None
-    witness = EdgeColoring(palette_size=palette, assignment=dict(assignment))
+    witness = EdgeColoring(palette_size=palette, assignment=assignment)
     report = verify_proper(g, witness)
     if not report.ok or any(witness.assignment[e] != c for e, c in entries.items()):
         raise ProofInvariantError(f"search produced an invalid witness: {report}")

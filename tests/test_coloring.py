@@ -249,6 +249,14 @@ class TestExactListColor:
         lists = delta_lists(g, (1, 2, 3))
         assert exact_list_color(g, lists) == exact_list_color(g, lists)
 
+    def test_search_deeper_than_the_recursion_limit(self):
+        # one search level per edge: 1200 levels, past CPython's default
+        # recursion limit of 1000
+        g = cycle(1200)
+        lists = make_list_assignment(g, {e: (1, 2) for e in g.edges})
+        col = exact_list_color(g, lists)
+        assert col is not None and verify_proper(g, col, lists).ok
+
 
 class TestBkw:
     def test_p4_demand_sized_lists(self):

@@ -4,6 +4,8 @@ import pytest
 
 from edgex import (
     EdgeColoring,
+    FiberEdge,
+    LayerEdge,
     Precoloring,
     ValidationReport,
     build_graph,
@@ -34,6 +36,7 @@ from edgex.errors import (
     ProofInvariantError,
     UnknownEdgeError,
 )
+from edgex import extension
 from edgex.extension import require_valid
 
 from helpers import (
@@ -141,6 +144,17 @@ class TestClassifyPrecolored:
         assert len(layer) == 1 and len(fiber) == 1
         assert fiber == [(2, (0, 1), 1)]
 
+    def test_agrees_with_product_metadata(self):
+        rng = random.Random(5)
+        for _ in range(10):
+            g = random_connected_bipartite(rng, max_n=6)
+            for h in (complete(4), hypercube(2), star(3)):
+                p = cartesian_product(g, h)
+                layer, fiber = classify_precolored(p, Precoloring(1, dict.fromkeys(p.graph.edges, 1)))
+                kinds = [p.edge_kind[e] for e in p.graph.edges]
+                assert layer == [(k.base_edge, k.right_vertex, 1) for k in kinds if isinstance(k, LayerEdge)]
+                assert fiber == [(k.base_vertex, k.right_edge, 1) for k in kinds if isinstance(k, FiberEdge)]
+
 
 class TestReduce:
     def test_p3_worked_example(self):
@@ -190,6 +204,25 @@ class TestReduce:
             for e in red.base_residual.edges:
                 assert palette - len(red.lists.lists[e]) <= 2
 
+    def test_edge_keys_checked_like_the_product(self):
+        # reduce_instance tells edges of G box K_2m from index arithmetic
+        # alone; it must accept and reject exactly what the product does
+        g = path(3)
+        for m in (1, 2):
+            host = cartesian_product(g, complete(2 * m)).graph
+            palette = complete_factor_palette(g, m)
+            for a in range(-2, host.n + 2):
+                for b in range(-2, host.n + 2):
+                    pre = Precoloring(palette, {(a, b): 1})
+                    if host.has_edge(a, b):
+                        reduce_instance(g, m, pre)
+                        continue
+                    with pytest.raises(UnknownEdgeError) as expected:
+                        host.check_edge((a, b))
+                    with pytest.raises(UnknownEdgeError) as got:
+                        reduce_instance(g, m, pre)
+                    assert str(got.value) == str(expected.value)
+
 
 class TestColorFibers:
     def test_m1_smallest_available(self):
@@ -224,6 +257,18 @@ class TestColorFibers:
 
 
 class TestExtendOverComplete:
+    def test_builds_one_product(self, monkeypatch):
+        built = []
+
+        def counting_product(g, h):
+            built.append((g, h))
+            return cartesian_product(g, h)
+
+        monkeypatch.setattr(extension, "cartesian_product", counting_product)
+        col = extend_over_complete(path(4), 2, Precoloring(5, {(0, 4): 1}))
+        assert col.assignment[(0, 4)] == 1
+        assert len(built) == 1
+
     def test_p3_m1_worked_example(self):
         g = path(3)
         product = cartesian_product(g, complete(2))
@@ -369,6 +414,25 @@ class TestExtendHypercube:
     def test_bad_d(self):
         with pytest.raises(BadParameterError):
             extend_hypercube(0, Precoloring(0, {}))
+
+    def test_q10_roadmap_instance(self):
+        # greedy maximal induced matching over edges shuffled by a seeded
+        # rng; its residual search runs about 2200 levels deep, past the
+        # default recursion limit
+        q = hypercube(10)
+        rng = random.Random(10)
+        order = list(q.edges)
+        rng.shuffle(order)
+        near, matching = set(), []
+        for u, v in order:
+            if u not in near and v not in near:
+                matching.append((u, v))
+                near.update((u, v, *q.adjacency[u], *q.adjacency[v]))
+        pre = Precoloring(10, {e: rng.randint(1, 10) for e in matching})
+        assert len(pre.entries) == 100
+        col = extend_hypercube(10, pre)
+        assert verify_proper(q, col).ok
+        assert all(col.assignment[e] == c for e, c in pre.entries.items())
 
 
 class TestExtendOverStar:

@@ -13,10 +13,12 @@ from edgex import (
     cycle,
     decide_extendable,
     edge_distance,
+    exact_list_color,
     explore_bipartite_factor,
     extend_over_complete,
     find_covering_induced_matching,
     hypercube,
+    make_list_assignment,
     max_degree,
     path,
     spider,
@@ -32,6 +34,7 @@ from helpers import (
     random_connected_bipartite,
     random_valid_precoloring,
     complete_factor_palette,
+    small_bipartite_graphs,
 )
 
 
@@ -87,6 +90,43 @@ class TestDecideExtendable:
         g = hypercube(3)
         pre = Precoloring(3, {(0, 1): 2})
         assert decide_extendable(g, pre, 3) == decide_extendable(g, pre, 3)
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        g = cycle(1200)
+        witness = decide_extendable(g, Precoloring(2, {(0, 1): 2}), 2)
+        assert witness is not None and verify_proper(g, witness).ok
+        assert witness.assignment[(0, 1)] == 2
+
+    def test_same_search_as_exact_list_color(self):
+        # the decision is the list search with the prescribed colors as
+        # singleton lists and the whole palette everywhere else
+        rng = random.Random(31)
+        for g in small_bipartite_graphs():
+            for palette in range(1, max_degree(g) + 2):
+                pre = random_valid_precoloring(rng, g, palette, 3)
+                lists = make_list_assignment(
+                    g,
+                    {
+                        e: (pre.entries[e],) if e in pre.entries else range(1, palette + 1)
+                        for e in g.edges
+                    },
+                )
+                witness = decide_extendable(g, pre, palette)
+                expected = exact_list_color(g, lists)
+                assert (witness is None) == (expected is None)
+                if witness is not None:
+                    assert witness.assignment == expected.assignment
+
+    def test_budget_boundary(self):
+        # this witness takes 37 search nodes (30 free edges plus backtracking);
+        # a budget of exactly that many nodes suffices, one fewer does not
+        g = cartesian_product(cycle(4), complete_bipartite(2, 2)).graph
+        pre = Precoloring(4, {(3, 15): 1, (10, 14): 1})
+        with pytest.raises(BudgetExceededError) as info:
+            decide_extendable(g, pre, 4, budget=36)
+        assert info.value.nodes == 36
+        witness = decide_extendable(g, pre, 4, budget=37)
+        assert witness is not None and witness == decide_extendable(g, pre, 4)
 
 
 def brute_covering_matchings(g, v):

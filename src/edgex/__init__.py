@@ -34,8 +34,6 @@ from .extension import (
     validate_precoloring,
 )
 from .families import (
-    FiberEdge,
-    LayerEdge,
     ProductGraph,
     StarEmbedding,
     cartesian_product,

@@ -1,7 +1,8 @@
 """Standard graph families, the Cartesian product, and the star-in-cube map.
 
 Product vertices (u, w) are indexed u * |V(H)| + w and labeled "u|w" from the
-factor labels, so layer/fiber bookkeeping and serialization stay stable.
+factor labels; that indexing is the only record of which edges are layer
+copies of G and which are fiber copies of H, and serialization relies on it.
 Hypercube vertices are labeled by bitstrings; vertex index i carries the
 label ``format(i, "0db")`` and bit t means the bit of value 2**t. Under this
 convention Q_d and Q_{d-1} x K_2 (split on the least significant bit) are the
@@ -13,33 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadParameterError
-from .graph import Edge, Graph, build_graph, canonical_edge
-
-
-@dataclass(frozen=True)
-class LayerEdge:
-    """Product edge (u,w)-(v,w): a copy of base edge uv inside layer w."""
-
-    base_edge: Edge
-    right_vertex: int
-
-
-@dataclass(frozen=True)
-class FiberEdge:
-    """Product edge (u,w)-(u,z): a copy of right edge wz inside u's fiber."""
-
-    base_vertex: int
-    right_edge: Edge
+from .graph import Graph, build_graph
 
 
 @dataclass(frozen=True)
 class ProductGraph:
-    """A Cartesian product graph plus the classification of every edge."""
+    """G box H with vertex (u, w) at index u * right_order + w."""
 
     graph: Graph
     left_order: int
     right_order: int
-    edge_kind: dict[Edge, LayerEdge | FiberEdge]
 
     def factors(self, i: int) -> tuple[int, int]:
         """Split product vertex index i into its (left, right) coordinates."""
@@ -133,23 +117,13 @@ def standard_family(kind: str, *params: int) -> Graph:
 
 
 def cartesian_product(g: Graph, h: Graph) -> ProductGraph:
-    """G box H with every edge classified as a layer or fiber edge."""
+    """G box H: a layer copy of G for every vertex of H (edges (u,w)-(v,w))
+    and a fiber copy of H for every vertex of G (edges (u,w)-(u,z))."""
     k = h.n
     labels = [f"{lu}|{lw}" for lu in g.labels for lw in h.labels]
-    pairs: list[Edge] = []
-    kind: dict[Edge, LayerEdge | FiberEdge] = {}
-    for (u, v) in g.edges:
-        for w in range(k):
-            e = canonical_edge(u * k + w, v * k + w)
-            pairs.append(e)
-            kind[e] = LayerEdge(base_edge=(u, v), right_vertex=w)
-    for u in range(g.n):
-        for (w, z) in h.edges:
-            e = canonical_edge(u * k + w, u * k + z)
-            pairs.append(e)
-            kind[e] = FiberEdge(base_vertex=u, right_edge=(w, z))
-    graph = build_graph(labels, pairs)
-    return ProductGraph(graph=graph, left_order=g.n, right_order=k, edge_kind=kind)
+    layer = [(u * k + w, v * k + w) for (u, v) in g.edges for w in range(k)]
+    fiber = [(u * k + w, u * k + z) for u in range(g.n) for (w, z) in h.edges]
+    return ProductGraph(graph=build_graph(labels, layer + fiber), left_order=g.n, right_order=k)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from pathlib import Path
 from .coloring import EdgeColoring
 from .errors import EdgexError
 from .extension import Precoloring
-from .families import FiberEdge, LayerEdge, ProductGraph
+from .families import ProductGraph
 from .graph import Graph, build_graph, canonical_edge
 
 
@@ -33,34 +33,49 @@ def graph_from_dict(doc: dict) -> tuple[str, Graph]:
     try:
         name = doc["name"]
         vertices = doc["vertices"]
-        edges = [tuple(e) for e in doc["edges"]]
+        edges = doc["edges"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"graph document missing field: {exc}") from exc
+    if not isinstance(vertices, list) or not isinstance(edges, list):
+        raise FormatError("graph vertices and edges must be lists")
     if not isinstance(name, str) or not all(isinstance(x, str) for x in vertices):
         raise FormatError("graph name and vertex labels must be strings")
-    if not all(len(e) == 2 and all(isinstance(i, int) for i in e) for e in edges):
+    if not all(
+        isinstance(e, (list, tuple)) and len(e) == 2 and all(isinstance(i, int) for i in e)
+        for e in edges
+    ):
         raise FormatError("edges must be pairs of integers")
-    return name, build_graph(vertices, edges)
+    return name, build_graph(vertices, [tuple(e) for e in edges])
+
+
+def _edge_kinds(p: ProductGraph) -> list[list]:
+    """One row per edge, read off the vertex indexing: ["L", u, v, w] for the
+    layer edge (u,w)-(v,w), ["F", u, w, z] for the fiber edge (u,w)-(u,z)."""
+    kinds = []
+    for (a, b) in p.graph.edges:
+        (u, w), (v, z) = p.factors(a), p.factors(b)
+        if w == z:
+            kinds.append(["L", u, v, w])
+        elif u == v:
+            kinds.append(["F", u, w, z])
+        else:
+            raise FormatError(f"edge {(a, b)} is neither a layer nor a fiber edge")
+    return kinds
 
 
 def product_to_dict(p: ProductGraph, name: str = "product") -> dict:
     doc = graph_to_dict(p.graph, name)
-    kinds = []
-    for e in p.graph.edges:
-        k = p.edge_kind[e]
-        if isinstance(k, LayerEdge):
-            kinds.append(["L", k.base_edge[0], k.base_edge[1], k.right_vertex])
-        else:
-            kinds.append(["F", k.base_vertex, k.right_edge[0], k.right_edge[1]])
     doc["product"] = {
         "left": p.left_order,
         "right": p.right_order,
-        "edge_kinds": kinds,
+        "edge_kinds": _edge_kinds(p),
     }
     return doc
 
 
 def product_from_dict(doc: dict) -> tuple[str, ProductGraph]:
+    """Load a product document; its edges must be exactly G box H for the
+    factor edges its rows name, and edge_kinds must match the indexing."""
     name, graph = graph_from_dict(doc)
     try:
         meta = doc["product"]
@@ -69,18 +84,21 @@ def product_from_dict(doc: dict) -> tuple[str, ProductGraph]:
         kinds = meta["edge_kinds"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"product document missing field: {exc}") from exc
-    if len(kinds) != len(graph.edges):
-        raise FormatError("edge_kinds length differs from edge count")
-    edge_kind: dict = {}
-    for e, raw in zip(graph.edges, kinds):
-        tag = raw[0] if raw else None
-        if tag == "L" and len(raw) == 4:
-            edge_kind[e] = LayerEdge(base_edge=canonical_edge(raw[1], raw[2]), right_vertex=raw[3])
-        elif tag == "F" and len(raw) == 4:
-            edge_kind[e] = FiberEdge(base_vertex=raw[1], right_edge=canonical_edge(raw[2], raw[3]))
-        else:
-            raise FormatError(f"bad edge kind entry {raw!r}")
-    return name, ProductGraph(graph=graph, left_order=left, right_order=right, edge_kind=edge_kind)
+    if not (isinstance(left, int) and isinstance(right, int) and left >= 0 and right >= 0):
+        raise FormatError("product left and right must be non-negative integers")
+    if left * right != graph.n:
+        raise FormatError(f"product {left} x {right} does not have {graph.n} vertices")
+    p = ProductGraph(graph=graph, left_order=left, right_order=right)
+    derived = _edge_kinds(p)
+    base_edges = {(k[1], k[2]) for k in derived if k[0] == "L"}
+    right_edges = {(k[2], k[3]) for k in derived if k[0] == "F"}
+    # each edge is a distinct copy of a named factor edge, so the counts agree
+    # exactly when no copy is missing
+    if len(derived) != len(base_edges) * right + len(right_edges) * left:
+        raise FormatError("edges are not every layer and fiber copy of the factor edges")
+    if kinds != derived:
+        raise FormatError("edge_kinds do not match the vertex indexing")
+    return name, p
 
 
 def coloring_to_dict(col: EdgeColoring) -> dict:

@@ -224,6 +224,11 @@ class TestErrorPaths:
     def test_missing_file(self, tmp_path):
         assert main(["verify", str(tmp_path / "no.json"), str(tmp_path / "no2.json")]) == 1
 
+    def test_non_list_vertices(self, tmp_path):
+        f = tmp_path / "x.json"
+        f.write_text('{"name": "x", "vertices": 5, "edges": []}')
+        assert main(["export-dot", str(f)]) == 1
+
     def test_invalid_json(self, tmp_path):
         f = tmp_path / "junk.json"
         f.write_text("}{")

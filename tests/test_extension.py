@@ -4,8 +4,6 @@ import pytest
 
 from edgex import (
     EdgeColoring,
-    FiberEdge,
-    LayerEdge,
     Precoloring,
     ValidationReport,
     build_graph,
@@ -151,9 +149,9 @@ class TestClassifyPrecolored:
             for h in (complete(4), hypercube(2), star(3)):
                 p = cartesian_product(g, h)
                 layer, fiber = classify_precolored(p, Precoloring(1, dict.fromkeys(p.graph.edges, 1)))
-                kinds = [p.edge_kind[e] for e in p.graph.edges]
-                assert layer == [(k.base_edge, k.right_vertex, 1) for k in kinds if isinstance(k, LayerEdge)]
-                assert fiber == [(k.base_vertex, k.right_edge, 1) for k in kinds if isinstance(k, FiberEdge)]
+                assert len(layer) == len(set(layer)) and len(fiber) == len(set(fiber))
+                assert set(layer) == {(e, w, 1) for e in g.edges for w in range(h.n)}
+                assert set(fiber) == {(u, e, 1) for u in range(g.n) for e in h.edges}
 
 
 class TestReduce:

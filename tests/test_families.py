@@ -20,7 +20,6 @@ from edgex import (
     vertex_distance,
 )
 from edgex.errors import BadParameterError
-from edgex.families import FiberEdge, LayerEdge
 
 from helpers import (
     connected_bipartite_catalog,
@@ -103,9 +102,12 @@ class TestCartesianProduct:
 
     def test_edgeless_left_factor(self):
         g = build_graph("abc", [])
-        p = cartesian_product(g, complete(4))
+        h = complete(4)
+        p = cartesian_product(g, h)
         assert len(p.graph.edges) == 18
-        assert all(isinstance(k, FiberEdge) for k in p.edge_kind.values())
+        assert set(p.graph.edges) == {
+            (p.vertex(u, w), p.vertex(u, z)) for u in range(g.n) for (w, z) in h.edges
+        }
 
     def test_degree_sum_rule(self):
         g, h = path(4), star(3)
@@ -114,18 +116,20 @@ class TestCartesianProduct:
             u, w = p.factors(i)
             assert p.graph.degree(i) == g.degree(u) + h.degree(w)
 
-    def test_edge_kind_consistency(self):
-        p = cartesian_product(path(3), complete(2))
-        for e, kind in p.edge_kind.items():
-            if isinstance(kind, LayerEdge):
-                (u, v), w = kind.base_edge, kind.right_vertex
-                assert {p.vertex(u, w), p.vertex(v, w)} == set(e)
+    def test_layer_fiber_split(self):
+        g, h = path(3), complete(2)
+        p = cartesian_product(g, h)
+        layer, fiber = set(), set()
+        for (a, b) in p.graph.edges:
+            (u, w), (v, z) = p.factors(a), p.factors(b)
+            if w == z:
+                layer.add(((u, v), w))
             else:
-                u, (w, z) = kind.base_vertex, kind.right_edge
-                assert {p.vertex(u, w), p.vertex(u, z)} == set(e)
-        layer = sum(isinstance(k, LayerEdge) for k in p.edge_kind.values())
-        fiber = sum(isinstance(k, FiberEdge) for k in p.edge_kind.values())
-        assert (layer, fiber) == (2 * 2, 3 * 1)
+                assert u == v
+                fiber.add((u, (w, z)))
+        assert layer == {(e, w) for e in g.edges for w in range(h.n)}
+        assert fiber == {(u, e) for u in range(g.n) for e in h.edges}
+        assert (len(layer), len(fiber)) == (2 * 2, 3 * 1)
 
     def test_labels(self):
         p = cartesian_product(path(2), complete(2))

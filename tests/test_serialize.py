@@ -7,6 +7,7 @@ from edgex import (
     Precoloring,
     cartesian_product,
     complete,
+    complete_bipartite,
     hypercube,
     konig_color,
     path,
@@ -54,11 +55,48 @@ class TestGraphDocs:
             {"name": "x", "vertices": ["a", "b"], "edges": [[0]]},
             {"name": "x", "vertices": ["a", "b"], "edges": [["0", "1"]]},
             {"name": 3, "vertices": [], "edges": []},
+            {"name": "x", "vertices": 5, "edges": []},
+            {"name": "x", "vertices": "ab", "edges": []},
         ],
     )
     def test_malformed_graph_docs(self, doc):
         with pytest.raises(FormatError):
             graph_from_dict(doc)
+
+
+def _flip_tag(doc):
+    doc["product"]["edge_kinds"][1][0] = "F"
+
+
+def _wrong_copy_index(doc):
+    doc["product"]["edge_kinds"][1][3] = 1
+
+
+def _left_off_by_one(doc):
+    doc["product"]["left"] = 3
+
+
+def _string_right(doc):
+    doc["product"]["right"] = "2"
+
+
+def _add_diagonal_edge(doc):
+    # (0,3) joins (p0, v0) to (p1, v1): in no layer and no fiber
+    doc["edges"].insert(2, [0, 3])
+    doc["product"]["edge_kinds"].insert(2, ["F", 0, 0, 1])
+
+
+def _diagonal_for_fiber_edge(doc):
+    # the same edge count and the same rows as a product, with (0,3) for (0,1)
+    del doc["edges"][0]
+    doc["edges"].insert(1, [0, 3])
+    doc["product"]["edge_kinds"].insert(1, doc["product"]["edge_kinds"].pop(0))
+
+
+def _drop_layer_copy(doc):
+    # base edge p0-p1 is left in layer v1 only
+    del doc["edges"][1]
+    del doc["product"]["edge_kinds"][1]
 
 
 class TestProductDocs:
@@ -74,16 +112,53 @@ class TestProductDocs:
         assert f.read_bytes() == (tmp_path / "q.json").read_bytes()
 
     def test_kind_encoding(self):
-        p = cartesian_product(path(2), complete(2))
-        doc = product_to_dict(p)
-        kinds = {tuple(e): k for e, k in zip(doc["edges"], doc["product"]["edge_kinds"])}
-        assert kinds[(0, 1)] == ["F", 0, 0, 1]
-        assert kinds[(0, 2)] == ["L", 0, 1, 0]
+        doc = product_to_dict(cartesian_product(path(3), complete(2)))
+        assert doc["edges"] == [[0, 1], [0, 2], [1, 3], [2, 3], [2, 4], [3, 5], [4, 5]]
+        assert doc["product"]["edge_kinds"] == [
+            ["F", 0, 0, 1],
+            ["L", 0, 1, 0],
+            ["L", 0, 1, 1],
+            ["F", 1, 0, 1],
+            ["L", 1, 2, 0],
+            ["L", 1, 2, 1],
+            ["F", 2, 0, 1],
+        ]
+        doc = product_to_dict(cartesian_product(path(2), complete_bipartite(1, 2)))
+        assert doc["edges"] == [[0, 1], [0, 2], [0, 3], [1, 4], [2, 5], [3, 4], [3, 5]]
+        assert doc["product"]["edge_kinds"] == [
+            ["F", 0, 0, 1],
+            ["F", 0, 0, 2],
+            ["L", 0, 1, 0],
+            ["L", 0, 1, 1],
+            ["L", 0, 1, 2],
+            ["F", 1, 0, 1],
+            ["F", 1, 0, 2],
+        ]
 
     def test_mismatched_kinds_rejected(self):
         p = cartesian_product(path(2), complete(2))
         doc = product_to_dict(p)
         doc["product"]["edge_kinds"] = doc["product"]["edge_kinds"][:-1]
+        with pytest.raises(FormatError):
+            product_from_dict(doc)
+
+    # each edit breaks the P_2 box K_2 document, whose edges are
+    # (0,1) F, (0,2) L, (1,3) L, (2,3) F
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _flip_tag,
+            _wrong_copy_index,
+            _left_off_by_one,
+            _string_right,
+            _add_diagonal_edge,
+            _diagonal_for_fiber_edge,
+            _drop_layer_copy,
+        ],
+    )
+    def test_inconsistent_products_rejected(self, edit):
+        doc = product_to_dict(cartesian_product(path(2), complete(2)))
+        edit(doc)
         with pytest.raises(FormatError):
             product_from_dict(doc)
 

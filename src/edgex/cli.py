@@ -120,16 +120,16 @@ def cmd_extend(args) -> int:
         gname, g = serialize.graph_from_dict(serialize.read_doc(args.graph))
         if kind == "k2m":
             coloring = extend_over_complete(g, value, pre)
-            host = cartesian_product(g, complete(2 * value)).graph
-            host_name = f"{gname}xK_{2 * value}"
+            right, host_name = complete(2 * value), f"{gname}xK_{2 * value}"
         elif kind == "q":
             coloring = extend_over_hypercube(g, value, pre)
-            host = cartesian_product(g, hypercube(value)).graph
-            host_name = f"{gname}xQ_{value}"
+            right, host_name = hypercube(value), f"{gname}xQ_{value}"
         else:
             coloring = extend_over_star(g, value, pre)
-            host = cartesian_product(g, star(value)).graph
-            host_name = f"{gname}xK_1,{value}"
+            right, host_name = star(value), f"{gname}xK_1,{value}"
+        host = None
+        if args.format == "dot" or args.out_product:
+            host = cartesian_product(g, right).graph
     if args.format == "dot":
         _write_graph_output(host, host_name, args.out, "dot", coloring)
     else:

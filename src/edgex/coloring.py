@@ -5,24 +5,33 @@ Three engines cooperate:
 * ``konig_color`` builds a proper coloring with exactly max-degree colors by
   alternating-path augmentation.
 * ``galvin_list_color`` colors from per-edge lists via the kernel method:
-  one stable matching per palette color, preferences read off a fixed base
-  coloring (low base color wins on the X side, high on the Y side). Complete
-  whenever every list has at least max-degree colors.
-* ``exact_list_color`` is the complete fallback and cross-check: backtracking
-  with minimum-remaining-values ordering and forward checking on an explicit
+  one stable matching per palette color, preferences read off a base
+  coloring (low base color wins on the X side, high on the Y side). It runs
+  under a certificate: for every edge xy (x in X), out(xy), the number of
+  edges at x with a lower base color plus those at y with a higher one, is
+  below |L(xy)|. Those are the only edges a stable matching can use to
+  dominate xy, so no list runs dry. Lists of max-degree colors always pass;
+  a shorter list that fails is repaired by Kempe flips of the base.
+* ``exact_list_color`` is the complete cross-check: backtracking with
+  minimum-remaining-values ordering and forward checking on an explicit
   stack (no recursion limit), shared with the oracle's budgeted search.
 
-``demand_list_color`` dispatches between the last two under the guarantee that
-lists of size max(deg(u), deg(w)) per edge uw always suffice on bipartite
-graphs, so a failure of the fallback is reported as a library bug, never as
-an unsatisfiable instance. For G box K_2 (so for Q_d, G box Q_m and
-G box K_{1,m}) a residual edge between two prescriptions of different colors
-keeps a list below max degree, so the search runs on nearly every maximal
-precolored matching.
+``demand_list_color`` takes lists of size max(deg(u), deg(w)) per edge uw,
+which always suffice on bipartite graphs (Borodin, Kostochka and Woodall).
+For G box K_2 (so for Q_d, G box Q_m and G box K_{1,m}) a residual edge
+between two prescriptions of different colors keeps a list below max
+degree, so the repair runs on nearly every maximal precolored matching.
+Demand-sized lists always leave a flip for a violating edge; only a repair
+that passes its flip cap falls back to the search, and that fallback is
+logged. A failure of the search is reported as a library bug, never as an
+unsatisfiable instance.
 """
 
 from __future__ import annotations
 
+import heapq
+import logging
+import random
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -37,6 +46,8 @@ from .errors import (
     TheoremViolationError,
 )
 from .graph import Bipartition, Edge, Graph, bipartition, canonical_edge, max_degree
+
+_log = logging.getLogger("edgex")
 
 
 @dataclass(frozen=True)
@@ -155,11 +166,12 @@ def konig_color(g: Graph) -> EdgeColoring:
     return EdgeColoring(palette_size=delta, assignment=assignment)
 
 
-def _flip_alternating_path(at, assignment, start: int, a: int, b: int) -> None:
+def _flip_alternating_path(at, assignment, start: int, a: int, b: int) -> list[tuple[int, int, int]]:
     """Swap colors a and b along the path leaving `start` on its a-edge.
 
     `start` misses b, so the walk is a simple path; bipartiteness keeps the
-    other endpoint of the to-be-colored edge off it.
+    other endpoint of the to-be-colored edge off it. Returns the path as
+    (vertex, next vertex, old color) steps.
     """
     path = []
     z, want = start, a
@@ -175,24 +187,28 @@ def _flip_alternating_path(at, assignment, start: int, a: int, b: int) -> None:
         at[x][new] = y
         at[y][new] = x
         assignment[canonical_edge(x, y)] = new
+    return path
 
 
 def galvin_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
-    """List-color a bipartite graph whose lists all have >= max_degree colors.
+    """List-color a bipartite graph by the kernel method under a certificate.
 
-    Kernel method: per palette color, the edges still wanting that color are
-    matched by deferred acceptance (X proposes along ascending base colors,
-    Y holds the highest base color); the stable matching is a kernel, so
-    every unmatched edge is dominated by a newly colored one and can afford
-    to drop the color from its working list.
+    The base is a König coloring, Kempe-flipped until out(e) < |L(e)| on
+    every edge (see ``_certify_base``); ListTooShortError when that fails.
+    Per palette color, the edges still wanting that color are matched by
+    deferred acceptance (X proposes along ascending base colors, Y holds the
+    highest base color); the stable matching is a kernel, so every unmatched
+    edge is dominated by a newly colored out-neighbor and can afford to drop
+    the color from its working list.
     """
     sides = bipartition(g)
     delta = max_degree(g)
     short = [e for e in g.edges if len(lists.lists[e]) < delta]
-    if short:
-        raise ListTooShortError(f"lists shorter than max degree {delta} at {short}")
-
     base = konig_color(g).assignment
+    flips = _certify_base(g, lists, sides, base, short)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("list coloring: engine=kernel short=%d flips=%d", len(short), flips)
+
     work = {e: set(lists.lists[e]) for e in g.edges}
     colored: dict[Edge, int] = {}
     palette = sorted(set().union(*work.values())) if work else []
@@ -218,6 +234,78 @@ def galvin_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
         raise NoKernelError("edges left uncolored after the palette pass")
     palette_size = palette[-1] if palette else 0
     return EdgeColoring(palette_size=palette_size, assignment=colored)
+
+
+def _flip_cap(g: Graph) -> int:
+    """Kempe flips ``_certify_base`` may spend before it gives up."""
+    return max(1000, 4 * len(g.edges))
+
+
+def _certify_base(
+    g: Graph,
+    lists: ListAssignment,
+    sides: Bipartition,
+    base: dict[Edge, int],
+    short: list[Edge],
+) -> int:
+    """Flip `base` in place until out(e) < |L(e)| on every edge; the flips.
+
+    out(xy), x in X, counts the edges at x with a lower base color and at y
+    with a higher one. An edge with |L(e)| >= max degree never violates, as
+    out(e) <= max degree - 1, so only the short edges are checked. The
+    lowest violating edge xy of color c goes first: one Kempe flip gives it
+    either a color above c that x misses or a color below c that y misses,
+    side and color drawn from random.Random(0); then the short edges at the
+    vertices of the flipped path are checked again. Under demand-sized
+    lists every violator has such a color (if x saw every color above c,
+    deg(x) > out(xy) >= |L(xy)|; likewise for y), but convergence is not
+    proven, so past ``_flip_cap`` flips, or at a violator without a flip,
+    this raises ListTooShortError.
+    """
+    if not short:
+        return 0
+    delta = max_degree(g)
+    at: list[dict[int, int]] = [{} for _ in range(g.n)]  # vertex -> color -> neighbor
+    for (u, v), c in base.items():
+        at[u][c] = v
+        at[v][c] = u
+    ends = {e: e if sides.is_x(e[0]) else (e[1], e[0]) for e in short}  # (x, y)
+    short_at: dict[int, list[Edge]] = {}
+    for e in short:
+        for v in e:
+            short_at.setdefault(v, []).append(e)
+
+    def violates(e: Edge) -> bool:
+        x, y = ends[e]
+        c = base[e]
+        out = sum(1 for k in at[x] if k < c) + sum(1 for k in at[y] if k > c)
+        return out >= len(lists.lists[e])
+
+    heap = [e for e in short if violates(e)]
+    heapq.heapify(heap)
+    rng = random.Random(0)
+    cap = _flip_cap(g)
+    flips = 0
+    while heap:
+        e = heapq.heappop(heap)
+        if not violates(e):  # repaired since it was pushed
+            continue
+        x, y = ends[e]
+        c = base[e]
+        options = [(x, k) for k in range(c + 1, delta + 1) if k not in at[x]]
+        options += [(y, k) for k in range(1, c) if k not in at[y]]
+        if not options:
+            raise ListTooShortError(f"no Kempe flip lowers out-degree of {e} below its list length")
+        if flips == cap:
+            raise ListTooShortError(f"base repair passed its cap of {cap} flips")
+        start, k = rng.choice(options)
+        path = _flip_alternating_path(at, base, start, c, k)
+        flips += 1
+        for z in {v for step in path for v in step[:2]}:
+            for f in short_at.get(z, ()):
+                if violates(f):
+                    heapq.heappush(heap, f)
+    return flips
 
 
 def _stable_matching(edges: list[Edge], base: dict[Edge, int], sides: Bipartition) -> set[Edge]:
@@ -341,10 +429,12 @@ def demand_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
     """List-color a bipartite graph with per-edge lists of size >= demand.
 
     The demand of edge uw is max(deg(u), deg(w)); such instances are always
-    colorable, so this never fails on valid input. Fast path: the kernel
-    method whenever every list reaches max_degree; otherwise the complete
-    search, whose "unsatisfiable" outcome would contradict the guarantee and
-    is raised as TheoremViolationError.
+    colorable, so this never fails on valid input. The kernel method runs on
+    a certified base (``galvin_list_color``); demand-sized lists always leave
+    a Kempe flip for a violating edge, so only a repair past its flip cap
+    falls back to the complete search, whose "unsatisfiable" outcome would
+    contradict the guarantee and is raised as TheoremViolationError. Each
+    call logs its engine, short lists and flips at debug level.
     """
     bipartition(g)
     bad = [
@@ -354,9 +444,14 @@ def demand_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
     ]
     if bad:
         raise DemandViolationError(f"lists shorter than endpoint-degree demand at {bad}")
-    delta = max_degree(g)
-    if all(len(lists.lists[e]) >= delta for e in g.edges):
+    try:
         return galvin_list_color(g, lists)
+    except ListTooShortError:
+        pass
+    if _log.isEnabledFor(logging.DEBUG):
+        delta = max_degree(g)
+        short = sum(1 for e in g.edges if len(lists.lists[e]) < delta)
+        _log.debug("list coloring: engine=search short=%d flips=%d", short, _flip_cap(g))
     result = exact_list_color(g, lists)
     if result is None:
         raise TheoremViolationError("demand-sized lists reported unsatisfiable")

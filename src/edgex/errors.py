@@ -43,7 +43,8 @@ class OddOrderError(EdgexError):
 
 
 class ListTooShortError(EdgexError):
-    """A color list is shorter than the Galvin engine requires."""
+    """No base coloring was found under which every edge's out-degree is
+    below its list length, so the kernel method is not certified."""
 
 
 class DemandViolationError(EdgexError):

@@ -41,7 +41,7 @@ def graph_from_dict(doc: dict) -> tuple[str, Graph]:
     if not isinstance(name, str) or not all(isinstance(x, str) for x in vertices):
         raise FormatError("graph name and vertex labels must be strings")
     if not all(
-        isinstance(e, (list, tuple)) and len(e) == 2 and all(isinstance(i, int) for i in e)
+        isinstance(e, (list, tuple)) and len(e) == 2 and all(type(i) is int for i in e)
         for e in edges
     ):
         raise FormatError("edges must be pairs of integers")
@@ -84,7 +84,7 @@ def product_from_dict(doc: dict) -> tuple[str, ProductGraph]:
         kinds = meta["edge_kinds"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"product document missing field: {exc}") from exc
-    if not (isinstance(left, int) and isinstance(right, int) and left >= 0 and right >= 0):
+    if not (type(left) is int and type(right) is int and left >= 0 and right >= 0):
         raise FormatError("product left and right must be non-negative integers")
     if left * right != graph.n:
         raise FormatError(f"product {left} x {right} does not have {graph.n} vertices")
@@ -117,10 +117,10 @@ def _edge_color_rows(doc: dict, key: str) -> tuple[int, dict]:
         mapping = {canonical_edge(r["u"], r["v"]): r["color"] for r in rows}
     except (KeyError, TypeError) as exc:
         raise FormatError(f"document missing field: {exc}") from exc
-    if not isinstance(palette, int):
+    if type(palette) is not int:
         raise FormatError("palette_size must be an integer")
     if not all(
-        isinstance(x, int) for r in rows for x in (r["u"], r["v"], r["color"])
+        type(x) is int for r in rows for x in (r["u"], r["v"], r["color"])
     ):
         raise FormatError(f"{key} rows must hold integer u, v, color")
     if len(mapping) != len(rows):

@@ -8,8 +8,11 @@ no pruning heuristics) so they stay independent of the library's engines.
 from __future__ import annotations
 
 import itertools
+import logging
 import random
+import re
 from collections import deque
+from contextlib import contextmanager
 
 from edgex import (
     Graph,
@@ -17,6 +20,7 @@ from edgex import (
     Precoloring,
     build_graph,
     canonical_edge,
+    hypercube,
     max_degree,
 )
 from edgex.graph import distances_from
@@ -259,3 +263,46 @@ def random_valid_precoloring(
 
 def complete_factor_palette(g: Graph, m: int) -> int:
     return max_degree(g) + 2 * m - 1
+
+
+def roadmap_cube_instance(d: int) -> tuple[Graph, Precoloring]:
+    """Q_d with a greedy maximal induced matching over its edges shuffled by
+    random.Random(d), colored at random from 1..d by the same rng."""
+    q = hypercube(d)
+    rng = random.Random(d)
+    order = list(q.edges)
+    rng.shuffle(order)
+    near, matching = set(), []
+    for u, v in order:
+        if u not in near and v not in near:
+            matching.append((u, v))
+            near.update((u, v, *q.adjacency[u], *q.adjacency[v]))
+    return q, Precoloring(d, {e: rng.randint(1, d) for e in matching})
+
+
+# ---------------------------------------------------------------------------
+# list-coloring engine records
+
+
+@contextmanager
+def list_coloring_engines():
+    """Collect the engine ("kernel" or "search") of every list-coloring
+    record the "edgex" logger emits inside the block, in order."""
+    engines: list[str] = []
+
+    class Collect(logging.Handler):
+        def emit(self, record):
+            found = re.search(r"engine=(\w+)", record.getMessage())
+            if found:
+                engines.append(found.group(1))
+
+    logger = logging.getLogger("edgex")
+    handler = Collect(logging.DEBUG)
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield engines
+    finally:
+        logger.setLevel(level)
+        logger.removeHandler(handler)

@@ -1,4 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 from edgex import Precoloring, cartesian_product, complete, hypercube, path, spider, star
+from edgex import cli, extension
 from edgex.cli import main
 from edgex.serialize import (
     graph_to_dict,
@@ -100,6 +109,37 @@ class TestExtendVerify:
         base = write_graph(tmp_path, path(3), "p3")
         pre = write_pre(tmp_path, Precoloring(3, {(0, 2): 1, (2, 4): 2}))
         assert main(["extend", base, "--factor", "k2m:1", "--pre", pre]) == 2
+
+    def test_extend_boolean_precoloring_exit_1(self, tmp_path, capsys):
+        pre = tmp_path / "pre.json"
+        pre.write_text(json.dumps(
+            {"palette_size": 3, "entries": [{"u": False, "v": True, "color": 1}]}
+        ))
+        assert main(["extend", "--factor", "qd:3", "--pre", str(pre)]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_extend_boolean_graph_exit_1(self, tmp_path):
+        base = tmp_path / "g.json"
+        base.write_text(json.dumps({"name": "g", "vertices": ["a", "b"], "edges": [[False, True]]}))
+        pre = write_pre(tmp_path, Precoloring(2, {}))
+        assert main(["extend", str(base), "--factor", "k2m:1", "--pre", pre]) == 1
+
+    @pytest.mark.parametrize("fmt, builds", [("json", 1), ("dot", 2)])
+    def test_extend_builds_host_product_only_for_output(self, tmp_path, monkeypatch, capsys, fmt, builds):
+        calls = []
+
+        def counting_product(g, h):
+            calls.append((g, h))
+            return cartesian_product(g, h)
+
+        monkeypatch.setattr(cli, "cartesian_product", counting_product)
+        monkeypatch.setattr(extension, "cartesian_product", counting_product)
+        base = write_graph(tmp_path, path(3), "p3")
+        pre = write_pre(tmp_path, Precoloring(3, {(0, 2): 3}))
+        assert main(["extend", base, "--factor", "k2m:1", "--pre", pre, "--format", fmt]) == 0
+        assert len(calls) == builds
+        out = capsys.readouterr().out
+        assert out.startswith("graph" if fmt == "dot" else "{")
 
     def test_extend_missing_graph_argument(self, tmp_path):
         pre = write_pre(tmp_path, Precoloring(3, {}))
@@ -220,6 +260,16 @@ class TestErrorPaths:
     def test_log_env_accepted(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EDGEX_LOG", "debug")
         assert main(["build", "path:2", "--out", str(tmp_path / "g.json")]) == 0
+
+    def test_debug_log_names_the_list_coloring_engine(self, tmp_path):
+        pre = write_pre(tmp_path, Precoloring(3, {(0, 1): 1, (6, 7): 2}))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, EDGEX_LOG="debug", PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-m", "edgex.cli", "extend", "--factor", "qd:3", "--pre", pre],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert "edgex: list coloring: engine=kernel short=" in run.stderr
 
     def test_missing_file(self, tmp_path):
         assert main(["verify", str(tmp_path / "no.json"), str(tmp_path / "no2.json")]) == 1

@@ -1,3 +1,4 @@
+import logging
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from edgex import (
     star,
     verify_proper,
 )
+from edgex import coloring
 from edgex.coloring import ListAssignment
 from edgex.errors import (
     DemandViolationError,
@@ -34,6 +36,7 @@ from helpers import (
     brute_force_list_coloring,
     connected_bipartite_catalog,
     enumerate_all_list_colorings,
+    list_coloring_engines,
     random_connected_bipartite,
     small_bipartite_graphs,
 )
@@ -303,6 +306,152 @@ class TestBkw:
                 )
                 col = demand_list_color(g, lists)
                 assert verify_proper(g, col, lists).ok
+
+
+def demand(g, e):
+    return max(g.degree(e[0]), g.degree(e[1]))
+
+
+def out_degrees(g, base):
+    """out(xy), x in X, from its definition: the edges at x with a lower base
+    color plus the edges at y with a higher one."""
+    sides = bipartition(g)
+    out = {}
+    for e in g.edges:
+        x, y = e if sides.is_x(e[0]) else (e[1], e[0])
+        out[e] = sum(base[f] < base[e] for f in g.incident_edges(x)) + sum(
+            base[f] > base[e] for f in g.incident_edges(y)
+        )
+    return out
+
+
+def demand_list_variants(g, rng):
+    """Demand-sized lists: all from 1, all ending at max degree, and random."""
+    delta = max_degree(g)
+    yield make_list_assignment(g, {e: range(1, demand(g, e) + 1) for e in g.edges})
+    yield make_list_assignment(g, {e: range(delta - demand(g, e) + 1, delta + 1) for e in g.edges})
+    yield make_list_assignment(
+        g, {e: rng.sample(range(1, demand(g, e) + 3), demand(g, e)) for e in g.edges}
+    )
+
+
+# K_2,3 minus an edge: the Konig base gives (1,4) out-degree 2 against its
+# demand-sized list of 2, so the repair must flip
+K23_MINUS = build_graph("abcde", [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4)])
+K23_MINUS_LISTS = make_list_assignment(
+    K23_MINUS, {e: range(1, demand(K23_MINUS, e) + 1) for e in K23_MINUS.edges}
+)
+
+
+@st.composite
+def demand_instances(draw):
+    """A random bipartite graph with random demand-sized lists."""
+    g = draw(bipartite_graphs(max_n=10))
+    lists = {
+        e: draw(
+            st.lists(
+                st.integers(min_value=1, max_value=demand(g, e) + 3),
+                min_size=demand(g, e),
+                max_size=demand(g, e),
+                unique=True,
+            )
+        )
+        for e in g.edges
+    }
+    return g, make_list_assignment(g, lists)
+
+
+@given(demand_instances())
+@settings(max_examples=300, deadline=None)
+def test_certified_kernel_on_demand_lists(instance):
+    g, lists = instance
+    with list_coloring_engines() as engines:
+        col = demand_list_color(g, lists)
+    assert engines == ["kernel"]  # no fallback to the search
+    assert verify_proper(g, col, lists).ok
+    if len(g.edges) <= 8:
+        assert exact_list_color(g, lists) is not None
+
+
+class TestCertifiedKernel:
+    def test_short_lists_within_out_degree(self):
+        # star base colors 1, 2, 3 at an X center: out-degrees 0, 1, 2, so
+        # lists of 1, 2, 3 colors pass the check with no flip
+        g = star(3)
+        lists = make_list_assignment(g, {(0, 1): (5,), (0, 2): (5, 6), (0, 3): (5, 6, 7)})
+        col = galvin_list_color(g, lists)
+        assert col.assignment == {(0, 1): 5, (0, 2): 6, (0, 3): 7}
+
+    def test_repair_reorders_a_violating_base(self):
+        # the reverse sizes: the base must be flipped until the one-color
+        # edge has base color 1
+        g = star(3)
+        lists = make_list_assignment(g, {(0, 1): (5, 6, 7), (0, 2): (5, 6), (0, 3): (5,)})
+        col = galvin_list_color(g, lists)
+        assert verify_proper(g, col, lists).ok
+        assert col.assignment[(0, 3)] == 5
+
+    def test_no_certificate_raises(self):
+        # every base gives one edge of the star out-degree 2 = |L|
+        g = star(3)
+        lists = make_list_assignment(g, {e: (1, 2) for e in g.edges})
+        with pytest.raises(ListTooShortError):
+            galvin_list_color(g, lists)
+
+    def test_certified_base_bounds_every_out_degree(self):
+        rng = random.Random(6)
+        graphs = small_bipartite_graphs() + CATALOG
+        graphs += [random_connected_bipartite(rng, max_n=16, max_degree_cap=5) for _ in range(150)]
+        flipped = 0
+        for g in graphs:
+            delta = max_degree(g)
+            for lists in demand_list_variants(g, rng):
+                base = dict(konig_color(g).assignment)
+                short = [e for e in g.edges if len(lists.lists[e]) < delta]
+                flipped += coloring._certify_base(g, lists, bipartition(g), base, short) > 0
+                assert verify_proper(g, EdgeColoring(delta, base)).ok
+                out = out_degrees(g, base)
+                assert all(out[e] < len(lists.lists[e]) for e in g.edges)
+        assert flipped
+
+    def test_exhaustive_small_graphs(self):
+        rng = random.Random(8)
+        for g in small_bipartite_graphs() + CATALOG:
+            for lists in demand_list_variants(g, rng):
+                with list_coloring_engines() as engines:
+                    col = demand_list_color(g, lists)
+                assert engines == ["kernel"]
+                assert verify_proper(g, col, lists).ok
+                assert exact_list_color(g, lists) is not None
+
+    def test_konig_base_certifies_lists_of_max_degree(self):
+        # why only lists below max degree are checked: out(e) <= Delta - 1
+        for g in small_bipartite_graphs() + CATALOG:
+            out = out_degrees(g, konig_color(g).assignment)
+            assert all(o < max_degree(g) for o in out.values())
+
+    def test_logs_kernel_engine(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="edgex")
+        col = demand_list_color(K23_MINUS, K23_MINUS_LISTS)
+        assert verify_proper(K23_MINUS, col, K23_MINUS_LISTS).ok
+        [record] = caplog.records
+        message = record.getMessage()
+        assert message.startswith("list coloring: engine=kernel short=2 flips=")
+        assert int(message.rsplit("=", 1)[1]) >= 1
+
+    def test_logs_search_fallback_past_the_flip_cap(self, caplog, monkeypatch):
+        monkeypatch.setattr(coloring, "_flip_cap", lambda g: 0)
+        caplog.set_level(logging.DEBUG, logger="edgex")
+        col = demand_list_color(K23_MINUS, K23_MINUS_LISTS)
+        assert [r.getMessage() for r in caplog.records] == [
+            "list coloring: engine=search short=2 flips=0"
+        ]
+        assert col == exact_list_color(K23_MINUS, K23_MINUS_LISTS)
+
+    def test_silent_when_logging_is_off(self, caplog):
+        caplog.set_level(logging.INFO, logger="edgex")
+        demand_list_color(K23_MINUS, K23_MINUS_LISTS)
+        assert caplog.records == []
 
 
 class TestOneFactorization:

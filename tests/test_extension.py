@@ -39,9 +39,11 @@ from edgex.extension import require_valid
 
 from helpers import (
     brute_force_extendable,
+    list_coloring_engines,
     random_connected_bipartite,
     random_tree,
     random_valid_precoloring,
+    roadmap_cube_instance,
     complete_factor_palette,
 )
 
@@ -414,21 +416,21 @@ class TestExtendHypercube:
             extend_hypercube(0, Precoloring(0, {}))
 
     def test_q10_roadmap_instance(self):
-        # greedy maximal induced matching over edges shuffled by a seeded
-        # rng; its residual search runs about 2200 levels deep, past the
-        # default recursion limit
-        q = hypercube(10)
-        rng = random.Random(10)
-        order = list(q.edges)
-        rng.shuffle(order)
-        near, matching = set(), []
-        for u, v in order:
-            if u not in near and v not in near:
-                matching.append((u, v))
-                near.update((u, v, *q.adjacency[u], *q.adjacency[v]))
-        pre = Precoloring(10, {e: rng.randint(1, 10) for e in matching})
+        q, pre = roadmap_cube_instance(10)
         assert len(pre.entries) == 100
         col = extend_hypercube(10, pre)
+        assert verify_proper(q, col).ok
+        assert all(col.assignment[e] == c for e, c in pre.entries.items())
+
+    @pytest.mark.parametrize("d, entries", [(11, 185), (12, 360)])
+    def test_roadmap_instances_past_the_search_cliff(self, d, entries):
+        # 296 and 600 residual lists fall below max degree here; the
+        # complete search did not finish these within a minute
+        q, pre = roadmap_cube_instance(d)
+        assert len(pre.entries) == entries
+        with list_coloring_engines() as engines:
+            col = extend_hypercube(d, pre)
+        assert engines == ["kernel"]
         assert verify_proper(q, col).ok
         assert all(col.assignment[e] == c for e, c in pre.entries.items())
 

@@ -57,6 +57,8 @@ class TestGraphDocs:
             {"name": 3, "vertices": [], "edges": []},
             {"name": "x", "vertices": 5, "edges": []},
             {"name": "x", "vertices": "ab", "edges": []},
+            {"name": "x", "vertices": ["a", "b"], "edges": [[False, True]]},
+            {"name": "x", "vertices": ["a", "b"], "edges": [[0, True]]},
         ],
     )
     def test_malformed_graph_docs(self, doc):
@@ -78,6 +80,22 @@ def _left_off_by_one(doc):
 
 def _string_right(doc):
     doc["product"]["right"] = "2"
+
+
+def _boolean_left(doc):
+    # a consistent K_1 box K_2 document but for the boolean
+    doc["product"]["left"] = True
+    doc["vertices"] = doc["vertices"][:2]
+    doc["edges"] = [[0, 1]]
+    doc["product"]["edge_kinds"] = [["F", 0, 0, 1]]
+
+
+def _boolean_right(doc):
+    # a consistent P_2 box K_1 document but for the boolean
+    doc["product"]["right"] = True
+    doc["vertices"] = doc["vertices"][:2]
+    doc["edges"] = [[0, 1]]
+    doc["product"]["edge_kinds"] = [["L", 0, 1, 0]]
 
 
 def _add_diagonal_edge(doc):
@@ -151,6 +169,8 @@ class TestProductDocs:
             _wrong_copy_index,
             _left_off_by_one,
             _string_right,
+            _boolean_left,
+            _boolean_right,
             _add_diagonal_edge,
             _diagonal_for_fiber_edge,
             _drop_layer_copy,
@@ -193,6 +213,8 @@ class TestColoringDocs:
             {"u": "0", "v": 1, "color": 1},
             {"u": 0, "v": 1, "color": "red"},
             {"u": 0, "color": 1},
+            {"u": False, "v": True, "color": 1},
+            {"u": 0, "v": 1, "color": True},
         ],
     )
     def test_non_integer_rows_rejected(self, row):
@@ -202,6 +224,10 @@ class TestColoringDocs:
     def test_non_integer_palette_rejected(self):
         with pytest.raises(FormatError):
             coloring_from_dict({"palette_size": "3", "assignment": []})
+
+    def test_boolean_palette_rejected(self):
+        with pytest.raises(FormatError):
+            coloring_from_dict({"palette_size": True, "assignment": []})
 
 
 class TestPrecoloringDocs:
@@ -213,6 +239,18 @@ class TestPrecoloringDocs:
         assert back == pre
         write_doc(tmp_path / "pre2.json", precoloring_to_dict(back))
         assert f.read_bytes() == (tmp_path / "pre2.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"palette_size": 3, "entries": [{"u": False, "v": True, "color": 1}]},
+            {"palette_size": 3, "entries": [{"u": 0, "v": 1, "color": True}]},
+            {"palette_size": True, "entries": []},
+        ],
+    )
+    def test_booleans_rejected(self, doc):
+        with pytest.raises(FormatError):
+            precoloring_from_dict(doc)
 
     def test_not_json_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"

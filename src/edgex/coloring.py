@@ -13,8 +13,10 @@ Three engines cooperate:
   dominate xy, so no list runs dry. Lists of max-degree colors always pass;
   a shorter list that fails is repaired by Kempe flips of the base.
 * ``exact_list_color`` is the complete cross-check: backtracking with
-  minimum-remaining-values ordering and forward checking on an explicit
-  stack (no recursion limit), shared with the oracle's budgeted search.
+  minimum-remaining-values ordering (edges bucketed by colors left),
+  forward checking and a pigeonhole cut at every vertex an assignment
+  touches, on an explicit stack (no recursion limit), shared with the
+  oracle's budgeted search.
 
 ``demand_list_color`` takes lists of size max(deg(u), deg(w)) per edge uw,
 which always suffice on bipartite graphs (Borodin, Kostochka and Woodall).
@@ -356,9 +358,9 @@ def _dominated(e: Edge, matched_at: dict[int, Edge], base: dict[Edge, int], side
 def exact_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring | None:
     """Complete search for a proper in-list coloring; None if none exists.
 
-    Minimum-remaining-values edge ordering with forward checking; all ties
-    broken by canonical edge order and ascending color, so the result is
-    deterministic.
+    Minimum-remaining-values edge ordering with forward checking and
+    pigeonhole pruning; all ties broken by canonical edge order and
+    ascending color, so the result is deterministic.
     """
     assignment = _search(g, {e: set(lists.lists[e]) for e in g.edges})
     if assignment is None:
@@ -375,54 +377,139 @@ def _search(
 ) -> dict[Edge, int] | None:
     """A proper coloring of g from the given domains, or None if none exists.
 
-    The pinned (edge, color in its domain) pairs are assigned first, in
-    order, as no search nodes. Then a depth-first search with forward
-    checking: the unassigned edge with the fewest colors left goes next (ties
-    by canonical edge), its colors are tried in ascending order, one node
-    each; passing the node budget raises BudgetExceededError. Domains are
-    trimmed in place.
+    The pinned (edge, color in its domain) pairs, distinct edges, are
+    assigned first, in order, as no search nodes. Then a depth-first search
+    with forward checking: the unassigned edge with the fewest colors left
+    goes next (ties by canonical edge), its colors are tried in ascending
+    order, one node each; passing the node budget raises
+    BudgetExceededError. Domains are trimmed in place. The witness lists the
+    pinned edges first, then the searched ones in search order.
+
+    Edges are indices in canonical order, and the unassigned ones sit in
+    buckets by domain size, so the next edge is the lowest index in the
+    lowest non-empty bucket. Per vertex v, free[v] counts the unassigned
+    edges at v and cnt[v] maps each color to how many of them still offer
+    it. An assignment fails when a neighbor's domain empties, or when some
+    vertex it touched is left with more unassigned edges than colors to give
+    them (free[v] > len(cnt[v]), a pigeonhole; the blocked hub is one). Both
+    only cut subtrees without a solution, so the verdict and the first
+    witness are those of the same search without the pigeonhole. Each call
+    logs its nodes and pigeonhole prunes at debug level.
     """
-    neighbors = {e: [f for v in e for f in g.incident_edges(v) if f != e] for e in g.edges}
-    assignment: dict[Edge, int] = {}
-    trimmed: dict[Edge, list[Edge]] = {}  # assigned edge -> neighbors that lost its color
+    edges = g.edges
+    index = {e: i for i, e in enumerate(edges)}
+    at: list[list[int]] = [[] for _ in range(g.n)]  # vertex -> its edges
+    for i, (u, v) in enumerate(edges):
+        at[u].append(i)
+        at[v].append(i)
+    dom = [domains[e] for e in edges]
+    val: list[int | None] = [None] * len(edges)
+    free = [len(incident) for incident in at]
+    cnt: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for e, d in zip(edges, dom):
+        for v in e:
+            counts = cnt[v]
+            for k in d:
+                counts[k] = counts.get(k, 0) + 1
+    buckets: list[set[int]] = [set() for _ in range(max(map(len, dom), default=0) + 1)]
+    for i, d in enumerate(dom):
+        buckets[len(d)].add(i)
+    trimmed: dict[int, list[int]] = {}  # assigned edge -> neighbors that lost its color
+    nodes = pruned = 0
 
-    def assign(e: Edge, c: int) -> bool:
-        """Assign and forward-check; False when a neighbor's domain empties."""
-        assignment[e] = c
-        trimmed[e] = [f for f in neighbors[e] if f not in assignment and c in domains[f]]
-        for f in trimmed[e]:
-            domains[f].discard(c)
-        return all(domains[f] for f in trimmed[e])
+    def assign(i: int, c: int) -> bool:
+        """Assign and forward-check; False on an emptied domain or a pigeonhole."""
+        nonlocal pruned
+        val[i] = c
+        d = dom[i]
+        buckets[len(d)].remove(i)
+        for x in edges[i]:
+            free[x] -= 1
+            counts = cnt[x]
+            for k in d:
+                if counts[k] == 1:
+                    del counts[k]
+                else:
+                    counts[k] -= 1
+        trim = trimmed[i] = []
+        for x in edges[i]:
+            for j in at[x]:  # i itself is assigned, so it is skipped
+                dj = dom[j]
+                if val[j] is None and c in dj:
+                    buckets[len(dj)].remove(j)
+                    dj.remove(c)
+                    buckets[len(dj)].add(j)
+                    trim.append(j)
+                    for y in edges[j]:
+                        counts = cnt[y]
+                        if counts[c] == 1:
+                            del counts[c]
+                        else:
+                            counts[c] -= 1
+                    if not dj:
+                        return False
+        for x in edges[i]:
+            if free[x] > len(cnt[x]):
+                pruned += 1
+                return False
+        for j in trim:
+            for y in edges[j]:
+                if free[y] > len(cnt[y]):
+                    pruned += 1
+                    return False
+        return True
 
-    for e, c in pinned:
-        if not assign(e, c):
-            return None
-    nodes = 0
-    stack: list[tuple[Edge, Iterator[int]]] = []  # search edges, each with its untried colors
-    while len(assignment) < len(g.edges):
-        e = min(
-            (e for e in g.edges if e not in assignment),
-            key=lambda e: (len(domains[e]), e),
-        )
-        stack.append((e, iter(sorted(domains[e]))))
-        while stack:
-            e, colors = stack[-1]
-            if e in assignment:
-                c = assignment.pop(e)
-                for f in trimmed.pop(e):
-                    domains[f].add(c)
-            c = next(colors, None)
-            if c is None:
-                stack.pop()
-                continue
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceededError(nodes - 1)
-            if assign(e, c):
+    def unassign(i: int) -> None:
+        c = val[i]
+        val[i] = None
+        for j in trimmed.pop(i):
+            dj = dom[j]
+            buckets[len(dj)].remove(j)
+            dj.add(c)
+            buckets[len(dj)].add(j)
+            for y in edges[j]:
+                cnt[y][c] = cnt[y].get(c, 0) + 1
+        d = dom[i]
+        for x in edges[i]:
+            free[x] += 1
+            counts = cnt[x]
+            for k in d:
+                counts[k] = counts.get(k, 0) + 1
+        buckets[len(d)].add(i)
+
+    try:
+        order = []  # pinned, then searched edges: the witness's insertion order
+        for e, c in pinned:
+            order.append(index[e])
+            if not assign(order[-1], c):
+                return None
+        stack: list[tuple[int, Iterator[int]]] = []  # search edges, each with its untried colors
+        while True:
+            low = next((b for b in buckets if b), None)
+            if low is None:
                 break
-        else:
-            return None
-    return assignment
+            i = min(low)
+            stack.append((i, iter(sorted(dom[i]))))
+            while stack:
+                i, colors = stack[-1]
+                if val[i] is not None:
+                    unassign(i)
+                c = next(colors, None)
+                if c is None:
+                    stack.pop()
+                    continue
+                nodes += 1
+                if budget is not None and nodes > budget:
+                    raise BudgetExceededError(nodes - 1)
+                if assign(i, c):
+                    break
+            else:
+                return None
+        order.extend(i for i, _colors in stack)
+        return {edges[i]: val[i] for i in order}
+    finally:
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("search: nodes=%d pruned=%d", nodes, pruned)
 
 
 def demand_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:

@@ -108,7 +108,7 @@ def validate_precoloring(p: ProductGraph | Graph, pre: Precoloring) -> Validatio
     entries = sorted((g.check_edge(e), c) for e, c in pre.entries.items())
     return ValidationReport(
         color_violations=tuple(
-            (e, c) for e, c in entries if not 1 <= c <= pre.palette_size
+            (e, c) for e, c in entries if not (type(c) is int and 1 <= c <= pre.palette_size)
         ),
         distance_violations=tuple(close_edge_pairs(g, [e for e, _c in entries])),
     )

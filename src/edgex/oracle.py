@@ -42,13 +42,16 @@ def decide_extendable(
     """Exact decision: a proper palette-coloring extending pre, or None.
 
     Complete backtracking with minimum-remaining-values ordering, forward
-    checking and canonical tie-breaking; the witness is re-verified before
-    being returned. With a node budget, exhausting it raises
-    BudgetExceededError: an inconclusive outcome, never a "no".
+    checking, pigeonhole pruning and canonical tie-breaking; the witness is
+    re-verified before being returned. A prescription that leaves some
+    vertex more uncolored edges than colors for them, the blocked hub among
+    them, is refuted before any search node. With a node budget, exhausting
+    it raises BudgetExceededError: an inconclusive outcome, never a "no".
+    Prescribed colors must be ints in 1..palette (BadParameterError).
     """
     entries = {g.check_edge(e): c for e, c in pre.entries.items()}
     for e, c in entries.items():
-        if not 1 <= c <= palette:
+        if not (type(c) is int and 1 <= c <= palette):
             raise BadParameterError(f"prescribed color {c} on {e} outside 1..{palette}")
 
     domains = {
@@ -239,7 +242,8 @@ def explore_bipartite_factor(
     product = cartesian_product(g, complete_bipartite(n, m))
     palette = max_degree(g) + n
     matchings = _all_distance2_matchings(product.graph)
-    total = sum(palette ** len(mt) for mt in matchings)
+    weights = [palette ** len(mt) for mt in matchings]
+    total = sum(weights)
 
     decided = 0
     extendable = 0
@@ -270,7 +274,6 @@ def explore_bipartite_factor(
                 run(matching, colors)
     else:
         rng = random.Random(seed)
-        weights = [palette ** len(mt) for mt in matchings]
         for matching in rng.choices(matchings, weights=weights, k=budget):
             colors = tuple(rng.randint(1, palette) for _ in matching)
             run(matching, colors)
@@ -285,19 +288,27 @@ def explore_bipartite_factor(
 
 
 def _all_distance2_matchings(g: Graph) -> list[tuple[Edge, ...]]:
-    """Every distance-2 matching of g, the empty one included."""
-    edges = list(g.edges)
-    close = _close_edges(g, edges)
+    """Every distance-2 matching of g, the empty one included, each sorted,
+    in lexicographic order of edge indices."""
+    edges = g.edges
+    index = {e: i for i, e in enumerate(edges)}
+    close = [0] * len(edges)  # bit j of close[i]: edges i and j at distance < 2
+    for e, f, _d in close_edge_pairs(g, edges):
+        close[index[e]] |= 1 << index[f]
+        close[index[f]] |= 1 << index[e]
     out: list[tuple[Edge, ...]] = []
 
-    def grow(prefix: list[Edge], start: int) -> None:
+    def grow(prefix: list[Edge], allowed: int) -> None:
+        # allowed: the edges after the last one in prefix, at distance >= 2
+        # from all of it
         out.append(tuple(prefix))
-        for i in range(start, len(edges)):
-            e = edges[i]
-            if close[e].isdisjoint(prefix):
-                prefix.append(e)
-                grow(prefix, i + 1)
-                prefix.pop()
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            i = low.bit_length() - 1
+            prefix.append(edges[i])
+            grow(prefix, allowed & ~close[i])
+            prefix.pop()
 
-    grow([], 0)
+    grow([], (1 << len(edges)) - 1)
     return out

@@ -113,17 +113,15 @@ def coloring_to_dict(col: EdgeColoring) -> dict:
 def _edge_color_rows(doc: dict, key: str) -> tuple[int, dict]:
     try:
         palette = doc["palette_size"]
-        rows = doc[key]
-        mapping = {canonical_edge(r["u"], r["v"]): r["color"] for r in rows}
+        cells = [(r["u"], r["v"], r["color"]) for r in doc[key]]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"document missing field: {exc}") from exc
     if type(palette) is not int:
         raise FormatError("palette_size must be an integer")
-    if not all(
-        type(x) is int for r in rows for x in (r["u"], r["v"], r["color"])
-    ):
+    if not all(type(x) is int for row in cells for x in row):
         raise FormatError(f"{key} rows must hold integer u, v, color")
-    if len(mapping) != len(rows):
+    mapping = {canonical_edge(u, v): c for u, v, c in cells}
+    if len(mapping) != len(cells):
         raise FormatError(f"duplicate edge in {key}")
     return palette, mapping
 

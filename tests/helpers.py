@@ -12,9 +12,11 @@ import logging
 import random
 import re
 from collections import deque
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 
 from edgex import (
+    Edge,
     Graph,
     ListAssignment,
     Precoloring,
@@ -23,6 +25,7 @@ from edgex import (
     hypercube,
     max_degree,
 )
+from edgex.errors import BudgetExceededError
 from edgex.graph import distances_from
 
 
@@ -186,6 +189,58 @@ def brute_force_extendable(g: Graph, pre: Precoloring, palette: int):
     return brute_force_list_coloring(g, ListAssignment(lists=lists, demand=demand))
 
 
+def reference_search(
+    g: Graph,
+    domains: dict[Edge, set[int]],
+    budget: int | None = None,
+    pinned: Iterable[tuple[Edge, int]] = (),
+) -> tuple[dict[Edge, int] | None, int]:
+    """The library's search kernel before pigeonhole pruning and bucketed
+    MRV (an O(E) scan per node), kept as a test oracle: same arguments,
+    returns (assignment or None, search nodes used)."""
+    neighbors = {e: [f for v in e for f in g.incident_edges(v) if f != e] for e in g.edges}
+    assignment: dict[Edge, int] = {}
+    trimmed: dict[Edge, list[Edge]] = {}  # assigned edge -> neighbors that lost its color
+
+    def assign(e: Edge, c: int) -> bool:
+        """Assign and forward-check; False when a neighbor's domain empties."""
+        assignment[e] = c
+        trimmed[e] = [f for f in neighbors[e] if f not in assignment and c in domains[f]]
+        for f in trimmed[e]:
+            domains[f].discard(c)
+        return all(domains[f] for f in trimmed[e])
+
+    for e, c in pinned:
+        if not assign(e, c):
+            return None, 0
+    nodes = 0
+    stack: list[tuple[Edge, Iterator[int]]] = []  # search edges, each with its untried colors
+    while len(assignment) < len(g.edges):
+        e = min(
+            (e for e in g.edges if e not in assignment),
+            key=lambda e: (len(domains[e]), e),
+        )
+        stack.append((e, iter(sorted(domains[e]))))
+        while stack:
+            e, colors = stack[-1]
+            if e in assignment:
+                c = assignment.pop(e)
+                for f in trimmed.pop(e):
+                    domains[f].add(c)
+            c = next(colors, None)
+            if c is None:
+                stack.pop()
+                continue
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceededError(nodes - 1)
+            if assign(e, c):
+                break
+        else:
+            return None, nodes
+    return assignment, nodes
+
+
 # ---------------------------------------------------------------------------
 # seeded random instance generators
 
@@ -281,20 +336,20 @@ def roadmap_cube_instance(d: int) -> tuple[Graph, Precoloring]:
 
 
 # ---------------------------------------------------------------------------
-# list-coloring engine records
+# debug records of the "edgex" logger
 
 
 @contextmanager
-def list_coloring_engines():
-    """Collect the engine ("kernel" or "search") of every list-coloring
-    record the "edgex" logger emits inside the block, in order."""
-    engines: list[str] = []
+def _debug_records(pattern: str, convert):
+    """Collect convert(match) for every record the "edgex" logger emits
+    inside the block whose message matches pattern, in order."""
+    found: list = []
 
     class Collect(logging.Handler):
         def emit(self, record):
-            found = re.search(r"engine=(\w+)", record.getMessage())
-            if found:
-                engines.append(found.group(1))
+            match = re.search(pattern, record.getMessage())
+            if match:
+                found.append(convert(match))
 
     logger = logging.getLogger("edgex")
     handler = Collect(logging.DEBUG)
@@ -302,7 +357,19 @@ def list_coloring_engines():
     logger.addHandler(handler)
     logger.setLevel(logging.DEBUG)
     try:
-        yield engines
+        yield found
     finally:
         logger.setLevel(level)
         logger.removeHandler(handler)
+
+
+def list_coloring_engines():
+    """The engine ("kernel" or "search") of every list-coloring record."""
+    return _debug_records(r"engine=(\w+)", lambda m: m.group(1))
+
+
+def search_counts():
+    """(nodes, pigeonhole prunes) of every search kernel call."""
+    return _debug_records(
+        r"^search: nodes=(\d+) pruned=(\d+)$", lambda m: (int(m.group(1)), int(m.group(2)))
+    )

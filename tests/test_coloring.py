@@ -444,7 +444,8 @@ class TestCertifiedKernel:
         caplog.set_level(logging.DEBUG, logger="edgex")
         col = demand_list_color(K23_MINUS, K23_MINUS_LISTS)
         assert [r.getMessage() for r in caplog.records] == [
-            "list coloring: engine=search short=2 flips=0"
+            "list coloring: engine=search short=2 flips=0",
+            "search: nodes=5 pruned=0",
         ]
         assert col == exact_list_color(K23_MINUS, K23_MINUS_LISTS)
 

@@ -73,6 +73,26 @@ class TestValidatePrecoloring:
         report = validate_precoloring(path(2), Precoloring(2, {(0, 1): 3}))
         assert report.color_violations == (((0, 1), 3),)
 
+    @pytest.mark.parametrize("color", [1.5, "a", True])
+    def test_non_integer_color_is_a_violation(self, color):
+        report = validate_precoloring(hypercube(3), Precoloring(3, {(0, 1): color}))
+        assert report.color_violations == (((0, 1), color),)
+
+    @pytest.mark.parametrize("color", [1.5, "a", True])
+    @pytest.mark.parametrize(
+        "extend",
+        [
+            lambda pre: extend_hypercube(3, pre),
+            lambda pre: extend_over_complete(path(3), 1, pre),
+            lambda pre: extend_over_hypercube(path(3), 1, pre),
+            lambda pre: extend_over_star(path(3), 1, pre),
+        ],
+        ids=["hypercube", "complete", "over_hypercube", "star"],
+    )
+    def test_non_integer_color_rejected_by_extend(self, extend, color):
+        with pytest.raises(InvalidPrecoloringError):
+            extend(Precoloring(3, {(0, 1): color}))
+
     def test_unknown_edge_raises(self):
         with pytest.raises(UnknownEdgeError):
             validate_precoloring(path(3), Precoloring(3, {(0, 2): 1}))

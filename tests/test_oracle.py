@@ -118,15 +118,21 @@ class TestDecideExtendable:
                     assert witness.assignment == expected.assignment
 
     def test_budget_boundary(self):
-        # this witness takes 37 search nodes (30 free edges plus backtracking);
-        # a budget of exactly that many nodes suffices, one fewer does not
+        # this witness takes 31 search nodes (30 free edges plus one dead
+        # end; 37 before pigeonhole pruning); a budget of exactly that many
+        # nodes suffices, one fewer does not
         g = cartesian_product(cycle(4), complete_bipartite(2, 2)).graph
         pre = Precoloring(4, {(3, 15): 1, (10, 14): 1})
         with pytest.raises(BudgetExceededError) as info:
-            decide_extendable(g, pre, 4, budget=36)
-        assert info.value.nodes == 36
-        witness = decide_extendable(g, pre, 4, budget=37)
+            decide_extendable(g, pre, 4, budget=30)
+        assert info.value.nodes == 30
+        witness = decide_extendable(g, pre, 4, budget=31)
         assert witness is not None and witness == decide_extendable(g, pre, 4)
+
+    @pytest.mark.parametrize("color", [1.5, "a", True])
+    def test_non_integer_color_rejected(self, color):
+        with pytest.raises(BadParameterError):
+            decide_extendable(hypercube(3), Precoloring(3, {(0, 1): color}), 3)
 
 
 def brute_covering_matchings(g, v):
@@ -315,3 +321,23 @@ class TestExploreBipartiteFactor:
             if all(far[pair] for pair in itertools.combinations(combo, 2))
         ]
         assert _all_distance2_matchings(product) == sorted(expected)
+
+    def test_matchings_of_q3_in_order(self):
+        # Q_3 = C_4 box K_2: the empty matching, each edge, and each edge
+        # with its antipodal edge, in lexicographic order
+        product = cartesian_product(cycle(4), complete(2)).graph
+        assert _all_distance2_matchings(product) == [
+            (),
+            ((0, 1),), ((0, 1), (4, 5)),
+            ((0, 2),), ((0, 2), (5, 7)),
+            ((0, 6),), ((0, 6), (3, 5)),
+            ((1, 3),), ((1, 3), (4, 6)),
+            ((1, 7),), ((1, 7), (2, 4)),
+            ((2, 3),), ((2, 3), (6, 7)),
+            ((2, 4),),
+            ((3, 5),),
+            ((4, 5),),
+            ((4, 6),),
+            ((5, 7),),
+            ((6, 7),),
+        ]

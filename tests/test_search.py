@@ -1,0 +1,172 @@
+"""The search kernel behind exact_list_color and decide_extendable.
+
+Its pigeonhole pruning and bucketed ordering must not change an outcome:
+the kernel is checked against ``helpers.reference_search`` (the same search
+with neither) for verdicts, witnesses in insertion order and node counts.
+"""
+
+import logging
+import re
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from edgex import (
+    Precoloring,
+    build_blocked_hub_instance,
+    build_graph,
+    cartesian_product,
+    complete_bipartite,
+    cycle,
+    decide_extendable,
+    exact_list_color,
+    explore_bipartite_factor,
+    hypercube,
+    make_list_assignment,
+    max_degree,
+    reduce_instance,
+    spider,
+    star,
+    verify_proper,
+)
+from edgex.errors import BudgetExceededError
+
+from helpers import reference_search, roadmap_cube_instance, search_counts
+
+REFERENCE_BUDGET = 5000  # reference searches past this are not compared
+
+
+@st.composite
+def list_instances(draw):
+    """A graph on up to 7 vertices (bipartite or not) with random lists,
+    some of them empty."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+    g = build_graph([f"v{i}" for i in range(n)], edges)
+    k = draw(st.integers(min_value=1, max_value=5))
+    lists = {
+        e: draw(st.lists(st.integers(min_value=1, max_value=k), max_size=k)) for e in g.edges
+    }
+    return g, make_list_assignment(g, lists)
+
+
+@st.composite
+def prescriptions(draw):
+    """A prescription on a small G box K_n,m, distance-2 or not, with a
+    palette of max_degree(G) + n or one less."""
+    n_g = draw(st.integers(min_value=2, max_value=4))
+    pairs = [(u, v) for u in range(n_g) for v in range(u + 1, n_g) if (u + v) % 2]
+    g_edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1))
+    g = build_graph([f"g{i}" for i in range(n_g)], g_edges)
+    n = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=1, max_value=n))
+    product = cartesian_product(g, complete_bipartite(n, m)).graph
+    palette = max_degree(g) + n - draw(st.integers(min_value=0, max_value=1))
+    entries = draw(
+        st.dictionaries(
+            st.sampled_from(product.edges),
+            st.integers(min_value=1, max_value=palette),
+            max_size=4,
+        )
+    )
+    return product, Precoloring(palette, entries)
+
+
+def reference(g, domains, pinned=()):
+    """reference_search's (assignment, nodes), or None past the budget."""
+    try:
+        return reference_search(g, domains, REFERENCE_BUDGET, pinned)
+    except BudgetExceededError:
+        return None
+
+
+def witness_items(col):
+    return None if col is None else list(col.assignment.items())
+
+
+@given(list_instances())
+@settings(max_examples=250, deadline=None)
+def test_list_search_matches_reference(instance):
+    g, lists = instance
+    expected = reference(g, {e: set(lists.lists[e]) for e in g.edges})
+    with search_counts() as counts:
+        got = exact_list_color(g, lists)
+    [(nodes, _pruned)] = counts
+    if expected is not None:
+        assignment, ref_nodes = expected
+        assert witness_items(got) == (None if assignment is None else list(assignment.items()))
+        assert nodes <= ref_nodes
+
+
+@given(prescriptions())
+@settings(max_examples=200, deadline=None)
+def test_decision_matches_reference(instance):
+    product, pre = instance
+    palette = pre.palette_size
+    domains = {
+        e: {pre.entries[e]} if e in pre.entries else set(range(1, palette + 1))
+        for e in product.edges
+    }
+    expected = reference(product, domains, sorted(pre.entries.items()))
+    with search_counts() as counts:
+        got = decide_extendable(product, pre, palette)
+    [(nodes, _pruned)] = counts
+    if expected is not None:
+        assignment, ref_nodes = expected
+        assert witness_items(got) == (None if assignment is None else list(assignment.items()))
+        assert nodes <= ref_nodes
+
+
+class TestPastTheOldSearch:
+    """Instances the search without pigeonhole pruning takes seconds to
+    minutes on."""
+
+    def test_blocked_hub_refutation(self):
+        inst = build_blocked_hub_instance(spider(5, 3), spider(4, 3))
+        pre = inst.precoloring
+        with search_counts() as counts:
+            assert decide_extendable(inst.product.graph, pre, pre.palette_size) is None
+        # the hub is a pigeonhole as soon as the prescription is pinned
+        assert counts == [(0, 1)]
+
+    def test_c6_k32_sweep(self):
+        report = explore_bipartite_factor(cycle(6), 3, 2, 20, 1)
+        assert report.instances == report.extendable == 20
+
+    def test_q11_residual(self):
+        _q, pre = roadmap_cube_instance(11)
+        red = reduce_instance(hypercube(10), 1, pre)
+        col = exact_list_color(red.base_residual, red.lists)
+        assert col is not None and verify_proper(red.base_residual, col, red.lists).ok
+
+
+class TestSearchLog:
+    def test_blocked_hub_prunes(self, caplog):
+        inst = build_blocked_hub_instance(spider(3, 2), spider(3, 2))
+        pre = inst.precoloring
+        caplog.set_level(logging.DEBUG, logger="edgex")
+        assert decide_extendable(inst.product.graph, pre, pre.palette_size) is None
+        [record] = caplog.records
+        found = re.fullmatch(r"search: nodes=(\d+) pruned=(\d+)", record.getMessage())
+        assert found and int(found.group(2)) >= 1
+
+    def test_one_record_per_call(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="edgex")
+        g = cycle(6)
+        assert decide_extendable(g, Precoloring(2, {(0, 1): 1}), 2) is not None
+        # both colors of the first edge at the center of K_1,3 leave two
+        # edges there with one color between them
+        assert decide_extendable(star(3), Precoloring(2, {}), 2) is None
+        assert [r.getMessage() for r in caplog.records] == [
+            "search: nodes=5 pruned=0",
+            "search: nodes=2 pruned=2",
+        ]
+
+    def test_silent_below_debug(self, caplog):
+        caplog.set_level(logging.INFO, logger="edgex")
+        inst = build_blocked_hub_instance(spider(3, 2), spider(3, 2))
+        decide_extendable(inst.product.graph, inst.precoloring, inst.precoloring.palette_size)
+        g = cycle(4)
+        exact_list_color(g, make_list_assignment(g, {e: (1, 2) for e in g.edges}))
+        assert caplog.records == []

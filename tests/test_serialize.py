@@ -252,6 +252,11 @@ class TestPrecoloringDocs:
         with pytest.raises(FormatError):
             precoloring_from_dict(doc)
 
+    def test_mixed_type_row_names_the_row_types(self):
+        doc = {"palette_size": 3, "entries": [{"u": "0", "v": 1, "color": 1}]}
+        with pytest.raises(FormatError, match="^entries rows must hold integer u, v, color$"):
+            precoloring_from_dict(doc)
+
     def test_not_json_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("not json {")

@@ -54,9 +54,7 @@ from .graph import (
     bipartition,
     build_graph,
     canonical_edge,
-    edge_distance,
     max_degree,
-    vertex_distance,
 )
 from .oracle import (
     BlockedHubInstance,

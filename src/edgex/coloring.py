@@ -107,28 +107,45 @@ class ColoringReport:
 
 
 def verify_proper(g: Graph, col: EdgeColoring, lists: ListAssignment | None = None) -> ColoringReport:
-    """Check properness, palette membership and (optionally) list membership."""
-    missing = [e for e in g.edges if e not in col.assignment]
-    if missing:
-        raise MissingEdgeError(f"coloring misses edges {missing}")
+    """Check properness, palette membership and (optionally) list membership.
+
+    Linear passes over g.edges read each edge's color once. Properness is
+    screened with a set of int keys x * (p + 1) + c, one per end x of an
+    edge colored c (p the palette size). On palette colors a key names the
+    pair (x, c), so the coloring is proper iff the set holds 2|E| keys; two
+    edges clashing at a vertex always give equal keys, whatever the color.
+    An off-palette color may alias another end's key, which only costs the
+    exact pass. That pass runs only when the set is short and lists every
+    clashing pair vertex by vertex, colors ascending, edges in adjacency
+    order, so reports are the same as when it ran on every call.
+    """
+    a = col.assignment
+    try:
+        colors = [a[e] for e in g.edges]
+    except KeyError:
+        missing = [e for e in g.edges if e not in a]
+        raise MissingEdgeError(f"coloring misses edges {missing}") from None
+    p = col.palette_size
+    ends = {x * (p + 1) + c for e, c in zip(g.edges, colors) for x in e}
     conflicts = []
-    for v in range(g.n):
-        by_color: dict[int, list[Edge]] = {}
-        for w in g.adjacency[v]:
-            e = canonical_edge(v, w)
-            by_color.setdefault(col.assignment[e], []).append(e)
-        # two distinct edges share at most one vertex, so each clashing
-        # pair is discovered exactly once, at that vertex
-        for _, same in sorted(by_color.items()):
-            conflicts.extend(
-                (same[i], same[j])
-                for i in range(len(same))
-                for j in range(i + 1, len(same))
-            )
-    off_palette = [e for e in g.edges if not 1 <= col.assignment[e] <= col.palette_size]
+    if len(ends) < 2 * len(colors):
+        for v in range(g.n):
+            by_color: dict[int, list[Edge]] = {}
+            for w in g.adjacency[v]:
+                e = canonical_edge(v, w)
+                by_color.setdefault(a[e], []).append(e)
+            # two distinct edges share at most one vertex, so each clashing
+            # pair is discovered exactly once, at that vertex
+            for _, same in sorted(by_color.items()):
+                conflicts.extend(
+                    (same[i], same[j])
+                    for i in range(len(same))
+                    for j in range(i + 1, len(same))
+                )
+    off_palette = [e for e, c in zip(g.edges, colors) if not 1 <= c <= p]
     off_list = []
     if lists is not None:
-        off_list = [e for e in g.edges if col.assignment[e] not in lists.lists.get(e, (col.assignment[e],))]
+        off_list = [e for e, c in zip(g.edges, colors) if c not in lists.lists.get(e, (c,))]
     return ColoringReport(
         conflicts=tuple(conflicts),
         off_palette=tuple(off_palette),

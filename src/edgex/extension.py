@@ -100,12 +100,13 @@ def _host_graph(p: ProductGraph | Graph) -> Graph:
 def validate_precoloring(p: ProductGraph | Graph, pre: Precoloring) -> ValidationReport:
     """Check colors lie in the palette and entries form a distance-2 matching.
 
-    Keys may name an edge in either order. Unknown edges raise
-    UnknownEdgeError; everything else is reported, not raised, so callers can
-    show all problems at once.
+    Keys may name an edge in either order; entries are reported by edge, in
+    insertion order among keys naming the same edge. Unknown edges and keys
+    that are not pairs of ints raise UnknownEdgeError; everything else is
+    reported, not raised, so callers can show all problems at once.
     """
     g = _host_graph(p)
-    entries = sorted((g.check_edge(e), c) for e, c in pre.entries.items())
+    entries = sorted(((g.check_edge(e), c) for e, c in pre.entries.items()), key=lambda t: t[0])
     return ValidationReport(
         color_violations=tuple(
             (e, c) for e, c in entries if not (type(c) is int and 1 <= c <= pre.palette_size)

@@ -1,17 +1,12 @@
-"""Immutable simple undirected graphs with the distance metrics used throughout.
+"""Immutable simple undirected graphs and the local distance rule.
 
 Vertices are dense indices 0..n-1 carrying text labels. Edges are canonical
 pairs (u, v) with u < v, kept in lexicographic order so every derived
 structure (adjacency, colorings, serializations) is deterministic.
-
-Infinite distance (between components) is represented by ``math.inf``, never
-by a sentinel integer, so accidental arithmetic on disconnected inputs
-surfaces as a float instead of a silently wrong count.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -58,6 +53,10 @@ class Graph:
             raise VertexIndexError(f"vertex {v} not in 0..{self.n - 1}")
 
     def check_edge(self, e: Edge) -> Edge:
+        """Canonicalize a key naming an edge in either order; a key that is
+        not a pair of ints, or names no edge, raises UnknownEdgeError."""
+        if not (isinstance(e, tuple) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
+            raise UnknownEdgeError(f"edge key {e!r} is not a pair of ints")
         e = canonical_edge(*e)
         if e not in self.edge_set:
             raise UnknownEdgeError(f"edge {e} not in graph")
@@ -149,51 +148,6 @@ def _root_path(parent: list[int], v: int) -> list[int]:
     while parent[path[-1]] != -1:
         path.append(parent[path[-1]])
     return path[::-1]
-
-
-def vertex_distance(g: Graph, u: int, v: int) -> int | float:
-    """BFS shortest-path length; math.inf across components."""
-    g.check_vertex(u)
-    g.check_vertex(v)
-    if u == v:
-        return 0
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for w in g.adjacency[x]:
-            if w not in dist:
-                dist[w] = dist[x] + 1
-                if w == v:
-                    return dist[w]
-                queue.append(w)
-    return math.inf
-
-
-def distances_from(g: Graph, u: int) -> list[int | float]:
-    """Single-source BFS distances; math.inf where unreachable."""
-    g.check_vertex(u)
-    dist: list[int | float] = [math.inf] * g.n
-    dist[u] = 0
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for w in g.adjacency[x]:
-            if dist[w] == math.inf:
-                dist[w] = dist[x] + 1
-                queue.append(w)
-    return dist
-
-
-def edge_distance(g: Graph, e: Edge, f: Edge) -> int | float:
-    """min over the four endpoint distances; 0 iff the edges share a vertex."""
-    e = g.check_edge(e)
-    f = g.check_edge(f)
-    x, y = e
-    z, w = f
-    from_x = distances_from(g, x)
-    from_y = distances_from(g, y)
-    return min(from_x[z], from_x[w], from_y[z], from_y[w])
 
 
 def close_edge_pairs(g: Graph, edges: list[Edge]) -> list[tuple[Edge, Edge, int]]:

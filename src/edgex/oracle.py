@@ -47,9 +47,15 @@ def decide_extendable(
     vertex more uncolored edges than colors for them, the blocked hub among
     them, is refuted before any search node. With a node budget, exhausting
     it raises BudgetExceededError: an inconclusive outcome, never a "no".
-    Prescribed colors must be ints in 1..palette (BadParameterError).
+    Prescribed colors must be ints in 1..palette, and no edge may be
+    prescribed under both of its key orders (BadParameterError).
     """
-    entries = {g.check_edge(e): c for e, c in pre.entries.items()}
+    entries: dict[Edge, int] = {}
+    for key, c in pre.entries.items():
+        e = g.check_edge(key)
+        if e in entries:
+            raise BadParameterError(f"edge {e} prescribed twice")
+        entries[e] = c
     for e, c in entries.items():
         if not (type(c) is int and 1 <= c <= palette):
             raise BadParameterError(f"prescribed color {c} on {e} outside 1..{palette}")

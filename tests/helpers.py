@@ -1,14 +1,18 @@
-"""Shared test machinery: small-graph catalogs, brute-force oracles, seeded
-instance generators.
+"""Shared test machinery: small-graph catalogs, brute-force oracles, BFS
+distances, seeded instance generators.
 
 The brute-force searchers here are deliberately primitive (fixed edge order,
 no pruning heuristics) so they stay independent of the library's engines.
+The BFS distances are the independent oracle for the library's local rule
+``close_edge_pairs``; infinite distance (between components) is
+``math.inf``, never a sentinel integer.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+import math
 import random
 import re
 from collections import deque
@@ -16,7 +20,9 @@ from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 
 from edgex import (
+    ColoringReport,
     Edge,
+    EdgeColoring,
     Graph,
     ListAssignment,
     Precoloring,
@@ -25,8 +31,7 @@ from edgex import (
     hypercube,
     max_degree,
 )
-from edgex.errors import BudgetExceededError
-from edgex.graph import distances_from
+from edgex.errors import BudgetExceededError, MissingEdgeError
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +244,90 @@ def reference_search(
         else:
             return None, nodes
     return assignment, nodes
+
+
+# ---------------------------------------------------------------------------
+# BFS distances
+
+
+def vertex_distance(g: Graph, u: int, v: int) -> int | float:
+    """BFS shortest-path length; math.inf across components."""
+    g.check_vertex(u)
+    g.check_vertex(v)
+    if u == v:
+        return 0
+    dist = {u: 0}
+    queue = deque([u])
+    while queue:
+        x = queue.popleft()
+        for w in g.adjacency[x]:
+            if w not in dist:
+                dist[w] = dist[x] + 1
+                if w == v:
+                    return dist[w]
+                queue.append(w)
+    return math.inf
+
+
+def distances_from(g: Graph, u: int) -> list[int | float]:
+    """Single-source BFS distances; math.inf where unreachable."""
+    g.check_vertex(u)
+    dist: list[int | float] = [math.inf] * g.n
+    dist[u] = 0
+    queue = deque([u])
+    while queue:
+        x = queue.popleft()
+        for w in g.adjacency[x]:
+            if dist[w] == math.inf:
+                dist[w] = dist[x] + 1
+                queue.append(w)
+    return dist
+
+
+def edge_distance(g: Graph, e: Edge, f: Edge) -> int | float:
+    """min over the four endpoint distances; 0 iff the edges share a vertex."""
+    e = g.check_edge(e)
+    f = g.check_edge(f)
+    x, y = e
+    z, w = f
+    from_x = distances_from(g, x)
+    from_y = distances_from(g, y)
+    return min(from_x[z], from_x[w], from_y[z], from_y[w])
+
+
+# ---------------------------------------------------------------------------
+# reference coloring check
+
+
+def reference_verify_proper(g: Graph, col: EdgeColoring, lists: ListAssignment | None = None) -> ColoringReport:
+    """The library's verify_proper before the key-set filter (a per-vertex
+    by-color enumeration on every call), kept as a test oracle."""
+    missing = [e for e in g.edges if e not in col.assignment]
+    if missing:
+        raise MissingEdgeError(f"coloring misses edges {missing}")
+    conflicts = []
+    for v in range(g.n):
+        by_color: dict[int, list[Edge]] = {}
+        for w in g.adjacency[v]:
+            e = canonical_edge(v, w)
+            by_color.setdefault(col.assignment[e], []).append(e)
+        # two distinct edges share at most one vertex, so each clashing
+        # pair is discovered exactly once, at that vertex
+        for _, same in sorted(by_color.items()):
+            conflicts.extend(
+                (same[i], same[j])
+                for i in range(len(same))
+                for j in range(i + 1, len(same))
+            )
+    off_palette = [e for e in g.edges if not 1 <= col.assignment[e] <= col.palette_size]
+    off_list = []
+    if lists is not None:
+        off_list = [e for e in g.edges if col.assignment[e] not in lists.lists.get(e, (col.assignment[e],))]
+    return ColoringReport(
+        conflicts=tuple(conflicts),
+        off_palette=tuple(off_palette),
+        off_list=tuple(off_list),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from edgex import (
     check_local_obstruction,
     complete,
     decide_extendable,
-    edge_distance,
     explore_bipartite_factor,
     extend_hypercube,
     extend_over_complete,
@@ -38,6 +37,7 @@ from edgex.errors import TheoremViolationError
 from helpers import (
     brute_force_list_coloring,
     connected_bipartite_catalog,
+    edge_distance,
     random_connected_bipartite,
     random_tree,
     random_valid_precoloring,

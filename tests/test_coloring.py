@@ -26,6 +26,7 @@ from edgex import coloring
 from edgex.coloring import ListAssignment
 from edgex.errors import (
     DemandViolationError,
+    EdgexError,
     ListTooShortError,
     MissingEdgeError,
     NotBipartiteError,
@@ -38,6 +39,7 @@ from helpers import (
     enumerate_all_list_colorings,
     list_coloring_engines,
     random_connected_bipartite,
+    reference_verify_proper,
     small_bipartite_graphs,
 )
 
@@ -520,6 +522,102 @@ class TestVerifyProper:
         g = star(3)
         col = EdgeColoring(3, {(0, 1): 2, (0, 2): 2, (0, 3): 2})
         assert len(verify_proper(g, col).conflicts) == 3
+
+    def test_clash_at_the_larger_endpoint_of_both_edges(self):
+        g = build_graph(["a", "b", "c"], [(0, 2), (1, 2)])
+        report = verify_proper(g, EdgeColoring(2, {(0, 2): 1, (1, 2): 1}))
+        assert report.conflicts == (((0, 2), (1, 2)),)
+
+    def test_aliased_keys_without_a_clash(self):
+        # (p + 1) at vertex x and 0 at vertex x + 1 share a key, so the
+        # exact pass runs and finds nothing
+        g = path(4)
+        col = EdgeColoring(3, {(0, 1): 4, (1, 2): 0, (2, 3): 1})
+        report = verify_proper(g, col)
+        assert report == reference_verify_proper(g, col)
+        assert report.conflicts == () and report.off_palette == ((0, 1), (1, 2))
+
+    def test_true_clashes_with_one(self):
+        g = path(3)
+        col = EdgeColoring(2, {(0, 1): True, (1, 2): 1})
+        assert verify_proper(g, col).conflicts == (((0, 1), (1, 2)),)
+
+    def test_edges_without_a_list_are_never_off_list(self):
+        g = path(3)
+        lists = ListAssignment(lists={(0, 1): (2,)}, demand={})
+        report = verify_proper(g, EdgeColoring(2, {(0, 1): 1, (1, 2): 2}), lists)
+        assert report.off_list == ((0, 1),)
+
+    def test_missing_edges_listed_in_edge_order(self):
+        g = path(4)
+        with pytest.raises(MissingEdgeError, match=r"misses edges \[\(0, 1\), \(2, 3\)\]"):
+            verify_proper(g, EdgeColoring(2, {(1, 2): 1}))
+
+
+@st.composite
+def verify_cases(draw):
+    """A graph (bipartite or not), a coloring with planted faults, and
+    optionally lists covering some of the edges."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    bipartite = draw(st.booleans())
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if not bipartite or side[u] != side[v]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = build_graph([f"v{i}" for i in range(n)], edges)
+    if draw(st.booleans()):
+        # a color per edge: proper, so each planted clash is the only one
+        p = len(g.edges) + draw(st.integers(min_value=0, max_value=2))
+        colors = {e: i + 1 for i, e in enumerate(g.edges)}
+    else:
+        p = draw(st.integers(min_value=1, max_value=4))
+        colors = {e: draw(st.integers(min_value=1, max_value=p)) for e in g.edges}
+    for kind in draw(st.lists(st.sampled_from(("low", "high", "off", "alias")), max_size=4)):
+        if not g.edges:
+            break
+        e = draw(st.sampled_from(g.edges))
+        if kind in ("low", "high"):
+            # copy a neighbor's color across e's smaller or larger endpoint
+            x = e[0] if kind == "low" else e[1]
+            others = [f for f in g.incident_edges(x) if f != e]
+            if others:
+                colors[e] = colors[draw(st.sampled_from(others))]
+        elif kind == "off":
+            colors[e] = draw(st.sampled_from((0, -1, p + 1, 1.5, True)))
+        else:
+            x = draw(st.sampled_from(e))
+            others = [f for f in g.incident_edges(x + 1) if f != e] if x + 1 < n else []
+            if others:
+                colors[e] = p + 1
+                colors[draw(st.sampled_from(others))] = 0
+    if g.edges and draw(st.integers(min_value=0, max_value=4)) == 0:
+        for e in draw(st.lists(st.sampled_from(g.edges), min_size=1, max_size=2)):
+            colors.pop(e, None)
+    lists = None
+    if draw(st.booleans()):
+        palette = list(range(0, p + 2))
+        lists = ListAssignment(
+            lists={
+                e: tuple(sorted(draw(st.sets(st.sampled_from(palette), max_size=3))))
+                for e in g.edges
+                if draw(st.booleans())
+            },
+            demand={},
+        )
+    return g, EdgeColoring(p, colors), lists
+
+
+def _verify_outcome(check, g, col, lists):
+    try:
+        return check(g, col, lists)
+    except EdgexError as exc:
+        return type(exc), str(exc)
+
+
+@given(verify_cases())
+@settings(max_examples=400, deadline=None)
+def test_verify_proper_matches_reference(case):
+    g, col, lists = case
+    assert _verify_outcome(verify_proper, g, col, lists) == _verify_outcome(reference_verify_proper, g, col, lists)
 
 
 def test_bipartition_of_catalog_members():

@@ -13,7 +13,6 @@ from edgex import (
     color_fibers,
     complete,
     decide_extendable,
-    edge_distance,
     extend_hypercube,
     extend_over_complete,
     extend_over_hypercube,
@@ -39,12 +38,24 @@ from edgex.extension import require_valid
 
 from helpers import (
     brute_force_extendable,
+    edge_distance,
     list_coloring_engines,
     random_connected_bipartite,
     random_tree,
     random_valid_precoloring,
     roadmap_cube_instance,
     complete_factor_palette,
+)
+
+every_extend = pytest.mark.parametrize(
+    "extend",
+    [
+        lambda pre: extend_hypercube(3, pre),
+        lambda pre: extend_over_complete(path(3), 1, pre),
+        lambda pre: extend_over_hypercube(path(3), 1, pre),
+        lambda pre: extend_over_star(path(3), 1, pre),
+    ],
+    ids=["hypercube", "complete", "over_hypercube", "star"],
 )
 
 
@@ -79,16 +90,7 @@ class TestValidatePrecoloring:
         assert report.color_violations == (((0, 1), color),)
 
     @pytest.mark.parametrize("color", [1.5, "a", True])
-    @pytest.mark.parametrize(
-        "extend",
-        [
-            lambda pre: extend_hypercube(3, pre),
-            lambda pre: extend_over_complete(path(3), 1, pre),
-            lambda pre: extend_over_hypercube(path(3), 1, pre),
-            lambda pre: extend_over_star(path(3), 1, pre),
-        ],
-        ids=["hypercube", "complete", "over_hypercube", "star"],
-    )
+    @every_extend
     def test_non_integer_color_rejected_by_extend(self, extend, color):
         with pytest.raises(InvalidPrecoloringError):
             extend(Precoloring(3, {(0, 1): color}))
@@ -105,6 +107,26 @@ class TestValidatePrecoloring:
     def test_key_in_both_orders_pairs_with_itself(self):
         report = validate_precoloring(hypercube(3), Precoloring(3, {(0, 1): 1, (1, 0): 1}))
         assert report.distance_violations == (((0, 1), (0, 1), 0),)
+
+    def test_key_in_both_orders_with_mixed_color_types(self):
+        # entries sort by edge alone, so the colors are never compared
+        pre = Precoloring(3, {(0, 1): "a", (1, 0): 1})
+        report = validate_precoloring(hypercube(3), pre)
+        assert report.color_violations == (((0, 1), "a"),)
+        assert report.distance_violations == (((0, 1), (0, 1), 0),)
+        with pytest.raises(InvalidPrecoloringError):
+            extend_hypercube(3, pre)
+
+    @pytest.mark.parametrize("key", [(0, 1, 2), ("a", 1), (0,), (0.0, 1)])
+    def test_malformed_key_is_an_unknown_edge(self, key):
+        with pytest.raises(UnknownEdgeError, match="not a pair of ints"):
+            validate_precoloring(hypercube(3), Precoloring(3, {key: 1, (6, 7): 1}))
+
+    @pytest.mark.parametrize("key", [(0, 1, 2), ("a", 1), (0,), (0.0, 1)])
+    @every_extend
+    def test_malformed_key_rejected_by_extend(self, extend, key):
+        with pytest.raises(UnknownEdgeError, match="not a pair of ints"):
+            extend(Precoloring(3, {key: 1, (2, 3): 1}))
 
     def test_matches_pairwise_bfs_reference(self):
         rng = random.Random(12)

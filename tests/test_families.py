@@ -9,7 +9,6 @@ from edgex import (
     complete,
     complete_bipartite,
     cycle,
-    edge_distance,
     embed_star_in_hypercube,
     hypercube,
     max_degree,
@@ -17,14 +16,15 @@ from edgex import (
     spider,
     standard_family,
     star,
-    vertex_distance,
 )
 from edgex.errors import BadParameterError
 
 from helpers import (
     connected_bipartite_catalog,
+    edge_distance,
     random_connected_bipartite,
     random_distance2_matching,
+    vertex_distance,
 )
 
 

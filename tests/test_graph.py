@@ -9,11 +9,9 @@ from edgex import (
     bipartition,
     build_graph,
     canonical_edge,
-    edge_distance,
     hypercube,
     max_degree,
     path,
-    vertex_distance,
 )
 from edgex.errors import (
     DuplicateEdgeError,
@@ -22,9 +20,9 @@ from edgex.errors import (
     UnknownEdgeError,
     VertexIndexError,
 )
-from edgex.graph import adjacent_edges, distances_from
+from edgex.graph import adjacent_edges
 
-from helpers import small_bipartite_graphs
+from helpers import distances_from, edge_distance, small_bipartite_graphs, vertex_distance
 
 
 @st.composite
@@ -180,6 +178,13 @@ class TestMaxDegree:
 def test_canonical_edge():
     assert canonical_edge(3, 1) == (1, 3)
     assert canonical_edge(1, 3) == (1, 3)
+
+
+class TestCheckEdge:
+    @pytest.mark.parametrize("key", [(0, 1, 2), ("a", 1), (0,), (0.0, 1), (True, 1), [0, 1], 1])
+    def test_key_must_be_a_pair_of_ints(self, key):
+        with pytest.raises(UnknownEdgeError, match="not a pair of ints"):
+            path(3).check_edge(key)
 
 
 def test_small_bipartite_catalog_is_bipartite():

@@ -12,7 +12,6 @@ from edgex import (
     complete_bipartite,
     cycle,
     decide_extendable,
-    edge_distance,
     exact_list_color,
     explore_bipartite_factor,
     extend_over_complete,
@@ -25,12 +24,13 @@ from edgex import (
     star,
     verify_proper,
 )
-from edgex.errors import BadParameterError, BudgetExceededError, InapplicableError
-from edgex.graph import distances_from
+from edgex.errors import BadParameterError, BudgetExceededError, InapplicableError, UnknownEdgeError
 from edgex.oracle import _all_distance2_matchings
 
 from helpers import (
     brute_force_extendable,
+    distances_from,
+    edge_distance,
     random_connected_bipartite,
     random_valid_precoloring,
     complete_factor_palette,
@@ -133,6 +133,17 @@ class TestDecideExtendable:
     def test_non_integer_color_rejected(self, color):
         with pytest.raises(BadParameterError):
             decide_extendable(hypercube(3), Precoloring(3, {(0, 1): color}), 3)
+
+    @pytest.mark.parametrize("colors", [(2, 1), (1, 1)])
+    def test_edge_prescribed_in_both_orders_rejected(self, colors):
+        pre = Precoloring(3, {(0, 1): colors[0], (1, 0): colors[1]})
+        with pytest.raises(BadParameterError, match=r"edge \(0, 1\) prescribed twice"):
+            decide_extendable(hypercube(3), pre, 3)
+
+    @pytest.mark.parametrize("key", [(0, 1, 2), ("a", 1), (0,), (0.0, 1)])
+    def test_malformed_key_is_an_unknown_edge(self, key):
+        with pytest.raises(UnknownEdgeError, match="not a pair of ints"):
+            decide_extendable(hypercube(3), Precoloring(3, {key: 1, (6, 7): 1}), 3)
 
 
 def brute_covering_matchings(g, v):

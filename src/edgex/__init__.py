@@ -24,7 +24,6 @@ from .extension import (
     Precoloring,
     ReducedInstance,
     ValidationReport,
-    classify_precolored,
     color_fibers,
     extend_hypercube,
     extend_over_complete,

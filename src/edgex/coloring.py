@@ -62,24 +62,14 @@ class EdgeColoring:
 
 @dataclass(frozen=True)
 class ListAssignment:
-    """Per-edge color lists plus the per-edge demand f(e).
-
-    Lists are duplicate-free ascending tuples. When built through
-    ``make_list_assignment`` the demand of uw is max(deg(u), deg(w)).
-    """
+    """Per-edge color lists, duplicate-free ascending tuples."""
 
     lists: dict[Edge, tuple[int, ...]]
-    demand: dict[Edge, int]
 
 
 def make_list_assignment(g: Graph, lists: dict[Edge, object]) -> ListAssignment:
-    """Normalize lists and attach the max-endpoint-degree demand."""
-    norm = {}
-    demand = {}
-    for e in g.edges:
-        norm[e] = tuple(sorted(set(lists[e])))
-        demand[e] = max(g.degree(e[0]), g.degree(e[1]))
-    return ListAssignment(lists=norm, demand=demand)
+    """Normalize every edge's list to a duplicate-free ascending tuple."""
+    return ListAssignment(lists={e: tuple(sorted(set(lists[e]))) for e in g.edges})
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Constructive extension of precolored distance-2 matchings.
 
-Pipeline for G box K_{2m}: classify the precolored edges as layer or fiber
-entries, drop the forced base edges and the prescribed colors from the
-neighboring lists, list-color the residual base graph, replicate the base
-coloring into every layer, then finish each fiber's complete graph from the
-colors still free at its base vertex. Hypercube and star products reduce to
-that case: G box Q_m splits as (G box Q_{m-1}) box K_2 on the least
-significant bit, and G box K_{1,m} embeds into G box Q_m.
+One core colors G box K_{2m} from a valid prescription: reduce_instance
+sorts the entries into removed base edges (layer entries) and fiber
+entries, and keeps the color each one blocks at its base vertices; every
+surviving base edge gets the palette minus the colors blocked at its two
+ends. The residual base graph is list-colored, the base coloring is
+replicated into every layer, and each fiber's complete graph is finished
+from the colors still free at its base vertex. Hypercube and star products
+reach the same core with m = 1: G box Q_m is (G box Q_{m-1}) box K_2 split
+on the least significant bit, and G box K_{1,m} embeds into G box Q_m.
 
 Each extend_* call builds its host product, validates the prescription once,
 constructs, and verifies its output once (properness, agreement with the
@@ -18,7 +20,6 @@ than checked at run time.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from .coloring import EdgeColoring, ListAssignment, demand_list_color, one_factorization, verify_proper
@@ -39,6 +40,7 @@ from .families import (
 from .graph import (
     Edge,
     Graph,
+    _edge_key,
     bipartition,
     build_graph,
     canonical_edge,
@@ -105,6 +107,7 @@ def validate_precoloring(p: ProductGraph | Graph, pre: Precoloring) -> Validatio
     that are not pairs of ints raise UnknownEdgeError; everything else is
     reported, not raised, so callers can show all problems at once.
     """
+    _require_ints(InvalidPrecoloringError, palette_size=pre.palette_size)
     g = _host_graph(p)
     entries = sorted(((g.check_edge(e), c) for e, c in pre.entries.items()), key=lambda t: t[0])
     return ValidationReport(
@@ -121,98 +124,58 @@ def require_valid(p: ProductGraph | Graph, pre: Precoloring) -> None:
         raise InvalidPrecoloringError(report)
 
 
-def classify_precolored(p: ProductGraph, pre: Precoloring):
-    """Split entries into layer entries (base edge, copy, color) and fiber
-    entries (base vertex, right pair, color) from the vertex indexing."""
-    return _classify(pre, p.right_order, p.graph.check_edge)
-
-
-def _classify(pre: Precoloring, width: int, check_edge: Callable[[Edge], Edge]):
-    """classify_precolored for a product whose right factor has `width`
-    vertices; check_edge canonicalizes a key or raises UnknownEdgeError."""
-    layer = []
-    fiber = []
-    for e in sorted(pre.entries):
-        (u, w), (v, z) = (divmod(x, width) for x in check_edge(e))
-        if w == z:
-            layer.append(((u, v), w, pre.entries[e]))
-        else:
-            fiber.append((u, (w, z), pre.entries[e]))
-    return layer, fiber
-
-
 def reduce_instance(g: Graph, m: int, pre: Precoloring) -> ReducedInstance:
     """Build the residual base instance for a valid precoloring of G box K_{2m}.
 
-    Each removed base edge deletes its color from the lists of the edges
-    adjacent to it; each fiber prescription deletes its color at its base
-    vertex. On valid input every list loses at most two colors, at most one
-    per endpoint, and never drops below the endpoint-degree demand; any
-    breach of that is a validation bug and raises ProofInvariantError.
+    One pass over the entries, by canonical key, tells layer entries (a copy
+    of a base edge, which is removed) from fiber entries (inside one base
+    vertex's K_{2m}) by the vertex indexing, and records the color each
+    blocks at its base vertices. Keys are checked against G box K_{2m} by
+    index arithmetic, without building it. A residual edge's list is the
+    palette minus the colors blocked at its two ends. On valid input each
+    base vertex is blocked at most once, so a list loses at most two colors
+    and never drops below the endpoint-degree demand; any breach of that is
+    a validation bug and raises ProofInvariantError.
     """
-    if m < 1:
-        raise BadParameterError("m must be >= 1")
+    _require_positive(m=m)
     width = 2 * m
-
-    def check_edge(e: Edge) -> Edge:
-        # membership in G box K_2m by index arithmetic, without the product
-        a, b = canonical_edge(*e)
-        (u, w), (v, z) = divmod(a, width), divmod(b, width)
-        if not (g.has_edge(u, v) if w == z else u == v and 0 <= u < g.n):
-            raise UnknownEdgeError(f"edge {(a, b)} not in graph")
-        return a, b
-
-    palette = max_degree(g) + 2 * m - 1
-    layer, fiber = _classify(pre, width, check_edge)
-
     forced_layer: dict[Edge, int] = {}
-    for base_edge, _copy, color in layer:
-        if base_edge in forced_layer:
-            raise ProofInvariantError(f"base edge {base_edge} precolored in two copies")
-        forced_layer[base_edge] = color
     fiber_prescriptions: dict[int, tuple[Edge, int]] = {}
-    for base_vertex, right_edge, color in fiber:
-        if base_vertex in fiber_prescriptions:
-            raise ProofInvariantError(f"two fiber prescriptions at base vertex {base_vertex}")
-        fiber_prescriptions[base_vertex] = (right_edge, color)
+    blocked: dict[int, int] = {}  # base vertex -> the color prescribed at it
+    keyed = sorted(((_edge_key(e), c) for e, c in pre.entries.items()), key=lambda t: t[0])
+    for (a, b), color in keyed:
+        (u, w), (v, z) = divmod(a, width), divmod(b, width)
+        if w == z and g.has_edge(u, v):
+            if (u, v) in forced_layer:
+                raise ProofInvariantError(f"base edge {(u, v)} precolored in two copies")
+            forced_layer[(u, v)] = color
+        elif w != z and u == v and 0 <= u < g.n:
+            if u in fiber_prescriptions:
+                raise ProofInvariantError(f"two fiber prescriptions at base vertex {u}")
+            fiber_prescriptions[u] = ((w, z), color)
+        else:
+            raise UnknownEdgeError(f"edge {(a, b)} not in graph")
+        for x in (u, v) if u != v else (u,):
+            if x in blocked:
+                raise ProofInvariantError(f"base vertex {x} blocked twice")
+            blocked[x] = color
 
     residual = build_graph(g.labels, [e for e in g.edges if e not in forced_layer])
-    full = tuple(range(1, palette + 1))
-    lists = {e: set(full) for e in residual.edges}
-    events: dict[Edge, dict[int, int]] = {e: {} for e in residual.edges}  # edge -> endpoint -> color
-
-    def delete(edge: Edge, endpoint: int, color: int) -> None:
-        if endpoint in events[edge]:
-            raise ProofInvariantError(
-                f"edge {edge} loses two colors through endpoint {endpoint}"
-            )
-        events[edge][endpoint] = color
-        lists[edge].discard(color)
-
-    for (u, v), color in sorted(forced_layer.items()):
-        for w in (u, v):
-            for e in residual.incident_edges(w):
-                delete(e, w, color)
-    for u, (_pair, color) in sorted(fiber_prescriptions.items()):
-        for e in residual.incident_edges(u):
-            delete(e, u, color)
-
-    demand = {
-        e: max(residual.degree(e[0]), residual.degree(e[1])) for e in residual.edges
-    }
-    removed_ends = {x for f in forced_layer for x in f}
+    full = tuple(range(1, max_degree(g) + width))
+    lists: dict[Edge, tuple[int, ...]] = {}
     for e in residual.edges:
-        if len(lists[e]) < demand[e]:
-            raise ProofInvariantError(f"list of {e} shorter than its demand {demand[e]}")
-        if m == 1 and len(set(events[e].values())) == 2:
-            if any(w not in removed_ends for w in e):
-                raise ProofInvariantError(
-                    f"edge {e} lost two colors without two removed edges"
-                )
-    norm = {e: tuple(sorted(lists[e])) for e in residual.edges}
+        lost = [blocked[x] for x in e if x in blocked]
+        lists[e] = tuple(c for c in full if c not in lost) if lost else full
+        demand = max(residual.degree(e[0]), residual.degree(e[1]))
+        if len(lists[e]) < demand:
+            raise ProofInvariantError(f"list of {e} shorter than its demand {demand}")
+        # for m = 1 a fiber entry at one end leaves no room for any entry at
+        # the other: both ends lie within distance 1 in G box K_2
+        if m == 1 and len(set(lost)) == 2 and any(x in fiber_prescriptions for x in e):
+            raise ProofInvariantError(f"edge {e} lost two colors without two removed edges")
     return ReducedInstance(
         base_residual=residual,
-        lists=ListAssignment(lists=norm, demand=demand),
+        lists=ListAssignment(lists=lists),
         forced_layer=forced_layer,
         fiber_prescriptions=fiber_prescriptions,
     )
@@ -258,7 +221,7 @@ def color_fibers(
             class_color.update(zip(others, rest))
         for t, cls in enumerate(classes):
             for (p, q) in cls:
-                out[canonical_edge(u * width + p, u * width + q)] = class_color[t]
+                out[(u * width + p, u * width + q)] = class_color[t]
     return out
 
 
@@ -278,73 +241,72 @@ def _check_extension(
     return coloring
 
 
+def _require_ints(error: type[Exception] = BadParameterError, **params: object) -> None:
+    """Raise `error` naming the first parameter that is not an int (a bool is not)."""
+    for name, value in params.items():
+        if type(value) is not int:
+            raise error(f"{name} must be an int, got {value!r}")
+
+
+def _require_positive(**params: int) -> None:
+    """_require_ints, and each parameter at least 1."""
+    _require_ints(**params)
+    for name, value in params.items():
+        if value < 1:
+            raise BadParameterError(f"{name} must be >= 1")
+
+
 def _require_palette(pre: Precoloring, palette: int, what: str) -> None:
     if pre.palette_size != palette:
         raise InvalidPrecoloringError(
-            f"{what} requires palette {palette}, precoloring declares {pre.palette_size}"
+            f"{what} requires palette {palette}, precoloring declares {pre.palette_size!r}"
         )
 
 
-def _assemble(
-    g: Graph, m: int, palette: int, red: ReducedInstance, residual: EdgeColoring
-) -> dict[Edge, int]:
-    """The G box K_{2m} assignment: the base coloring (residual plus forced
-    edges) replicated into every layer, then every fiber completed."""
-    base_assignment = dict(residual.assignment)
-    base_assignment.update(red.forced_layer)
-    base = EdgeColoring(palette_size=palette, assignment=base_assignment)
+def _construct(g: Graph, m: int, palette: int, pre: Precoloring) -> dict[Edge, int]:
+    """The G box K_{2m} assignment for a valid prescription in its indices:
+    reduce, list-color the residual base, replicate the base coloring
+    (residual plus forced edges) into every layer, complete every fiber."""
+    red = reduce_instance(g, m, pre)
+    base = dict(demand_list_color(red.base_residual, red.lists).assignment)
+    base.update(red.forced_layer)
     width = 2 * m
-    assignment: dict[Edge, int] = {}
-    for (u, v), c in base_assignment.items():
-        for i in range(width):
-            assignment[canonical_edge(u * width + i, v * width + i)] = c
-    assignment.update(color_fibers(g, m, base, red.fiber_prescriptions))
+    assignment = {
+        (u * width + i, v * width + i): c for (u, v), c in base.items() for i in range(width)
+    }
+    assignment.update(color_fibers(g, m, EdgeColoring(palette, base), red.fiber_prescriptions))
     return assignment
+
+
+def _extend_complete(g: Graph, m: int, palette: int, what: str, pre: Precoloring) -> EdgeColoring:
+    """extend_over_complete for a host G box K_2m that the caller names
+    (`what`) with its own palette: G box Q_m is (G box Q_{m-1}) box K_2."""
+    bipartition(g)
+    product = cartesian_product(g, complete(2 * m))
+    _require_palette(pre, palette, what)
+    require_valid(product, pre)
+    return _check_extension(product, pre, EdgeColoring(palette, _construct(g, m, palette, pre)))
 
 
 def extend_over_complete(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     """Extend a valid precoloring of G box K_{2m} to a full proper coloring
     with max_degree(G) + 2m - 1 colors."""
-    if m < 1:
-        raise BadParameterError("m must be >= 1")
-    bipartition(g)
-    product = cartesian_product(g, complete(2 * m))
-    palette = max_degree(g) + 2 * m - 1
-    _require_palette(pre, palette, f"G box K_{2 * m}")
-    require_valid(product, pre)
-    red = reduce_instance(g, m, pre)
-    assignment = _assemble(g, m, palette, red, demand_list_color(red.base_residual, red.lists))
-    return _check_extension(product, pre, EdgeColoring(palette_size=palette, assignment=assignment))
-
-
-def _extend_split_cube(g: Graph, m: int, palette: int, pre: Precoloring) -> dict[Edge, int]:
-    """Color G box Q_m, given a valid prescription in its indices, as
-    (G box Q_{m-1}) box K_2: the two are the same indexed graph when the cube
-    coordinate splits on its least significant bit (see families)."""
-    base = g if m == 1 else cartesian_product(g, hypercube(m - 1)).graph
-    bipartition(base)
-    red = reduce_instance(base, 1, pre)
-    return _assemble(base, 1, palette, red, demand_list_color(red.base_residual, red.lists))
+    _require_positive(m=m)
+    return _extend_complete(g, m, max_degree(g) + 2 * m - 1, f"G box K_{2 * m}", pre)
 
 
 def extend_over_hypercube(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     """Extend a valid precoloring of G box Q_m using max_degree(G) + m colors,
     as one K_2 extension of the iterated base G box Q_{m-1}."""
-    if m < 1:
-        raise BadParameterError("m must be >= 1")
-    product = cartesian_product(g, hypercube(m))
-    palette = max_degree(g) + m
-    _require_palette(pre, palette, f"G box Q_{m}")
-    require_valid(product, pre)
-    assignment = _extend_split_cube(g, m, palette, pre)
-    return _check_extension(product, pre, EdgeColoring(palette_size=palette, assignment=assignment))
+    _require_positive(m=m)
+    base = g if m == 1 else cartesian_product(g, hypercube(m - 1)).graph
+    return _extend_complete(base, 1, max_degree(g) + m, f"G box Q_{m}", pre)
 
 
 def extend_hypercube(d: int, pre: Precoloring) -> EdgeColoring:
     """Extend a valid precolored induced matching of Q_d to a proper
     d-edge-coloring: the hypercube is Q_{d-1} box K_2 on the last bit."""
-    if d < 1:
-        raise BadParameterError("d must be >= 1")
+    _require_positive(d=d)
     _require_palette(pre, d, f"Q_{d}")
     return extend_over_complete(hypercube(d - 1), 1, pre)
 
@@ -355,10 +317,10 @@ def extend_over_star(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
 
     The star sits in the cube as an induced subgraph (center at the all-zero
     string, leaf t at unit bitstring t), so the prescription transfers, stays
-    a distance-2 matching, extends over the cube, and restricts back.
+    a distance-2 matching, extends over the cube, and restricts back. The
+    vertex map increases with the index, so it keeps edges canonical.
     """
-    if m < 1:
-        raise BadParameterError("m must be >= 1")
+    _require_positive(m=m)
     product = cartesian_product(g, star(m))
     palette = max_degree(g) + m
     _require_palette(pre, palette, f"G box K_1,{m}")
@@ -372,11 +334,9 @@ def extend_over_star(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
         u, s = divmod(i, star_width)
         return u * cube_width + emb.image(s)
 
-    mapped = {
-        canonical_edge(to_cube(e[0]), to_cube(e[1])): c for e, c in pre.entries.items()
-    }
-    cube = _extend_split_cube(g, m, palette, Precoloring(palette_size=palette, entries=mapped))
-    assignment = {
-        e: cube[canonical_edge(to_cube(e[0]), to_cube(e[1]))] for e in product.graph.edges
-    }
+    base = g if m == 1 else cartesian_product(g, hypercube(m - 1)).graph
+    bipartition(base)
+    mapped = {(to_cube(u), to_cube(v)): c for (u, v), c in pre.entries.items()}
+    cube = _construct(base, 1, palette, Precoloring(palette_size=palette, entries=mapped))
+    assignment = {(u, v): cube[(to_cube(u), to_cube(v))] for (u, v) in product.graph.edges}
     return _check_extension(product, pre, EdgeColoring(palette_size=palette, assignment=assignment))

@@ -29,6 +29,13 @@ def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _edge_key(e: object) -> Edge:
+    """Canonicalize an edge key; UnknownEdgeError unless it is a pair of ints."""
+    if not (isinstance(e, tuple) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
+        raise UnknownEdgeError(f"edge key {e!r} is not a pair of ints")
+    return canonical_edge(*e)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph; immutable after construction."""
@@ -55,9 +62,7 @@ class Graph:
     def check_edge(self, e: Edge) -> Edge:
         """Canonicalize a key naming an edge in either order; a key that is
         not a pair of ints, or names no edge, raises UnknownEdgeError."""
-        if not (isinstance(e, tuple) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
-            raise UnknownEdgeError(f"edge key {e!r} is not a pair of ints")
-        e = canonical_edge(*e)
+        e = _edge_key(e)
         if e not in self.edge_set:
             raise UnknownEdgeError(f"edge {e} not in graph")
         return e
@@ -74,9 +79,6 @@ class Bipartition:
 
     def is_x(self, v: int) -> bool:
         return self.side[v] == SIDE_X
-
-    def x_vertices(self) -> list[int]:
-        return [v for v, s in enumerate(self.side) if s == SIDE_X]
 
 
 def build_graph(labels, pairs) -> Graph:
@@ -177,7 +179,3 @@ def close_edge_pairs(g: Graph, edges: list[Edge]) -> list[tuple[Edge, Edge, int]
 def max_degree(g: Graph) -> int:
     return max((len(ns) for ns in g.adjacency), default=0)
 
-
-def adjacent_edges(e: Edge, f: Edge) -> bool:
-    """True when the two canonical edges share an endpoint."""
-    return not set(e).isdisjoint(f)

@@ -19,9 +19,10 @@ from .coloring import EdgeColoring, _search, verify_proper
 from .errors import (
     BadParameterError,
     InapplicableError,
+    InvalidPrecoloringError,
     ProofInvariantError,
 )
-from .extension import Precoloring, validate_precoloring
+from .extension import Precoloring, _require_ints, validate_precoloring
 from .families import ProductGraph, cartesian_product, complete_bipartite
 from .graph import (
     Edge,
@@ -47,15 +48,14 @@ def decide_extendable(
     vertex more uncolored edges than colors for them, the blocked hub among
     them, is refuted before any search node. With a node budget, exhausting
     it raises BudgetExceededError: an inconclusive outcome, never a "no".
-    Prescribed colors must be ints in 1..palette, and no edge may be
-    prescribed under both of its key orders (BadParameterError).
+    The palette and the budget must be ints, prescribed colors ints in
+    1..palette, and no edge may be prescribed under both of its key orders
+    (BadParameterError).
     """
-    entries: dict[Edge, int] = {}
-    for key, c in pre.entries.items():
-        e = g.check_edge(key)
-        if e in entries:
-            raise BadParameterError(f"edge {e} prescribed twice")
-        entries[e] = c
+    _require_ints(palette=palette)
+    if budget is not None:
+        _require_ints(budget=budget)
+    entries = _prescribed_edges(g, pre)
     for e, c in entries.items():
         if not (type(c) is int and 1 <= c <= palette):
             raise BadParameterError(f"prescribed color {c} on {e} outside 1..{palette}")
@@ -73,6 +73,18 @@ def decide_extendable(
     if not report.ok or any(witness.assignment[e] != c for e, c in entries.items()):
         raise ProofInvariantError(f"search produced an invalid witness: {report}")
     return witness
+
+
+def _prescribed_edges(g: Graph, pre: Precoloring) -> dict[Edge, int]:
+    """The prescription by canonical edge; BadParameterError when two keys
+    name one edge, UnknownEdgeError for a key that names none."""
+    entries: dict[Edge, int] = {}
+    for key, c in pre.entries.items():
+        e = g.check_edge(key)
+        if e in entries:
+            raise BadParameterError(f"edge {e} prescribed twice")
+        entries[e] = c
+    return entries
 
 
 def find_covering_induced_matching(g: Graph, v: int) -> list[Edge] | None:
@@ -188,9 +200,14 @@ def _hub_and_cover(g: Graph, which: str) -> tuple[int, list[Edge]]:
 def check_local_obstruction(
     p: ProductGraph | Graph, pre: Precoloring
 ) -> ObstructionCertificate | None:
-    """Search saturated vertices for a color blocked on every incident edge."""
+    """Search saturated vertices for a color blocked on every incident edge.
+
+    A declared palette that is not an int raises InvalidPrecoloringError, an
+    edge prescribed under both of its key orders BadParameterError.
+    """
+    _require_ints(InvalidPrecoloringError, palette_size=pre.palette_size)
     g = p.graph if isinstance(p, ProductGraph) else p
-    entries = {g.check_edge(e): c for e, c in pre.entries.items()}
+    entries = _prescribed_edges(g, pre)
     by_color: dict[int, list[Edge]] = {}
     for e, c in sorted(entries.items()):
         by_color.setdefault(c, []).append(e)
@@ -240,6 +257,7 @@ def explore_bipartite_factor(
     uniform sample of budget instances (weighted by colorings per matching),
     flagged non-exhaustive. Counterexamples are returned serialized.
     """
+    _require_ints(n=n, m=m, budget=budget)
     if n < m or m < 1:
         raise BadParameterError("needs n >= m >= 1")
     if budget < 1:

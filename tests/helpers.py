@@ -1,5 +1,6 @@
 """Shared test machinery: small-graph catalogs, brute-force oracles, BFS
-distances, seeded instance generators.
+distances, reference copies of replaced library code, seeded instance
+generators.
 
 The brute-force searchers here are deliberately primitive (fixed edge order,
 no pruning heuristics) so they stay independent of the library's engines.
@@ -20,18 +21,26 @@ from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 
 from edgex import (
+    Bipartition,
     ColoringReport,
     Edge,
     EdgeColoring,
     Graph,
     ListAssignment,
     Precoloring,
+    ReducedInstance,
     build_graph,
     canonical_edge,
     hypercube,
     max_degree,
 )
-from edgex.errors import BudgetExceededError, MissingEdgeError
+from edgex.errors import (
+    BadParameterError,
+    BudgetExceededError,
+    MissingEdgeError,
+    ProofInvariantError,
+    UnknownEdgeError,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +199,7 @@ def brute_force_extendable(g: Graph, pre: Precoloring, palette: int):
         e: (pre.entries[e],) if e in pre.entries else tuple(range(1, palette + 1))
         for e in g.edges
     }
-    demand = {e: 1 for e in g.edges}
-    return brute_force_list_coloring(g, ListAssignment(lists=lists, demand=demand))
+    return brute_force_list_coloring(g, ListAssignment(lists=lists))
 
 
 def reference_search(
@@ -295,6 +303,16 @@ def edge_distance(g: Graph, e: Edge, f: Edge) -> int | float:
     return min(from_x[z], from_x[w], from_y[z], from_y[w])
 
 
+def adjacent_edges(e: Edge, f: Edge) -> bool:
+    """True when the two canonical edges share an endpoint."""
+    return not set(e).isdisjoint(f)
+
+
+def x_vertices(sides: Bipartition) -> list[int]:
+    """The vertices on the X side of a bipartition, ascending."""
+    return [v for v in range(len(sides.side)) if sides.is_x(v)]
+
+
 # ---------------------------------------------------------------------------
 # reference coloring check
 
@@ -327,6 +345,97 @@ def reference_verify_proper(g: Graph, col: EdgeColoring, lists: ListAssignment |
         conflicts=tuple(conflicts),
         off_palette=tuple(off_palette),
         off_list=tuple(off_list),
+    )
+
+
+# ---------------------------------------------------------------------------
+# reference reduction
+
+
+def _reference_classify(pre: Precoloring, width: int, check_edge):
+    """Split entries into layer entries (base edge, copy, color) and fiber
+    entries (base vertex, right pair, color) from the vertex indexing."""
+    layer = []
+    fiber = []
+    for e in sorted(pre.entries):
+        (u, w), (v, z) = (divmod(x, width) for x in check_edge(e))
+        if w == z:
+            layer.append(((u, v), w, pre.entries[e]))
+        else:
+            fiber.append((u, (w, z), pre.entries[e]))
+    return layer, fiber
+
+
+def reference_reduce_instance(g: Graph, m: int, pre: Precoloring) -> ReducedInstance:
+    """The library's reduce_instance before the per-vertex blocked colors (a
+    classification pass, then an edge -> endpoint -> color table), kept as a
+    test oracle; the same output up to the order of forced_layer and
+    fiber_prescriptions when keys are given reversed."""
+    if m < 1:
+        raise BadParameterError("m must be >= 1")
+    width = 2 * m
+
+    def check_edge(e: Edge) -> Edge:
+        # membership in G box K_2m by index arithmetic, without the product
+        a, b = canonical_edge(*e)
+        (u, w), (v, z) = divmod(a, width), divmod(b, width)
+        if not (g.has_edge(u, v) if w == z else u == v and 0 <= u < g.n):
+            raise UnknownEdgeError(f"edge {(a, b)} not in graph")
+        return a, b
+
+    palette = max_degree(g) + 2 * m - 1
+    layer, fiber = _reference_classify(pre, width, check_edge)
+
+    forced_layer: dict[Edge, int] = {}
+    for base_edge, _copy, color in layer:
+        if base_edge in forced_layer:
+            raise ProofInvariantError(f"base edge {base_edge} precolored in two copies")
+        forced_layer[base_edge] = color
+    fiber_prescriptions: dict[int, tuple[Edge, int]] = {}
+    for base_vertex, right_edge, color in fiber:
+        if base_vertex in fiber_prescriptions:
+            raise ProofInvariantError(f"two fiber prescriptions at base vertex {base_vertex}")
+        fiber_prescriptions[base_vertex] = (right_edge, color)
+
+    residual = build_graph(g.labels, [e for e in g.edges if e not in forced_layer])
+    full = tuple(range(1, palette + 1))
+    lists = {e: set(full) for e in residual.edges}
+    events: dict[Edge, dict[int, int]] = {e: {} for e in residual.edges}  # edge -> endpoint -> color
+
+    def delete(edge: Edge, endpoint: int, color: int) -> None:
+        if endpoint in events[edge]:
+            raise ProofInvariantError(
+                f"edge {edge} loses two colors through endpoint {endpoint}"
+            )
+        events[edge][endpoint] = color
+        lists[edge].discard(color)
+
+    for (u, v), color in sorted(forced_layer.items()):
+        for w in (u, v):
+            for e in residual.incident_edges(w):
+                delete(e, w, color)
+    for u, (_pair, color) in sorted(fiber_prescriptions.items()):
+        for e in residual.incident_edges(u):
+            delete(e, u, color)
+
+    demand = {
+        e: max(residual.degree(e[0]), residual.degree(e[1])) for e in residual.edges
+    }
+    removed_ends = {x for f in forced_layer for x in f}
+    for e in residual.edges:
+        if len(lists[e]) < demand[e]:
+            raise ProofInvariantError(f"list of {e} shorter than its demand {demand[e]}")
+        if m == 1 and len(set(events[e].values())) == 2:
+            if any(w not in removed_ends for w in e):
+                raise ProofInvariantError(
+                    f"edge {e} lost two colors without two removed edges"
+                )
+    norm = {e: tuple(sorted(lists[e])) for e in residual.edges}
+    return ReducedInstance(
+        base_residual=residual,
+        lists=ListAssignment(lists=norm),
+        forced_layer=forced_layer,
+        fiber_prescriptions=fiber_prescriptions,
     )
 
 

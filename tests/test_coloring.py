@@ -153,12 +153,12 @@ class TestGalvin:
     def test_rejects_short_lists(self):
         g = star(3)
         with pytest.raises(ListTooShortError):
-            galvin_list_color(g, ListAssignment(lists={e: (1, 2) for e in g.edges}, demand={}))
+            galvin_list_color(g, ListAssignment(lists={e: (1, 2) for e in g.edges}))
 
     def test_rejects_non_bipartite(self):
         g = cycle(3)
         with pytest.raises(NotBipartiteError):
-            galvin_list_color(g, ListAssignment(lists={e: (1, 2, 3) for e in g.edges}, demand={}))
+            galvin_list_color(g, ListAssignment(lists={e: (1, 2, 3) for e in g.edges}))
 
     def test_catalog_random_lists_proper_and_in_list(self):
         rng = random.Random(2)
@@ -272,7 +272,7 @@ class TestBkw:
         col = demand_list_color(g, lists)
         assert verify_proper(g, col, lists).ok
         for e in g.edges:
-            assert col.assignment[e] <= lists.demand[e]
+            assert col.assignment[e] <= demand(g, e)
 
     def test_deficient_list_below_delta_succeeds(self):
         # star with a pendant path: edge (1,4) has both endpoints of degree
@@ -289,7 +289,6 @@ class TestBkw:
         g = star(3)
         lists = ListAssignment(
             lists={(0, 1): (1, 2), (0, 2): (1, 2, 3), (0, 3): (1, 2, 3)},
-            demand={e: 3 for e in g.edges},
         )
         with pytest.raises(DemandViolationError):
             demand_list_color(g, lists)
@@ -544,7 +543,7 @@ class TestVerifyProper:
 
     def test_edges_without_a_list_are_never_off_list(self):
         g = path(3)
-        lists = ListAssignment(lists={(0, 1): (2,)}, demand={})
+        lists = ListAssignment(lists={(0, 1): (2,)})
         report = verify_proper(g, EdgeColoring(2, {(0, 1): 1, (1, 2): 2}), lists)
         assert report.off_list == ((0, 1),)
 
@@ -601,7 +600,6 @@ def verify_cases(draw):
                 for e in g.edges
                 if draw(st.booleans())
             },
-            demand={},
         )
     return g, EdgeColoring(p, colors), lists
 

@@ -9,7 +9,6 @@ from edgex import (
     build_graph,
     canonical_edge,
     cartesian_product,
-    classify_precolored,
     color_fibers,
     complete,
     decide_extendable,
@@ -43,6 +42,7 @@ from helpers import (
     random_connected_bipartite,
     random_tree,
     random_valid_precoloring,
+    reference_reduce_instance,
     roadmap_cube_instance,
     complete_factor_palette,
 )
@@ -167,37 +167,6 @@ def _pairwise_report(g, pre):
     )
 
 
-class TestClassifyPrecolored:
-    def test_layer_entry(self):
-        p = cartesian_product(path(3), complete(2))
-        layer, fiber = classify_precolored(p, Precoloring(3, {(0, 2): 3}))
-        assert layer == [((0, 1), 0, 3)]
-        assert fiber == []
-
-    def test_fiber_entry(self):
-        p = cartesian_product(path(3), complete(2))
-        layer, fiber = classify_precolored(p, Precoloring(3, {(0, 1): 2}))
-        assert layer == []
-        assert fiber == [(0, (0, 1), 2)]
-
-    def test_mixed(self):
-        p = cartesian_product(path(3), complete(2))
-        layer, fiber = classify_precolored(p, Precoloring(3, {(0, 2): 3, (4, 5): 1}))
-        assert len(layer) == 1 and len(fiber) == 1
-        assert fiber == [(2, (0, 1), 1)]
-
-    def test_agrees_with_product_metadata(self):
-        rng = random.Random(5)
-        for _ in range(10):
-            g = random_connected_bipartite(rng, max_n=6)
-            for h in (complete(4), hypercube(2), star(3)):
-                p = cartesian_product(g, h)
-                layer, fiber = classify_precolored(p, Precoloring(1, dict.fromkeys(p.graph.edges, 1)))
-                assert len(layer) == len(set(layer)) and len(fiber) == len(set(fiber))
-                assert set(layer) == {(e, w, 1) for e in g.edges for w in range(h.n)}
-                assert set(fiber) == {(u, e, 1) for u in range(g.n) for e in h.edges}
-
-
 class TestReduce:
     def test_p3_worked_example(self):
         g = path(3)
@@ -223,7 +192,6 @@ class TestReduce:
         assert red.lists.lists[(1, 2)] == (1,)
         assert red.base_residual.degree(1) == 1
         assert red.base_residual.degree(2) == 1
-        assert red.lists.demand[(1, 2)] == 1
 
     def test_fiber_prescription_deletes_at_vertex(self):
         g = path(3)
@@ -264,6 +232,100 @@ class TestReduce:
                     with pytest.raises(UnknownEdgeError) as got:
                         reduce_instance(g, m, pre)
                     assert str(got.value) == str(expected.value)
+
+    def test_layer_entry(self):
+        red = reduce_instance(path(3), 1, Precoloring(3, {(0, 2): 3}))
+        assert red.forced_layer == {(0, 1): 3}
+        assert red.fiber_prescriptions == {}
+
+    def test_fiber_entry(self):
+        red = reduce_instance(path(3), 1, Precoloring(3, {(0, 1): 2}))
+        assert red.forced_layer == {}
+        assert red.fiber_prescriptions == {0: ((0, 1), 2)}
+
+    def test_mixed(self):
+        red = reduce_instance(path(4), 1, Precoloring(3, {(0, 2): 3, (6, 7): 1}))
+        assert red.forced_layer == {(0, 1): 3}
+        assert red.fiber_prescriptions == {3: ((0, 1), 1)}
+
+    def test_every_edge_classified_by_the_product_indexing(self):
+        # each edge of G box K_4 on its own: a layer copy of a base edge is
+        # removed, a fiber edge is pinned at its base vertex
+        rng = random.Random(5)
+        for _ in range(10):
+            g = random_connected_bipartite(rng, max_n=6)
+            p = cartesian_product(g, complete(4))
+            layer, fiber = set(), set()
+            for e in p.graph.edges:
+                red = reduce_instance(g, 2, Precoloring(complete_factor_palette(g, 2), {e: 1}))
+                layer.update((f, e[0] % 4) for f in red.forced_layer)
+                fiber.update((u, pair) for u, (pair, _c) in red.fiber_prescriptions.items())
+                assert len(red.forced_layer) + len(red.fiber_prescriptions) == 1
+            assert layer == {(e, w) for e in g.edges for w in range(4)}
+            assert fiber == {(u, e) for u in range(g.n) for e in complete(4).edges}
+
+    def test_matches_reference_reduction(self):
+        # random valid prescriptions for m = 1..3, keys in either order,
+        # plus the seeded cube instances; lists compared in order
+        rng = random.Random(21)
+        cases = []
+        for _ in range(60):
+            g = random_connected_bipartite(rng, max_n=8)
+            m = rng.choice([1, 2, 3])
+            host = cartesian_product(g, complete(2 * m)).graph
+            pre = random_valid_precoloring(rng, host, complete_factor_palette(g, m), 5)
+            entries = {(e if rng.random() < 0.5 else e[::-1]): c for e, c in pre.entries.items()}
+            cases.append((g, m, Precoloring(pre.palette_size, entries)))
+        for d in range(6, 11):
+            _q, pre = roadmap_cube_instance(d)
+            cases.append((hypercube(d - 1), 1, pre))
+        for g, m, pre in cases:
+            red = reduce_instance(g, m, pre)
+            ref = reference_reduce_instance(g, m, pre)
+            assert red == ref
+            assert list(red.lists.lists.items()) == list(ref.lists.lists.items())
+
+    @pytest.mark.parametrize(
+        "g, m, entries, message",
+        [
+            (path(2), 1, {(0, 2): 1, (1, 3): 2}, r"base edge \(0, 1\) precolored in two copies"),
+            (path(2), 2, {(0, 1): 1, (2, 3): 2}, "two fiber prescriptions at base vertex 0"),
+            (path(3), 1, {(0, 2): 1, (3, 5): 2}, "base vertex 1 blocked twice"),
+            (path(3), 1, {(0, 1): 1, (0, 2): 2}, "base vertex 0 blocked twice"),
+            (path(3), 1, {(0, 1): 1, (2, 3): 2}, r"list of \(0, 1\) shorter than its demand 2"),
+            (
+                build_graph("abcde", [(0, 1), (2, 3), (3, 4)]),
+                1,
+                {(0, 1): 1, (2, 3): 2},
+                r"edge \(0, 1\) lost two colors without two removed edges",
+            ),
+            # entries sort by key alone, so the colors are never compared
+            (path(2), 1, {(0, 1): "a", (1, 0): 1}, "two fiber prescriptions at base vertex 0"),
+        ],
+        ids=["two-copies", "two-fibers", "layer-layer", "fiber-layer", "demand", "m1-fiber", "mixed-colors"],
+    )
+    def test_proof_invariant_on_unvalidated_input(self, g, m, entries, message):
+        palette = complete_factor_palette(g, m)
+        with pytest.raises(ProofInvariantError, match=message):
+            reduce_instance(g, m, Precoloring(palette, entries))
+
+    def test_m1_guard_is_m1_only(self):
+        # the same shape in G box K_4 is a valid prescription
+        g = path(2)
+        pre = Precoloring(4, {(0, 1): 1, (6, 7): 2})
+        require_valid(cartesian_product(g, complete(4)), pre)
+        assert reduce_instance(g, 2, pre).lists.lists[(0, 1)] == (3, 4)
+
+    @pytest.mark.parametrize("key", [(0, 1, 2), ("a", 1), (0,), (0.0, 1)])
+    def test_malformed_key_is_an_unknown_edge(self, key):
+        for entries in ({key: 1}, {key: 1, (2, 3): 1}, {(2, 3): 1, key: 1}):
+            with pytest.raises(UnknownEdgeError, match="not a pair of ints"):
+                reduce_instance(path(2), 1, Precoloring(2, entries))
+
+    @pytest.mark.parametrize("m", [1.5, "2", True, None])
+    def test_non_integer_m(self, m):
+        with pytest.raises(BadParameterError, match="m must be an int"):
+            reduce_instance(path(2), m, Precoloring(2, {}))
 
 
 class TestColorFibers:
@@ -411,6 +473,20 @@ class TestExtendOverHypercube:
         assert verify_proper(product.graph, col).ok
         assert col.assignment[(0, 1)] == 4 and col.assignment[(6, 7)] == 4
 
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_cube_split_identity(self, d):
+        # G box Q_m with G = Q_{d-m} is Q_d; every split colors it alike
+        _q, pre = roadmap_cube_instance(d)
+        want = list(extend_hypercube(d, pre).assignment.items())
+        for m in range(1, d + 1):
+            col = extend_over_hypercube(hypercube(d - m), m, pre)
+            assert list(col.assignment.items()) == want
+            assert col.palette_size == d
+
+    def test_vertex_free_base(self):
+        empty = build_graph([], [])
+        assert extend_over_hypercube(empty, 3, Precoloring(3, {})) == EdgeColoring(3, {})
+
     def test_random_trees_m_up_to_3(self):
         rng = random.Random(8)
         for _ in range(10):
@@ -539,6 +615,37 @@ def test_reversed_keys_extend_like_canonical_ones(extend, args, palette, entries
     assert extend(*args, Precoloring(palette, reversed_entries)) == extend(
         *args, Precoloring(palette, entries)
     )
+
+
+class TestIntegerParameters:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: extend_hypercube(1.5, Precoloring(1, {})),
+            lambda: extend_hypercube(True, Precoloring(1, {})),
+            lambda: extend_over_complete(path(3), 1.5, Precoloring(3, {})),
+            lambda: extend_over_hypercube(path(3), "2", Precoloring(4, {})),
+            lambda: extend_over_star(path(3), 2.0, Precoloring(4, {})),
+        ],
+        ids=["hypercube-float", "hypercube-bool", "complete", "over_hypercube", "star"],
+    )
+    def test_non_integer_parameter(self, call):
+        with pytest.raises(BadParameterError, match="must be an int"):
+            call()
+
+    @pytest.mark.parametrize("palette", ["3", 3.0, None])
+    def test_non_integer_declared_palette_fails_validation(self, palette):
+        with pytest.raises(InvalidPrecoloringError, match="palette_size must be an int"):
+            validate_precoloring(hypercube(3), Precoloring(palette, {(0, 1): 1}))
+
+    def test_float_palette_rejected_by_extend(self):
+        with pytest.raises(InvalidPrecoloringError, match="palette_size must be an int, got 3.0"):
+            extend_hypercube(3, Precoloring(3.0, {(0, 1): 1}))
+
+    @every_extend
+    def test_string_palette_rejected_by_extend(self, extend):
+        with pytest.raises(InvalidPrecoloringError, match="declares '3'"):
+            extend(Precoloring("3", {(0, 1): 1}))
 
 
 def test_determinism_across_runs():

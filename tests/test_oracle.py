@@ -24,7 +24,13 @@ from edgex import (
     star,
     verify_proper,
 )
-from edgex.errors import BadParameterError, BudgetExceededError, InapplicableError, UnknownEdgeError
+from edgex.errors import (
+    BadParameterError,
+    BudgetExceededError,
+    InapplicableError,
+    InvalidPrecoloringError,
+    UnknownEdgeError,
+)
 from edgex.oracle import _all_distance2_matchings
 
 from helpers import (
@@ -145,6 +151,15 @@ class TestDecideExtendable:
         with pytest.raises(UnknownEdgeError, match="not a pair of ints"):
             decide_extendable(hypercube(3), Precoloring(3, {key: 1, (6, 7): 1}), 3)
 
+    @pytest.mark.parametrize(
+        "palette, budget, name",
+        [(1.5, None, "palette"), ("3", None, "palette"), (None, None, "palette"), (3, "5", "budget"), (3, 2.0, "budget")],
+    )
+    def test_non_integer_parameter(self, palette, budget, name):
+        pre = Precoloring(3, {(0, 1): 1})
+        with pytest.raises(BadParameterError, match=f"{name} must be an int"):
+            decide_extendable(hypercube(3), pre, palette, budget=budget)
+
 
 def brute_covering_matchings(g, v):
     """All covering induced matchings avoiding v, by subset enumeration."""
@@ -249,6 +264,16 @@ class TestLocalObstruction:
     def test_empty_precoloring_none(self):
         assert check_local_obstruction(hypercube(3), Precoloring(3, {})) is None
 
+    @pytest.mark.parametrize("colors", [(2, 1), (1, 1)])
+    def test_edge_prescribed_in_both_orders_rejected(self, colors):
+        pre = Precoloring(3, {(0, 1): colors[0], (1, 0): colors[1]})
+        with pytest.raises(BadParameterError, match=r"edge \(0, 1\) prescribed twice"):
+            check_local_obstruction(hypercube(3), pre)
+
+    def test_non_integer_declared_palette(self):
+        with pytest.raises(InvalidPrecoloringError, match="palette_size must be an int"):
+            check_local_obstruction(hypercube(3), Precoloring("3", {(0, 1): 1}))
+
     def test_no_false_obstruction_on_valid_instances(self):
         rng = random.Random(22)
         for _ in range(20):
@@ -307,6 +332,14 @@ class TestExploreBipartiteFactor:
     def test_rejects_bad_shape(self):
         with pytest.raises(BadParameterError):
             explore_bipartite_factor(complete(2), 1, 2, budget=10)
+
+    @pytest.mark.parametrize(
+        "n, m, budget, name",
+        [(1.0, 1, 5, "n"), (2, "1", 5, "m"), (1, 1, 2.5, "budget"), (1, 1, True, "budget")],
+    )
+    def test_non_integer_parameter(self, n, m, budget, name):
+        with pytest.raises(BadParameterError, match=f"{name} must be an int"):
+            explore_bipartite_factor(path(2), n, m, budget)
 
     @pytest.mark.parametrize(
         "g, h",

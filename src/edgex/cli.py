@@ -106,11 +106,12 @@ def cmd_product(args) -> int:
 def cmd_extend(args) -> int:
     kind, value = _parse_factor(args.factor)
     pre = serialize.precoloring_from_dict(serialize.read_doc(args.pre))
+    host = None
     if kind == "qd":
-        host = hypercube(value)
         host_name = f"Q_{value}"
         if args.graph is not None:
             _, given = serialize.graph_from_dict(serialize.read_doc(args.graph))
+            host = hypercube(value)
             if given.edges != host.edges or given.n != host.n:
                 raise FormatError(f"supplied graph is not Q_{value}")
         coloring = extend_hypercube(value, pre)
@@ -127,9 +128,8 @@ def cmd_extend(args) -> int:
         else:
             coloring = extend_over_star(g, value, pre)
             right, host_name = star(value), f"{gname}xK_1,{value}"
-        host = None
-        if args.format == "dot" or args.out_product:
-            host = cartesian_product(g, right).graph
+    if host is None and (args.format == "dot" or args.out_product):
+        host = hypercube(value) if kind == "qd" else cartesian_product(g, right).graph
     if args.format == "dot":
         _write_graph_output(host, host_name, args.out, "dot", coloring)
     else:

@@ -5,13 +5,14 @@ Three engines cooperate:
 * ``konig_color`` builds a proper coloring with exactly max-degree colors by
   alternating-path augmentation.
 * ``galvin_list_color`` colors from per-edge lists via the kernel method:
-  one stable matching per palette color, preferences read off a base
-  coloring (low base color wins on the X side, high on the Y side). It runs
-  under a certificate: for every edge xy (x in X), out(xy), the number of
-  edges at x with a lower base color plus those at y with a higher one, is
-  below |L(xy)|. Those are the only edges a stable matching can use to
-  dominate xy, so no list runs dry. Lists of max-degree colors always pass;
-  a shorter list that fails is repaired by Kempe flips of the base.
+  one stable matching per palette color, over preference lists oriented
+  and sorted once from a base coloring (low base color wins on the X side,
+  high on the Y side). It runs under a certificate: for every edge xy
+  (x in X), out(xy), the number of edges at x with a lower base color plus
+  those at y with a higher one, is below |L(xy)|. Those are the only edges
+  a stable matching can use to dominate xy, so no list runs dry. Lists of
+  max-degree colors always pass; a shorter one that fails is repaired by
+  Kempe flips of the base.
 * ``exact_list_color`` is the complete cross-check: backtracking with
   minimum-remaining-values ordering (edges bucketed by colors left),
   forward checking and a pigeonhole cut at every vertex an assignment
@@ -47,7 +48,7 @@ from .errors import (
     OddOrderError,
     TheoremViolationError,
 )
-from .graph import Bipartition, Edge, Graph, bipartition, canonical_edge, max_degree
+from .graph import Edge, Graph, bipartition, canonical_edge, max_degree
 
 _log = logging.getLogger("edgex")
 
@@ -202,47 +203,66 @@ def _flip_alternating_path(at, assignment, start: int, a: int, b: int) -> list[t
 def galvin_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
     """List-color a bipartite graph by the kernel method under a certificate.
 
-    The base is a König coloring, Kempe-flipped until out(e) < |L(e)| on
-    every edge (see ``_certify_base``); ListTooShortError when that fails.
-    Per palette color, the edges still wanting that color are matched by
-    deferred acceptance (X proposes along ascending base colors, Y holds the
-    highest base color); the stable matching is a kernel, so every unmatched
-    edge is dominated by a newly colored out-neighbor and can afford to drop
-    the color from its working list.
+    Edges are oriented once as (x, y), x in X. The base is a König
+    coloring, Kempe-flipped until out(e) < |L(e)| on every edge (see
+    ``_certify_base``); ListTooShortError when that fails. Each X vertex's
+    edges are sorted once by base color. Per palette color, ascending, the
+    uncolored edges whose list holds it are matched by deferred acceptance
+    (X proposes along its sorted edges, skipping the rest; Y holds the
+    highest base color). The stable matching is a kernel, so every
+    unmatched edge is dominated by a newly colored out-neighbor and can
+    afford to lose that color, which no later round reads.
     """
     sides = bipartition(g)
     delta = max_degree(g)
     short = [e for e in g.edges if len(lists.lists[e]) < delta]
+    ends = {e: e if sides.is_x(e[0]) else (e[1], e[0]) for e in g.edges}  # (x, y)
     base = konig_color(g).assignment
-    flips = _certify_base(g, lists, sides, base, short)
+    flips = _certify_base(g, lists, ends, base, short)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("list coloring: engine=kernel short=%d flips=%d", len(short), flips)
 
-    work = {e: set(lists.lists[e]) for e in g.edges}
+    prefs: dict[int, list[Edge]] = {}  # x -> its edges by ascending base color
+    for e in sorted(g.edges, key=base.__getitem__):
+        prefs.setdefault(ends[e][0], []).append(e)
+    allowed = {e: set(lists.lists[e]) for e in g.edges}
     colored: dict[Edge, int] = {}
-    palette = sorted(set().union(*work.values())) if work else []
+    palette = sorted(set().union(*allowed.values()))
 
     for k in palette:
-        rough = [e for e in g.edges if e not in colored and k in work[e]]
-        if not rough:
-            continue
-        matched = _stable_matching(rough, base, sides)
-        matched_at: dict[int, Edge] = {}
-        for e in matched:
-            colored[e] = k
-            matched_at[e[0]] = e
-            matched_at[e[1]] = e
-        for e in rough:
-            if e in matched:
+        rough = [e for e in g.edges if e not in colored and k in allowed[e]]
+        wants = set(rough)
+        todo = {x: iter(prefs[x]) for x in sorted({ends[e][0] for e in rough})}
+        held: dict[int, Edge] = {}  # y -> the edge it holds
+        free = deque(todo)
+        while free:
+            x = free.popleft()
+            for e in todo[x]:  # x proposes its next edge of this round
+                if e in wants:
+                    break
+            else:  # none left: x stays unmatched
                 continue
-            if not _dominated(e, matched_at, base, sides):
+            y = ends[e][1]
+            cur = held.get(y)
+            if cur is None:
+                held[y] = e
+            elif base[e] > base[cur]:  # Y side prefers the higher base color
+                held[y] = e
+                free.append(ends[cur][0])
+            else:
+                free.append(x)
+        matched = set(held.values())
+        colored.update(dict.fromkeys(matched, k))
+        at_x = {ends[e][0]: e for e in matched}
+        for e in rough:
+            x, y = ends[e]
+            # dominated: x's match below e or y's above (no match reads as e)
+            if e not in matched and base[at_x.get(x, e)] >= base[e] >= base[held.get(y, e)]:
                 raise NoKernelError(f"edge {e} neither colored nor dominated for color {k}")
-            work[e].discard(k)
 
     if len(colored) != len(g.edges):
         raise NoKernelError("edges left uncolored after the palette pass")
-    palette_size = palette[-1] if palette else 0
-    return EdgeColoring(palette_size=palette_size, assignment=colored)
+    return EdgeColoring(palette_size=palette[-1] if palette else 0, assignment=colored)
 
 
 def _flip_cap(g: Graph) -> int:
@@ -253,23 +273,23 @@ def _flip_cap(g: Graph) -> int:
 def _certify_base(
     g: Graph,
     lists: ListAssignment,
-    sides: Bipartition,
+    ends: dict[Edge, Edge],
     base: dict[Edge, int],
     short: list[Edge],
 ) -> int:
     """Flip `base` in place until out(e) < |L(e)| on every edge; the flips.
 
-    out(xy), x in X, counts the edges at x with a lower base color and at y
-    with a higher one. An edge with |L(e)| >= max degree never violates, as
-    out(e) <= max degree - 1, so only the short edges are checked. The
-    lowest violating edge xy of color c goes first: one Kempe flip gives it
-    either a color above c that x misses or a color below c that y misses,
-    side and color drawn from random.Random(0); then the short edges at the
-    vertices of the flipped path are checked again. Under demand-sized
-    lists every violator has such a color (if x saw every color above c,
-    deg(x) > out(xy) >= |L(xy)|; likewise for y), but convergence is not
-    proven, so past ``_flip_cap`` flips, or at a violator without a flip,
-    this raises ListTooShortError.
+    out(xy), with ends[e] = (x, y) and x in X, counts the edges at x with a
+    lower base color and at y with a higher one. An edge with |L(e)| >= max
+    degree never violates, as out(e) <= max degree - 1, so only the short
+    edges are checked. The lowest violating edge xy of color c goes first:
+    one Kempe flip gives it either a color above c that x misses or a color
+    below c that y misses, side and color drawn from random.Random(0); then
+    the short edges at the vertices of the flipped path are checked again.
+    Under demand-sized lists every violator has such a color (if x saw every
+    color above c, deg(x) > out(xy) >= |L(xy)|; likewise for y), but
+    convergence is not proven, so past ``_flip_cap`` flips, or at a violator
+    without a flip, this raises ListTooShortError.
     """
     if not short:
         return 0
@@ -278,7 +298,6 @@ def _certify_base(
     for (u, v), c in base.items():
         at[u][c] = v
         at[v][c] = u
-    ends = {e: e if sides.is_x(e[0]) else (e[1], e[0]) for e in short}  # (x, y)
     short_at: dict[int, list[Edge]] = {}
     for e in short:
         for v in e:
@@ -315,51 +334,6 @@ def _certify_base(
                 if violates(f):
                     heapq.heappush(heap, f)
     return flips
-
-
-def _stable_matching(edges: list[Edge], base: dict[Edge, int], sides: Bipartition) -> set[Edge]:
-    """X-optimal deferred acceptance over the given edge subgraph."""
-    prefs: dict[int, list[Edge]] = {}
-    x_of: dict[Edge, int] = {}
-    for e in edges:
-        x = e[0] if sides.is_x(e[0]) else e[1]
-        x_of[e] = x
-        prefs.setdefault(x, []).append(e)
-    for x in prefs:
-        prefs[x].sort(key=lambda e: base[e])
-    ptr = dict.fromkeys(prefs, 0)
-    held: dict[int, Edge] = {}
-    free = deque(sorted(prefs))
-    while free:
-        x = free.popleft()
-        if ptr[x] >= len(prefs[x]):
-            continue
-        e = prefs[x][ptr[x]]
-        ptr[x] += 1
-        y = e[1] if e[0] == x else e[0]
-        cur = held.get(y)
-        if cur is None:
-            held[y] = e
-        elif base[e] > base[cur]:  # Y side prefers the higher base color
-            held[y] = e
-            free.append(x_of[cur])
-        else:
-            free.append(x)
-    return set(held.values())
-
-
-def _dominated(e: Edge, matched_at: dict[int, Edge], base: dict[Edge, int], sides: Bipartition) -> bool:
-    """True when a matched neighbor outranks e at their shared endpoint."""
-    for v in e:
-        f = matched_at.get(v)
-        if f is None or f == e:
-            continue
-        if sides.is_x(v):
-            if base[f] < base[e]:
-                return True
-        elif base[f] > base[e]:
-            return True
-    return False
 
 
 def exact_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring | None:

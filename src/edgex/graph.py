@@ -56,8 +56,8 @@ class Graph:
         return canonical_edge(u, v) in self.edge_set
 
     def check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise VertexIndexError(f"vertex {v} not in 0..{self.n - 1}")
+        if not (type(v) is int and 0 <= v < self.n):
+            raise VertexIndexError(f"vertex {v!r} not in 0..{self.n - 1}")
 
     def check_edge(self, e: Edge) -> Edge:
         """Canonicalize a key naming an edge in either order; a key that is
@@ -85,16 +85,23 @@ def build_graph(labels, pairs) -> Graph:
     """Build a Graph from vertex labels and unordered index pairs.
 
     Pairs are canonicalized to (min, max); duplicates (in either order) and
-    self-loops are rejected. Adjacency lists come out sorted, so identical
-    input always yields an identical graph.
+    self-loops are rejected, and so is a pair that is not two int indices
+    in range. Adjacency lists come out sorted, so identical input always
+    yields an identical graph.
     """
     labels = tuple(str(x) for x in labels)
     n = len(labels)
     seen: set[Edge] = set()
-    for u, v in pairs:
-        if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
+    for pair in pairs:
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            raise VertexIndexError(f"edge {pair!r} is not a pair of int vertex indices") from None
+        if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n) or u == v:
+            if type(u) is not int or type(v) is not int:
+                raise VertexIndexError(f"edge {pair!r} is not a pair of int vertex indices")
+            if u == v:
+                raise SelfLoopError(f"self-loop at vertex {u}")
             raise VertexIndexError(f"edge ({u}, {v}) out of range 0..{n - 1}")
         e = canonical_edge(u, v)
         if e in seen:

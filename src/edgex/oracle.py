@@ -158,6 +158,8 @@ def build_blocked_hub_instance(g: Graph, h: Graph) -> BlockedHubInstance:
     """
     bipartition(g)
     bipartition(h)
+    if max_degree(g) + max_degree(h) == 0:
+        raise InapplicableError("both factors are edgeless, so the hub has no edge to block")
     a, mg = _hub_and_cover(g, "left factor")
     b, mh = _hub_and_cover(h, "right factor")
     product = cartesian_product(g, h)

@@ -11,6 +11,7 @@ The BFS distances are the independent oracle for the library's local rule
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import logging
 import math
@@ -29,18 +30,25 @@ from edgex import (
     ListAssignment,
     Precoloring,
     ReducedInstance,
+    bipartition,
     build_graph,
     canonical_edge,
     hypercube,
+    konig_color,
     max_degree,
 )
+from edgex.coloring import _flip_alternating_path, _flip_cap
 from edgex.errors import (
     BadParameterError,
     BudgetExceededError,
+    ListTooShortError,
     MissingEdgeError,
+    NoKernelError,
     ProofInvariantError,
     UnknownEdgeError,
 )
+
+_log = logging.getLogger("edgex")
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +448,149 @@ def reference_reduce_instance(g: Graph, m: int, pre: Precoloring) -> ReducedInst
 
 
 # ---------------------------------------------------------------------------
+# reference kernel method
+
+
+def reference_galvin_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
+    """The library's galvin_list_color before the one oriented pass (per
+    round: proposal lists rebuilt and re-sorted, sides read per edge, a
+    working list per edge), kept as a test oracle; it logs the same
+    engine=kernel record."""
+    sides = bipartition(g)
+    delta = max_degree(g)
+    short = [e for e in g.edges if len(lists.lists[e]) < delta]
+    base = konig_color(g).assignment
+    flips = _reference_certify_base(g, lists, sides, base, short)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("list coloring: engine=kernel short=%d flips=%d", len(short), flips)
+
+    work = {e: set(lists.lists[e]) for e in g.edges}
+    colored: dict[Edge, int] = {}
+    palette = sorted(set().union(*work.values())) if work else []
+
+    for k in palette:
+        rough = [e for e in g.edges if e not in colored and k in work[e]]
+        if not rough:
+            continue
+        matched = _reference_stable_matching(rough, base, sides)
+        matched_at: dict[int, Edge] = {}
+        for e in matched:
+            colored[e] = k
+            matched_at[e[0]] = e
+            matched_at[e[1]] = e
+        for e in rough:
+            if e in matched:
+                continue
+            if not _reference_dominated(e, matched_at, base, sides):
+                raise NoKernelError(f"edge {e} neither colored nor dominated for color {k}")
+            work[e].discard(k)
+
+    if len(colored) != len(g.edges):
+        raise NoKernelError("edges left uncolored after the palette pass")
+    palette_size = palette[-1] if palette else 0
+    return EdgeColoring(palette_size=palette_size, assignment=colored)
+
+
+def _reference_certify_base(
+    g: Graph,
+    lists: ListAssignment,
+    sides: Bipartition,
+    base: dict[Edge, int],
+    short: list[Edge],
+) -> int:
+    """Flip `base` in place until out(e) < |L(e)| on every edge; the flips."""
+    if not short:
+        return 0
+    delta = max_degree(g)
+    at: list[dict[int, int]] = [{} for _ in range(g.n)]  # vertex -> color -> neighbor
+    for (u, v), c in base.items():
+        at[u][c] = v
+        at[v][c] = u
+    ends = {e: e if sides.is_x(e[0]) else (e[1], e[0]) for e in short}  # (x, y)
+    short_at: dict[int, list[Edge]] = {}
+    for e in short:
+        for v in e:
+            short_at.setdefault(v, []).append(e)
+
+    def violates(e: Edge) -> bool:
+        x, y = ends[e]
+        c = base[e]
+        out = sum(1 for k in at[x] if k < c) + sum(1 for k in at[y] if k > c)
+        return out >= len(lists.lists[e])
+
+    heap = [e for e in short if violates(e)]
+    heapq.heapify(heap)
+    rng = random.Random(0)
+    cap = _flip_cap(g)
+    flips = 0
+    while heap:
+        e = heapq.heappop(heap)
+        if not violates(e):  # repaired since it was pushed
+            continue
+        x, y = ends[e]
+        c = base[e]
+        options = [(x, k) for k in range(c + 1, delta + 1) if k not in at[x]]
+        options += [(y, k) for k in range(1, c) if k not in at[y]]
+        if not options:
+            raise ListTooShortError(f"no Kempe flip lowers out-degree of {e} below its list length")
+        if flips == cap:
+            raise ListTooShortError(f"base repair passed its cap of {cap} flips")
+        start, k = rng.choice(options)
+        path = _flip_alternating_path(at, base, start, c, k)
+        flips += 1
+        for z in {v for step in path for v in step[:2]}:
+            for f in short_at.get(z, ()):
+                if violates(f):
+                    heapq.heappush(heap, f)
+    return flips
+
+
+def _reference_stable_matching(edges: list[Edge], base: dict[Edge, int], sides: Bipartition) -> set[Edge]:
+    """X-optimal deferred acceptance over the given edge subgraph."""
+    prefs: dict[int, list[Edge]] = {}
+    x_of: dict[Edge, int] = {}
+    for e in edges:
+        x = e[0] if sides.is_x(e[0]) else e[1]
+        x_of[e] = x
+        prefs.setdefault(x, []).append(e)
+    for x in prefs:
+        prefs[x].sort(key=lambda e: base[e])
+    ptr = dict.fromkeys(prefs, 0)
+    held: dict[int, Edge] = {}
+    free = deque(sorted(prefs))
+    while free:
+        x = free.popleft()
+        if ptr[x] >= len(prefs[x]):
+            continue
+        e = prefs[x][ptr[x]]
+        ptr[x] += 1
+        y = e[1] if e[0] == x else e[0]
+        cur = held.get(y)
+        if cur is None:
+            held[y] = e
+        elif base[e] > base[cur]:  # Y side prefers the higher base color
+            held[y] = e
+            free.append(x_of[cur])
+        else:
+            free.append(x)
+    return set(held.values())
+
+
+def _reference_dominated(e: Edge, matched_at: dict[int, Edge], base: dict[Edge, int], sides: Bipartition) -> bool:
+    """True when a matched neighbor outranks e at their shared endpoint."""
+    for v in e:
+        f = matched_at.get(v)
+        if f is None or f == e:
+            continue
+        if sides.is_x(v):
+            if base[f] < base[e]:
+                return True
+        elif base[f] > base[e]:
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
 # seeded random instance generators
 
 
@@ -564,6 +715,11 @@ def _debug_records(pattern: str, convert):
 def list_coloring_engines():
     """The engine ("kernel" or "search") of every list-coloring record."""
     return _debug_records(r"engine=(\w+)", lambda m: m.group(1))
+
+
+def list_coloring_records():
+    """The full message of every list-coloring record."""
+    return _debug_records(r"^list coloring: .*", lambda m: m.group(0))
 
 
 def search_counts():

@@ -124,22 +124,51 @@ class TestExtendVerify:
         pre = write_pre(tmp_path, Precoloring(2, {}))
         assert main(["extend", str(base), "--factor", "k2m:1", "--pre", pre]) == 1
 
-    @pytest.mark.parametrize("fmt, builds", [("json", 1), ("dot", 2)])
-    def test_extend_builds_host_product_only_for_output(self, tmp_path, monkeypatch, capsys, fmt, builds):
+    @pytest.mark.parametrize(
+        "factor, fmt, check, builds",
+        [
+            pytest.param("k2m:1", "json", False, 1, id="json-1"),
+            pytest.param("k2m:1", "dot", False, 2, id="dot-2"),
+            pytest.param("qd:3", "json", False, 1, id="qd-json-1"),
+            pytest.param("qd:3", "dot", False, 2, id="qd-dot-2"),
+            pytest.param("qd:3", "json", True, 2, id="qd-graph-json-2"),
+            pytest.param("qd:3", "dot", True, 2, id="qd-graph-dot-2"),
+        ],
+    )
+    def test_extend_builds_host_product_only_for_output(
+        self, tmp_path, monkeypatch, capsys, factor, fmt, check, builds
+    ):
+        # one build inside the library, one more in the CLI only for DOT
+        # output or for checking a supplied Q_d against the factor
         calls = []
 
         def counting_product(g, h):
             calls.append((g, h))
             return cartesian_product(g, h)
 
+        def counting_hypercube(d):
+            calls.append(d)
+            return hypercube(d)
+
         monkeypatch.setattr(cli, "cartesian_product", counting_product)
+        monkeypatch.setattr(cli, "hypercube", counting_hypercube)
         monkeypatch.setattr(extension, "cartesian_product", counting_product)
-        base = write_graph(tmp_path, path(3), "p3")
-        pre = write_pre(tmp_path, Precoloring(3, {(0, 2): 3}))
-        assert main(["extend", base, "--factor", "k2m:1", "--pre", pre, "--format", fmt]) == 0
+        if factor == "qd:3":
+            base = [write_graph(tmp_path, hypercube(3), "q3")] if check else []
+            pre = write_pre(tmp_path, Precoloring(3, {(0, 1): 1}))
+        else:
+            base = [write_graph(tmp_path, path(3), "p3")]
+            pre = write_pre(tmp_path, Precoloring(3, {(0, 2): 3}))
+        assert main(["extend", *base, "--factor", factor, "--pre", pre, "--format", fmt]) == 0
         assert len(calls) == builds
         out = capsys.readouterr().out
         assert out.startswith("graph" if fmt == "dot" else "{")
+
+    def test_extend_qd_out_product_builds_the_cube(self, tmp_path):
+        pre = write_pre(tmp_path, Precoloring(3, {(0, 1): 1}))
+        out = tmp_path / "prod.json"
+        assert main(["extend", "--factor", "qd:3", "--pre", pre, "--out-product", str(out)]) == 0
+        assert read_doc(out) == graph_to_dict(hypercube(3), "Q_3")
 
     def test_extend_missing_graph_argument(self, tmp_path):
         pre = write_pre(tmp_path, Precoloring(3, {}))
@@ -207,6 +236,11 @@ class TestCounterexample:
         s = write_graph(tmp_path, spider(3, 2), "spider")
         k13 = write_graph(tmp_path, star(3), "star")
         assert main(["counterexample", s, k13, "--out-prefix", str(tmp_path / "x")]) == 1
+
+    def test_two_edgeless_factors_exit_1(self, tmp_path, capsys):
+        k1 = write_graph(tmp_path, path(1), "k1")
+        assert main(["counterexample", k1, k1, "--out-prefix", str(tmp_path / "x")]) == 1
+        assert "edgeless" in capsys.readouterr().err
 
 
 class TestExplore11:

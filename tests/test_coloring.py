@@ -14,11 +14,13 @@ from edgex import (
     cycle,
     exact_list_color,
     galvin_list_color,
+    hypercube,
     konig_color,
     make_list_assignment,
     max_degree,
     one_factorization,
     path,
+    reduce_instance,
     star,
     verify_proper,
 )
@@ -38,8 +40,11 @@ from helpers import (
     connected_bipartite_catalog,
     enumerate_all_list_colorings,
     list_coloring_engines,
+    list_coloring_records,
     random_connected_bipartite,
+    reference_galvin_list_color,
     reference_verify_proper,
+    roadmap_cube_instance,
     small_bipartite_graphs,
 )
 
@@ -406,10 +411,12 @@ class TestCertifiedKernel:
         flipped = 0
         for g in graphs:
             delta = max_degree(g)
+            sides = bipartition(g)
+            ends = {e: e if sides.is_x(e[0]) else (e[1], e[0]) for e in g.edges}
             for lists in demand_list_variants(g, rng):
                 base = dict(konig_color(g).assignment)
                 short = [e for e in g.edges if len(lists.lists[e]) < delta]
-                flipped += coloring._certify_base(g, lists, bipartition(g), base, short) > 0
+                flipped += coloring._certify_base(g, lists, ends, base, short) > 0
                 assert verify_proper(g, EdgeColoring(delta, base)).ok
                 out = out_degrees(g, base)
                 assert all(out[e] < len(lists.lists[e]) for e in g.edges)
@@ -454,6 +461,57 @@ class TestCertifiedKernel:
         caplog.set_level(logging.INFO, logger="edgex")
         demand_list_color(K23_MINUS, K23_MINUS_LISTS)
         assert caplog.records == []
+
+
+@st.composite
+def kernel_instances(draw):
+    """A graph, bipartite in about nine of ten draws, with lists of one
+    shape: demand-sized, at least max degree, or below demand."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    bipartite = draw(st.integers(min_value=0, max_value=9)) > 0
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if not bipartite or side[u] != side[v]]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = build_graph([f"v{i}" for i in range(n)], [e for e, kept in zip(pairs, keep) if kept])
+    shape = draw(st.sampled_from(("demand", "delta", "short")))
+    slack = draw(st.integers(min_value=0, max_value=2))  # colors beyond a list's size
+    lists = {}
+    for e in g.edges:
+        if shape == "demand":
+            size = demand(g, e)
+        elif shape == "delta":
+            size = draw(st.integers(min_value=max_degree(g), max_value=max_degree(g) + 2))
+        else:
+            size = draw(st.integers(min_value=1, max_value=max(1, demand(g, e) - 1)))
+        colors = st.integers(min_value=1, max_value=size + slack)
+        lists[e] = draw(st.lists(colors, min_size=size, max_size=size, unique=True))
+    return g, make_list_assignment(g, lists)
+
+
+def _kernel_outcome(color, g, lists):
+    """Ordered items and palette, or the error's type and message, plus the
+    list-coloring debug records."""
+    with list_coloring_records() as records:
+        try:
+            col = color(g, lists)
+        except EdgexError as exc:
+            return (type(exc), str(exc)), records
+    return (list(col.assignment.items()), col.palette_size), records
+
+
+@given(kernel_instances())
+@settings(max_examples=300, deadline=None)
+def test_galvin_matches_reference(instance):
+    g, lists = instance
+    assert _kernel_outcome(galvin_list_color, g, lists) == _kernel_outcome(reference_galvin_list_color, g, lists)
+
+
+@pytest.mark.parametrize("d", range(6, 12))
+def test_galvin_matches_reference_on_seeded_cube_residuals(d):
+    _, pre = roadmap_cube_instance(d)
+    reduced = reduce_instance(hypercube(d - 1), 1, pre)
+    g, lists = reduced.base_residual, reduced.lists
+    assert _kernel_outcome(galvin_list_color, g, lists) == _kernel_outcome(reference_galvin_list_color, g, lists)
 
 
 class TestOneFactorization:

@@ -60,6 +60,19 @@ class TestBuildGraph:
         with pytest.raises(VertexIndexError):
             build_graph(["a", "b"], [(0, 2)])
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [[(0, "1")], [(0.0, 1)], [(0, 1, 2)], [0], [(True, 2)]],
+        ids=["str-vertex", "float-vertex", "triple", "bare-int", "bool-vertex"],
+    )
+    def test_non_int_vertex_pair_rejected(self, pairs):
+        with pytest.raises(VertexIndexError):
+            build_graph("abc", pairs)
+
+    def test_out_of_range_self_loop_is_still_a_self_loop(self):
+        with pytest.raises(SelfLoopError):
+            build_graph("ab", [(5, 5)])
+
     def test_unordered_input_canonicalized(self):
         g = build_graph(["a", "b", "c"], [(2, 0), (1, 0)])
         assert g.edges == ((0, 1), (0, 2))

@@ -30,6 +30,7 @@ from edgex.errors import (
     InapplicableError,
     InvalidPrecoloringError,
     UnknownEdgeError,
+    VertexIndexError,
 )
 from edgex.oracle import _all_distance2_matchings
 
@@ -203,6 +204,11 @@ class TestCoveringInducedMatching:
                 if got is not None:
                     assert tuple(got) in everything
 
+    @pytest.mark.parametrize("v", [1.5, "1", True, -1, 7], ids=["float", "str", "bool", "negative", "past-end"])
+    def test_non_vertex_rejected(self, v):
+        with pytest.raises(VertexIndexError):
+            find_covering_induced_matching(spider(3, 2), v)
+
     def test_isolated_vertex_gets_empty_cover(self):
         from edgex import build_graph
 
@@ -225,6 +231,17 @@ class TestBlockedHub:
     def test_star_right_factor_inapplicable(self):
         with pytest.raises(InapplicableError):
             build_blocked_hub_instance(spider(3, 2), star(3))
+
+    def test_two_edgeless_factors_inapplicable(self):
+        # the hub would have degree 0 at palette 0: nothing to block
+        with pytest.raises(InapplicableError):
+            build_blocked_hub_instance(path(1), path(1))
+
+    def test_edgeless_left_factor_still_refuted(self):
+        inst = build_blocked_hub_instance(path(1), spider(3, 2))
+        assert inst.precoloring.palette_size == 3
+        assert check_local_obstruction(inst.product, inst.precoloring) is not None
+        assert decide_extendable(inst.product.graph, inst.precoloring, 3) is None
 
     def test_spider4_instance(self):
         g = spider(4, 2)

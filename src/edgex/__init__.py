@@ -34,12 +34,10 @@ from .extension import (
 )
 from .families import (
     ProductGraph,
-    StarEmbedding,
     cartesian_product,
     complete,
     complete_bipartite,
     cycle,
-    embed_star_in_hypercube,
     hypercube,
     path,
     spider,

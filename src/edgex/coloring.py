@@ -48,7 +48,7 @@ from .errors import (
     OddOrderError,
     TheoremViolationError,
 )
-from .graph import Edge, Graph, bipartition, canonical_edge, max_degree
+from .graph import Bipartition, Edge, Graph, bipartition, canonical_edge, max_degree
 
 _log = logging.getLogger("edgex")
 
@@ -152,6 +152,11 @@ def konig_color(g: Graph) -> EdgeColoring:
     path starting at one endpoint, which frees a common color.
     """
     bipartition(g)  # raises NotBipartiteError on bad input
+    return _konig_color(g)
+
+
+def _konig_color(g: Graph) -> EdgeColoring:
+    """konig_color on a graph already known to be bipartite."""
     delta = max_degree(g)
     at: list[dict[int, int]] = [{} for _ in range(g.n)]  # vertex -> color -> neighbor
     assignment: dict[Edge, int] = {}
@@ -213,11 +218,15 @@ def galvin_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
     unmatched edge is dominated by a newly colored out-neighbor and can
     afford to lose that color, which no later round reads.
     """
-    sides = bipartition(g)
+    return _galvin_list_color(g, lists, bipartition(g))
+
+
+def _galvin_list_color(g: Graph, lists: ListAssignment, sides: Bipartition) -> EdgeColoring:
+    """galvin_list_color under the bipartition `sides` of g."""
     delta = max_degree(g)
     short = [e for e in g.edges if len(lists.lists[e]) < delta]
     ends = {e: e if sides.is_x(e[0]) else (e[1], e[0]) for e in g.edges}  # (x, y)
-    base = konig_color(g).assignment
+    base = _konig_color(g).assignment
     flips = _certify_base(g, lists, ends, base, short)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("list coloring: engine=kernel short=%d flips=%d", len(short), flips)
@@ -502,9 +511,10 @@ def demand_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
     a Kempe flip for a violating edge, so only a repair past its flip cap
     falls back to the complete search, whose "unsatisfiable" outcome would
     contradict the guarantee and is raised as TheoremViolationError. Each
-    call logs its engine, short lists and flips at debug level.
+    call logs its engine, short lists and flips at debug level. The one
+    bipartition of g is shared with the kernel method and its König base.
     """
-    bipartition(g)
+    sides = bipartition(g)
     bad = [
         e
         for e in g.edges
@@ -513,7 +523,7 @@ def demand_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
     if bad:
         raise DemandViolationError(f"lists shorter than endpoint-degree demand at {bad}")
     try:
-        return galvin_list_color(g, lists)
+        return _galvin_list_color(g, lists, sides)
     except ListTooShortError:
         pass
     if _log.isEnabledFor(logging.DEBUG):

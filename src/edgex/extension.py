@@ -8,14 +8,15 @@ ends. The residual base graph is list-colored, the base coloring is
 replicated into every layer, and each fiber's complete graph is finished
 from the colors still free at its base vertex. Hypercube and star products
 reach the same core with m = 1: G box Q_m is (G box Q_{m-1}) box K_2 split
-on the least significant bit, and G box K_{1,m} embeds into G box Q_m.
+on the least significant bit, and G box K_{1,m} is an induced subgraph of
+(G box K_{1,m-1}) box K_2, whose base has n*m vertices.
 
-Each extend_* call builds its host product, validates the prescription once,
+Each extend_* call builds its product, validates the prescription once,
 constructs, and verifies its output once (properness, agreement with the
 prescription, palette bound) before returning; a failure of that final check
-is an internal error, never user error. The cube split and the star-in-cube
-map are identities of the vertex indexing, proven by the test suite rather
-than checked at run time.
+is an internal error, never user error. The cube split and the star map are
+identities of the vertex indexing, proven by the test suite rather than
+checked at run time.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .families import (
     ProductGraph,
     cartesian_product,
     complete,
-    embed_star_in_hypercube,
     hypercube,
     star,
 )
@@ -311,14 +311,23 @@ def extend_hypercube(d: int, pre: Precoloring) -> EdgeColoring:
     return extend_over_complete(hypercube(d - 1), 1, pre)
 
 
+def _star_to_host(i: int, m: int) -> int:
+    """Vertex i = u*(m+1) + s of G box K_{1,m} as a vertex of
+    (G box K_{1,m-1}) box K_2: the center and leaves 1..m-1 keep their place
+    in copy 0, and leaf m goes to (u, center) in copy 1. The identity at m = 1."""
+    u, s = divmod(i, m + 1)
+    return (u * m + (s if s < m else 0)) * 2 + (s == m)
+
+
 def extend_over_star(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     """Extend a valid precoloring of G box K_{1,m} using max_degree(G) + m
-    colors by embedding it into G box Q_m and restricting the extension.
+    colors, as one K_2 extension of the base G box K_{1,m-1}, restricted.
 
-    The star sits in the cube as an induced subgraph (center at the all-zero
-    string, leaf t at unit bitstring t), so the prescription transfers, stays
-    a distance-2 matching, extends over the cube, and restricts back. The
-    vertex map increases with the index, so it keeps edges canonical.
+    K_{1,m} is induced in K_{1,m-1} box K_2 (``_star_to_host``), so the
+    prescription transfers, stays a distance-2 matching, extends over the
+    host and restricts back; the host's base has maximum degree
+    max_degree(G) + m - 1, which gives the palette. The map does not keep
+    edges canonical, so every mapped edge is put back in canonical order.
     """
     _require_positive(m=m)
     product = cartesian_product(g, star(m))
@@ -326,17 +335,12 @@ def extend_over_star(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     _require_palette(pre, palette, f"G box K_1,{m}")
     require_valid(product, pre)
 
-    emb = embed_star_in_hypercube(m)
-    cube_width = 1 << m
-    star_width = m + 1
+    def to_host(e: Edge) -> Edge:
+        return canonical_edge(_star_to_host(e[0], m), _star_to_host(e[1], m))
 
-    def to_cube(i: int) -> int:
-        u, s = divmod(i, star_width)
-        return u * cube_width + emb.image(s)
-
-    base = g if m == 1 else cartesian_product(g, hypercube(m - 1)).graph
+    base = g if m == 1 else cartesian_product(g, star(m - 1)).graph
     bipartition(base)
-    mapped = {(to_cube(u), to_cube(v)): c for (u, v), c in pre.entries.items()}
-    cube = _construct(base, 1, palette, Precoloring(palette_size=palette, entries=mapped))
-    assignment = {(u, v): cube[(to_cube(u), to_cube(v))] for (u, v) in product.graph.edges}
+    mapped = {to_host(e): c for e, c in pre.entries.items()}
+    host = _construct(base, 1, palette, Precoloring(palette_size=palette, entries=mapped))
+    assignment = {e: host[to_host(e)] for e in product.graph.edges}
     return _check_extension(product, pre, EdgeColoring(palette_size=palette, assignment=assignment))

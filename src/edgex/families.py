@@ -1,4 +1,4 @@
-"""Standard graph families, the Cartesian product, and the star-in-cube map.
+"""Standard graph families and the Cartesian product.
 
 Product vertices (u, w) are indexed u * |V(H)| + w and labeled "u|w" from the
 factor labels; that indexing is the only record of which edges are layer
@@ -6,7 +6,10 @@ copies of G and which are fiber copies of H, and serialization relies on it.
 Hypercube vertices are labeled by bitstrings; vertex index i carries the
 label ``format(i, "0db")`` and bit t means the bit of value 2**t. Under this
 convention Q_d and Q_{d-1} x K_2 (split on the least significant bit) are the
-same indexed graph, which the extension pipeline relies on.
+same indexed graph, which the extension pipeline relies on. Star K_{1,m} has
+its center at index 0 and leaves at 1..m, so K_{1,m-1} is K_{1,m} without
+its last leaf; the extension pipeline places G x K_{1,m} inside
+(G x K_{1,m-1}) x K_2 by that indexing.
 """
 
 from __future__ import annotations
@@ -125,24 +128,3 @@ def cartesian_product(g: Graph, h: Graph) -> ProductGraph:
     fiber = [(u * k + w, u * k + z) for u in range(g.n) for (w, z) in h.edges]
     return ProductGraph(graph=build_graph(labels, layer + fiber), left_order=g.n, right_order=k)
 
-
-@dataclass(frozen=True)
-class StarEmbedding:
-    """The canonical induced copy of K_{1,m} inside Q_m.
-
-    The center goes to the all-zero string and leaf t to the unit bitstring
-    with bit t-1 set, i.e. hypercube vertex index 2**(t-1). Leaves sit at
-    pairwise Hamming distance 2, so the image is induced.
-    """
-
-    m: int
-    vertex_map: tuple[int, ...]
-
-    def image(self, star_vertex: int) -> int:
-        return self.vertex_map[star_vertex]
-
-
-def embed_star_in_hypercube(m: int) -> StarEmbedding:
-    if m < 1:
-        raise BadParameterError("embedding needs m >= 1")
-    return StarEmbedding(m=m, vertex_map=tuple([0] + [1 << (t - 1) for t in range(1, m + 1)]))

@@ -634,10 +634,11 @@ def random_tree(rng: random.Random, max_n: int = 8) -> Graph:
 
 
 def random_distance2_matching(
-    rng: random.Random, g: Graph, max_size: int
+    rng: random.Random, g: Graph, max_size: int, pool: Iterable[Edge] | None = None
 ) -> list:
-    """Greedy random distance-2 matching of at most max_size edges."""
-    pool = list(g.edges)
+    """Greedy random distance-2 matching of at most max_size edges, drawn
+    from `pool` (every edge of g by default)."""
+    pool = list(g.edges if pool is None else pool)
     rng.shuffle(pool)
     chosen = []
     dist_cache = {}
@@ -656,13 +657,19 @@ def random_distance2_matching(
 
 
 def random_valid_precoloring(
-    rng: random.Random, g: Graph, palette: int, max_size: int
+    rng: random.Random, g: Graph, palette: int, max_size: int, pool: Iterable[Edge] | None = None
 ) -> Precoloring:
-    matching = random_distance2_matching(rng, g, max_size)
+    matching = random_distance2_matching(rng, g, max_size, pool)
     return Precoloring(
         palette_size=palette,
         entries={e: rng.randint(1, palette) for e in matching},
     )
+
+
+def layer_edges(p: Graph, width: int) -> list[Edge]:
+    """The edges of a product with `width` right-factor vertices that join
+    two fibers (layer copies of the left factor's edges)."""
+    return [(a, b) for a, b in p.edges if a // width != b // width]
 
 
 def complete_factor_palette(g: Graph, m: int) -> int:

@@ -298,6 +298,22 @@ class TestBkw:
         with pytest.raises(DemandViolationError):
             demand_list_color(g, lists)
 
+    def test_non_bipartite_reported_before_demand_violation(self):
+        g = cycle(3)
+        with pytest.raises(NotBipartiteError):
+            demand_list_color(g, ListAssignment(lists={e: (1,) for e in g.edges}))
+
+    def test_one_bipartition_per_call(self, monkeypatch):
+        # the kernel method and its König base reuse demand_list_color's sides
+        calls = []
+        monkeypatch.setattr(coloring, "bipartition", lambda g: calls.append(g) or bipartition(g))
+        q, pre = roadmap_cube_instance(6)
+        reduced = reduce_instance(hypercube(5), 1, pre)
+        with list_coloring_engines() as engines:
+            demand_list_color(reduced.base_residual, reduced.lists)
+        assert engines == ["kernel"]
+        assert calls == [reduced.base_residual]
+
     def test_catalog_demand_lists_never_fail(self):
         rng = random.Random(4)
         for g in CATALOG:

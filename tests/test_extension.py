@@ -11,6 +11,7 @@ from edgex import (
     cartesian_product,
     color_fibers,
     complete,
+    cycle,
     decide_extendable,
     extend_hypercube,
     extend_over_complete,
@@ -38,6 +39,7 @@ from edgex.extension import require_valid
 from helpers import (
     brute_force_extendable,
     edge_distance,
+    layer_edges,
     list_coloring_engines,
     random_connected_bipartite,
     random_tree,
@@ -599,6 +601,38 @@ class TestExtendOverStar:
         col = extend_over_star(g, 2, pre)
         assert verify_proper(product.graph, col).ok
         assert brute_force_extendable(product.graph, pre, 3) is not None
+
+    def test_random_prescriptions_up_to_m8(self):
+        rng = random.Random(11)
+        checked = 0
+        for k in range(60):
+            g = random_tree(rng, max_n=6) if k % 2 else random_connected_bipartite(rng, max_n=6, max_degree_cap=3)
+            m = rng.randint(1, 8)
+            product = cartesian_product(g, star(m)).graph
+            palette = max_degree(g) + m
+            pre = random_valid_precoloring(rng, product, palette, 4)
+            keyed = {(e if rng.random() < 0.5 else e[::-1]): c for e, c in pre.entries.items()}
+            col = extend_over_star(g, m, Precoloring(palette, keyed))
+            assert col.palette_size == palette
+            assert verify_proper(product, col).ok
+            assert all(col.assignment[e] == c for e, c in pre.entries.items())
+            if len(product.edges) <= 40:
+                assert decide_extendable(product, pre, palette) is not None
+                checked += 1
+        assert checked >= 10
+
+    def test_c6_star64(self):
+        # a host of C_6 x Q_63, with 6 * 2**63 vertices, would be out of reach;
+        # a random fiber edge blocks its whole fiber, so the prescription is
+        # drawn from layer edges, where a large one exists
+        g = cycle(6)
+        product = cartesian_product(g, star(64)).graph
+        pool = layer_edges(product, 65)
+        pre = random_valid_precoloring(random.Random(64), product, 66, 40, pool)
+        assert len(pre.entries) == 40
+        col = extend_over_star(g, 64, pre)
+        assert verify_proper(product, col).ok
+        assert all(col.assignment[e] == c for e, c in pre.entries.items())
 
 
 @pytest.mark.parametrize(

@@ -3,13 +3,14 @@ import random
 import pytest
 
 from edgex import (
+    Precoloring,
     build_graph,
     canonical_edge,
     cartesian_product,
     complete,
     complete_bipartite,
     cycle,
-    embed_star_in_hypercube,
+    extend_over_star,
     hypercube,
     max_degree,
     path,
@@ -18,13 +19,13 @@ from edgex import (
     star,
 )
 from edgex.errors import BadParameterError
+from edgex.extension import _star_to_host
 
 from helpers import (
     connected_bipartite_catalog,
     edge_distance,
     random_connected_bipartite,
     random_distance2_matching,
-    vertex_distance,
 )
 
 
@@ -162,54 +163,68 @@ class TestCartesianProduct:
 
 
 class TestStarEmbedding:
+    """``_star_to_host`` places G x K_{1,m} inside (G x K_{1,m-1}) x K_2;
+    extend_over_star relies on these properties instead of checking the
+    image at run time."""
+
+    @staticmethod
+    def host(g, m):
+        base = g if m == 1 else cartesian_product(g, star(m - 1)).graph
+        return cartesian_product(base, complete(2)).graph
+
+    @staticmethod
+    def to_host(e, m):
+        return canonical_edge(_star_to_host(e[0], m), _star_to_host(e[1], m))
+
+    @staticmethod
+    def graphs(m):
+        rng = random.Random(40 + m)
+        return [random_connected_bipartite(rng, max_n=6, max_degree_cap=3) for _ in range(15)]
+
     def test_m1_identity(self):
-        emb = embed_star_in_hypercube(1)
-        assert emb.vertex_map == (0, 1)
+        for g in self.graphs(1):
+            assert [_star_to_host(i, 1) for i in range(2 * g.n)] == list(range(2 * g.n))
 
     def test_m2_image_induced(self):
-        emb = embed_star_in_hypercube(2)
-        q = hypercube(2)
-        image = set(emb.vertex_map)
-        assert image == {0, 1, 2}
-        induced = [
-            (a, b) for (a, b) in q.edges if a in image and b in image
-        ]
-        assert sorted(induced) == [(0, 1), (0, 2)]
+        # K_{1,2} into K_{1,1} x K_2 = C_4: leaf 1 stays in copy 0, leaf 2
+        # goes to the center's copy 1
+        point = build_graph(["a"], [])
+        assert [_star_to_host(s, 2) for s in range(3)] == [0, 2, 1]
+        host = self.host(point, 2)
+        assert [self.to_host(e, 2) for e in star(2).edges] == [(0, 2), (0, 1)]
+        assert [e for e in host.edges if 3 not in e] == [(0, 1), (0, 2)]
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_edges_map_to_canonical_host_edges(self, m):
+        for g in self.graphs(m):
+            host = self.host(g, m)
+            for u, v in cartesian_product(g, star(m)).graph.edges:
+                a, b = self.to_host((u, v), m)
+                assert a < b and host.has_edge(a, b)
+
+    @pytest.mark.parametrize("m", range(1, 7))
     def test_image_is_induced_star(self, m):
-        emb = embed_star_in_hypercube(m)
-        q = hypercube(m)
-        center, leaves = emb.vertex_map[0], emb.vertex_map[1:]
-        assert center == 0
-        assert len(set(leaves)) == m
-        for leaf in leaves:
-            assert q.has_edge(center, leaf)
-        for i, a in enumerate(leaves):
-            for b in leaves[i + 1:]:
-                assert vertex_distance(q, a, b) == 2
-
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_star_product_matchings_map_to_cube_product_matchings(self, m):
-        # extend_over_star relies on this instead of checking the image at run time
-        rng = random.Random(40 + m)
-        emb = embed_star_in_hypercube(m)
-
-        def to_cube(i):
-            u, s = divmod(i, m + 1)
-            return u * (1 << m) + emb.image(s)
-
-        for _ in range(15):
-            g = random_connected_bipartite(rng, max_n=6, max_degree_cap=3)
+        for g in self.graphs(m):
             source = cartesian_product(g, star(m)).graph
-            cube = cartesian_product(g, hypercube(m)).graph
-            assert all(cube.has_edge(to_cube(u), to_cube(v)) for u, v in source.edges)
+            host = self.host(g, m)
+            image = {_star_to_host(i, m) for i in range(source.n)}
+            assert len(image) == source.n
+            induced = {(a, b) for a, b in host.edges if a in image and b in image}
+            assert induced == {self.to_host(e, m) for e in source.edges}
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_star_product_matchings_map_to_host_matchings(self, m):
+        rng = random.Random(50 + m)
+        for g in self.graphs(m):
+            source = cartesian_product(g, star(m)).graph
+            host = self.host(g, m)
             matching = random_distance2_matching(rng, source, 6)
-            image = [canonical_edge(to_cube(u), to_cube(v)) for u, v in matching]
+            image = [self.to_host(e, m) for e in matching]
             for i, e in enumerate(image):
                 for f in image[i + 1:]:
-                    assert edge_distance(cube, e, f) >= 2
+                    assert edge_distance(host, e, f) >= 2
 
     def test_bad_parameter(self):
+        # the map is defined for m >= 1; extend_over_star rejects m = 0 first
         with pytest.raises(BadParameterError):
-            embed_star_in_hypercube(0)
+            extend_over_star(path(3), 0, Precoloring(2, {}))

@@ -12,6 +12,7 @@ import argparse
 import logging
 import os
 import sys
+from pathlib import Path
 
 from . import serialize
 from .coloring import verify_proper
@@ -28,7 +29,6 @@ from .extension import (
     extend_over_star,
 )
 from .families import cartesian_product, complete, hypercube, standard_family, star
-from .graph import canonical_edge
 from .oracle import (
     build_blocked_hub_instance,
     check_local_obstruction,
@@ -67,26 +67,21 @@ def _parse_factor(spec: str) -> tuple[str, int]:
     return kind, value
 
 
-def _write_graph_output(g, name: str, out: str | None, fmt: str, coloring=None) -> None:
-    if fmt == "dot":
-        text = serialize.to_dot(g, coloring, name)
-        if out:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+def _emit(text: str, out: str | None) -> None:
+    """Write text to the file `out`, or to stdout when there is none."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
     else:
-        doc = serialize.graph_to_dict(g, name)
-        if out:
-            serialize.write_doc(out, doc)
-        else:
-            sys.stdout.write(serialize.dumps(doc))
+        sys.stdout.write(text)
 
 
 def cmd_build(args) -> int:
     g = _parse_family(args.family)
     name = args.name or args.family
-    _write_graph_output(g, name, args.out, args.format)
+    if args.format == "dot":
+        _emit(serialize.to_dot(g, None, name), args.out)
+    else:
+        _emit(serialize.dumps(serialize.graph_to_dict(g, name)), args.out)
     log.info("built %s: %d vertices, %d edges", args.family, g.n, len(g.edges))
     return EXIT_OK
 
@@ -95,11 +90,7 @@ def cmd_product(args) -> int:
     lname, left = serialize.graph_from_dict(serialize.read_doc(args.left))
     rname, right = serialize.graph_from_dict(serialize.read_doc(args.right))
     p = cartesian_product(left, right)
-    doc = serialize.product_to_dict(p, args.name or f"{lname}x{rname}")
-    if args.out:
-        serialize.write_doc(args.out, doc)
-    else:
-        sys.stdout.write(serialize.dumps(doc))
+    _emit(serialize.dumps(serialize.product_to_dict(p, args.name or f"{lname}x{rname}")), args.out)
     return EXIT_OK
 
 
@@ -131,13 +122,9 @@ def cmd_extend(args) -> int:
     if host is None and (args.format == "dot" or args.out_product):
         host = hypercube(value) if kind == "qd" else cartesian_product(g, right).graph
     if args.format == "dot":
-        _write_graph_output(host, host_name, args.out, "dot", coloring)
+        _emit(serialize.to_dot(host, coloring, host_name), args.out)
     else:
-        doc = serialize.coloring_to_dict(coloring)
-        if args.out:
-            serialize.write_doc(args.out, doc)
-        else:
-            sys.stdout.write(serialize.dumps(doc))
+        _emit(serialize.dumps(serialize.coloring_to_dict(coloring)), args.out)
     if args.out_product:
         serialize.write_doc(args.out_product, serialize.graph_to_dict(host, host_name))
     log.info("extended %d prescribed edges over %s", len(pre.entries), host_name)
@@ -147,17 +134,10 @@ def cmd_extend(args) -> int:
 def cmd_verify(args) -> int:
     _, g = serialize.graph_from_dict(serialize.read_doc(args.graph))
     coloring = serialize.coloring_from_dict(serialize.read_doc(args.coloring))
-    report = verify_proper(g, coloring)
-    problems = [] if report.ok else [str(report)]
-    if args.pre:
-        pre = serialize.precoloring_from_dict(serialize.read_doc(args.pre))
-        for e, c in sorted(pre.entries.items()):
-            e = canonical_edge(*e)
-            got = coloring.assignment.get(e)
-            if got != c:
-                problems.append(f"edge {e} prescribed {c} but colored {got}")
-    if problems:
-        print("; ".join(problems))
+    prescribed = serialize.precoloring_from_dict(serialize.read_doc(args.pre)).entries if args.pre else None
+    report = verify_proper(g, coloring, prescribed=prescribed)
+    if not report.ok:
+        print(report)
         return EXIT_MALFORMED
     print("ok")
     return EXIT_OK
@@ -212,10 +192,7 @@ def cmd_explore11(args) -> int:
         "budget_used": report.budget_used,
         "seed": report.seed,
     }
-    if args.out:
-        serialize.write_doc(args.out, doc)
-    else:
-        sys.stdout.write(serialize.dumps(doc))
+    _emit(serialize.dumps(doc), args.out)
     if report.counterexamples:
         return EXIT_NOT_EXTENDABLE
     if not report.exhaustive:
@@ -228,12 +205,7 @@ def cmd_export_dot(args) -> int:
     coloring = None
     if args.coloring:
         coloring = serialize.coloring_from_dict(serialize.read_doc(args.coloring))
-    text = serialize.to_dot(g, coloring, name)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(serialize.to_dot(g, coloring, name), args.out)
     return EXIT_OK
 
 
@@ -270,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a coloring file against a graph")
     p.add_argument("graph")
     p.add_argument("coloring")
-    p.add_argument("--pre", default=None, help="also check agreement with a precoloring")
+    p.add_argument("--pre", default=None, help="also report disagreements with a precoloring")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="exact extendability decision")

@@ -36,7 +36,7 @@ import heapq
 import logging
 import random
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 from .errors import (
@@ -47,8 +47,9 @@ from .errors import (
     NoKernelError,
     OddOrderError,
     TheoremViolationError,
+    _require_ints,
 )
-from .graph import Bipartition, Edge, Graph, bipartition, canonical_edge, max_degree
+from .graph import Bipartition, Edge, Graph, _edge_key, bipartition, canonical_edge, max_degree
 
 _log = logging.getLogger("edgex")
 
@@ -68,22 +69,39 @@ class ListAssignment:
     lists: dict[Edge, tuple[int, ...]]
 
 
+def _require_covered(g: Graph, mapping: Mapping, what: str) -> None:
+    """Raise MissingEdgeError naming the edges of g that `mapping` lacks."""
+    missing = [e for e in g.edges if e not in mapping]
+    if missing:
+        raise MissingEdgeError(f"{what} misses edges {missing}")
+
+
 def make_list_assignment(g: Graph, lists: dict[Edge, object]) -> ListAssignment:
     """Normalize every edge's list to a duplicate-free ascending tuple."""
+    _require_covered(g, lists, "lists")
     return ListAssignment(lists={e: tuple(sorted(set(lists[e]))) for e in g.edges})
 
 
 @dataclass(frozen=True)
 class ColoringReport:
-    """Everything wrong with a coloring; empty everywhere means valid."""
+    """Everything wrong with a coloring; empty everywhere means valid.
+
+    disagreements holds (edge, prescribed color, color got or None) for each
+    prescribed edge colored otherwise; not_edges the colored pairs that are
+    not edges of the graph.
+    """
 
     conflicts: tuple[tuple[Edge, Edge], ...] = ()
     off_palette: tuple[Edge, ...] = ()
     off_list: tuple[Edge, ...] = ()
+    disagreements: tuple[tuple[Edge, object, object], ...] = ()
+    not_edges: tuple[object, ...] = ()
 
     @property
     def ok(self) -> bool:
-        return not (self.conflicts or self.off_palette or self.off_list)
+        return not (
+            self.conflicts or self.off_palette or self.off_list or self.disagreements or self.not_edges
+        )
 
     def __str__(self) -> str:
         if self.ok:
@@ -94,11 +112,20 @@ class ColoringReport:
             lines.append(f"edges {e} and {f} share vertex {v} and color")
         lines.extend(f"edge {e} colored outside palette" for e in self.off_palette)
         lines.extend(f"edge {e} colored outside its list" for e in self.off_list)
+        lines.extend(f"edge {e} prescribed {c} but colored {got}" for e, c, got in self.disagreements)
+        lines.extend(f"pair {e} colored but not an edge" for e in self.not_edges)
         return "; ".join(lines)
 
 
-def verify_proper(g: Graph, col: EdgeColoring, lists: ListAssignment | None = None) -> ColoringReport:
-    """Check properness, palette membership and (optionally) list membership.
+def verify_proper(
+    g: Graph,
+    col: EdgeColoring,
+    lists: ListAssignment | None = None,
+    prescribed: Mapping[Edge, object] | None = None,
+) -> ColoringReport:
+    """Check properness, palette membership, that only edges of g are
+    colored and, optionally, list membership and agreement with a
+    prescription (edge -> color, keys in either order).
 
     Linear passes over g.edges read each edge's color once. Properness is
     screened with a set of int keys x * (p + 1) + c, one per end x of an
@@ -108,14 +135,19 @@ def verify_proper(g: Graph, col: EdgeColoring, lists: ListAssignment | None = No
     An off-palette color may alias another end's key, which only costs the
     exact pass. That pass runs only when the set is short and lists every
     clashing pair vertex by vertex, colors ascending, edges in adjacency
-    order, so reports are the same as when it ran on every call.
+    order, so reports are the same as when it ran on every call. Once every
+    edge is known colored, the coloring holds a pair outside g only when it
+    has more keys than g has edges; those keys are listed in insertion
+    order. Disagreements are listed by canonical edge, a prescribed pair
+    left uncolored as got None. This is the one place a coloring is
+    compared with a prescription.
     """
     a = col.assignment
     try:
         colors = [a[e] for e in g.edges]
     except KeyError:
-        missing = [e for e in g.edges if e not in a]
-        raise MissingEdgeError(f"coloring misses edges {missing}") from None
+        _require_covered(g, a, "coloring")
+        raise
     p = col.palette_size
     ends = {x * (p + 1) + c for e, c in zip(g.edges, colors) for x in e}
     conflicts = []
@@ -137,10 +169,17 @@ def verify_proper(g: Graph, col: EdgeColoring, lists: ListAssignment | None = No
     off_list = []
     if lists is not None:
         off_list = [e for e, c in zip(g.edges, colors) if c not in lists.lists.get(e, (c,))]
+    disagreements = []
+    if prescribed is not None:
+        keyed = ((_edge_key(e), c) for e, c in prescribed.items())
+        disagreements = sorted(((e, c, a.get(e)) for e, c in keyed if a.get(e) != c), key=lambda t: t[0])
+    not_edges = [e for e in a if e not in g.edge_set] if len(a) > len(colors) else []
     return ColoringReport(
         conflicts=tuple(conflicts),
         off_palette=tuple(off_palette),
         off_list=tuple(off_list),
+        disagreements=tuple(disagreements),
+        not_edges=tuple(not_edges),
     )
 
 
@@ -218,7 +257,9 @@ def galvin_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
     unmatched edge is dominated by a newly colored out-neighbor and can
     afford to lose that color, which no later round reads.
     """
-    return _galvin_list_color(g, lists, bipartition(g))
+    sides = bipartition(g)
+    _require_covered(g, lists.lists, "lists")
+    return _galvin_list_color(g, lists, sides)
 
 
 def _galvin_list_color(g: Graph, lists: ListAssignment, sides: Bipartition) -> EdgeColoring:
@@ -234,9 +275,17 @@ def _galvin_list_color(g: Graph, lists: ListAssignment, sides: Bipartition) -> E
     prefs: dict[int, list[Edge]] = {}  # x -> its edges by ascending base color
     for e in sorted(g.edges, key=base.__getitem__):
         prefs.setdefault(ends[e][0], []).append(e)
-    allowed = {e: set(lists.lists[e]) for e in g.edges}
+    # one set per distinct list object: the residual's unblocked edges all
+    # share one tuple, and the lists dict keeps every tuple (so its id) alive
+    sets: dict[int, set[int]] = {}
+    allowed = {}
+    for e in g.edges:
+        colors = lists.lists[e]
+        if id(colors) not in sets:
+            sets[id(colors)] = set(colors)
+        allowed[e] = sets[id(colors)]
     colored: dict[Edge, int] = {}
-    palette = sorted(set().union(*allowed.values()))
+    palette = sorted(set().union(*sets.values()))
 
     for k in palette:
         rough = [e for e in g.edges if e not in colored and k in allowed[e]]
@@ -352,6 +401,7 @@ def exact_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring | None:
     pigeonhole pruning; all ties broken by canonical edge order and
     ascending color, so the result is deterministic.
     """
+    _require_covered(g, lists.lists, "lists")
     assignment = _search(g, {e: set(lists.lists[e]) for e in g.edges})
     if assignment is None:
         return None
@@ -515,6 +565,7 @@ def demand_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
     bipartition of g is shared with the kernel method and its König base.
     """
     sides = bipartition(g)
+    _require_covered(g, lists.lists, "lists")
     bad = [
         e
         for e in g.edges
@@ -542,6 +593,7 @@ def one_factorization(order: int) -> list[list[Edge]]:
     The highest-index vertex stays fixed; the others rotate. Round r pairs
     the pivot with r and i with j whenever i + j = 2r modulo order-1.
     """
+    _require_ints(order=order)
     if order < 2 or order % 2:
         raise OddOrderError(f"1-factorization needs a positive even order, got {order}")
     rounds = []

@@ -35,7 +35,7 @@ class NotBipartiteError(EdgexError):
 
 
 class BadParameterError(EdgexError):
-    """A family constructor parameter is out of range."""
+    """A parameter is not an int or is out of range."""
 
 
 class OddOrderError(EdgexError):
@@ -90,3 +90,10 @@ class TheoremViolationError(InternalInvariantError):
 
 class ProofInvariantError(InternalInvariantError):
     """A reduction or fiber-assembly invariant failed on validated input."""
+
+
+def _require_ints(error: type[Exception] = BadParameterError, **params: object) -> None:
+    """Raise `error` naming the first parameter that is not an int (a bool is not)."""
+    for name, value in params.items():
+        if type(value) is not int:
+            raise error(f"{name} must be an int, got {value!r}")

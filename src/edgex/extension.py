@@ -1,42 +1,44 @@
 """Constructive extension of precolored distance-2 matchings.
 
-One core colors G box K_{2m} from a valid prescription: reduce_instance
-sorts the entries into removed base edges (layer entries) and fiber
-entries, and keeps the color each one blocks at its base vertices; every
-surviving base edge gets the palette minus the colors blocked at its two
-ends. The residual base graph is list-colored, the base coloring is
-replicated into every layer, and each fiber's complete graph is finished
-from the colors still free at its base vertex. Hypercube and star products
-reach the same core with m = 1: G box Q_m is (G box Q_{m-1}) box K_2 split
-on the least significant bit, and G box K_{1,m} is an induced subgraph of
-(G box K_{1,m-1}) box K_2, whose base has n*m vertices.
-
-Each extend_* call builds its product, validates the prescription once,
-constructs, and verifies its output once (properness, agreement with the
-prescription, palette bound) before returning; a failure of that final check
-is an internal error, never user error. The cube split and the star map are
-identities of the vertex indexing, proven by the test suite rather than
+Every extend_* call runs one pipeline, ``_extend``, through a host
+base box K_{2m}, in a fixed order: palette check; one validation of the
+prescription on the caller's product; reduce_instance (layer entries remove
+their base edge, fiber entries stay; every surviving base edge gets the
+palette minus the colors blocked at its two ends); demand_list_color on the
+residual base; replication into every layer and color_fibers; one
+verify_proper on the caller's product (proper, in palette, agreeing with the
+prescription, only its edges colored), whose failure is an internal error.
+An entry point checks its integers, bipartitions the caller's own G first
+(so an odd cycle is reported in G's indices) and picks base, product and
+palette. Hypercube and star products take m = 1: G box Q_m is
+(G box Q_{m-1}) box K_2 split on the least significant bit, and
+G box K_{1,m} is an induced subgraph of (G box K_{1,m-1}) box K_2, so the
+star maps its prescription into that host and restricts the result. Both
+are identities of the vertex indexing, proven by the test suite rather than
 checked at run time.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .coloring import EdgeColoring, ListAssignment, demand_list_color, one_factorization, verify_proper
+from .coloring import (
+    EdgeColoring,
+    ListAssignment,
+    _require_covered,
+    demand_list_color,
+    one_factorization,
+    verify_proper,
+)
 from .errors import (
     BadParameterError,
     InvalidPrecoloringError,
     ProofInvariantError,
     UnknownEdgeError,
+    _require_ints,
 )
-from .families import (
-    ProductGraph,
-    cartesian_product,
-    complete,
-    hypercube,
-    star,
-)
+from .families import ProductGraph, cartesian_product, complete, hypercube, star
 from .graph import (
     Edge,
     Graph,
@@ -196,6 +198,7 @@ def color_fibers(
     prescribed color; the other classes take the remaining chosen colors in
     ascending class order.
     """
+    _require_covered(g, base_coloring.assignment, "base coloring")
     palette = base_coloring.palette_size
     classes = one_factorization(2 * m)
     width = 2 * m
@@ -225,29 +228,6 @@ def color_fibers(
     return out
 
 
-def _check_extension(
-    product: ProductGraph,
-    pre: Precoloring,
-    coloring: EdgeColoring,
-) -> EdgeColoring:
-    """Post-verify an extension: proper, in palette, agrees with pre."""
-    report = verify_proper(product.graph, coloring)
-    if not report.ok:
-        raise ProofInvariantError(f"assembled coloring is improper: {report}")
-    for e, c in pre.entries.items():
-        got = coloring.assignment[canonical_edge(*e)]
-        if got != c:
-            raise ProofInvariantError(f"edge {e} got {got} instead of prescribed {c}")
-    return coloring
-
-
-def _require_ints(error: type[Exception] = BadParameterError, **params: object) -> None:
-    """Raise `error` naming the first parameter that is not an int (a bool is not)."""
-    for name, value in params.items():
-        if type(value) is not int:
-            raise error(f"{name} must be an int, got {value!r}")
-
-
 def _require_positive(**params: int) -> None:
     """_require_ints, and each parameter at least 1."""
     _require_ints(**params)
@@ -263,44 +243,52 @@ def _require_palette(pre: Precoloring, palette: int, what: str) -> None:
         )
 
 
-def _construct(g: Graph, m: int, palette: int, pre: Precoloring) -> dict[Edge, int]:
-    """The G box K_{2m} assignment for a valid prescription in its indices:
-    reduce, list-color the residual base, replicate the base coloring
-    (residual plus forced edges) into every layer, complete every fiber."""
-    red = reduce_instance(g, m, pre)
-    base = dict(demand_list_color(red.base_residual, red.lists).assignment)
-    base.update(red.forced_layer)
-    width = 2 * m
-    assignment = {
-        (u * width + i, v * width + i): c for (u, v), c in base.items() for i in range(width)
-    }
-    assignment.update(color_fibers(g, m, EdgeColoring(palette, base), red.fiber_prescriptions))
-    return assignment
-
-
-def _extend_complete(g: Graph, m: int, palette: int, what: str, pre: Precoloring) -> EdgeColoring:
-    """extend_over_complete for a host G box K_2m that the caller names
-    (`what`) with its own palette: G box Q_m is (G box Q_{m-1}) box K_2."""
-    bipartition(g)
-    product = cartesian_product(g, complete(2 * m))
+def _extend(
+    base: Graph,
+    m: int,
+    product: Graph,
+    palette: int,
+    what: str,
+    pre: Precoloring,
+    to_host: Callable[[Edge], Edge] | None = None,
+) -> EdgeColoring:
+    """The pipeline (module docstring) for `product`, named `what`, through
+    the host base box K_{2m}; `to_host` maps product edges into the host when
+    the product is only a subgraph of it (the star)."""
     _require_palette(pre, palette, what)
     require_valid(product, pre)
-    return _check_extension(product, pre, EdgeColoring(palette, _construct(g, m, palette, pre)))
+    entries = pre.entries if to_host is None else {to_host(e): c for e, c in pre.entries.items()}
+    red = reduce_instance(base, m, Precoloring(palette, entries))
+    colored = dict(demand_list_color(red.base_residual, red.lists).assignment)
+    colored.update(red.forced_layer)
+    width = 2 * m
+    host = {(u * width + i, v * width + i): c for (u, v), c in colored.items() for i in range(width)}
+    host.update(color_fibers(base, m, EdgeColoring(palette, colored), red.fiber_prescriptions))
+    assignment = host if to_host is None else {e: host[to_host(e)] for e in product.edges}
+    coloring = EdgeColoring(palette_size=palette, assignment=assignment)
+    report = verify_proper(product, coloring, prescribed=pre.entries)
+    if not report.ok:
+        raise ProofInvariantError(f"assembled coloring fails its final check: {report}")
+    return coloring
 
 
 def extend_over_complete(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     """Extend a valid precoloring of G box K_{2m} to a full proper coloring
     with max_degree(G) + 2m - 1 colors."""
     _require_positive(m=m)
-    return _extend_complete(g, m, max_degree(g) + 2 * m - 1, f"G box K_{2 * m}", pre)
+    bipartition(g)
+    product = cartesian_product(g, complete(2 * m)).graph
+    return _extend(g, m, product, max_degree(g) + 2 * m - 1, f"G box K_{2 * m}", pre)
 
 
 def extend_over_hypercube(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     """Extend a valid precoloring of G box Q_m using max_degree(G) + m colors,
     as one K_2 extension of the iterated base G box Q_{m-1}."""
     _require_positive(m=m)
+    bipartition(g)
     base = g if m == 1 else cartesian_product(g, hypercube(m - 1)).graph
-    return _extend_complete(base, 1, max_degree(g) + m, f"G box Q_{m}", pre)
+    product = cartesian_product(base, complete(2)).graph
+    return _extend(base, 1, product, max_degree(g) + m, f"G box Q_{m}", pre)
 
 
 def extend_hypercube(d: int, pre: Precoloring) -> EdgeColoring:
@@ -330,17 +318,11 @@ def extend_over_star(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     edges canonical, so every mapped edge is put back in canonical order.
     """
     _require_positive(m=m)
-    product = cartesian_product(g, star(m))
-    palette = max_degree(g) + m
-    _require_palette(pre, palette, f"G box K_1,{m}")
-    require_valid(product, pre)
+    bipartition(g)
+    base = g if m == 1 else cartesian_product(g, star(m - 1)).graph
+    product = cartesian_product(g, star(m)).graph
 
     def to_host(e: Edge) -> Edge:
         return canonical_edge(_star_to_host(e[0], m), _star_to_host(e[1], m))
 
-    base = g if m == 1 else cartesian_product(g, star(m - 1)).graph
-    bipartition(base)
-    mapped = {to_host(e): c for e, c in pre.entries.items()}
-    host = _construct(base, 1, palette, Precoloring(palette_size=palette, entries=mapped))
-    assignment = {e: host[to_host(e)] for e in product.graph.edges}
-    return _check_extension(product, pre, EdgeColoring(palette_size=palette, assignment=assignment))
+    return _extend(base, 1, product, max_degree(g) + m, f"G box K_1,{m}", pre, to_host)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadParameterError
+from .errors import BadParameterError, _require_ints
 from .graph import Graph, build_graph
 
 
@@ -37,6 +37,7 @@ class ProductGraph:
 
 
 def complete(n: int) -> Graph:
+    _require_ints(n=n)
     if n < 1:
         raise BadParameterError("complete graph needs n >= 1")
     labels = [f"v{i}" for i in range(n)]
@@ -44,6 +45,7 @@ def complete(n: int) -> Graph:
 
 
 def complete_bipartite(n: int, m: int) -> Graph:
+    _require_ints(n=n, m=m)
     if n < 1 or m < 1:
         raise BadParameterError("complete bipartite graph needs n, m >= 1")
     labels = [f"x{i}" for i in range(n)] + [f"y{j}" for j in range(m)]
@@ -52,6 +54,7 @@ def complete_bipartite(n: int, m: int) -> Graph:
 
 def star(m: int) -> Graph:
     """K_{1,m}: center index 0, leaves 1..m."""
+    _require_ints(m=m)
     if m < 1:
         raise BadParameterError("star needs m >= 1")
     labels = ["c"] + [f"l{t}" for t in range(1, m + 1)]
@@ -59,6 +62,7 @@ def star(m: int) -> Graph:
 
 
 def path(n: int) -> Graph:
+    _require_ints(n=n)
     if n < 1:
         raise BadParameterError("path needs n >= 1")
     labels = [f"p{i}" for i in range(n)]
@@ -66,6 +70,7 @@ def path(n: int) -> Graph:
 
 
 def cycle(n: int) -> Graph:
+    _require_ints(n=n)
     if n < 3:
         raise BadParameterError("cycle needs n >= 3")
     labels = [f"c{i}" for i in range(n)]
@@ -74,6 +79,7 @@ def cycle(n: int) -> Graph:
 
 def hypercube(d: int) -> Graph:
     """Q_d with vertices labeled by d-bit strings (empty label for d = 0)."""
+    _require_ints(d=d)
     if d < 0:
         raise BadParameterError("hypercube needs d >= 0")
     n = 1 << d
@@ -88,6 +94,7 @@ def spider(legs: int, leg_length: int) -> Graph:
     With leg_length >= 2 the center is a maximum-degree vertex not adjacent
     to any leaf, the canonical host for non-extendable instances.
     """
+    _require_ints(legs=legs, leg_length=leg_length)
     if legs < 1 or leg_length < 1:
         raise BadParameterError("spider needs legs >= 1 and leg_length >= 1")
     labels = ["c"] + [f"s{t}.{k}" for t in range(legs) for k in range(1, leg_length + 1)]

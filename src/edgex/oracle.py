@@ -21,8 +21,9 @@ from .errors import (
     InapplicableError,
     InvalidPrecoloringError,
     ProofInvariantError,
+    _require_ints,
 )
-from .extension import Precoloring, _require_ints, validate_precoloring
+from .extension import Precoloring, validate_precoloring
 from .families import ProductGraph, cartesian_product, complete_bipartite
 from .graph import (
     Edge,
@@ -55,11 +56,7 @@ def decide_extendable(
     _require_ints(palette=palette)
     if budget is not None:
         _require_ints(budget=budget)
-    entries = _prescribed_edges(g, pre)
-    for e, c in entries.items():
-        if not (type(c) is int and 1 <= c <= palette):
-            raise BadParameterError(f"prescribed color {c} on {e} outside 1..{palette}")
-
+    entries = _prescribed_edges(g, pre, palette)
     domains = {
         e: {entries[e]} if e in entries else set(range(1, palette + 1)) for e in g.edges
     }
@@ -69,20 +66,23 @@ def decide_extendable(
     if assignment is None:
         return None
     witness = EdgeColoring(palette_size=palette, assignment=assignment)
-    report = verify_proper(g, witness)
-    if not report.ok or any(witness.assignment[e] != c for e, c in entries.items()):
+    report = verify_proper(g, witness, prescribed=entries)
+    if not report.ok:
         raise ProofInvariantError(f"search produced an invalid witness: {report}")
     return witness
 
 
-def _prescribed_edges(g: Graph, pre: Precoloring) -> dict[Edge, int]:
-    """The prescription by canonical edge; BadParameterError when two keys
-    name one edge, UnknownEdgeError for a key that names none."""
+def _prescribed_edges(g: Graph, pre: Precoloring, palette: int) -> dict[Edge, int]:
+    """The prescription by canonical edge; UnknownEdgeError for a key that
+    names no edge, BadParameterError when two keys name one edge or a color
+    is not an int in 1..palette (a bool is not)."""
     entries: dict[Edge, int] = {}
     for key, c in pre.entries.items():
         e = g.check_edge(key)
         if e in entries:
             raise BadParameterError(f"edge {e} prescribed twice")
+        if not (type(c) is int and 1 <= c <= palette):
+            raise BadParameterError(f"prescribed color {c!r} on {e} outside 1..{palette}")
         entries[e] = c
     return entries
 
@@ -204,12 +204,14 @@ def check_local_obstruction(
 ) -> ObstructionCertificate | None:
     """Search saturated vertices for a color blocked on every incident edge.
 
-    A declared palette that is not an int raises InvalidPrecoloringError, an
-    edge prescribed under both of its key orders BadParameterError.
+    A declared palette that is not an int raises InvalidPrecoloringError; an
+    edge prescribed under both of its key orders, or a color that is not an
+    int in 1..palette_size, BadParameterError, so no certificate ever names
+    a color outside the palette.
     """
     _require_ints(InvalidPrecoloringError, palette_size=pre.palette_size)
     g = p.graph if isinstance(p, ProductGraph) else p
-    entries = _prescribed_edges(g, pre)
+    entries = _prescribed_edges(g, pre, pre.palette_size)
     by_color: dict[int, list[Edge]] = {}
     for e, c in sorted(entries.items()):
         by_color.setdefault(c, []).append(e)

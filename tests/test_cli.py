@@ -199,6 +199,18 @@ class TestExtendVerify:
         pre2 = write_pre(tmp_path, Precoloring(2, {(0, 1): 2}), "pre2")
         assert main(["verify", g, str(col), "--pre", pre2]) == 1
 
+    def test_verify_reports_non_edges_and_disagreements(self, tmp_path, capsys):
+        g = write_graph(tmp_path, path(3), "p3")
+        col = tmp_path / "col.json"
+        rows = [(0, 1, 1), (1, 2, 2), (0, 2, 1), (5, 9, 2)]
+        write_doc(col, {"palette_size": 2, "assignment": [{"u": u, "v": v, "color": c} for u, v, c in rows]})
+        pre = write_pre(tmp_path, Precoloring(2, {(1, 2): 1}))
+        assert main(["verify", g, str(col), "--pre", pre]) == 1
+        assert capsys.readouterr().out == (
+            "edge (1, 2) prescribed 1 but colored 2; "
+            "pair (0, 2) colored but not an edge; pair (5, 9) colored but not an edge\n"
+        )
+
 
 class TestOracle:
     def test_extendable_exit_0(self, tmp_path):

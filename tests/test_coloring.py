@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from edgex import (
     EdgeColoring,
     bipartition,
+    color_fibers,
     demand_list_color,
     build_graph,
     complete_bipartite,
@@ -33,6 +34,7 @@ from edgex.errors import (
     MissingEdgeError,
     NotBipartiteError,
     OddOrderError,
+    UnknownEdgeError,
 )
 
 from helpers import (
@@ -625,6 +627,49 @@ class TestVerifyProper:
         g = path(4)
         with pytest.raises(MissingEdgeError, match=r"misses edges \[\(0, 1\), \(2, 3\)\]"):
             verify_proper(g, EdgeColoring(2, {(1, 2): 1}))
+
+    def test_disagreement_with_a_prescription(self):
+        g = path(3)
+        col = EdgeColoring(2, {(0, 1): 1, (1, 2): 2})
+        report = verify_proper(g, col, prescribed={(2, 1): 1, (1, 0): 1})
+        assert report.disagreements == (((1, 2), 1, 2),)
+        assert not report.ok and str(report) == "edge (1, 2) prescribed 1 but colored 2"
+        assert verify_proper(g, col, prescribed={(1, 0): 1}).ok
+
+    def test_uncolored_prescribed_pair_got_none(self):
+        g = path(3)
+        col = EdgeColoring(2, {(0, 1): 1, (1, 2): 2})
+        assert verify_proper(g, col, prescribed={(0, 2): 1}).disagreements == (((0, 2), 1, None),)
+
+    def test_malformed_prescription_key(self):
+        col = EdgeColoring(1, {(0, 1): 1})
+        with pytest.raises(UnknownEdgeError):
+            verify_proper(path(2), col, prescribed={(0, 1, 2): 1})
+
+    def test_colored_non_edges(self):
+        g = path(3)
+        col = EdgeColoring(2, {(0, 1): 1, (1, 2): 2, (0, 2): 1, (5, 9): 2})
+        report = verify_proper(g, col)
+        assert report.not_edges == ((0, 2), (5, 9))
+        assert not report.ok
+        assert str(report) == "pair (0, 2) colored but not an edge; pair (5, 9) colored but not an edge"
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (demand_list_color, "lists"),
+        (galvin_list_color, "lists"),
+        (exact_list_color, "lists"),
+        (lambda g, lists: make_list_assignment(g, lists.lists), "lists"),
+        (lambda g, lists: color_fibers(g, 1, EdgeColoring(3, dict.fromkeys(lists.lists, 1)), {}), "base coloring"),
+    ],
+    ids=["demand", "galvin", "exact", "make_list_assignment", "color_fibers"],
+)
+def test_missing_edges_named(call, what):
+    lists = ListAssignment(lists={(0, 1): (1, 2), (2, 3): (1, 2)})
+    with pytest.raises(MissingEdgeError, match=rf"^{what} misses edges \[\(1, 2\)\]$"):
+        call(path(4), lists)
 
 
 @st.composite

@@ -714,3 +714,50 @@ def test_m4_products_still_extend():
     st = cartesian_product(g, star(4))
     assert verify_proper(st.graph, col).ok
     assert col.assignment[(0, 5)] == 6
+
+
+class TestOnePipeline:
+    """Every extend_* runs the one pipeline: G bipartitioned before any
+    product is built, one final verify_proper given the prescription."""
+
+    @pytest.mark.parametrize("extend", [extend_over_complete, extend_over_hypercube, extend_over_star])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_non_bipartite_g_first_with_an_odd_cycle_of_g(self, monkeypatch, extend, m):
+        def no_product(g, h):
+            raise AssertionError("a product was built before G was bipartitioned")
+
+        monkeypatch.setattr(extension, "cartesian_product", no_product)
+        g = cycle(5)
+        with pytest.raises(NotBipartiteError) as exc:
+            extend(g, m, Precoloring(99, {(0, 10**6): 0}))
+        odd = exc.value.odd_cycle
+        assert len(odd) % 2 == 1 and len(set(odd)) == len(odd)
+        assert all(g.has_edge(u, v) for u, v in zip(odd, odd[1:] + odd[:1]))
+
+    def test_hypercube_palette_before_validation(self):
+        with pytest.raises(InvalidPrecoloringError, match="Q_3 requires palette 3"):
+            extend_hypercube(3, Precoloring(4, {(0, 99): 0}))
+
+    @every_extend
+    def test_one_final_check_with_the_prescription(self, monkeypatch, extend):
+        checked = []
+
+        def recording(g, col, lists=None, prescribed=None):
+            checked.append(prescribed)
+            return verify_proper(g, col, lists, prescribed)
+
+        monkeypatch.setattr(extension, "verify_proper", recording)
+        entries = {(1, 0): 1}
+        extend(Precoloring(3, entries))
+        assert checked == [entries]
+
+    @every_extend
+    def test_final_check_catches_a_disagreement(self, monkeypatch, extend):
+        def recolored(*args):
+            out = color_fibers(*args)
+            out[(0, 1)] = 3 - out[(0, 1)] % 3
+            return out
+
+        monkeypatch.setattr(extension, "color_fibers", recolored)
+        with pytest.raises(ProofInvariantError, match=r"edge \(0, 1\) prescribed 1 but colored"):
+            extend(Precoloring(3, {(0, 1): 1}))

@@ -13,6 +13,7 @@ from edgex import (
     extend_over_star,
     hypercube,
     max_degree,
+    one_factorization,
     path,
     spider,
     standard_family,
@@ -75,6 +76,16 @@ class TestStandardFamilies:
             lambda: hypercube(-1),
             lambda: spider(0, 1),
             lambda: complete(0),
+            # parameters that are not ints (a bool is not)
+            lambda: complete(2.5),
+            lambda: complete_bipartite(2, True),
+            lambda: star(True),
+            lambda: path(True),
+            lambda: cycle(5.0),
+            lambda: hypercube("3"),
+            lambda: hypercube(True),
+            lambda: spider(2, 1.5),
+            lambda: one_factorization(4.0),
         ],
     )
     def test_bad_parameters(self, bad):

@@ -291,6 +291,35 @@ class TestLocalObstruction:
         with pytest.raises(InvalidPrecoloringError, match="palette_size must be an int"):
             check_local_obstruction(hypercube(3), Precoloring("3", {(0, 1): 1}))
 
+    @pytest.mark.parametrize("color", [99, [1], 1.5, True], ids=["off-palette", "list", "float", "bool"])
+    def test_colors_outside_the_palette_rejected(self, color):
+        # a certificate for color 99 of a palette of 6 would prove nothing
+        inst = build_blocked_hub_instance(spider(3, 2), spider(3, 2))
+        pre = Precoloring(6, dict.fromkeys(inst.precoloring.entries, color))
+        with pytest.raises(BadParameterError, match=r"prescribed color .* on \(7, 14\) outside 1\.\.6"):
+            check_local_obstruction(inst.product, pre)
+
+    @pytest.mark.parametrize(
+        "left, right, witnesses",
+        [
+            (
+                (3, 2),
+                (3, 2),
+                {(0, 1): (1, 2), (0, 3): (3, 4), (0, 5): (5, 6), (0, 7): (7, 14), (0, 21): (21, 28),
+                 (0, 35): (35, 42)},
+            ),
+            (
+                (3, 3),
+                (2, 2),
+                {(0, 1): (1, 2), (0, 3): (3, 4), (0, 5): (5, 10), (0, 20): (20, 25), (0, 35): (35, 40)},
+            ),
+        ],
+    )
+    def test_blocked_hub_certificates_unchanged(self, left, right, witnesses):
+        inst = build_blocked_hub_instance(spider(*left), spider(*right))
+        cert = check_local_obstruction(inst.product, inst.precoloring)
+        assert (cert.hub, cert.blocked_color, cert.witnesses) == (0, 1, witnesses)
+
     def test_no_false_obstruction_on_valid_instances(self):
         rng = random.Random(22)
         for _ in range(20):

@@ -250,12 +250,13 @@ def galvin_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
     Edges are oriented once as (x, y), x in X. The base is a König
     coloring, Kempe-flipped until out(e) < |L(e)| on every edge (see
     ``_certify_base``); ListTooShortError when that fails. Each X vertex's
-    edges are sorted once by base color. Per palette color, ascending, the
-    uncolored edges whose list holds it are matched by deferred acceptance
-    (X proposes along its sorted edges, skipping the rest; Y holds the
-    highest base color). The stable matching is a kernel, so every
-    unmatched edge is dominated by a newly colored out-neighbor and can
-    afford to lose that color, which no later round reads.
+    edges are sorted once by base color. Per palette color, ascending, until
+    every edge is colored, the uncolored edges whose list holds it are
+    matched by deferred acceptance (X proposes along its sorted edges,
+    skipping the rest; Y holds the highest base color). The stable matching
+    is a kernel, so every unmatched edge is dominated by a newly colored
+    out-neighbor and can afford to lose that color, which no later round
+    reads.
     """
     sides = bipartition(g)
     _require_covered(g, lists.lists, "lists")
@@ -287,8 +288,11 @@ def _galvin_list_color(g: Graph, lists: ListAssignment, sides: Bipartition) -> E
     colored: dict[Edge, int] = {}
     palette = sorted(set().union(*sets.values()))
 
+    uncolored = list(g.edges)
     for k in palette:
-        rough = [e for e in g.edges if e not in colored and k in allowed[e]]
+        if not uncolored:  # later rounds would find nothing to match
+            break
+        rough = [e for e in uncolored if k in allowed[e]]
         wants = set(rough)
         todo = {x: iter(prefs[x]) for x in sorted({ends[e][0] for e in rough})}
         held: dict[int, Edge] = {}  # y -> the edge it holds
@@ -311,6 +315,8 @@ def _galvin_list_color(g: Graph, lists: ListAssignment, sides: Bipartition) -> E
                 free.append(x)
         matched = set(held.values())
         colored.update(dict.fromkeys(matched, k))
+        if matched:
+            uncolored = [e for e in uncolored if e not in matched]
         at_x = {ends[e][0]: e for e in matched}
         for e in rough:
             x, y = ends[e]

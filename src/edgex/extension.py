@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import islice
 
 from .coloring import (
     EdgeColoring,
@@ -43,8 +44,8 @@ from .graph import (
     Edge,
     Graph,
     _edge_key,
+    _graph,
     bipartition,
-    build_graph,
     canonical_edge,
     close_edge_pairs,
     max_degree,
@@ -133,11 +134,14 @@ def reduce_instance(g: Graph, m: int, pre: Precoloring) -> ReducedInstance:
     of a base edge, which is removed) from fiber entries (inside one base
     vertex's K_{2m}) by the vertex indexing, and records the color each
     blocks at its base vertices. Keys are checked against G box K_{2m} by
-    index arithmetic, without building it. A residual edge's list is the
-    palette minus the colors blocked at its two ends. On valid input each
+    index arithmetic, without building it. The residual is g less the
+    removed edges, by filtering (g itself when none is removed). A residual
+    edge's list is the palette minus the colors blocked at its two ends,
+    one tuple per distinct set of blocked colors. On valid input each
     base vertex is blocked at most once, so a list loses at most two colors
     and never drops below the endpoint-degree demand; any breach of that is
-    a validation bug and raises ProofInvariantError.
+    a validation bug and raises ProofInvariantError. A color that is not an
+    int raises BadParameterError once the entries are classified.
     """
     _require_positive(m=m)
     width = 2 * m
@@ -161,19 +165,36 @@ def reduce_instance(g: Graph, m: int, pre: Precoloring) -> ReducedInstance:
             if x in blocked:
                 raise ProofInvariantError(f"base vertex {x} blocked twice")
             blocked[x] = color
+    for x, color in blocked.items():  # lists are keyed by blocked colors
+        if type(color) is not int:
+            raise BadParameterError(f"color {color!r} blocked at base vertex {x} is not an int")
 
-    residual = build_graph(g.labels, [e for e in g.edges if e not in forced_layer])
+    residual = g
+    if forced_layer:
+        adjacency = list(g.adjacency)
+        for e in forced_layer:
+            for x in e:
+                adjacency[x] = tuple(w for w in adjacency[x] if canonical_edge(x, w) != e)
+        edges = tuple(e for e in g.edges if e not in forced_layer)
+        residual = _graph(g.labels, edges, tuple(adjacency))
+    degree = [len(ns) for ns in residual.adjacency]
     full = tuple(range(1, max_degree(g) + width))
+    without: dict[frozenset[int], tuple[int, ...]] = {}  # lost colors -> list
     lists: dict[Edge, tuple[int, ...]] = {}
     for e in residual.edges:
-        lost = [blocked[x] for x in e if x in blocked]
-        lists[e] = tuple(c for c in full if c not in lost) if lost else full
-        demand = max(residual.degree(e[0]), residual.degree(e[1]))
+        u, v = e
+        lost = None
+        if u in blocked or v in blocked:
+            lost = frozenset(blocked[x] for x in e if x in blocked)
+            if lost not in without:
+                without[lost] = tuple(c for c in full if c not in lost)
+        lists[e] = full if lost is None else without[lost]
+        demand = max(degree[u], degree[v])
         if len(lists[e]) < demand:
             raise ProofInvariantError(f"list of {e} shorter than its demand {demand}")
         # for m = 1 a fiber entry at one end leaves no room for any entry at
         # the other: both ends lie within distance 1 in G box K_2
-        if m == 1 and len(set(lost)) == 2 and any(x in fiber_prescriptions for x in e):
+        if m == 1 and len(lost or ()) == 2 and any(x in fiber_prescriptions for x in e):
             raise ProofInvariantError(f"edge {e} lost two colors without two removed edges")
     return ReducedInstance(
         base_residual=residual,
@@ -196,35 +217,53 @@ def color_fibers(
     2m - 1 colors remain at each vertex: exactly enough for a 1-factorization
     of K_{2m}. The class containing a prescribed pair is pinned to its
     prescribed color; the other classes take the remaining chosen colors in
-    ascending class order.
+    ascending class order. The slots of the 1-factorization are laid out
+    once and every fiber is emitted from them.
+
+    A prescription maps a vertex of g to (pair, color): an edge of K_{2m},
+    in either order, and an int color. A vertex outside g raises
+    VertexIndexError, a pair that is no edge of K_{2m} UnknownEdgeError, and
+    an entry of any other shape or a color that is not an int
+    BadParameterError.
     """
+    _require_positive(m=m)
     _require_covered(g, base_coloring.assignment, "base coloring")
-    palette = base_coloring.palette_size
-    classes = one_factorization(2 * m)
     width = 2 * m
+    classes = one_factorization(width)
+    slots = [(t, p, q) for t, cls in enumerate(classes) for p, q in cls]
+    class_of = {(p, q): t for t, p, q in slots}
+    pinned: dict[int, tuple[int, int]] = {}  # base vertex -> (class, color)
+    for u, entry in fiber_prescriptions.items():
+        g.check_vertex(u)
+        if not (isinstance(entry, tuple) and len(entry) == 2 and type(entry[1]) is int):
+            raise BadParameterError(
+                f"fiber prescription {entry!r} at base vertex {u} is not (pair, int color)"
+            )
+        try:
+            pinned[u] = (class_of[_edge_key(entry[0])], entry[1])
+        except (UnknownEdgeError, KeyError):
+            raise UnknownEdgeError(
+                f"fiber prescription {entry!r} at base vertex {u} names no edge of K_{width}"
+            ) from None
+    palette = range(1, base_coloring.palette_size + 1)
     out: dict[Edge, int] = {}
     for u in range(g.n):
         used = {base_coloring.assignment[e] for e in g.incident_edges(u)}
-        avail = [c for c in range(1, palette + 1) if c not in used]
-        if len(avail) < 2 * m - 1:
+        # the first 2m - 1 free colors are all any class can take
+        avail = list(islice((c for c in palette if c not in used), width - 1))
+        if len(avail) < width - 1:
             raise ProofInvariantError(f"only {len(avail)} colors free at base vertex {u}")
-        prescription = fiber_prescriptions.get(u)
-        if prescription is None:
-            class_color = {t: c for t, c in enumerate(avail[: 2 * m - 1])}
-        else:
-            pair, color = prescription
-            if color not in avail:
+        if u in pinned:
+            target, color = pinned[u]
+            if color not in palette or color in used:
                 raise ProofInvariantError(
-                    f"prescribed fiber color {color} already used at base vertex {u}"
+                    f"prescribed fiber color {color} is not free at base vertex {u}"
                 )
-            rest = [c for c in avail if c != color][: 2 * m - 2]
-            target = next(t for t, cls in enumerate(classes) if pair in cls)
-            class_color = {target: color}
-            others = [t for t in range(2 * m - 1) if t != target]
-            class_color.update(zip(others, rest))
-        for t, cls in enumerate(classes):
-            for (p, q) in cls:
-                out[(u * width + p, u * width + q)] = class_color[t]
+            rest = [c for c in avail if c != color][: width - 2]
+            avail = rest[:target] + [color] + rest[target:]
+        s = u * width
+        for t, p, q in slots:
+            out[(s + p, s + q)] = avail[t]
     return out
 
 

@@ -10,6 +10,11 @@ same indexed graph, which the extension pipeline relies on. Star K_{1,m} has
 its center at index 0 and leaves at 1..m, so K_{1,m-1} is K_{1,m} without
 its last leaf; the extension pipeline places G x K_{1,m} inside
 (G x K_{1,m-1}) x K_2 by that indexing.
+
+Products and hypercubes are emitted with canonical edges in lexicographic
+order and sorted adjacency by construction, in one pass and unchecked: their
+inputs are Graphs or a checked dimension. The small families with user
+parameters go through build_graph, the checked entry for outside input.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadParameterError, _require_ints
-from .graph import Graph, build_graph
+from .graph import Edge, Graph, _graph, build_graph
 
 
 @dataclass(frozen=True)
@@ -83,9 +88,17 @@ def hypercube(d: int) -> Graph:
     if d < 0:
         raise BadParameterError("hypercube needs d >= 0")
     n = 1 << d
-    labels = [format(i, f"0{d}b") if d else "" for i in range(n)]
-    pairs = [(i, i | (1 << b)) for i in range(n) for b in range(d) if not i & (1 << b)]
-    return build_graph(labels, pairs)
+    labels = tuple(format(i, f"0{d}b") if d else "" for i in range(n))
+    bits = [1 << b for b in range(d)]
+    high_first = bits[::-1]
+    edges = tuple((i, i | t) for i in range(n) for t in bits if not i & t)
+    # lower neighbors clear a set bit, highest first; upper ones set a clear
+    # bit, lowest first: ascending either way
+    adjacency = tuple(
+        tuple([i ^ t for t in high_first if i & t] + [i | t for t in bits if not i & t])
+        for i in range(n)
+    )
+    return _graph(labels, edges, adjacency)
 
 
 def spider(legs: int, leg_length: int) -> Graph:
@@ -128,10 +141,30 @@ def standard_family(kind: str, *params: int) -> Graph:
 
 def cartesian_product(g: Graph, h: Graph) -> ProductGraph:
     """G box H: a layer copy of G for every vertex of H (edges (u,w)-(v,w))
-    and a fiber copy of H for every vertex of G (edges (u,w)-(u,z))."""
+    and a fiber copy of H for every vertex of G (edges (u,w)-(u,z)).
+
+    One pass over both adjacencies, in product index order, emits canonical
+    edges already sorted and sorted adjacency, without build_graph's checks.
+    Vertex a = u*k + w starts its fiber edges to u*k + z, z > w in H, then
+    its layer edges to v*k + w, v > u in G: every fiber end lies below
+    (u+1)*k and every layer end at or above it. Its neighbors are the lower
+    layer ones, its whole fiber, then the upper layer ones.
+    """
     k = h.n
-    labels = [f"{lu}|{lw}" for lu in g.labels for lw in h.labels]
-    layer = [(u * k + w, v * k + w) for (u, v) in g.edges for w in range(k)]
-    fiber = [(u * k + w, u * k + z) for u in range(g.n) for (w, z) in h.edges]
-    return ProductGraph(graph=build_graph(labels, layer + fiber), left_order=g.n, right_order=k)
+    labels = tuple(f"{lu}|{lw}" for lu in g.labels for lw in h.labels)
+    above = [[z for z in ns if z > w] for w, ns in enumerate(h.adjacency)]
+    edges: list[Edge] = []
+    adjacency = []
+    for u, ns in enumerate(g.adjacency):
+        s = u * k
+        lower = [v * k for v in ns if v < u]
+        upper = [v * k for v in ns if v > u]
+        for w, fiber in enumerate(h.adjacency):
+            a = s + w
+            up = [b + w for b in upper]
+            edges += [(a, s + z) for z in above[w]]
+            edges += [(a, b) for b in up]
+            adjacency.append(tuple([b + w for b in lower] + [s + z for z in fiber] + up))
+    graph = _graph(labels, tuple(edges), tuple(adjacency))
+    return ProductGraph(graph=graph, left_order=g.n, right_order=k)
 

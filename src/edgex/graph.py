@@ -84,10 +84,13 @@ class Bipartition:
 def build_graph(labels, pairs) -> Graph:
     """Build a Graph from vertex labels and unordered index pairs.
 
-    Pairs are canonicalized to (min, max); duplicates (in either order) and
-    self-loops are rejected, and so is a pair that is not two int indices
-    in range. Adjacency lists come out sorted, so identical input always
-    yields an identical graph.
+    The one checked constructor, for input from outside the library (files,
+    the CLI, family constructors with user parameters). Pairs are
+    canonicalized to (min, max); duplicates (in either order) and self-loops
+    are rejected, and so is a pair that is not two int indices in range.
+    Adjacency lists come out sorted, so identical input always yields an
+    identical graph. Graphs derived from Graphs (products, hypercubes,
+    residuals) are emitted in canonical order by construction instead.
     """
     labels = tuple(str(x) for x in labels)
     n = len(labels)
@@ -113,6 +116,15 @@ def build_graph(labels, pairs) -> Graph:
         neighbors[u].append(v)
         neighbors[v].append(u)
     adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
+    return _graph(labels, edges, adjacency)
+
+
+def _graph(
+    labels: tuple[str, ...], edges: tuple[Edge, ...], adjacency: tuple[tuple[int, ...], ...]
+) -> Graph:
+    """A Graph whose invariants hold by construction, unchecked: labels are
+    str, edges are distinct canonical pairs in lexicographic order, and
+    adjacency holds each vertex's sorted neighbors along those edges."""
     return Graph(labels=labels, edges=edges, adjacency=adjacency, edge_set=frozenset(edges))
 
 

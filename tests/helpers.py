@@ -29,6 +29,7 @@ from edgex import (
     Graph,
     ListAssignment,
     Precoloring,
+    ProductGraph,
     ReducedInstance,
     bipartition,
     build_graph,
@@ -36,8 +37,9 @@ from edgex import (
     hypercube,
     konig_color,
     max_degree,
+    one_factorization,
 )
-from edgex.coloring import _flip_alternating_path, _flip_cap
+from edgex.coloring import _flip_alternating_path, _flip_cap, _require_covered
 from edgex.errors import (
     BadParameterError,
     BudgetExceededError,
@@ -445,6 +447,68 @@ def reference_reduce_instance(g: Graph, m: int, pre: Precoloring) -> ReducedInst
         forced_layer=forced_layer,
         fiber_prescriptions=fiber_prescriptions,
     )
+
+
+# ---------------------------------------------------------------------------
+# reference product builds and fibers
+
+
+def reference_cartesian_product(g: Graph, h: Graph) -> ProductGraph:
+    """The library's cartesian_product before the one ordered pass: layer
+    and fiber pairs handed to build_graph, which checks and sorts them;
+    kept as a test oracle."""
+    k = h.n
+    labels = [f"{lu}|{lw}" for lu in g.labels for lw in h.labels]
+    layer = [(u * k + w, v * k + w) for (u, v) in g.edges for w in range(k)]
+    fiber = [(u * k + w, u * k + z) for u in range(g.n) for (w, z) in h.edges]
+    return ProductGraph(graph=build_graph(labels, layer + fiber), left_order=g.n, right_order=k)
+
+
+def reference_hypercube(d: int) -> Graph:
+    """The library's hypercube before the ordered build, through build_graph."""
+    n = 1 << d
+    labels = [format(i, f"0{d}b") if d else "" for i in range(n)]
+    pairs = [(i, i | (1 << b)) for i in range(n) for b in range(d) if not i & (1 << b)]
+    return build_graph(labels, pairs)
+
+
+def reference_color_fibers(
+    g: Graph,
+    m: int,
+    base_coloring: EdgeColoring,
+    fiber_prescriptions: dict[int, tuple[Edge, int]],
+) -> dict[Edge, int]:
+    """The library's color_fibers before the slot template (free colors and
+    the prescribed pair's class found per base vertex); a test oracle for
+    prescriptions as reduce_instance gives them."""
+    _require_covered(g, base_coloring.assignment, "base coloring")
+    palette = base_coloring.palette_size
+    classes = one_factorization(2 * m)
+    width = 2 * m
+    out: dict[Edge, int] = {}
+    for u in range(g.n):
+        used = {base_coloring.assignment[e] for e in g.incident_edges(u)}
+        avail = [c for c in range(1, palette + 1) if c not in used]
+        if len(avail) < 2 * m - 1:
+            raise ProofInvariantError(f"only {len(avail)} colors free at base vertex {u}")
+        prescription = fiber_prescriptions.get(u)
+        if prescription is None:
+            class_color = {t: c for t, c in enumerate(avail[: 2 * m - 1])}
+        else:
+            pair, color = prescription
+            if color not in avail:
+                raise ProofInvariantError(
+                    f"prescribed fiber color {color} already used at base vertex {u}"
+                )
+            rest = [c for c in avail if c != color][: 2 * m - 2]
+            target = next(t for t, cls in enumerate(classes) if pair in cls)
+            class_color = {target: color}
+            others = [t for t in range(2 * m - 1) if t != target]
+            class_color.update(zip(others, rest))
+        for t, cls in enumerate(classes):
+            for (p, q) in cls:
+                out[(u * width + p, u * width + q)] = class_color[t]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgex import (
     EdgeColoring,
@@ -20,6 +22,7 @@ from edgex import (
     hypercube,
     konig_color,
     max_degree,
+    one_factorization,
     path,
     reduce_instance,
     star,
@@ -32,6 +35,7 @@ from edgex.errors import (
     NotBipartiteError,
     ProofInvariantError,
     UnknownEdgeError,
+    VertexIndexError,
 )
 from edgex import extension
 from edgex.extension import require_valid
@@ -44,6 +48,7 @@ from helpers import (
     random_connected_bipartite,
     random_tree,
     random_valid_precoloring,
+    reference_color_fibers,
     reference_reduce_instance,
     roadmap_cube_instance,
     complete_factor_palette,
@@ -181,7 +186,7 @@ class TestReduce:
     def test_no_precoloring_is_identity(self):
         g = path(4)
         red = reduce_instance(g, 1, Precoloring(3, {}))
-        assert red.base_residual.edges == g.edges
+        assert red.base_residual is g
         assert all(red.lists.lists[e] == (1, 2, 3) for e in g.edges)
 
     def test_p5_straddled_middle_edge(self):
@@ -286,6 +291,11 @@ class TestReduce:
             ref = reference_reduce_instance(g, m, pre)
             assert red == ref
             assert list(red.lists.lists.items()) == list(ref.lists.lists.items())
+            # the residual is g itself unless an edge is removed, and equal
+            # lists are one tuple
+            assert (red.base_residual is g) == (not red.forced_layer)
+            lists = red.lists.lists.values()
+            assert len({id(t) for t in lists}) == len(set(lists))
 
     @pytest.mark.parametrize(
         "g, m, entries, message",
@@ -324,10 +334,40 @@ class TestReduce:
             with pytest.raises(UnknownEdgeError, match="not a pair of ints"):
                 reduce_instance(path(2), 1, Precoloring(2, entries))
 
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("color", [[1], "a", 1.0, True])
+    def test_non_integer_color_is_a_bad_parameter(self, m, color):
+        with pytest.raises(BadParameterError, match=r"blocked at base vertex 0 is not an int"):
+            reduce_instance(path(3), m, Precoloring(3, {(0, 2 * m): color}))
+
     @pytest.mark.parametrize("m", [1.5, "2", True, None])
     def test_non_integer_m(self, m):
         with pytest.raises(BadParameterError, match="m must be an int"):
             reduce_instance(path(2), m, Precoloring(2, {}))
+
+
+@st.composite
+def fiber_instances(draw, max_n=7):
+    """A bipartite G, m, a König coloring of G spread over the palette
+    max_degree + 2m - 1, and prescriptions at some vertices: a pair of any
+    1-factor class of K_2m with a color free at that vertex."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if side[u] != side[v]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = build_graph([f"v{i}" for i in range(n)], edges)
+    m = draw(st.integers(min_value=1, max_value=3))
+    palette = max_degree(g) + 2 * m - 1
+    spread = draw(st.permutations(range(1, palette + 1)))
+    base = EdgeColoring(palette, {e: spread[c - 1] for e, c in konig_color(g).assignment.items()})
+    classes = one_factorization(2 * m)
+    prescriptions = {}
+    for u in draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True)):
+        pair = draw(st.sampled_from(classes[draw(st.integers(min_value=0, max_value=2 * m - 2))]))
+        used = {base.assignment[e] for e in g.incident_edges(u)}
+        free = [c for c in range(1, palette + 1) if c not in used]
+        prescriptions[u] = (pair, draw(st.sampled_from(free)))
+    return g, m, base, prescriptions
 
 
 class TestColorFibers:
@@ -345,21 +385,75 @@ class TestColorFibers:
         fibers = color_fibers(g, 1, base, {0: ((0, 1), 2)})
         assert fibers[(0, 1)] == 2
 
-    def test_m2_prescribed_pair_lands_in_its_class(self):
+    @pytest.mark.parametrize("pair", [(0, 2), (2, 0)])
+    def test_m2_prescribed_pair_lands_in_its_class(self, pair):
         g = build_graph(["u"], [])
         base = EdgeColoring(5, {})
-        # pair {a_1, a_3} = indices (0, 2); round-robin classes of K_4 are
-        # [(0,3),(1,2)], [(0,2),(1,3)], [(0,1),(2,3)] so class 1 is pinned
-        fibers = color_fibers(g, 2, base, {0: ((0, 2), 5)})
+        # pair {a_1, a_3} = indices (0, 2), in either order; round-robin
+        # classes of K_4 are [(0,3),(1,2)], [(0,2),(1,3)], [(0,1),(2,3)] so
+        # class 1 is pinned
+        fibers = color_fibers(g, 2, base, {0: (pair, 5)})
         assert fibers[(0, 2)] == 5 and fibers[(1, 3)] == 5
         assert fibers[(0, 3)] == fibers[(1, 2)] == 1
         assert fibers[(0, 1)] == fibers[(2, 3)] == 2
 
-    def test_unavailable_prescription_is_internal_error(self):
+    @pytest.mark.parametrize("color", [1, 3, 0])  # used, past the palette, below it
+    def test_unavailable_prescription_is_internal_error(self, color):
         g = path(2)
         base = EdgeColoring(2, {(0, 1): 1})
-        with pytest.raises(ProofInvariantError):
-            color_fibers(g, 1, base, {0: ((0, 1), 1)})
+        with pytest.raises(ProofInvariantError, match=f"color {color} is not free at base vertex 0"):
+            color_fibers(g, 1, base, {0: ((0, 1), color)})
+
+    @pytest.mark.parametrize(
+        "m, prescriptions, error, message",
+        [
+            (1, {0: ((0, 5), 2)}, UnknownEdgeError, r"\(\(0, 5\), 2\) at base vertex 0 names no edge"),
+            (2, {1: ((1, 1), 2)}, UnknownEdgeError, "names no edge of K_4"),
+            (1, {0: ([0, 1], 2)}, UnknownEdgeError, "names no edge"),
+            (1, {0: ((0, 1, 2), 2)}, UnknownEdgeError, "names no edge"),
+            (1, {0: "x"}, BadParameterError, r"'x' at base vertex 0 is not \(pair, int color\)"),
+            (1, {0: ((0, 1),)}, BadParameterError, "is not"),
+            (1, {0: ((0, 1), 2.0)}, BadParameterError, "is not"),
+            (1, {0: ((0, 1), True)}, BadParameterError, "is not"),
+            (1, {0: ((0, 1), [2])}, BadParameterError, "is not"),
+            (1, {5: ((0, 1), 2)}, VertexIndexError, r"vertex 5 not in 0\.\.1"),
+            (1, {-1: ((0, 1), 2)}, VertexIndexError, "vertex -1"),
+            (1, {True: ((0, 1), 2)}, VertexIndexError, "vertex True"),
+            (True, {}, BadParameterError, "m must be an int"),
+            (1.0, {}, BadParameterError, "m must be an int"),
+            (0, {}, BadParameterError, "m must be >= 1"),
+        ],
+        ids=[
+            "pair-outside", "loop-pair", "list-pair", "triple-pair", "string", "one-item",
+            "float-color", "bool-color", "list-color", "vertex-5", "vertex-neg", "vertex-bool",
+            "m-bool", "m-float", "m-zero",
+        ],
+    )
+    def test_bad_input_is_an_edgex_error(self, m, prescriptions, error, message):
+        base = EdgeColoring(2, {(0, 1): 1})
+        with pytest.raises(error, match=message):
+            color_fibers(path(2), m, base, prescriptions)
+
+    @given(fiber_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, instance):
+        g, m, base, prescriptions = instance
+        got = color_fibers(g, m, base, prescriptions)
+        assert list(got.items()) == list(reference_color_fibers(g, m, base, prescriptions).items())
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_every_class_matches_reference(self, m):
+        # each pair of K_2m prescribed at the middle of P_3, with each free color
+        g = path(3)
+        base = EdgeColoring(2 * m + 1, {(0, 1): 1, (1, 2): 2})
+        for t, cls in enumerate(one_factorization(2 * m)):
+            for pair in cls:
+                for color in range(3, 2 * m + 2):
+                    prescriptions = {1: (pair, color)}
+                    got = color_fibers(g, m, base, prescriptions)
+                    ref = reference_color_fibers(g, m, base, prescriptions)
+                    assert list(got.items()) == list(ref.items())
+                    assert all(got[(2 * m + p, 2 * m + q)] == color for p, q in cls)
 
 
 class TestExtendOverComplete:

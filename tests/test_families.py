@@ -1,6 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgex import (
     Precoloring,
@@ -27,7 +30,18 @@ from helpers import (
     edge_distance,
     random_connected_bipartite,
     random_distance2_matching,
+    reference_cartesian_product,
+    reference_hypercube,
 )
+
+
+@st.composite
+def factors(draw, max_n=6):
+    """Any simple graph on 1..max_n vertices, edgeless ones included."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return build_graph([f"a{i}" for i in range(n)], edges)
 
 
 class TestStandardFamilies:
@@ -171,6 +185,22 @@ class TestCartesianProduct:
             split = cartesian_product(base, complete(2)).graph
             assert split.n == direct.n
             assert split.edges == direct.edges
+
+
+class TestOrderedBuilds:
+    """Products and hypercubes skip build_graph; they must equal its output."""
+
+    @given(factors(), factors())
+    @example(build_graph(["a"], []), complete(3))
+    @example(complete(3), build_graph(["a"], []))
+    @example(build_graph("abc", []), build_graph("xy", []))
+    @settings(max_examples=200, deadline=None)
+    def test_product_equals_reference(self, g, h):
+        assert cartesian_product(g, h) == reference_cartesian_product(g, h)
+
+    def test_hypercube_equals_reference(self):
+        for d in range(13):
+            assert hypercube(d) == reference_hypercube(d)
 
 
 class TestStarEmbedding:

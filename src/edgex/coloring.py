@@ -12,7 +12,12 @@ Three engines cooperate:
   those at y with a higher one, is below |L(xy)|. Those are the only edges
   a stable matching can use to dominate xy, so no list runs dry. Lists of
   max-degree colors always pass; a shorter one that fails is repaired by
-  Kempe flips of the base.
+  Kempe flips of the base. Inside, an edge is its id, the position in
+  g.edges: ends, base colors and lists sit in flat per-call lists, and each
+  vertex maps a color to the id of its edge of that color, so the König
+  base, the repair and the rounds hash no edge tuple. As g.edges is
+  lexicographic, id order is canonical edge order, so every loop visits
+  the edges as it would by tuple and the output is the same item for item.
 * ``exact_list_color`` is the complete cross-check: backtracking with
   minimum-remaining-values ordering (edges bucketed by colors left),
   forward checking and a pigeonhole cut at every vertex an assignment
@@ -25,9 +30,10 @@ For G box K_2 (so for Q_d, G box Q_m and G box K_{1,m}) a residual edge
 between two prescriptions of different colors keeps a list below max
 degree, so the repair runs on nearly every maximal precolored matching.
 Demand-sized lists always leave a flip for a violating edge; only a repair
-that passes its flip cap falls back to the search, and that fallback is
-logged. A failure of the search is reported as a library bug, never as an
-unsatisfiable instance.
+that passes its flip cap falls back to the search, under a node budget, and
+that fallback is logged. A search that refutes the lists is reported as a
+library bug, never as an unsatisfiable instance; one past its budget as
+inconclusive (BudgetExceededError).
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from .errors import (
     TheoremViolationError,
     _require_ints,
 )
-from .graph import Bipartition, Edge, Graph, _edge_key, bipartition, canonical_edge, max_degree
+from .graph import SIDE_X, Bipartition, Edge, Graph, _edge_key, bipartition, canonical_edge, max_degree
 
 _log = logging.getLogger("edgex")
 
@@ -191,57 +197,71 @@ def konig_color(g: Graph) -> EdgeColoring:
     path starting at one endpoint, which frees a common color.
     """
     bipartition(g)  # raises NotBipartiteError on bad input
-    return _konig_color(g)
+    base, _at = _konig_base(g)
+    return EdgeColoring(palette_size=max_degree(g), assignment=dict(zip(g.edges, base)))
 
 
-def _konig_color(g: Graph) -> EdgeColoring:
-    """konig_color on a graph already known to be bipartite."""
-    delta = max_degree(g)
-    at: list[dict[int, int]] = [{} for _ in range(g.n)]  # vertex -> color -> neighbor
-    assignment: dict[Edge, int] = {}
-
-    def first_free(v: int) -> int:
-        c = 1
-        while c in at[v]:
-            c += 1
-        return c
-
-    for (u, v) in g.edges:
-        a = first_free(u)
-        b = first_free(v)
-        if a != b and a in at[v]:
-            if b not in at[u]:
+def _konig_base(g: Graph) -> tuple[list[int], list[dict[int, int]]]:
+    """konig_color of a graph known to be bipartite, by edge id: the color
+    of each edge, and each vertex's map from color to the edge holding it."""
+    edges = g.edges
+    base = [0] * len(edges)
+    at: list[dict[int, int]] = [{} for _ in range(g.n)]  # vertex -> color -> edge id
+    for i, (u, v) in enumerate(edges):
+        at_u, at_v = at[u], at[v]
+        a = 1
+        while a in at_u:
+            a += 1
+        b = 1
+        while b in at_v:
+            b += 1
+        if a != b and a in at_v:
+            if b not in at_u:
                 a = b
             else:
-                _flip_alternating_path(at, assignment, v, a, b)
-        assignment[(u, v)] = a
-        at[u][a] = v
-        at[v][a] = u
-    return EdgeColoring(palette_size=delta, assignment=assignment)
+                _flip_alternating_path(edges, at, base, v, a, b)
+        base[i] = a
+        at_u[a] = i
+        at_v[a] = i
+    return base, at
 
 
-def _flip_alternating_path(at, assignment, start: int, a: int, b: int) -> list[tuple[int, int, int]]:
+def _flip_alternating_path(
+    edges: tuple[Edge, ...], at: list[dict[int, int]], base: list[int], start: int, a: int, b: int
+) -> list[int]:
     """Swap colors a and b along the path leaving `start` on its a-edge.
 
     `start` misses b, so the walk is a simple path; bipartiteness keeps the
-    other endpoint of the to-be-colored edge off it. Returns the path as
-    (vertex, next vertex, old color) steps.
+    other endpoint of the to-be-colored edge off it. Returns the path's
+    edge ids.
     """
     path = []
     z, want = start, a
     while want in at[z]:
-        nxt = at[z][want]
-        path.append((z, nxt, want))
-        z, want = nxt, (b if want == a else a)
-    for (x, y, old) in path:
-        del at[x][old]
-        del at[y][old]
-    for (x, y, old) in path:
-        new = b if old == a else a
-        at[x][new] = y
-        at[y][new] = x
-        assignment[canonical_edge(x, y)] = new
+        i = at[z][want]
+        path.append(i)
+        u, v = edges[i]
+        z, want = (v if u == z else u), (b if want == a else a)
+    for i in path:
+        u, v = edges[i]
+        del at[u][base[i]]
+        del at[v][base[i]]
+    for i in path:
+        new = base[i] = b if base[i] == a else a
+        u, v = edges[i]
+        at[u][new] = i
+        at[v][new] = i
     return path
+
+
+def _edge_lists(g: Graph, lists: ListAssignment) -> list[tuple[int, ...]]:
+    """The list of every edge of g, by edge id; MissingEdgeError names the
+    edges that `lists` lacks."""
+    try:
+        return [lists.lists[e] for e in g.edges]
+    except KeyError:
+        _require_covered(g, lists.lists, "lists")
+        raise
 
 
 def galvin_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
@@ -259,72 +279,83 @@ def galvin_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
     reads.
     """
     sides = bipartition(g)
-    _require_covered(g, lists.lists, "lists")
-    return _galvin_list_color(g, lists, sides)
+    return _galvin_list_color(g, _edge_lists(g, lists), sides, max_degree(g))
 
 
-def _galvin_list_color(g: Graph, lists: ListAssignment, sides: Bipartition) -> EdgeColoring:
-    """galvin_list_color under the bipartition `sides` of g."""
-    delta = max_degree(g)
-    short = [e for e in g.edges if len(lists.lists[e]) < delta]
-    ends = {e: e if sides.is_x(e[0]) else (e[1], e[0]) for e in g.edges}  # (x, y)
-    base = _konig_color(g).assignment
-    flips = _certify_base(g, lists, ends, base, short)
+def _galvin_list_color(g: Graph, ls: list[tuple[int, ...]], sides: Bipartition, delta: int) -> EdgeColoring:
+    """galvin_list_color under the bipartition `sides` of g, from the lists
+    `ls` by edge id and the max degree `delta`.
+
+    Every per-edge table is a flat list indexed by edge id (the position in
+    g.edges): the oriented ends xs and ys, the base colors, the list sets.
+    Each vertex maps a color to the id of its edge of that color, so no edge
+    tuple is hashed inside the repair or the rounds. Since g.edges is
+    lexicographic, ascending ids are canonical edge order: the König base,
+    the repair's heap and the deferred acceptance meet the edges in the same
+    order as over edge tuples. A round forms the tuples of its colored edges
+    only at its end, as one set filled in the order of `held`, so the result
+    receives them in the same order too, item for item.
+    """
+    edges = g.edges
+    side = sides.side
+    xs = [u if side[u] == SIDE_X else v for u, v in edges]
+    ys = [v if side[u] == SIDE_X else u for u, v in edges]
+    short = [i for i, colors in enumerate(ls) if len(colors) < delta]
+    base, at = _konig_base(g)
+    flips = _certify_base(g, ls, xs, ys, base, at, short, delta)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("list coloring: engine=kernel short=%d flips=%d", len(short), flips)
 
-    prefs: dict[int, list[Edge]] = {}  # x -> its edges by ascending base color
-    for e in sorted(g.edges, key=base.__getitem__):
-        prefs.setdefault(ends[e][0], []).append(e)
+    # x -> its edges by ascending base color, which are distinct at x
+    prefs = {x: [at_x[c] for c in sorted(at_x)] for x, at_x in enumerate(at) if side[x] == SIDE_X}
     # one set per distinct list object: the residual's unblocked edges all
-    # share one tuple, and the lists dict keeps every tuple (so its id) alive
+    # share one tuple, and `ls` keeps every tuple (so its id) alive
     sets: dict[int, set[int]] = {}
-    allowed = {}
-    for e in g.edges:
-        colors = lists.lists[e]
-        if id(colors) not in sets:
-            sets[id(colors)] = set(colors)
-        allowed[e] = sets[id(colors)]
+    allowed = []
+    for colors in ls:
+        s = sets.get(id(colors))
+        if s is None:
+            s = sets[id(colors)] = set(colors)
+        allowed.append(s)
     colored: dict[Edge, int] = {}
     palette = sorted(set().union(*sets.values()))
 
-    uncolored = list(g.edges)
+    uncolored = list(range(len(edges)))
     for k in palette:
         if not uncolored:  # later rounds would find nothing to match
             break
-        rough = [e for e in uncolored if k in allowed[e]]
+        rough = [i for i in uncolored if k in allowed[i]]
         wants = set(rough)
-        todo = {x: iter(prefs[x]) for x in sorted({ends[e][0] for e in rough})}
-        held: dict[int, Edge] = {}  # y -> the edge it holds
+        todo = {x: iter(prefs[x]) for x in sorted({xs[i] for i in rough})}
+        held: dict[int, int] = {}  # y -> the edge it holds
         free = deque(todo)
         while free:
             x = free.popleft()
-            for e in todo[x]:  # x proposes its next edge of this round
-                if e in wants:
+            for i in todo[x]:  # x proposes its next edge of this round
+                if i in wants:
                     break
             else:  # none left: x stays unmatched
                 continue
-            y = ends[e][1]
+            y = ys[i]
             cur = held.get(y)
             if cur is None:
-                held[y] = e
-            elif base[e] > base[cur]:  # Y side prefers the higher base color
-                held[y] = e
-                free.append(ends[cur][0])
+                held[y] = i
+            elif base[i] > base[cur]:  # Y side prefers the higher base color
+                held[y] = i
+                free.append(xs[cur])
             else:
                 free.append(x)
+        colored.update(dict.fromkeys({edges[i] for i in held.values()}, k))
         matched = set(held.values())
-        colored.update(dict.fromkeys(matched, k))
         if matched:
-            uncolored = [e for e in uncolored if e not in matched]
-        at_x = {ends[e][0]: e for e in matched}
-        for e in rough:
-            x, y = ends[e]
-            # dominated: x's match below e or y's above (no match reads as e)
-            if e not in matched and base[at_x.get(x, e)] >= base[e] >= base[held.get(y, e)]:
-                raise NoKernelError(f"edge {e} neither colored nor dominated for color {k}")
+            uncolored = [i for i in uncolored if i not in matched]
+        at_x = {xs[i]: i for i in matched}
+        for i in rough:
+            # dominated: x's match below i or y's above (no match reads as i)
+            if i not in matched and base[at_x.get(xs[i], i)] >= base[i] >= base[held.get(ys[i], i)]:
+                raise NoKernelError(f"edge {edges[i]} neither colored nor dominated for color {k}")
 
-    if len(colored) != len(g.edges):
+    if len(colored) != len(edges):
         raise NoKernelError("edges left uncolored after the palette pass")
     return EdgeColoring(palette_size=palette[-1] if palette else 0, assignment=colored)
 
@@ -334,81 +365,90 @@ def _flip_cap(g: Graph) -> int:
     return max(1000, 4 * len(g.edges))
 
 
+def _search_cap(g: Graph) -> int:
+    """Search nodes the fallback of ``demand_list_color`` may spend."""
+    return max(1_000_000, 100 * len(g.edges))
+
+
 def _certify_base(
     g: Graph,
-    lists: ListAssignment,
-    ends: dict[Edge, Edge],
-    base: dict[Edge, int],
-    short: list[Edge],
+    ls: list[tuple[int, ...]],
+    xs: list[int],
+    ys: list[int],
+    base: list[int],
+    at: list[dict[int, int]],
+    short: list[int],
+    delta: int,
 ) -> int:
-    """Flip `base` in place until out(e) < |L(e)| on every edge; the flips.
+    """Flip `base` and `at` in place until out(e) < |L(e)| on every edge;
+    the flips.
 
-    out(xy), with ends[e] = (x, y) and x in X, counts the edges at x with a
-    lower base color and at y with a higher one. An edge with |L(e)| >= max
-    degree never violates, as out(e) <= max degree - 1, so only the short
-    edges are checked. The lowest violating edge xy of color c goes first:
-    one Kempe flip gives it either a color above c that x misses or a color
-    below c that y misses, side and color drawn from random.Random(0); then
-    the short edges at the vertices of the flipped path are checked again.
-    Under demand-sized lists every violator has such a color (if x saw every
-    color above c, deg(x) > out(xy) >= |L(xy)|; likewise for y), but
-    convergence is not proven, so past ``_flip_cap`` flips, or at a violator
-    without a flip, this raises ListTooShortError.
+    Edges are ids into g.edges, as in ``_galvin_list_color``: edge i runs
+    from xs[i] in X to ys[i], has list ls[i] and base color base[i], and
+    at[v] maps each color at v to its edge. out(i) counts the edges at xs[i]
+    with a lower base color and at ys[i] with a higher one. An edge with
+    |L(e)| >= max degree `delta` never violates, as out(e) <= delta - 1, so
+    only the `short` edges are checked. The lowest violating edge xy of
+    color c goes first (lowest id, so canonical order): one Kempe flip gives
+    it either a color above c that x misses or a color below c that y
+    misses, side and color drawn from random.Random(0); then the short edges
+    at the vertices of the flipped path are checked again. Under
+    demand-sized lists every violator has such a color (if x saw every color
+    above c, deg(x) > out(xy) >= |L(xy)|; likewise for y), but convergence
+    is not proven, so past ``_flip_cap`` flips, or at a violator without a
+    flip, this raises ListTooShortError.
     """
     if not short:
         return 0
-    delta = max_degree(g)
-    at: list[dict[int, int]] = [{} for _ in range(g.n)]  # vertex -> color -> neighbor
-    for (u, v), c in base.items():
-        at[u][c] = v
-        at[v][c] = u
-    short_at: dict[int, list[Edge]] = {}
-    for e in short:
-        for v in e:
-            short_at.setdefault(v, []).append(e)
+    edges = g.edges
+    short_at: dict[int, list[int]] = {}
+    for i in short:
+        for v in edges[i]:
+            short_at.setdefault(v, []).append(i)
 
-    def violates(e: Edge) -> bool:
-        x, y = ends[e]
-        c = base[e]
-        out = sum(1 for k in at[x] if k < c) + sum(1 for k in at[y] if k > c)
-        return out >= len(lists.lists[e])
+    def violates(i: int) -> bool:
+        c = base[i]
+        return len([k for k in at[xs[i]] if k < c]) + len([k for k in at[ys[i]] if k > c]) >= len(ls[i])
 
-    heap = [e for e in short if violates(e)]
+    heap = [i for i in short if violates(i)]
     heapq.heapify(heap)
     rng = random.Random(0)
     cap = _flip_cap(g)
     flips = 0
     while heap:
-        e = heapq.heappop(heap)
-        if not violates(e):  # repaired since it was pushed
+        i = heapq.heappop(heap)
+        if not violates(i):  # repaired since it was pushed
             continue
-        x, y = ends[e]
-        c = base[e]
+        x, y, c = xs[i], ys[i], base[i]
         options = [(x, k) for k in range(c + 1, delta + 1) if k not in at[x]]
         options += [(y, k) for k in range(1, c) if k not in at[y]]
         if not options:
-            raise ListTooShortError(f"no Kempe flip lowers out-degree of {e} below its list length")
+            raise ListTooShortError(f"no Kempe flip lowers out-degree of {edges[i]} below its list length")
         if flips == cap:
             raise ListTooShortError(f"base repair passed its cap of {cap} flips")
         start, k = rng.choice(options)
-        path = _flip_alternating_path(at, base, start, c, k)
+        path = _flip_alternating_path(edges, at, base, start, c, k)
         flips += 1
-        for z in {v for step in path for v in step[:2]}:
+        for z in {v for j in path for v in edges[j]}:
             for f in short_at.get(z, ()):
                 if violates(f):
                     heapq.heappush(heap, f)
     return flips
 
 
-def exact_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring | None:
+def exact_list_color(g: Graph, lists: ListAssignment, budget: int | None = None) -> EdgeColoring | None:
     """Complete search for a proper in-list coloring; None if none exists.
 
     Minimum-remaining-values edge ordering with forward checking and
     pigeonhole pruning; all ties broken by canonical edge order and
-    ascending color, so the result is deterministic.
+    ascending color, so the result is deterministic. With a node budget (an
+    int), exhausting it raises BudgetExceededError: an inconclusive outcome,
+    never a "no".
     """
+    if budget is not None:
+        _require_ints(budget=budget)
     _require_covered(g, lists.lists, "lists")
-    assignment = _search(g, {e: set(lists.lists[e]) for e in g.edges})
+    assignment = _search(g, {e: set(lists.lists[e]) for e in g.edges}, budget)
     if assignment is None:
         return None
     palette = max((c for cs in lists.lists.values() for c in cs), default=0)
@@ -565,29 +605,28 @@ def demand_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
     colorable, so this never fails on valid input. The kernel method runs on
     a certified base (``galvin_list_color``); demand-sized lists always leave
     a Kempe flip for a violating edge, so only a repair past its flip cap
-    falls back to the complete search, whose "unsatisfiable" outcome would
-    contradict the guarantee and is raised as TheoremViolationError. Each
-    call logs its engine, short lists and flips at debug level. The one
-    bipartition of g is shared with the kernel method and its König base.
+    falls back to the complete search. That search has a node budget
+    (``_search_cap``) and raises BudgetExceededError past it; its
+    "unsatisfiable" outcome would contradict the guarantee and is raised as
+    TheoremViolationError. Each call logs its engine, short lists and flips
+    at debug level. The one bipartition of g, its degrees and its lists by
+    edge id are shared with the kernel method and its König base.
     """
     sides = bipartition(g)
-    _require_covered(g, lists.lists, "lists")
-    bad = [
-        e
-        for e in g.edges
-        if len(lists.lists[e]) < max(g.degree(e[0]), g.degree(e[1]))
-    ]
+    ls = _edge_lists(g, lists)
+    deg = [len(ns) for ns in g.adjacency]
+    bad = [(u, v) for (u, v), colors in zip(g.edges, ls) if len(colors) < deg[u] or len(colors) < deg[v]]
     if bad:
         raise DemandViolationError(f"lists shorter than endpoint-degree demand at {bad}")
+    delta = max(deg, default=0)
     try:
-        return _galvin_list_color(g, lists, sides)
+        return _galvin_list_color(g, ls, sides, delta)
     except ListTooShortError:
         pass
     if _log.isEnabledFor(logging.DEBUG):
-        delta = max_degree(g)
-        short = sum(1 for e in g.edges if len(lists.lists[e]) < delta)
+        short = sum(1 for colors in ls if len(colors) < delta)
         _log.debug("list coloring: engine=search short=%d flips=%d", short, _flip_cap(g))
-    result = exact_list_color(g, lists)
+    result = exact_list_color(g, lists, _search_cap(g))
     if result is None:
         raise TheoremViolationError("demand-sized lists reported unsatisfiable")
     return result

@@ -35,11 +35,11 @@ from edgex import (
     build_graph,
     canonical_edge,
     hypercube,
-    konig_color,
     max_degree,
     one_factorization,
 )
-from edgex.coloring import _flip_alternating_path, _flip_cap, _require_covered
+from edgex import coloring
+from edgex.coloring import _flip_cap, _require_covered
 from edgex.errors import (
     BadParameterError,
     BudgetExceededError,
@@ -515,6 +515,79 @@ def reference_color_fibers(
 # reference kernel method
 
 
+def reference_konig_color(g: Graph) -> EdgeColoring:
+    """The library's konig_color before edge ids (an edge -> color dict and
+    a color -> neighbor map per vertex), kept as a test oracle."""
+    bipartition(g)
+    at: list[dict[int, int]] = [{} for _ in range(g.n)]  # vertex -> color -> neighbor
+    assignment: dict[Edge, int] = {}
+
+    def first_free(v: int) -> int:
+        c = 1
+        while c in at[v]:
+            c += 1
+        return c
+
+    for (u, v) in g.edges:
+        a = first_free(u)
+        b = first_free(v)
+        if a != b and a in at[v]:
+            if b not in at[u]:
+                a = b
+            else:
+                _reference_flip_alternating_path(at, assignment, v, a, b)
+        assignment[(u, v)] = a
+        at[u][a] = v
+        at[v][a] = u
+    return EdgeColoring(palette_size=max_degree(g), assignment=assignment)
+
+
+def _reference_flip_alternating_path(at, assignment, start: int, a: int, b: int) -> list[tuple[int, int, int]]:
+    """Swap colors a and b along the path leaving `start` on its a-edge;
+    the path as (vertex, next vertex, old color) steps."""
+    path = []
+    z, want = start, a
+    while want in at[z]:
+        nxt = at[z][want]
+        path.append((z, nxt, want))
+        z, want = nxt, (b if want == a else a)
+    for (x, y, old) in path:
+        del at[x][old]
+        del at[y][old]
+    for (x, y, old) in path:
+        new = b if old == a else a
+        at[x][new] = y
+        at[y][new] = x
+        assignment[canonical_edge(x, y)] = new
+    return path
+
+
+def certify_base(
+    g: Graph,
+    lists: ListAssignment,
+    ends: dict[Edge, Edge],
+    base: dict[Edge, int],
+    short: list[Edge],
+) -> int:
+    """The library's private _certify_base on edge -> value dicts: `ends`
+    orients each edge as (x, y), x in X; `base` is flipped in place. Returns
+    the flips."""
+    edges = g.edges
+    index = {e: i for i, e in enumerate(edges)}
+    ids = [base[e] for e in edges]
+    at: list[dict[int, int]] = [{} for _ in range(g.n)]  # vertex -> color -> edge id
+    for i, (u, v) in enumerate(edges):
+        at[u][ids[i]] = i
+        at[v][ids[i]] = i
+    ls = [lists.lists[e] for e in edges]
+    xs = [ends[e][0] for e in edges]
+    ys = [ends[e][1] for e in edges]
+    try:
+        return coloring._certify_base(g, ls, xs, ys, ids, at, [index[e] for e in short], max_degree(g))
+    finally:
+        base.update(zip(edges, ids))
+
+
 def reference_galvin_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
     """The library's galvin_list_color before the one oriented pass (per
     round: proposal lists rebuilt and re-sorted, sides read per edge, a
@@ -523,8 +596,8 @@ def reference_galvin_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring
     sides = bipartition(g)
     delta = max_degree(g)
     short = [e for e in g.edges if len(lists.lists[e]) < delta]
-    base = konig_color(g).assignment
-    flips = _reference_certify_base(g, lists, sides, base, short)
+    base = reference_konig_color(g).assignment
+    flips = reference_certify_base(g, lists, sides, base, short)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("list coloring: engine=kernel short=%d flips=%d", len(short), flips)
 
@@ -555,14 +628,15 @@ def reference_galvin_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring
     return EdgeColoring(palette_size=palette_size, assignment=colored)
 
 
-def _reference_certify_base(
+def reference_certify_base(
     g: Graph,
     lists: ListAssignment,
     sides: Bipartition,
     base: dict[Edge, int],
     short: list[Edge],
 ) -> int:
-    """Flip `base` in place until out(e) < |L(e)| on every edge; the flips."""
+    """The library's _certify_base before edge ids, kept as a test oracle:
+    flip `base` in place until out(e) < |L(e)| on every edge; the flips."""
     if not short:
         return 0
     delta = max_degree(g)
@@ -600,7 +674,7 @@ def _reference_certify_base(
         if flips == cap:
             raise ListTooShortError(f"base repair passed its cap of {cap} flips")
         start, k = rng.choice(options)
-        path = _flip_alternating_path(at, base, start, c, k)
+        path = _reference_flip_alternating_path(at, base, start, c, k)
         flips += 1
         for z in {v for step in path for v in step[:2]}:
             for f in short_at.get(z, ()):

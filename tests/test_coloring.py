@@ -2,7 +2,7 @@ import logging
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edgex import (
@@ -28,6 +28,8 @@ from edgex import (
 from edgex import coloring
 from edgex.coloring import ListAssignment
 from edgex.errors import (
+    BadParameterError,
+    BudgetExceededError,
     DemandViolationError,
     EdgexError,
     ListTooShortError,
@@ -39,12 +41,15 @@ from edgex.errors import (
 
 from helpers import (
     brute_force_list_coloring,
+    certify_base,
     connected_bipartite_catalog,
     enumerate_all_list_colorings,
     list_coloring_engines,
     list_coloring_records,
     random_connected_bipartite,
+    reference_certify_base,
     reference_galvin_list_color,
+    reference_konig_color,
     reference_verify_proper,
     roadmap_cube_instance,
     small_bipartite_graphs,
@@ -213,6 +218,15 @@ class TestExactListColor:
         lists = make_list_assignment(g, {(0, 1): (1,), (0, 2): (2,), (0, 3): (3,)})
         col = exact_list_color(g, lists)
         assert col.assignment == {(0, 1): 1, (0, 2): 2, (0, 3): 3}
+
+    def test_node_budget(self):
+        g = cycle(6)
+        lists = delta_lists(g, (1, 2))
+        with pytest.raises(BudgetExceededError):
+            exact_list_color(g, lists, budget=1)
+        assert exact_list_color(g, lists, budget=6) == exact_list_color(g, lists)
+        with pytest.raises(BadParameterError):
+            exact_list_color(g, lists, budget=1.5)
 
     def test_agrees_with_enumeration_oracle(self):
         rng = random.Random(3)
@@ -434,7 +448,7 @@ class TestCertifiedKernel:
             for lists in demand_list_variants(g, rng):
                 base = dict(konig_color(g).assignment)
                 short = [e for e in g.edges if len(lists.lists[e]) < delta]
-                flipped += coloring._certify_base(g, lists, ends, base, short) > 0
+                flipped += certify_base(g, lists, ends, base, short) > 0
                 assert verify_proper(g, EdgeColoring(delta, base)).ok
                 out = out_degrees(g, base)
                 assert all(out[e] < len(lists.lists[e]) for e in g.edges)
@@ -474,6 +488,14 @@ class TestCertifiedKernel:
             "search: nodes=5 pruned=0",
         ]
         assert col == exact_list_color(K23_MINUS, K23_MINUS_LISTS)
+
+    def test_search_fallback_has_a_node_budget(self, caplog, monkeypatch):
+        monkeypatch.setattr(coloring, "_flip_cap", lambda g: 0)
+        monkeypatch.setattr(coloring, "_search_cap", lambda g: 1)
+        caplog.set_level(logging.DEBUG, logger="edgex")
+        with pytest.raises(BudgetExceededError):
+            demand_list_color(K23_MINUS, K23_MINUS_LISTS)
+        assert caplog.records[0].getMessage() == "list coloring: engine=search short=2 flips=0"
 
     def test_silent_when_logging_is_off(self, caplog):
         caplog.set_level(logging.INFO, logger="edgex")
@@ -530,6 +552,67 @@ def test_galvin_matches_reference_on_seeded_cube_residuals(d):
     reduced = reduce_instance(hypercube(d - 1), 1, pre)
     g, lists = reduced.base_residual, reduced.lists
     assert _kernel_outcome(galvin_list_color, g, lists) == _kernel_outcome(reference_galvin_list_color, g, lists)
+
+
+def _cube_residual(d):
+    """The residual base and lists of the seeded maximal induced matching of Q_d."""
+    _, pre = roadmap_cube_instance(d)
+    reduced = reduce_instance(hypercube(d - 1), 1, pre)
+    return reduced.base_residual, reduced.lists
+
+
+def _konig_outcome(color, g):
+    """Ordered items and palette, or the error's type and message."""
+    try:
+        col = color(g)
+    except EdgexError as exc:
+        return type(exc), str(exc)
+    return list(col.assignment.items()), col.palette_size
+
+
+def _certify_outcome(g, lists, reference):
+    """Flips (or the error's type and message) and the ordered items of the
+    base that the library's _certify_base, or its reference copy, leaves
+    from the König base of g."""
+    sides = bipartition(g)
+    ends = {e: e if sides.is_x(e[0]) else (e[1], e[0]) for e in g.edges}
+    short = [e for e in g.edges if len(lists.lists[e]) < max_degree(g)]
+    base = dict(reference_konig_color(g).assignment)
+    try:
+        if reference:
+            flips = reference_certify_base(g, lists, sides, base, short)
+        else:
+            flips = certify_base(g, lists, ends, base, short)
+    except ListTooShortError as exc:
+        flips = (type(exc), str(exc))
+    return flips, list(base.items())
+
+
+@given(kernel_instances())
+@settings(max_examples=300, deadline=None)
+def test_konig_matches_reference(instance):
+    g, _ = instance
+    assert _konig_outcome(konig_color, g) == _konig_outcome(reference_konig_color, g)
+
+
+@given(kernel_instances())
+@settings(max_examples=300, deadline=None)
+def test_certify_base_matches_reference(instance):
+    g, lists = instance
+    try:
+        bipartition(g)
+    except NotBipartiteError:
+        assume(False)
+    assert _certify_outcome(g, lists, False) == _certify_outcome(g, lists, True)
+
+
+@pytest.mark.parametrize("d", range(6, 12))
+def test_konig_and_certify_base_match_reference_on_seeded_cube_residuals(d):
+    g, lists = _cube_residual(d)
+    assert _konig_outcome(konig_color, g) == _konig_outcome(reference_konig_color, g)
+    flips, base = _certify_outcome(g, lists, False)
+    assert (flips, base) == _certify_outcome(g, lists, True)
+    assert flips > 0 or d == 6  # the Q_6 residual's König base needs no flip
 
 
 class TestOneFactorization:

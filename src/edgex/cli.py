@@ -100,12 +100,12 @@ def cmd_extend(args) -> int:
     host = None
     if kind == "qd":
         host_name = f"Q_{value}"
-        if args.graph is not None:
-            _, given = serialize.graph_from_dict(serialize.read_doc(args.graph))
+        given = None if args.graph is None else serialize.graph_from_dict(serialize.read_doc(args.graph))[1]
+        coloring = extend_hypercube(value, pre)  # checks the size before Q_D is built here
+        if given is not None:
             host = hypercube(value)
             if given.edges != host.edges or given.n != host.n:
                 raise FormatError(f"supplied graph is not Q_{value}")
-        coloring = extend_hypercube(value, pre)
     else:
         if args.graph is None:
             raise FormatError("factor kinds k2m, q and star need a base graph file")

@@ -5,9 +5,9 @@ Three engines cooperate:
 * ``konig_color`` builds a proper coloring with exactly max-degree colors by
   alternating-path augmentation.
 * ``galvin_list_color`` colors from per-edge lists via the kernel method:
-  one stable matching per palette color, over preference lists oriented
-  and sorted once from a base coloring (low base color wins on the X side,
-  high on the Y side). It runs under a certificate: for every edge xy
+  one stable matching per palette color over the edges whose list holds
+  it, each X vertex proposing its own edges in ascending base color (the
+  Y side keeps the highest). It runs under a certificate: for every edge xy
   (x in X), out(xy), the number of edges at x with a lower base color plus
   those at y with a higher one, is below |L(xy)|. Those are the only edges
   a stable matching can use to dominate xy, so no list runs dry. Lists of
@@ -44,8 +44,10 @@ import random
 from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from itertools import groupby
 
 from .errors import (
+    BadParameterError,
     BudgetExceededError,
     DemandViolationError,
     ListTooShortError,
@@ -269,11 +271,11 @@ def galvin_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
 
     Edges are oriented once as (x, y), x in X. The base is a König
     coloring, Kempe-flipped until out(e) < |L(e)| on every edge (see
-    ``_certify_base``); ListTooShortError when that fails. Each X vertex's
-    edges are sorted once by base color. Per palette color, ascending, until
-    every edge is colored, the uncolored edges whose list holds it are
-    matched by deferred acceptance (X proposes along its sorted edges,
-    skipping the rest; Y holds the highest base color). The stable matching
+    ``_certify_base``); ListTooShortError when that fails. The edges are
+    ordered once by X end, then base color. Per palette color, ascending,
+    until every edge is colored, the uncolored edges whose list holds it are
+    matched by deferred acceptance (X proposes its edges of the round in
+    ascending base color; Y holds the highest). The stable matching
     is a kernel, so every unmatched edge is dominated by a newly colored
     out-neighbor and can afford to lose that color, which no later round
     reads.
@@ -306,8 +308,6 @@ def _galvin_list_color(g: Graph, ls: list[tuple[int, ...]], sides: Bipartition, 
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("list coloring: engine=kernel short=%d flips=%d", len(short), flips)
 
-    # x -> its edges by ascending base color, which are distinct at x
-    prefs = {x: [at_x[c] for c in sorted(at_x)] for x, at_x in enumerate(at) if side[x] == SIDE_X}
     # one set per distinct list object: the residual's unblocked edges all
     # share one tuple, and `ls` keeps every tuple (so its id) alive
     sets: dict[int, set[int]] = {}
@@ -320,21 +320,21 @@ def _galvin_list_color(g: Graph, ls: list[tuple[int, ...]], sides: Bipartition, 
     colored: dict[Edge, int] = {}
     palette = sorted(set().union(*sets.values()))
 
-    uncolored = list(range(len(edges)))
+    # each X vertex's edges in one run, by ascending base color (distinct at
+    # x); a round's filter keeps that order, so its runs are its proposals
+    # and a round walks only its own edges
+    uncolored = [at_x[c] for x, at_x in enumerate(at) if side[x] == SIDE_X for c in sorted(at_x)]
     for k in palette:
         if not uncolored:  # later rounds would find nothing to match
             break
         rough = [i for i in uncolored if k in allowed[i]]
-        wants = set(rough)
-        todo = {x: iter(prefs[x]) for x in sorted({xs[i] for i in rough})}
+        todo = {x: iter(list(run)) for x, run in groupby(rough, key=xs.__getitem__)}
         held: dict[int, int] = {}  # y -> the edge it holds
         free = deque(todo)
         while free:
             x = free.popleft()
-            for i in todo[x]:  # x proposes its next edge of this round
-                if i in wants:
-                    break
-            else:  # none left: x stays unmatched
+            i = next(todo[x], None)  # x proposes its next edge of this round
+            if i is None:  # none left: x stays unmatched
                 continue
             y = ys[i]
             cur = held.get(y)
@@ -391,8 +391,9 @@ def _certify_base(
     only the `short` edges are checked. The lowest violating edge xy of
     color c goes first (lowest id, so canonical order): one Kempe flip gives
     it either a color above c that x misses or a color below c that y
-    misses, side and color drawn from random.Random(0); then the short edges
-    at the vertices of the flipped path are checked again. Under
+    misses, side and color drawn from random.Random(0); then the edges of
+    the flipped path's vertices, read off `at`, are checked again if short.
+    The heap pops depend only on the ids pushed, not on their order. Under
     demand-sized lists every violator has such a color (if x saw every color
     above c, deg(x) > out(xy) >= |L(xy)|; likewise for y), but convergence
     is not proven, so past ``_flip_cap`` flips, or at a violator without a
@@ -401,10 +402,6 @@ def _certify_base(
     if not short:
         return 0
     edges = g.edges
-    short_at: dict[int, list[int]] = {}
-    for i in short:
-        for v in edges[i]:
-            short_at.setdefault(v, []).append(i)
 
     def violates(i: int) -> bool:
         c = base[i]
@@ -430,8 +427,8 @@ def _certify_base(
         path = _flip_alternating_path(edges, at, base, start, c, k)
         flips += 1
         for z in {v for j in path for v in edges[j]}:
-            for f in short_at.get(z, ()):
-                if violates(f):
+            for f in at[z].values():
+                if len(ls[f]) < delta and violates(f):
                     heapq.heappush(heap, f)
     return flips
 
@@ -443,16 +440,23 @@ def exact_list_color(g: Graph, lists: ListAssignment, budget: int | None = None)
     pigeonhole pruning; all ties broken by canonical edge order and
     ascending color, so the result is deterministic. With a node budget (an
     int), exhausting it raises BudgetExceededError: an inconclusive outcome,
-    never a "no".
+    never a "no". A budget that is not an int >= 0 raises BadParameterError.
     """
-    if budget is not None:
-        _require_ints(budget=budget)
+    _require_budget(budget)
     _require_covered(g, lists.lists, "lists")
     assignment = _search(g, {e: set(lists.lists[e]) for e in g.edges}, budget)
     if assignment is None:
         return None
     palette = max((c for cs in lists.lists.values() for c in cs), default=0)
     return EdgeColoring(palette_size=palette, assignment=assignment)
+
+
+def _require_budget(budget: int | None) -> None:
+    """A node budget is None or an int >= 0, else BadParameterError."""
+    if budget is not None:
+        _require_ints(budget=budget)
+        if budget < 0:
+            raise BadParameterError(f"budget must be >= 0, got {budget}")
 
 
 def _search(

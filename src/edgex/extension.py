@@ -9,13 +9,14 @@ residual base; replication into every layer and color_fibers; one
 verify_proper on the caller's product (proper, in palette, agreeing with the
 prescription, only its edges colored), whose failure is an internal error.
 An entry point checks its integers, bipartitions the caller's own G first
-(so an odd cycle is reported in G's indices) and picks base, product and
-palette. Hypercube and star products take m = 1: G box Q_m is
-(G box Q_{m-1}) box K_2 split on the least significant bit, and
-G box K_{1,m} is an induced subgraph of (G box K_{1,m-1}) box K_2, so the
-star maps its prescription into that host and restricts the result. Both
-are identities of the vertex indexing, proven by the test suite rather than
-checked at run time.
+(so an odd cycle is reported in G's indices), rejects a product of more
+than MAX_PRODUCT_EDGES edges from the factors' sizes before building
+anything, and picks base, product and palette. Hypercube and star
+products take m = 1: G box Q_m is (G box Q_{m-1}) box K_2 split on the
+least significant bit, and G box K_{1,m} is an induced subgraph of
+(G box K_{1,m-1}) box K_2, so the star maps its prescription into that
+host and restricts the result. Both are identities of the vertex indexing,
+proven by the test suite rather than checked at run time.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ from .graph import (
     close_edge_pairs,
     max_degree,
 )
+
+MAX_PRODUCT_EDGES = 2**21  # Q_17 (1,114,112 edges) is built, Q_18 (2,359,296) is not
 
 
 @dataclass(frozen=True)
@@ -275,6 +278,28 @@ def _require_positive(**params: int) -> None:
             raise BadParameterError(f"{name} must be >= 1")
 
 
+def _product_edges(g_order: int, g_edges: int, h_order: int, h_edges: int) -> int:
+    """|E(G box H)| from the orders and sizes of G and H."""
+    return g_edges * h_order + g_order * h_edges
+
+
+def _cube_size(d: int) -> tuple[int, int]:
+    """|V(Q_d)| and |E(Q_d)| = d * 2**(d-1). Past the bit length of the size
+    limit Q_d alone has more edges than the limit, so such a d is rejected
+    before any power of two is formed."""
+    if d > MAX_PRODUCT_EDGES.bit_length():
+        raise BadParameterError(f"Q_{d} has more than {MAX_PRODUCT_EDGES} edges, past the size limit")
+    return 1 << d, d * (1 << d) // 2
+
+
+def _require_size(what: str, g_order: int, g_edges: int, h_order: int, h_edges: int) -> None:
+    """BadParameterError when G box H, or H itself (for an empty G), has
+    more than MAX_PRODUCT_EDGES edges: called before either is built."""
+    edges = max(_product_edges(g_order, g_edges, h_order, h_edges), h_edges)
+    if edges > MAX_PRODUCT_EDGES:
+        raise BadParameterError(f"{what} would build {edges} edges, past the limit of {MAX_PRODUCT_EDGES}")
+
+
 def _require_palette(pre: Precoloring, palette: int, what: str) -> None:
     if pre.palette_size != palette:
         raise InvalidPrecoloringError(
@@ -316,8 +341,10 @@ def extend_over_complete(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     with max_degree(G) + 2m - 1 colors."""
     _require_positive(m=m)
     bipartition(g)
+    what = f"G box K_{2 * m}"
+    _require_size(what, g.n, len(g.edges), 2 * m, m * (2 * m - 1))
     product = cartesian_product(g, complete(2 * m)).graph
-    return _extend(g, m, product, max_degree(g) + 2 * m - 1, f"G box K_{2 * m}", pre)
+    return _extend(g, m, product, max_degree(g) + 2 * m - 1, what, pre)
 
 
 def extend_over_hypercube(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
@@ -325,15 +352,18 @@ def extend_over_hypercube(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     as one K_2 extension of the iterated base G box Q_{m-1}."""
     _require_positive(m=m)
     bipartition(g)
+    what = f"G box Q_{m}"
+    _require_size(what, g.n, len(g.edges), *_cube_size(m))
     base = g if m == 1 else cartesian_product(g, hypercube(m - 1)).graph
     product = cartesian_product(base, complete(2)).graph
-    return _extend(base, 1, product, max_degree(g) + m, f"G box Q_{m}", pre)
+    return _extend(base, 1, product, max_degree(g) + m, what, pre)
 
 
 def extend_hypercube(d: int, pre: Precoloring) -> EdgeColoring:
     """Extend a valid precolored induced matching of Q_d to a proper
     d-edge-coloring: the hypercube is Q_{d-1} box K_2 on the last bit."""
     _require_positive(d=d)
+    _require_size(f"Q_{d}", 1, 0, *_cube_size(d))  # K_1 box Q_d
     _require_palette(pre, d, f"Q_{d}")
     return extend_over_complete(hypercube(d - 1), 1, pre)
 
@@ -358,10 +388,12 @@ def extend_over_star(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     """
     _require_positive(m=m)
     bipartition(g)
+    what = f"G box K_1,{m}"
+    _require_size(what, g.n, len(g.edges), m + 1, m)
     base = g if m == 1 else cartesian_product(g, star(m - 1)).graph
     product = cartesian_product(g, star(m)).graph
 
     def to_host(e: Edge) -> Edge:
         return canonical_edge(_star_to_host(e[0], m), _star_to_host(e[1], m))
 
-    return _extend(base, 1, product, max_degree(g) + m, f"G box K_1,{m}", pre, to_host)
+    return _extend(base, 1, product, max_degree(g) + m, what, pre, to_host)

@@ -15,7 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .coloring import EdgeColoring, _search, verify_proper
+from .coloring import EdgeColoring, _require_budget, _search, verify_proper
 from .errors import (
     BadParameterError,
     InapplicableError,
@@ -49,13 +49,12 @@ def decide_extendable(
     vertex more uncolored edges than colors for them, the blocked hub among
     them, is refuted before any search node. With a node budget, exhausting
     it raises BudgetExceededError: an inconclusive outcome, never a "no".
-    The palette and the budget must be ints, prescribed colors ints in
-    1..palette, and no edge may be prescribed under both of its key orders
-    (BadParameterError).
+    The palette and the budget must be ints, the budget at least 0,
+    prescribed colors ints in 1..palette, and no edge may be prescribed
+    under both of its key orders (BadParameterError).
     """
     _require_ints(palette=palette)
-    if budget is not None:
-        _require_ints(budget=budget)
+    _require_budget(budget)
     entries = _prescribed_edges(g, pre, palette)
     domains = {
         e: {entries[e]} if e in entries else set(range(1, palette + 1)) for e in g.edges

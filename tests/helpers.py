@@ -34,12 +34,16 @@ from edgex import (
     bipartition,
     build_graph,
     canonical_edge,
+    cartesian_product,
     hypercube,
     max_degree,
     one_factorization,
+    reduce_instance,
+    star,
 )
 from edgex import coloring
 from edgex.coloring import _flip_cap, _require_covered
+from edgex.extension import _star_to_host
 from edgex.errors import (
     BadParameterError,
     BudgetExceededError,
@@ -808,6 +812,17 @@ def layer_edges(p: Graph, width: int) -> list[Edge]:
     """The edges of a product with `width` right-factor vertices that join
     two fibers (layer copies of the left factor's edges)."""
     return [(a, b) for a, b in p.edges if a // width != b // width]
+
+
+def star_residual(g: Graph, m: int, pre: Precoloring) -> ReducedInstance:
+    """The residual instance extend_over_star colors for a prescription of
+    G box K_{1,m}: the entries mapped into (G box K_{1,m-1}) box K_2 and
+    reduced over the base G box K_{1,m-1}."""
+    entries = {
+        canonical_edge(_star_to_host(u, m), _star_to_host(v, m)): c for (u, v), c in pre.entries.items()
+    }
+    base = cartesian_product(g, star(m - 1)).graph
+    return reduce_instance(base, 1, Precoloring(pre.palette_size, entries))
 
 
 def complete_factor_palette(g: Graph, m: int) -> int:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -181,6 +182,27 @@ class TestExtendVerify:
         assert main(["extend", "--factor", "qd:3", "--pre", pre, "--out-product", str(out)]) == 0
         assert read_doc(out) == graph_to_dict(hypercube(3), "Q_3")
 
+    def test_extend_past_the_size_limit_exits_1_without_a_build(self, tmp_path, monkeypatch, capsys):
+        def no_build(*args):
+            raise AssertionError("a graph was built past the size limit")
+
+        for module in (cli, extension):
+            for name in ("cartesian_product", "complete", "hypercube", "star"):
+                monkeypatch.setattr(module, name, no_build, raising=False)
+        g = write_graph(tmp_path, path(2), "k2")
+        pre = write_pre(tmp_path, Precoloring(3, {}))
+        start = time.perf_counter()
+        assert main(["extend", g, "--factor", "k2m:99999999999", "--pre", pre]) == 1
+        assert main(["extend", g, "--factor", "qd:18", "--pre", pre]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.count("past the") == 2
+
+    def test_extend_qd_graph_that_is_not_the_cube_exits_1(self, tmp_path, capsys):
+        g = write_graph(tmp_path, path(8), "p8")
+        pre = write_pre(tmp_path, Precoloring(3, {}))
+        assert main(["extend", g, "--factor", "qd:3", "--pre", pre]) == 1
+        assert "error: supplied graph is not Q_3" in capsys.readouterr().err
+
     def test_extend_missing_graph_argument(self, tmp_path):
         pre = write_pre(tmp_path, Precoloring(3, {}))
         assert main(["extend", "--factor", "k2m:1", "--pre", pre]) == 1
@@ -235,6 +257,14 @@ class TestOracle:
         g = write_graph(tmp_path, path(3), "p3")
         pre = write_pre(tmp_path, Precoloring(2, {(0, 1): 1, (1, 2): 1}))
         assert main(["oracle", g, pre, "--palette", "2"]) == 4
+
+    def test_negative_budget_exit_1(self, tmp_path, capsys):
+        # the prescription colors the graph without a search node
+        g = write_graph(tmp_path, path(2), "k2")
+        pre = write_pre(tmp_path, Precoloring(2, {(0, 1): 1}))
+        assert main(["oracle", g, pre, "--budget", "0"]) == 0
+        assert main(["oracle", g, pre, "--budget", "-1"]) == 1
+        assert "error: budget must be >= 0, got -1" in capsys.readouterr().err
 
     def test_budget_exit_5(self, tmp_path):
         g = write_graph(tmp_path, cartesian_product(path(4), complete(2)).graph, "ladder")
@@ -340,6 +370,12 @@ class TestErrorPaths:
         f = tmp_path / "junk.json"
         f.write_text("}{")
         assert main(["export-dot", str(f)]) == 1
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        f = tmp_path / "bad.json"
+        f.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main(["export-dot", str(f)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {f}: not valid JSON")
 
     def test_bad_factor_spec(self, tmp_path):
         g = write_graph(tmp_path, path(2), "k2")

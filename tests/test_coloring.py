@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from edgex import (
     EdgeColoring,
     bipartition,
+    cartesian_product,
     color_fibers,
     demand_list_color,
     build_graph,
@@ -44,15 +45,18 @@ from helpers import (
     certify_base,
     connected_bipartite_catalog,
     enumerate_all_list_colorings,
+    layer_edges,
     list_coloring_engines,
     list_coloring_records,
     random_connected_bipartite,
+    random_valid_precoloring,
     reference_certify_base,
     reference_galvin_list_color,
     reference_konig_color,
     reference_verify_proper,
     roadmap_cube_instance,
     small_bipartite_graphs,
+    star_residual,
 )
 
 CATALOG = connected_bipartite_catalog(7)
@@ -227,6 +231,13 @@ class TestExactListColor:
         assert exact_list_color(g, lists, budget=6) == exact_list_color(g, lists)
         with pytest.raises(BadParameterError):
             exact_list_color(g, lists, budget=1.5)
+
+    def test_negative_budget_rejected(self):
+        # a budget of 0 allows no node, and a graph without edges needs none
+        g = build_graph("ab", [])
+        assert exact_list_color(g, make_list_assignment(g, {}), budget=0).assignment == {}
+        with pytest.raises(BadParameterError, match="budget must be >= 0, got -1"):
+            exact_list_color(g, make_list_assignment(g, {}), budget=-1)
 
     def test_agrees_with_enumeration_oracle(self):
         rng = random.Random(3)
@@ -551,6 +562,20 @@ def test_galvin_matches_reference_on_seeded_cube_residuals(d):
     _, pre = roadmap_cube_instance(d)
     reduced = reduce_instance(hypercube(d - 1), 1, pre)
     g, lists = reduced.base_residual, reduced.lists
+    assert _kernel_outcome(galvin_list_color, g, lists) == _kernel_outcome(reference_galvin_list_color, g, lists)
+
+
+@pytest.mark.parametrize("size", [0, 40])
+def test_galvin_matches_reference_on_a_star_residual(size):
+    # the base C_6 x K_1,62 has degree-64 centers on both sides, whose
+    # edges run through every round of the palette pass
+    g = cycle(6)
+    product = cartesian_product(g, star(63)).graph
+    pre = random_valid_precoloring(random.Random(63), product, 65, size, layer_edges(product, 64))
+    assert len(pre.entries) == size
+    reduced = star_residual(g, 63, pre)
+    g, lists = reduced.base_residual, reduced.lists
+    assert max_degree(g) == 64
     assert _kernel_outcome(galvin_list_color, g, lists) == _kernel_outcome(reference_galvin_list_color, g, lists)
 
 

@@ -855,3 +855,81 @@ class TestOnePipeline:
         monkeypatch.setattr(extension, "color_fibers", recolored)
         with pytest.raises(ProofInvariantError, match=r"edge \(0, 1\) prescribed 1 but colored"):
             extend(Precoloring(3, {(0, 1): 1}))
+
+
+class TestSizeGuard:
+    """Every extend_* estimates its product's edges from the factors and
+    rejects one past MAX_PRODUCT_EDGES before it builds any graph."""
+
+    @pytest.mark.parametrize(
+        "call, product",
+        [
+            (lambda: extend_hypercube(5, Precoloring(5, {})), lambda: hypercube(5)),
+            (lambda: extend_over_complete(path(3), 2, Precoloring(5, {})),
+             lambda: cartesian_product(path(3), complete(4)).graph),
+            (lambda: extend_over_hypercube(cycle(4), 3, Precoloring(5, {})),
+             lambda: cartesian_product(cycle(4), hypercube(3)).graph),
+            (lambda: extend_over_star(star(3), 4, Precoloring(7, {})),
+             lambda: cartesian_product(star(3), star(4)).graph),
+            (lambda: extend_over_star(build_graph("", []), 2, Precoloring(2, {})), lambda: star(2)),
+        ],
+        ids=["hypercube", "complete", "over_hypercube", "star", "empty-star"],
+    )
+    def test_estimate_is_the_edge_count(self, monkeypatch, call, product):
+        # the empty G builds no product, so its estimate is the factor's
+        estimates = []
+
+        def record(what, *sizes):
+            estimates.append(max(extension._product_edges(*sizes), sizes[-1]))
+
+        monkeypatch.setattr(extension, "_require_size", record)
+        call()
+        assert estimates and set(estimates) == {len(product().edges)}
+
+    @pytest.mark.parametrize("d", range(0, 8))
+    def test_cube_size(self, d):
+        q = hypercube(d)
+        assert extension._cube_size(d) == (q.n, len(q.edges))
+
+    @staticmethod
+    def _no_builds(monkeypatch):
+        def no_build(*args):
+            raise AssertionError("a graph was built past the size limit")
+
+        for name in ("cartesian_product", "complete", "hypercube", "star"):
+            monkeypatch.setattr(extension, name, no_build)
+
+    @pytest.mark.parametrize(
+        "extend, m, sizes",
+        [
+            (extend_over_complete, 725, lambda m: (2, 1, 2 * m, m * (2 * m - 1))),
+            (extend_over_hypercube, 17, lambda m: (2, 1, *extension._cube_size(m))),
+            (extend_over_star, 699051, lambda m: (2, 1, m + 1, m)),
+        ],
+        ids=["complete", "over_hypercube", "star"],
+    )
+    def test_just_past_the_limit_builds_nothing(self, monkeypatch, extend, m, sizes):
+        # m is the first parameter whose product with path(2) is too big
+        limit = extension.MAX_PRODUCT_EDGES
+        assert extension._product_edges(*sizes(m - 1)) <= limit < extension._product_edges(*sizes(m))
+        self._no_builds(monkeypatch)
+        with pytest.raises(BadParameterError, match=f"past the limit of {limit}"):
+            extend(path(2), m, Precoloring(1, {}))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: extend_hypercube(18, Precoloring(18, {})),
+            lambda: extend_hypercube(10**11, Precoloring(1, {})),
+            lambda: extend_over_complete(path(2), 10**11, Precoloring(1, {})),
+            lambda: extend_over_hypercube(path(2), 10**11, Precoloring(1, {})),
+            lambda: extend_over_star(build_graph("", []), 10**11, Precoloring(1, {})),
+        ],
+        ids=["q18", "huge-hypercube", "huge-complete", "huge-over_hypercube", "empty-g-huge-star"],
+    )
+    def test_far_past_the_limit_builds_nothing(self, monkeypatch, call):
+        # Q_17 has 1,114,112 edges and fits; Q_18 has 2,359,296
+        assert extension._cube_size(17)[1] <= extension.MAX_PRODUCT_EDGES < extension._cube_size(18)[1]
+        self._no_builds(monkeypatch)
+        with pytest.raises(BadParameterError, match="past the"):
+            call()

@@ -136,6 +136,14 @@ class TestDecideExtendable:
         witness = decide_extendable(g, pre, 4, budget=31)
         assert witness is not None and witness == decide_extendable(g, pre, 4)
 
+    def test_negative_budget_rejected(self):
+        # the pinned prescription colors path(2) without a search node, so
+        # only the check tells a budget of -1 from one of 0
+        pre = Precoloring(2, {(0, 1): 1})
+        assert decide_extendable(path(2), pre, 2, budget=0) is not None
+        with pytest.raises(BadParameterError, match="budget must be >= 0, got -1"):
+            decide_extendable(path(2), pre, 2, budget=-1)
+
     @pytest.mark.parametrize("color", [1.5, "a", True])
     def test_non_integer_color_rejected(self, color):
         with pytest.raises(BadParameterError):

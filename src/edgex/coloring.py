@@ -29,11 +29,13 @@ which always suffice on bipartite graphs (Borodin, Kostochka and Woodall).
 For G box K_2 (so for Q_d, G box Q_m and G box K_{1,m}) a residual edge
 between two prescriptions of different colors keeps a list below max
 degree, so the repair runs on nearly every maximal precolored matching.
-Demand-sized lists always leave a flip for a violating edge; only a repair
-that passes its flip cap falls back to the search, under a node budget, and
-that fallback is logged. A search that refutes the lists is reported as a
-library bug, never as an unsatisfiable instance; one past its budget as
-inconclusive (BudgetExceededError).
+Demand-sized lists always leave a flip for a violating edge, but nothing
+bounds the flips: a repair past its cap falls back to the search, under a
+node budget, and that fallback is logged. It does happen: random bipartite
+G(150, 150, 0.27), seed 1 (6,120 edges), with demand-sized lists drawn from
+1..demand+2 ends in the search after 19 s on a 2-core VM. A search that
+refutes the lists is reported as a library bug, never as an unsatisfiable
+instance; one past its budget as inconclusive (BudgetExceededError).
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .errors import (
     TheoremViolationError,
     _require_ints,
 )
+from .families import _require_size
 from .graph import SIDE_X, Bipartition, Edge, Graph, _edge_key, bipartition, canonical_edge, max_degree
 
 _log = logging.getLogger("edgex")
@@ -645,6 +648,7 @@ def one_factorization(order: int) -> list[list[Edge]]:
     _require_ints(order=order)
     if order < 2 or order % 2:
         raise OddOrderError(f"1-factorization needs a positive even order, got {order}")
+    _require_size(f"K_{order}", order, order * (order - 1) // 2)
     rounds = []
     mod = order - 1
     for r in range(mod):

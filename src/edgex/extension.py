@@ -9,9 +9,9 @@ residual base; replication into every layer and color_fibers; one
 verify_proper on the caller's product (proper, in palette, agreeing with the
 prescription, only its edges colored), whose failure is an internal error.
 An entry point checks its integers, bipartitions the caller's own G first
-(so an odd cycle is reported in G's indices), rejects a product of more
-than MAX_PRODUCT_EDGES edges from the factors' sizes before building
-anything, and picks base, product and palette. Hypercube and star
+(so an odd cycle is reported in G's indices), runs the families size check
+on the counts of its product before building anything, and picks base,
+product and palette. Hypercube and star
 products take m = 1: G box Q_m is (G box Q_{m-1}) box K_2 split on the
 least significant bit, and G box K_{1,m} is an induced subgraph of
 (G box K_{1,m-1}) box K_2, so the star maps its prescription into that
@@ -40,7 +40,8 @@ from .errors import (
     UnknownEdgeError,
     _require_ints,
 )
-from .families import ProductGraph, cartesian_product, complete, hypercube, star
+from .families import ProductGraph, _as_graph, cartesian_product, complete, hypercube, star
+from .families import _cube_size, _require_size
 from .graph import (
     Edge,
     Graph,
@@ -51,8 +52,6 @@ from .graph import (
     close_edge_pairs,
     max_degree,
 )
-
-MAX_PRODUCT_EDGES = 2**21  # Q_17 (1,114,112 edges) is built, Q_18 (2,359,296) is not
 
 
 @dataclass(frozen=True)
@@ -101,10 +100,6 @@ class ReducedInstance:
     fiber_prescriptions: dict[int, tuple[Edge, int]]
 
 
-def _host_graph(p: ProductGraph | Graph) -> Graph:
-    return p.graph if isinstance(p, ProductGraph) else p
-
-
 def validate_precoloring(p: ProductGraph | Graph, pre: Precoloring) -> ValidationReport:
     """Check colors lie in the palette and entries form a distance-2 matching.
 
@@ -114,7 +109,7 @@ def validate_precoloring(p: ProductGraph | Graph, pre: Precoloring) -> Validatio
     reported, not raised, so callers can show all problems at once.
     """
     _require_ints(InvalidPrecoloringError, palette_size=pre.palette_size)
-    g = _host_graph(p)
+    g = _as_graph(p)
     entries = sorted(((g.check_edge(e), c) for e, c in pre.entries.items()), key=lambda t: t[0])
     return ValidationReport(
         color_violations=tuple(
@@ -148,6 +143,7 @@ def reduce_instance(g: Graph, m: int, pre: Precoloring) -> ReducedInstance:
     """
     _require_positive(m=m)
     width = 2 * m
+    _require_size(f"K_{width}", width, m * (width - 1))  # bounds the palette, max degree + 2m - 1
     forced_layer: dict[Edge, int] = {}
     fiber_prescriptions: dict[int, tuple[Edge, int]] = {}
     blocked: dict[int, int] = {}  # base vertex -> the color prescribed at it
@@ -278,28 +274,6 @@ def _require_positive(**params: int) -> None:
             raise BadParameterError(f"{name} must be >= 1")
 
 
-def _product_edges(g_order: int, g_edges: int, h_order: int, h_edges: int) -> int:
-    """|E(G box H)| from the orders and sizes of G and H."""
-    return g_edges * h_order + g_order * h_edges
-
-
-def _cube_size(d: int) -> tuple[int, int]:
-    """|V(Q_d)| and |E(Q_d)| = d * 2**(d-1). Past the bit length of the size
-    limit Q_d alone has more edges than the limit, so such a d is rejected
-    before any power of two is formed."""
-    if d > MAX_PRODUCT_EDGES.bit_length():
-        raise BadParameterError(f"Q_{d} has more than {MAX_PRODUCT_EDGES} edges, past the size limit")
-    return 1 << d, d * (1 << d) // 2
-
-
-def _require_size(what: str, g_order: int, g_edges: int, h_order: int, h_edges: int) -> None:
-    """BadParameterError when G box H, or H itself (for an empty G), has
-    more than MAX_PRODUCT_EDGES edges: called before either is built."""
-    edges = max(_product_edges(g_order, g_edges, h_order, h_edges), h_edges)
-    if edges > MAX_PRODUCT_EDGES:
-        raise BadParameterError(f"{what} would build {edges} edges, past the limit of {MAX_PRODUCT_EDGES}")
-
-
 def _require_palette(pre: Precoloring, palette: int, what: str) -> None:
     if pre.palette_size != palette:
         raise InvalidPrecoloringError(
@@ -363,7 +337,7 @@ def extend_hypercube(d: int, pre: Precoloring) -> EdgeColoring:
     """Extend a valid precolored induced matching of Q_d to a proper
     d-edge-coloring: the hypercube is Q_{d-1} box K_2 on the last bit."""
     _require_positive(d=d)
-    _require_size(f"Q_{d}", 1, 0, *_cube_size(d))  # K_1 box Q_d
+    _require_size(f"Q_{d}", *_cube_size(d))
     _require_palette(pre, d, f"Q_{d}")
     return extend_over_complete(hypercube(d - 1), 1, pre)
 

@@ -15,6 +15,9 @@ Products and hypercubes are emitted with canonical edges in lexicographic
 order and sorted adjacency by construction, in one pass and unchecked: their
 inputs are Graphs or a checked dimension. The small families with user
 parameters go through build_graph, the checked entry for outside input.
+
+Every constructor here and the product, and every extension entry point on
+its product's counts, first run ``_require_size``, the one size check.
 """
 
 from __future__ import annotations
@@ -23,6 +26,34 @@ from dataclasses import dataclass
 
 from .errors import BadParameterError, _require_ints
 from .graph import Edge, Graph, _graph, build_graph
+
+MAX_PRODUCT_EDGES = 2**21  # in vertices or edges: Q_17 (1,114,112 edges) is built, Q_18 (2,359,296) is not
+
+
+def _product_edges(g_order: int, g_edges: int, h_order: int, h_edges: int) -> int:
+    """|E(G box H)| from the orders and sizes of G and H."""
+    return g_edges * h_order + g_order * h_edges
+
+
+def _cube_size(d: int) -> tuple[int, int]:
+    """|V(Q_d)| and |E(Q_d)| = d * 2**(d-1). Past the bit length of the size
+    limit Q_d alone has more edges than the limit, so such a d is rejected
+    before any power of two is formed."""
+    if d > MAX_PRODUCT_EDGES.bit_length():
+        raise BadParameterError(f"Q_{d} has more than {MAX_PRODUCT_EDGES} edges, past the size limit")
+    return 1 << d, d * (1 << d) // 2
+
+
+def _require_size(what: str, g_order: int, g_edges: int, h_order: int = 1, h_edges: int = 0) -> None:
+    """BadParameterError, before anything is allocated, when G box H (G itself
+    for the default H = K_1), or H alone for an empty G, would have more than
+    MAX_PRODUCT_EDGES vertices or edges."""
+    order = max(g_order * h_order, h_order)
+    edges = max(_product_edges(g_order, g_edges, h_order, h_edges), h_edges)
+    if max(order, edges) > MAX_PRODUCT_EDGES:
+        raise BadParameterError(
+            f"{what} would have {order} vertices and {edges} edges, past the limit of {MAX_PRODUCT_EDGES}"
+        )
 
 
 @dataclass(frozen=True)
@@ -41,10 +72,15 @@ class ProductGraph:
         return u * self.right_order + w
 
 
+def _as_graph(p: ProductGraph | Graph) -> Graph:
+    return p.graph if isinstance(p, ProductGraph) else p
+
+
 def complete(n: int) -> Graph:
     _require_ints(n=n)
     if n < 1:
         raise BadParameterError("complete graph needs n >= 1")
+    _require_size(f"K_{n}", n, n * (n - 1) // 2)
     labels = [f"v{i}" for i in range(n)]
     return build_graph(labels, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
@@ -53,6 +89,7 @@ def complete_bipartite(n: int, m: int) -> Graph:
     _require_ints(n=n, m=m)
     if n < 1 or m < 1:
         raise BadParameterError("complete bipartite graph needs n, m >= 1")
+    _require_size(f"K_{n},{m}", n + m, n * m)
     labels = [f"x{i}" for i in range(n)] + [f"y{j}" for j in range(m)]
     return build_graph(labels, [(i, n + j) for i in range(n) for j in range(m)])
 
@@ -62,6 +99,7 @@ def star(m: int) -> Graph:
     _require_ints(m=m)
     if m < 1:
         raise BadParameterError("star needs m >= 1")
+    _require_size(f"K_1,{m}", m + 1, m)
     labels = ["c"] + [f"l{t}" for t in range(1, m + 1)]
     return build_graph(labels, [(0, t) for t in range(1, m + 1)])
 
@@ -70,6 +108,7 @@ def path(n: int) -> Graph:
     _require_ints(n=n)
     if n < 1:
         raise BadParameterError("path needs n >= 1")
+    _require_size(f"P_{n}", n, n - 1)
     labels = [f"p{i}" for i in range(n)]
     return build_graph(labels, [(i, i + 1) for i in range(n - 1)])
 
@@ -78,6 +117,7 @@ def cycle(n: int) -> Graph:
     _require_ints(n=n)
     if n < 3:
         raise BadParameterError("cycle needs n >= 3")
+    _require_size(f"C_{n}", n, n)
     labels = [f"c{i}" for i in range(n)]
     return build_graph(labels, [(i, (i + 1) % n) for i in range(n)])
 
@@ -87,6 +127,7 @@ def hypercube(d: int) -> Graph:
     _require_ints(d=d)
     if d < 0:
         raise BadParameterError("hypercube needs d >= 0")
+    _require_size(f"Q_{d}", *_cube_size(d))
     n = 1 << d
     labels = tuple(format(i, f"0{d}b") if d else "" for i in range(n))
     bits = [1 << b for b in range(d)]
@@ -110,6 +151,7 @@ def spider(legs: int, leg_length: int) -> Graph:
     _require_ints(legs=legs, leg_length=leg_length)
     if legs < 1 or leg_length < 1:
         raise BadParameterError("spider needs legs >= 1 and leg_length >= 1")
+    _require_size(f"spider:{legs},{leg_length}", 1 + legs * leg_length, legs * leg_length)
     labels = ["c"] + [f"s{t}.{k}" for t in range(legs) for k in range(1, leg_length + 1)]
     pairs = []
     for t in range(legs):
@@ -150,6 +192,7 @@ def cartesian_product(g: Graph, h: Graph) -> ProductGraph:
     (u+1)*k and every layer end at or above it. Its neighbors are the lower
     layer ones, its whole fiber, then the upper layer ones.
     """
+    _require_size("G box H", g.n, len(g.edges), h.n, len(h.edges))
     k = h.n
     labels = tuple(f"{lu}|{lw}" for lu in g.labels for lw in h.labels)
     above = [[z for z in ns if z > w] for w, ns in enumerate(h.adjacency)]

@@ -24,7 +24,7 @@ from .errors import (
     _require_ints,
 )
 from .extension import Precoloring, validate_precoloring
-from .families import ProductGraph, cartesian_product, complete_bipartite
+from .families import ProductGraph, _as_graph, cartesian_product, complete_bipartite
 from .graph import (
     Edge,
     Graph,
@@ -209,7 +209,7 @@ def check_local_obstruction(
     a color outside the palette.
     """
     _require_ints(InvalidPrecoloringError, palette_size=pre.palette_size)
-    g = p.graph if isinstance(p, ProductGraph) else p
+    g = _as_graph(p)
     entries = _prescribed_edges(g, pre, pre.palette_size)
     by_color: dict[int, list[Edge]] = {}
     for e, c in sorted(entries.items()):

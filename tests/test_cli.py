@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from edgex import Precoloring, cartesian_product, complete, hypercube, path, spider, star
+from edgex import Precoloring, build_graph, cartesian_product, complete, hypercube, path, spider, star
 from edgex import cli, coloring, extension
 from edgex.cli import main
 from edgex.serialize import (
@@ -68,6 +68,19 @@ class TestProduct:
         doc = read_doc(out)
         assert len(doc["vertices"]) == 6
         assert len(doc["product"]["edge_kinds"]) == len(doc["edges"])
+
+    def test_build_and_product_past_the_size_limit_exit_1(self, tmp_path, capsys):
+        # Q_40, and the 4,000,000-vertex product of two edgeless graphs
+        edgeless = write_graph(tmp_path, build_graph([""] * 2000, []), "edgeless")
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main(["build", "hypercube:40"]) == 1
+        assert main(["product", edgeless, edgeless]) == 1
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 2 and all(line.startswith("error: ") and "past the" in line for line in lines)
 
 
 class TestExtendVerify:

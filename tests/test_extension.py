@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,18 +14,21 @@ from edgex import (
     cartesian_product,
     color_fibers,
     complete,
+    complete_bipartite,
     cycle,
     decide_extendable,
     extend_hypercube,
     extend_over_complete,
     extend_over_hypercube,
     extend_over_star,
+    explore_bipartite_factor,
     hypercube,
     konig_color,
     max_degree,
     one_factorization,
     path,
     reduce_instance,
+    spider,
     star,
     validate_precoloring,
     verify_proper,
@@ -37,7 +41,7 @@ from edgex.errors import (
     UnknownEdgeError,
     VertexIndexError,
 )
-from edgex import extension
+from edgex import coloring, extension, families
 from edgex.extension import require_valid
 
 from helpers import (
@@ -53,6 +57,9 @@ from helpers import (
     roadmap_cube_instance,
     complete_factor_palette,
 )
+
+# factors built once, so a size check records only the graph a call builds
+P3, C4, S3, EMPTY = path(3), cycle(4), star(3), build_graph("", [])
 
 every_extend = pytest.mark.parametrize(
     "extend",
@@ -858,38 +865,62 @@ class TestOnePipeline:
 
 
 class TestSizeGuard:
-    """Every extend_* estimates its product's edges from the factors and
-    rejects one past MAX_PRODUCT_EDGES before it builds any graph."""
+    """families._require_size is the one size check. Every family
+    constructor, the product, one_factorization and reduce_instance run it
+    on their own counts, and every extend_* on its product's counts, so a
+    graph past MAX_PRODUCT_EDGES vertices or edges is rejected before any
+    graph is built."""
 
     @pytest.mark.parametrize(
         "call, product",
         [
             (lambda: extend_hypercube(5, Precoloring(5, {})), lambda: hypercube(5)),
-            (lambda: extend_over_complete(path(3), 2, Precoloring(5, {})),
-             lambda: cartesian_product(path(3), complete(4)).graph),
-            (lambda: extend_over_hypercube(cycle(4), 3, Precoloring(5, {})),
-             lambda: cartesian_product(cycle(4), hypercube(3)).graph),
-            (lambda: extend_over_star(star(3), 4, Precoloring(7, {})),
-             lambda: cartesian_product(star(3), star(4)).graph),
-            (lambda: extend_over_star(build_graph("", []), 2, Precoloring(2, {})), lambda: star(2)),
+            (lambda: extend_over_complete(P3, 2, Precoloring(5, {})),
+             lambda: cartesian_product(P3, complete(4)).graph),
+            (lambda: extend_over_hypercube(C4, 3, Precoloring(5, {})),
+             lambda: cartesian_product(C4, hypercube(3)).graph),
+            (lambda: extend_over_star(S3, 4, Precoloring(7, {})), lambda: cartesian_product(S3, star(4)).graph),
+            (lambda: extend_over_star(EMPTY, 2, Precoloring(2, {})), lambda: star(2)),
+            (lambda: complete(5), lambda: complete(5)),
+            (lambda: complete_bipartite(2, 3), lambda: complete_bipartite(2, 3)),
+            (lambda: star(4), lambda: star(4)),
+            (lambda: path(4), lambda: path(4)),
+            (lambda: path(1), lambda: path(1)),
+            (lambda: cycle(5), lambda: cycle(5)),
+            (lambda: spider(3, 2), lambda: spider(3, 2)),
+            (lambda: hypercube(0), lambda: hypercube(0)),
+            (lambda: hypercube(4), lambda: hypercube(4)),
+            (lambda: cartesian_product(C4, S3), lambda: cartesian_product(C4, S3).graph),
+            (lambda: cartesian_product(EMPTY, S3), lambda: S3),
+            (lambda: one_factorization(6), lambda: complete(6)),
+            (lambda: reduce_instance(P3, 2, Precoloring(5, {})), lambda: complete(4)),
         ],
-        ids=["hypercube", "complete", "over_hypercube", "star", "empty-star"],
+        ids=["hypercube", "complete", "over_hypercube", "star", "empty-star", "family-complete",
+             "family-complete_bipartite", "family-star", "family-path", "family-path-1", "family-cycle",
+             "family-spider", "family-hypercube-0", "family-hypercube", "product", "empty-product",
+             "one_factorization", "reduce_instance"],
     )
     def test_estimate_is_the_edge_count(self, monkeypatch, call, product):
-        # the empty G builds no product, so its estimate is the factor's
+        # the first check of a call is on the largest graph it builds, and
+        # every later one is on a graph no larger; the empty G builds no
+        # product, so its estimate is the factor's
         estimates = []
 
-        def record(what, *sizes):
-            estimates.append(max(extension._product_edges(*sizes), sizes[-1]))
+        def record(what, g_order, g_edges, h_order=1, h_edges=0):
+            edges = families._product_edges(g_order, g_edges, h_order, h_edges)
+            estimates.append((max(g_order * h_order, h_order), max(edges, h_edges)))
 
-        monkeypatch.setattr(extension, "_require_size", record)
+        for module in (families, coloring, extension):
+            monkeypatch.setattr(module, "_require_size", record)
         call()
-        assert estimates and set(estimates) == {len(product().edges)}
+        built = product()
+        assert estimates[0] == (built.n, len(built.edges))
+        assert all(n <= built.n and e <= len(built.edges) for n, e in estimates)
 
     @pytest.mark.parametrize("d", range(0, 8))
     def test_cube_size(self, d):
         q = hypercube(d)
-        assert extension._cube_size(d) == (q.n, len(q.edges))
+        assert families._cube_size(d) == (q.n, len(q.edges))
 
     @staticmethod
     def _no_builds(monkeypatch):
@@ -903,15 +934,18 @@ class TestSizeGuard:
         "extend, m, sizes",
         [
             (extend_over_complete, 725, lambda m: (2, 1, 2 * m, m * (2 * m - 1))),
-            (extend_over_hypercube, 17, lambda m: (2, 1, *extension._cube_size(m))),
+            (extend_over_hypercube, 17, lambda m: (2, 1, *families._cube_size(m))),
             (extend_over_star, 699051, lambda m: (2, 1, m + 1, m)),
         ],
         ids=["complete", "over_hypercube", "star"],
     )
     def test_just_past_the_limit_builds_nothing(self, monkeypatch, extend, m, sizes):
-        # m is the first parameter whose product with path(2) is too big
-        limit = extension.MAX_PRODUCT_EDGES
-        assert extension._product_edges(*sizes(m - 1)) <= limit < extension._product_edges(*sizes(m))
+        # m is the first parameter whose product with path(2) is too big,
+        # and its edges, not its vertices, are what pass the limit
+        limit = families.MAX_PRODUCT_EDGES
+        assert families._product_edges(*sizes(m - 1)) <= limit < families._product_edges(*sizes(m))
+        g_order, _g_edges, h_order, _h_edges = sizes(m)
+        assert g_order * h_order <= limit
         self._no_builds(monkeypatch)
         with pytest.raises(BadParameterError, match=f"past the limit of {limit}"):
             extend(path(2), m, Precoloring(1, {}))
@@ -924,12 +958,26 @@ class TestSizeGuard:
             lambda: extend_over_complete(path(2), 10**11, Precoloring(1, {})),
             lambda: extend_over_hypercube(path(2), 10**11, Precoloring(1, {})),
             lambda: extend_over_star(build_graph("", []), 10**11, Precoloring(1, {})),
+            lambda: hypercube(18),
+            lambda: hypercube(40),
+            lambda: complete(10**6),
+            lambda: path(10**7),
+            lambda: one_factorization(10**6),
+            lambda: reduce_instance(path(2), 10**9, Precoloring(3, {})),
+            lambda: color_fibers(path(2), 10**6, EdgeColoring(1, {(0, 1): 1}), {}),
+            lambda: explore_bipartite_factor(path(2), 10**7, 1, 5),
+            lambda: cartesian_product(build_graph([""] * 2000, []), build_graph([""] * 2000, [])),
         ],
-        ids=["q18", "huge-hypercube", "huge-complete", "huge-over_hypercube", "empty-g-huge-star"],
+        ids=["q18", "huge-hypercube", "huge-complete", "huge-over_hypercube", "empty-g-huge-star",
+             "family-q18", "family-q40", "family-complete", "family-path", "one_factorization",
+             "reduce_instance", "color_fibers", "explore_bipartite_factor", "edgeless-product"],
     )
     def test_far_past_the_limit_builds_nothing(self, monkeypatch, call):
-        # Q_17 has 1,114,112 edges and fits; Q_18 has 2,359,296
-        assert extension._cube_size(17)[1] <= extension.MAX_PRODUCT_EDGES < extension._cube_size(18)[1]
+        # Q_17 has 1,114,112 edges and fits; Q_18 has 2,359,296; the
+        # edgeless product has no edge but 4,000,000 vertices
+        assert families._cube_size(17)[1] <= families.MAX_PRODUCT_EDGES < families._cube_size(18)[1]
         self._no_builds(monkeypatch)
+        start = time.perf_counter()
         with pytest.raises(BadParameterError, match="past the"):
             call()
+        assert time.perf_counter() - start < 1

@@ -43,6 +43,7 @@ from __future__ import annotations
 import heapq
 import logging
 import random
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -184,7 +185,8 @@ def verify_proper(
     if prescribed is not None:
         keyed = ((_edge_key(e), c) for e, c in prescribed.items())
         disagreements = sorted(((e, c, a.get(e)) for e, c in keyed if a.get(e) != c), key=lambda t: t[0])
-    not_edges = [e for e in a if e not in g.edge_set] if len(a) > len(colors) else []
+    known = set(g.edges) if len(a) > len(colors) else None
+    not_edges = [e for e in a if e not in known] if known is not None else []
     return ColoringReport(
         conflicts=tuple(conflicts),
         off_palette=tuple(off_palette),
@@ -470,7 +472,7 @@ def _search(
 ) -> dict[Edge, int] | None:
     """A proper coloring of g from the given domains, or None if none exists.
 
-    The pinned (edge, color in its domain) pairs, distinct edges, are
+    The pinned (edge, color in its domain) pairs, distinct edges of g, are
     assigned first, in order, as no search nodes. Then a depth-first search
     with forward checking: the unassigned edge with the fewest colors left
     goes next (ties by canonical edge), its colors are tried in ascending
@@ -490,7 +492,6 @@ def _search(
     logs its nodes and pigeonhole prunes at debug level.
     """
     edges = g.edges
-    index = {e: i for i, e in enumerate(edges)}
     at: list[list[int]] = [[] for _ in range(g.n)]  # vertex -> its edges
     for i, (u, v) in enumerate(edges):
         at[u].append(i)
@@ -573,7 +574,7 @@ def _search(
     try:
         order = []  # pinned, then searched edges: the witness's insertion order
         for e, c in pinned:
-            order.append(index[e])
+            order.append(bisect_left(edges, e))
             if not assign(order[-1], c):
                 return None
         stack: list[tuple[int, Iterator[int]]] = []  # search edges, each with its untried colors

@@ -46,7 +46,6 @@ from .graph import (
     Edge,
     Graph,
     _edge_key,
-    _graph,
     bipartition,
     canonical_edge,
     close_edge_pairs,
@@ -175,7 +174,7 @@ def reduce_instance(g: Graph, m: int, pre: Precoloring) -> ReducedInstance:
             for x in e:
                 adjacency[x] = tuple(w for w in adjacency[x] if canonical_edge(x, w) != e)
         edges = tuple(e for e in g.edges if e not in forced_layer)
-        residual = _graph(g.labels, edges, tuple(adjacency))
+        residual = Graph(g.labels, edges, tuple(adjacency))
     degree = [len(ns) for ns in residual.adjacency]
     full = tuple(range(1, max_degree(g) + width))
     without: dict[frozenset[int], tuple[int, ...]] = {}  # lost colors -> list

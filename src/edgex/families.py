@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadParameterError, _require_ints
-from .graph import Edge, Graph, _graph, build_graph
+from .graph import Edge, Graph, build_graph
 
 MAX_PRODUCT_EDGES = 2**21  # in vertices or edges: Q_17 (1,114,112 edges) is built, Q_18 (2,359,296) is not
 
@@ -139,7 +139,7 @@ def hypercube(d: int) -> Graph:
         tuple([i ^ t for t in high_first if i & t] + [i | t for t in bits if not i & t])
         for i in range(n)
     )
-    return _graph(labels, edges, adjacency)
+    return Graph(labels, edges, adjacency)
 
 
 def spider(legs: int, leg_length: int) -> Graph:
@@ -208,6 +208,6 @@ def cartesian_product(g: Graph, h: Graph) -> ProductGraph:
             edges += [(a, s + z) for z in above[w]]
             edges += [(a, b) for b in up]
             adjacency.append(tuple([b + w for b in lower] + [s + z for z in fiber] + up))
-    graph = _graph(labels, tuple(edges), tuple(adjacency))
+    graph = Graph(labels, tuple(edges), tuple(adjacency))
     return ProductGraph(graph=graph, left_order=g.n, right_order=k)
 

@@ -2,13 +2,15 @@
 
 Vertices are dense indices 0..n-1 carrying text labels. Edges are canonical
 pairs (u, v) with u < v, kept in lexicographic order so every derived
-structure (adjacency, colorings, serializations) is deterministic.
+structure (adjacency, colorings, serializations) is deterministic; their
+positions in that order are the only edge index a Graph has.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     DuplicateEdgeError,
@@ -38,12 +40,12 @@ def _edge_key(e: object) -> Edge:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph; immutable after construction."""
+    """Simple undirected graph; immutable after construction. Adjacency
+    rows are sorted: build_graph checks it, the other builders keep it."""
 
     labels: tuple[str, ...]
     edges: tuple[Edge, ...]
     adjacency: tuple[tuple[int, ...], ...]
-    edge_set: frozenset[Edge] = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -53,7 +55,12 @@ class Graph:
         return len(self.adjacency[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return canonical_edge(u, v) in self.edge_set
+        # a negative u would index a row from the end
+        if not (type(u) is int and type(v) is int and 0 <= u < self.n):
+            return False
+        row = self.adjacency[u]
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def check_vertex(self, v: int) -> None:
         if not (type(v) is int and 0 <= v < self.n):
@@ -63,7 +70,7 @@ class Graph:
         """Canonicalize a key naming an edge in either order; a key that is
         not a pair of ints, or names no edge, raises UnknownEdgeError."""
         e = _edge_key(e)
-        if e not in self.edge_set:
+        if not self.has_edge(*e):
             raise UnknownEdgeError(f"edge {e} not in graph")
         return e
 
@@ -116,16 +123,7 @@ def build_graph(labels, pairs) -> Graph:
         neighbors[u].append(v)
         neighbors[v].append(u)
     adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
-    return _graph(labels, edges, adjacency)
-
-
-def _graph(
-    labels: tuple[str, ...], edges: tuple[Edge, ...], adjacency: tuple[tuple[int, ...], ...]
-) -> Graph:
-    """A Graph whose invariants hold by construction, unchecked: labels are
-    str, edges are distinct canonical pairs in lexicographic order, and
-    adjacency holds each vertex's sorted neighbors along those edges."""
-    return Graph(labels=labels, edges=edges, adjacency=adjacency, edge_set=frozenset(edges))
+    return Graph(labels, edges, adjacency)
 
 
 def bipartition(g: Graph) -> Bipartition:

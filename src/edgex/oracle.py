@@ -24,7 +24,7 @@ from .errors import (
     _require_ints,
 )
 from .extension import Precoloring, validate_precoloring
-from .families import ProductGraph, _as_graph, cartesian_product, complete_bipartite
+from .families import ProductGraph, _as_graph, _require_size, cartesian_product, complete_bipartite
 from .graph import (
     Edge,
     Graph,
@@ -45,20 +45,24 @@ def decide_extendable(
 
     Complete backtracking with minimum-remaining-values ordering, forward
     checking, pigeonhole pruning and canonical tie-breaking; the witness is
-    re-verified before being returned. A prescription that leaves some
-    vertex more uncolored edges than colors for them, the blocked hub among
-    them, is refuted before any search node. With a node budget, exhausting
-    it raises BudgetExceededError: an inconclusive outcome, never a "no".
-    The palette and the budget must be ints, the budget at least 0,
-    prescribed colors ints in 1..palette, and no edge may be prescribed
-    under both of its key orders (BadParameterError).
+    re-verified before being returned. An unprescribed edge's domain is the
+    prescribed colors plus the 2*max_degree - 1 lowest others: with at most
+    2*max_degree - 2 neighbors it never empties, and verdicts, witnesses and
+    node counts are those of whole-palette domains. A prescription that
+    leaves some vertex more uncolored edges than colors for them, the
+    blocked hub among them, is refuted before any search node. With a node
+    budget, exhausting it raises BudgetExceededError: an inconclusive
+    outcome, never a "no". The palette and the budget must be ints, the
+    budget at least 0, prescribed colors ints in 1..palette, and no edge
+    may be prescribed under both of its key orders (BadParameterError).
     """
     _require_ints(palette=palette)
     _require_budget(budget)
     entries = _prescribed_edges(g, pre, palette)
-    domains = {
-        e: {entries[e]} if e in entries else set(range(1, palette + 1)) for e in g.edges
-    }
+    used = set(entries.values())
+    others = (c for c in range(1, palette + 1) if c not in used)
+    bounded = used.union(itertools.islice(others, max(0, 2 * max_degree(g) - 1)))
+    domains = {e: {entries[e]} if e in entries else set(bounded) for e in g.edges}
     # the prescription is pinned first; a dead end there means it is itself
     # improper or strangled, hence not extendable
     assignment = _search(g, domains, budget, pinned=sorted(entries.items()))
@@ -266,6 +270,7 @@ def explore_bipartite_factor(
     if budget < 1:
         raise BadParameterError("budget must be positive")
     bipartition(g)
+    _require_size(f"G box K_{n},{m}", g.n, len(g.edges), n + m, n * m)  # before K_n,m is built
     product = cartesian_product(g, complete_bipartite(n, m))
     palette = max_degree(g) + n
     matchings = _all_distance2_matchings(product.graph)

@@ -41,7 +41,7 @@ from edgex.errors import (
     UnknownEdgeError,
     VertexIndexError,
 )
-from edgex import coloring, extension, families
+from edgex import coloring, extension, families, oracle
 from edgex.extension import require_valid
 
 from helpers import (
@@ -246,6 +246,19 @@ class TestReduce:
                     with pytest.raises(UnknownEdgeError) as got:
                         reduce_instance(g, m, pre)
                     assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("key", [(-4, -2), (-2, 2), (-1, 3)])
+    def test_negative_key_names_no_edge(self, key):
+        # divmod by 2 turns (-4, -2) into base pair (-2, -1), and (-2, 2)
+        # and (-1, 3) into (-1, 1), a layer copy of (1, 2) were -1 to wrap
+        # around to vertex 2; in the product, adjacency[-2] and [-1] are the
+        # rows of vertices 4 and 5, which hold 2 and 3
+        pre = Precoloring(3, {key: 1})
+        with pytest.raises(UnknownEdgeError) as expected:
+            validate_precoloring(cartesian_product(path(3), complete(2)), pre)
+        with pytest.raises(UnknownEdgeError) as got:
+            reduce_instance(path(3), 1, pre)
+        assert str(got.value) == str(expected.value) == f"edge {key} not in graph"
 
     def test_layer_entry(self):
         red = reduce_instance(path(3), 1, Precoloring(3, {(0, 2): 3}))
@@ -894,11 +907,13 @@ class TestSizeGuard:
             (lambda: cartesian_product(EMPTY, S3), lambda: S3),
             (lambda: one_factorization(6), lambda: complete(6)),
             (lambda: reduce_instance(P3, 2, Precoloring(5, {})), lambda: complete(4)),
+            (lambda: explore_bipartite_factor(P3, 2, 1, 1),
+             lambda: cartesian_product(P3, complete_bipartite(2, 1)).graph),
         ],
         ids=["hypercube", "complete", "over_hypercube", "star", "empty-star", "family-complete",
              "family-complete_bipartite", "family-star", "family-path", "family-path-1", "family-cycle",
              "family-spider", "family-hypercube-0", "family-hypercube", "product", "empty-product",
-             "one_factorization", "reduce_instance"],
+             "one_factorization", "reduce_instance", "explore_bipartite_factor"],
     )
     def test_estimate_is_the_edge_count(self, monkeypatch, call, product):
         # the first check of a call is on the largest graph it builds, and
@@ -910,7 +925,7 @@ class TestSizeGuard:
             edges = families._product_edges(g_order, g_edges, h_order, h_edges)
             estimates.append((max(g_order * h_order, h_order), max(edges, h_edges)))
 
-        for module in (families, coloring, extension):
+        for module in (families, coloring, extension, oracle):
             monkeypatch.setattr(module, "_require_size", record)
         call()
         built = product()
@@ -929,6 +944,8 @@ class TestSizeGuard:
 
         for name in ("cartesian_product", "complete", "hypercube", "star"):
             monkeypatch.setattr(extension, name, no_build)
+        for name in ("cartesian_product", "complete_bipartite"):
+            monkeypatch.setattr(oracle, name, no_build)
 
     @pytest.mark.parametrize(
         "extend, m, sizes",
@@ -981,3 +998,11 @@ class TestSizeGuard:
         with pytest.raises(BadParameterError, match="past the"):
             call()
         assert time.perf_counter() - start < 1
+
+    def test_explore_checks_its_product_before_its_factor(self, monkeypatch):
+        # K_{10^6,1} fits the limit, its product with path(2) does not
+        self._no_builds(monkeypatch)
+        start = time.perf_counter()
+        with pytest.raises(BadParameterError, match="G box K_1000000,1 would have 2000002 vertices"):
+            explore_bipartite_factor(path(2), 10**6, 1, 5)
+        assert time.perf_counter() - start < 0.1

@@ -1,4 +1,5 @@
-"""Structural fuzzing of the CLI and the four extend_* entry points.
+"""Structural fuzzing of the CLI, the four extend_* entry points and the
+oracle's decide_extendable and explore_bipartite_factor.
 
 Valid documents of small graphs (a base graph, a one-entry precoloring in
 the product's palette, the extended coloring) are mutated: values of the
@@ -6,8 +7,9 @@ wrong type, bools, zero or negative integers, deleted fields, duplicated
 rows, rows naming unknown edges and palettes near the valid one. Whatever
 comes in, only an EdgexError may leave the library, the CLI must exit with
 a code in 0..5, and input from a user never counts as an internal invariant
-violation (exit 3). Integers stay small: oversized parameters are the size
-guard's tests.
+violation (exit 3). Integers stay small, except the oracle's palettes, up
+to 10**8: its search domains do not grow with the palette. Oversized graph
+parameters are the size guard's tests.
 """
 
 import copy
@@ -20,9 +22,12 @@ from hypothesis import strategies as st
 
 from edgex import (
     Precoloring,
+    build_graph,
     cartesian_product,
     complete,
     cycle,
+    decide_extendable,
+    explore_bipartite_factor,
     extend_hypercube,
     extend_over_complete,
     extend_over_hypercube,
@@ -172,6 +177,18 @@ entry_keys = st.one_of(
 )
 
 
+def _mutated_entries(data, product, palette, entries):
+    """A copy of entries with up to three keys added, recolored or deleted."""
+    entries = dict(entries)
+    for _ in range(data.draw(st.integers(0, 3))):
+        key = data.draw(st.one_of(st.sampled_from(product.edges), entry_keys))
+        if data.draw(st.booleans()) and key in entries:
+            del entries[key]
+        else:
+            entries[key] = data.draw(st.one_of(st.integers(-1, palette + 2), atoms))
+    return entries
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_extend_on_mutated_input(data):
@@ -183,13 +200,7 @@ def test_extend_on_mutated_input(data):
     def kept_or(valid, strategy):
         return valid if data.draw(st.booleans()) else data.draw(strategy)
 
-    entries = dict(pre.entries)
-    for _ in range(data.draw(st.integers(0, 3))):
-        key = data.draw(st.one_of(st.sampled_from(product.edges), entry_keys))
-        if data.draw(st.booleans()) and key in entries:
-            del entries[key]
-        else:
-            entries[key] = data.draw(st.one_of(st.integers(-1, palette + 2), atoms))
+    entries = _mutated_entries(data, product, palette, pre.entries)
     palette_size = kept_or(palette, st.one_of(st.integers(palette - 2, palette + 2), atoms))
     parameter = kept_or(value, st.one_of(small_ints, atoms))
     try:
@@ -201,5 +212,38 @@ def test_extend_on_mutated_input(data):
             except EdgexError:
                 pass
             EXTEND[kind](g, parameter, Precoloring(palette_size, entries))
+    except EdgexError as exc:
+        assert not isinstance(exc, InternalInvariantError), exc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_decide_extendable_on_mutated_input(data):
+    index = data.draw(st.integers(0, len(CASES) - 1))
+    product, palette, pre, _col = _case(index)
+    palette = data.draw(st.one_of(st.integers(palette - 2, palette + 2), st.integers(1, 10**8), st.just(10**8), atoms))
+    entries = _mutated_entries(data, product, palette if type(palette) is int else 3, pre.entries)
+    budget = data.draw(st.one_of(st.none(), st.integers(0, 200), st.integers(-2, -1), atoms))
+    try:
+        decide_extendable(product, Precoloring(palette, entries), palette, budget)
+    except EdgexError as exc:
+        assert not isinstance(exc, InternalInvariantError), exc
+
+
+EXPLORE_FACTORS = [path(2), path(3), cycle(4), star(2), cycle(3), build_graph("", []), build_graph("ab", [])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_explore_on_mutated_input(data):
+    g = data.draw(st.sampled_from(EXPLORE_FACTORS))
+    try:
+        _name, g = graph_from_dict(_mutated(data, graph_to_dict(g, "g")))
+    except EdgexError:
+        pass
+    n, m = (data.draw(st.one_of(st.integers(-1, 3), atoms)) for _ in range(2))
+    budget = data.draw(st.one_of(st.integers(-1, 30), atoms))
+    try:
+        explore_bipartite_factor(g, n, m, budget, data.draw(st.integers(0, 2**64)))
     except EdgexError as exc:
         assert not isinstance(exc, InternalInvariantError), exc

@@ -204,6 +204,39 @@ class TestCheckEdge:
         with pytest.raises(UnknownEdgeError, match="not a pair of ints"):
             path(3).check_edge(key)
 
+    @pytest.mark.parametrize("key", [(-1, 2), (2, -1), (-4, -1), (3, 4), (0, 9), (0, 2), (1, 3), (1, 1)])
+    def test_negative_out_of_range_and_non_edges(self, key):
+        # path(4): a negative index must not wrap around to the last vertex
+        with pytest.raises(UnknownEdgeError, match="not in graph"):
+            path(4).check_edge(key)
+
+    @pytest.mark.parametrize("key", [(0, 1), (1, 0), (3, 2)])
+    def test_edge_in_either_order(self, key):
+        assert path(4).check_edge(key) == canonical_edge(*key)
+
+
+class TestHasEdge:
+    """Membership bisects an adjacency row; it answers as the edge list
+    does for every pair of ints, and False for anything else."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [path(4), hypercube(3), build_graph("abcde", [(0, 4), (1, 2), (2, 4)]), build_graph("ab", [])],
+        ids=["path", "cube", "sparse", "edgeless"],
+    )
+    def test_matches_the_edge_list(self, g):
+        # negative and out-of-range indices included: in path(4),
+        # adjacency[-1] is vertex 3's row, which holds 2
+        edges = set(g.edges)
+        span = range(-g.n - 2, g.n + 3)
+        for u in span:
+            for v in span:
+                assert g.has_edge(u, v) == (canonical_edge(u, v) in edges), (u, v)
+
+    @pytest.mark.parametrize("u, v", [(1.0, 2), (1, 2.0), (True, 2), ("1", 2), (1, "2"), (None, 0), (0, None)])
+    def test_non_int_is_no_edge(self, u, v):
+        assert not path(4).has_edge(u, v)
+
 
 def test_small_bipartite_catalog_is_bipartite():
     for g in small_bipartite_graphs(4):

@@ -84,6 +84,15 @@ class TestDecideExtendable:
             if fast is not None:
                 assert verify_proper(g, fast).ok
 
+    def test_palette_far_past_the_graph(self):
+        # an unprescribed edge's domain is the prescribed colors plus the
+        # 2 * max_degree - 1 lowest others, not all 10**8 palette colors
+        witness = decide_extendable(path(4), Precoloring(10**8, {}), 10**8)
+        assert witness.palette_size == 10**8
+        assert list(witness.assignment.items()) == [((0, 1), 1), ((1, 2), 2), ((2, 3), 1)]
+        witness = decide_extendable(path(4), Precoloring(10**8, {(2, 1): 10**8}), 10**8)
+        assert list(witness.assignment.items()) == [((1, 2), 10**8), ((0, 1), 1), ((2, 3), 1)]
+
     def test_budget_is_inconclusive_not_a_verdict(self):
         g = cartesian_product(path(4), complete(2)).graph
         with pytest.raises(BudgetExceededError):

@@ -3,6 +3,8 @@
 Its pigeonhole pruning and bucketed ordering must not change an outcome:
 the kernel is checked against ``helpers.reference_search`` (the same search
 with neither) for verdicts, witnesses in insertion order and node counts.
+decide_extendable's bounded domains are checked against the kernel on
+whole-palette domains, budget outcomes and prune counts included.
 """
 
 import logging
@@ -29,6 +31,7 @@ from edgex import (
     star,
     verify_proper,
 )
+from edgex.coloring import _search
 from edgex.errors import BudgetExceededError
 
 from helpers import reference_search, roadmap_cube_instance, search_counts
@@ -71,6 +74,20 @@ def prescriptions(draw):
         )
     )
     return product, Precoloring(palette, entries)
+
+
+@st.composite
+def palette_prescriptions(draw):
+    """Any graph on up to 7 vertices, a palette of 1..3 * max_degree + 4,
+    a prescription of palette colors, proper or not, and a node budget."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=12))
+    g = build_graph([f"v{i}" for i in range(n)], edges)
+    palette = draw(st.integers(min_value=1, max_value=3 * max_degree(g) + 4))
+    entries = draw(st.dictionaries(st.sampled_from(g.edges), st.integers(min_value=1, max_value=palette), max_size=4))
+    budget = draw(st.sampled_from([None, 0, 3, 50]))
+    return g, Precoloring(palette, entries), budget
 
 
 def reference(g, domains, pinned=()):
@@ -116,6 +133,36 @@ def test_decision_matches_reference(instance):
         assignment, ref_nodes = expected
         assert witness_items(got) == (None if assignment is None else list(assignment.items()))
         assert nodes <= ref_nodes
+
+
+def search_outcome(call):
+    """(witness items, None or the nodes of a BudgetExceededError, and the
+    (nodes, prunes) of every search record)."""
+    with search_counts() as counts:
+        try:
+            got = call()
+            got = None if got is None else list(got.items())
+        except BudgetExceededError as exc:
+            got = exc.nodes
+    return got, counts
+
+
+@given(palette_prescriptions())
+@settings(max_examples=300, deadline=None)
+def test_bounded_domains_match_whole_palette_domains(instance):
+    # decide_extendable's domains hold the prescribed colors plus the
+    # 2 * max_degree - 1 lowest others; the same search on whole-palette
+    # domains must give the same witness, verdict, budget outcome and counts
+    g, pre, budget = instance
+    palette = pre.palette_size
+    domains = {e: {pre.entries[e]} if e in pre.entries else set(range(1, palette + 1)) for e in g.edges}
+    expected = search_outcome(lambda: _search(g, domains, budget, pinned=sorted(pre.entries.items())))
+
+    def decide():
+        col = decide_extendable(g, pre, palette, budget)
+        return None if col is None else col.assignment
+
+    assert search_outcome(decide) == expected
 
 
 class TestPastTheOldSearch:

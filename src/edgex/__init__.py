@@ -14,7 +14,6 @@ from .coloring import (
     ListAssignment,
     demand_list_color,
     exact_list_color,
-    galvin_list_color,
     konig_color,
     make_list_assignment,
     one_factorization,

@@ -4,38 +4,41 @@ Three engines cooperate:
 
 * ``konig_color`` builds a proper coloring with exactly max-degree colors by
   alternating-path augmentation.
-* ``galvin_list_color`` colors from per-edge lists via the kernel method:
+* ``demand_list_color`` colors from per-edge lists via the kernel method:
   one stable matching per palette color over the edges whose list holds
   it, each X vertex proposing its own edges in ascending base color (the
   Y side keeps the highest). It runs under a certificate: for every edge xy
   (x in X), out(xy), the number of edges at x with a lower base color plus
   those at y with a higher one, is below |L(xy)|. Those are the only edges
-  a stable matching can use to dominate xy, so no list runs dry. Lists of
-  max-degree colors always pass; a shorter one that fails is repaired by
-  Kempe flips of the base. Inside, an edge is its id, the position in
-  g.edges: ends, base colors and lists sit in flat per-call lists, and each
-  vertex maps a color to the id of its edge of that color, so the König
-  base, the repair and the rounds hash no edge tuple. As g.edges is
-  lexicographic, id order is canonical edge order, so every loop visits
-  the edges as it would by tuple and the output is the same item for item.
+  a stable matching can use to dominate xy, so no list runs dry, whatever
+  the list sizes. Lists of max-degree colors always pass; a shorter one
+  that fails is repaired by Kempe flips of the base. Inside, an edge is its
+  id, the position in g.edges: ends, base colors and lists sit in flat
+  per-call lists, and each vertex maps a color to the id of its edge of
+  that color, so the König base, the repair and the rounds hash no edge
+  tuple. As g.edges is lexicographic, id order is canonical edge order, so
+  every loop visits the edges as it would by tuple and the output is the
+  same item for item.
 * ``exact_list_color`` is the complete cross-check: backtracking with
   minimum-remaining-values ordering (edges bucketed by colors left),
   forward checking and a pigeonhole cut at every vertex an assignment
   touches, on an explicit stack (no recursion limit), shared with the
   oracle's budgeted search.
 
-``demand_list_color`` takes lists of size max(deg(u), deg(w)) per edge uw,
-which always suffice on bipartite graphs (Borodin, Kostochka and Woodall).
-For G box K_2 (so for Q_d, G box Q_m and G box K_{1,m}) a residual edge
-between two prescriptions of different colors keeps a list below max
-degree, so the repair runs on nearly every maximal precolored matching.
-Demand-sized lists always leave a flip for a violating edge, but nothing
-bounds the flips: a repair past its cap falls back to the search, under a
-node budget, and that fallback is logged. It does happen: random bipartite
-G(150, 150, 0.27), seed 1 (6,120 edges), with demand-sized lists drawn from
-1..demand+2 ends in the search after 19 s on a 2-core VM. A search that
-refutes the lists is reported as a library bug, never as an unsatisfiable
-instance; one past its budget as inconclusive (BudgetExceededError).
+Lists of size max(deg(u), deg(w)) per edge uw, the demand, always suffice
+on bipartite graphs (Borodin, Kostochka and Woodall). For G box K_2 (so for
+Q_d, G box Q_m and G box K_{1,m}) a residual edge between two prescriptions
+of different colors keeps a list below max degree, so the repair runs on
+nearly every maximal precolored matching. Demand-sized lists always leave a
+flip for a violating edge, but nothing bounds the flips: when the repair
+gives up, past its cap, ``demand_list_color`` falls back to the search,
+under a node budget, and that fallback is logged. It does happen: random
+bipartite G(150, 150, 0.27), seed 1 (6,120 edges), with demand-sized lists
+drawn from 1..demand+2 ends in the search after 19 s on a 2-core VM. A
+search that refutes the lists is reported as a library bug, never as an
+unsatisfiable instance; one past its budget as inconclusive
+(BudgetExceededError). Lists below demand that no repaired base certifies
+are rejected (DemandViolationError).
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from .errors import (
     BadParameterError,
     BudgetExceededError,
     DemandViolationError,
-    ListTooShortError,
     MissingEdgeError,
     NoKernelError,
     OddOrderError,
@@ -61,7 +63,7 @@ from .errors import (
     _require_ints,
 )
 from .families import _require_size
-from .graph import SIDE_X, Bipartition, Edge, Graph, _edge_key, bipartition, canonical_edge, max_degree
+from .graph import SIDE_X, Edge, Graph, _edge_key, bipartition, canonical_edge, max_degree
 
 _log = logging.getLogger("edgex")
 
@@ -271,47 +273,32 @@ def _edge_lists(g: Graph, lists: ListAssignment) -> list[tuple[int, ...]]:
         raise
 
 
-def galvin_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
-    """List-color a bipartite graph by the kernel method under a certificate.
+def _kernel_rounds(
+    g: Graph,
+    ls: list[tuple[int, ...]],
+    xs: list[int],
+    ys: list[int],
+    side: tuple[str, ...],
+    base: list[int],
+    at: list[dict[int, int]],
+) -> EdgeColoring:
+    """The kernel rounds of ``demand_list_color`` on a certified base: the
+    lists `ls`, the oriented ends xs (in X) and ys, the base colors `base`
+    and each vertex's map `at` from color to edge, all by edge id, under the
+    bipartition sides `side` of g.
 
-    Edges are oriented once as (x, y), x in X. The base is a König
-    coloring, Kempe-flipped until out(e) < |L(e)| on every edge (see
-    ``_certify_base``); ListTooShortError when that fails. The edges are
-    ordered once by X end, then base color. Per palette color, ascending,
-    until every edge is colored, the uncolored edges whose list holds it are
-    matched by deferred acceptance (X proposes its edges of the round in
-    ascending base color; Y holds the highest). The stable matching
-    is a kernel, so every unmatched edge is dominated by a newly colored
-    out-neighbor and can afford to lose that color, which no later round
-    reads.
-    """
-    sides = bipartition(g)
-    return _galvin_list_color(g, _edge_lists(g, lists), sides, max_degree(g))
-
-
-def _galvin_list_color(g: Graph, ls: list[tuple[int, ...]], sides: Bipartition, delta: int) -> EdgeColoring:
-    """galvin_list_color under the bipartition `sides` of g, from the lists
-    `ls` by edge id and the max degree `delta`.
-
-    Every per-edge table is a flat list indexed by edge id (the position in
-    g.edges): the oriented ends xs and ys, the base colors, the list sets.
-    Each vertex maps a color to the id of its edge of that color, so no edge
-    tuple is hashed inside the repair or the rounds. Since g.edges is
-    lexicographic, ascending ids are canonical edge order: the König base,
-    the repair's heap and the deferred acceptance meet the edges in the same
-    order as over edge tuples. A round forms the tuples of its colored edges
-    only at its end, as one set filled in the order of `held`, so the result
+    Per palette color, ascending, until every edge is colored, the uncolored
+    edges whose list holds it are matched by deferred acceptance (X proposes
+    its edges of the round in ascending base color; Y holds the highest).
+    The stable matching is a kernel, so every unmatched edge is dominated by
+    a newly colored out-neighbor and can afford to lose that color, which no
+    later round reads. Since g.edges is lexicographic, ascending ids are
+    canonical edge order, so the rounds meet the edges in the same order as
+    over edge tuples. A round forms the tuples of its colored edges only at
+    its end, as one set filled in the order of `held`, so the result
     receives them in the same order too, item for item.
     """
     edges = g.edges
-    side = sides.side
-    xs = [u if side[u] == SIDE_X else v for u, v in edges]
-    ys = [v if side[u] == SIDE_X else u for u, v in edges]
-    short = [i for i, colors in enumerate(ls) if len(colors) < delta]
-    base, at = _konig_base(g)
-    flips = _certify_base(g, ls, xs, ys, base, at, short, delta)
-    if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("list coloring: engine=kernel short=%d flips=%d", len(short), flips)
 
     # one set per distinct list object: the residual's unblocked edges all
     # share one tuple, and `ls` keeps every tuple (so its id) alive
@@ -384,11 +371,11 @@ def _certify_base(
     at: list[dict[int, int]],
     short: list[int],
     delta: int,
-) -> int:
+) -> int | None:
     """Flip `base` and `at` in place until out(e) < |L(e)| on every edge;
-    the flips.
+    the flips, or None when the repair gives up.
 
-    Edges are ids into g.edges, as in ``_galvin_list_color``: edge i runs
+    Edges are ids into g.edges, as in ``_kernel_rounds``: edge i runs
     from xs[i] in X to ys[i], has list ls[i] and base color base[i], and
     at[v] maps each color at v to its edge. out(i) counts the edges at xs[i]
     with a lower base color and at ys[i] with a higher one. An edge with
@@ -402,7 +389,7 @@ def _certify_base(
     demand-sized lists every violator has such a color (if x saw every color
     above c, deg(x) > out(xy) >= |L(xy)|; likewise for y), but convergence
     is not proven, so past ``_flip_cap`` flips, or at a violator without a
-    flip, this raises ListTooShortError.
+    flip, this gives up; `base` and `at` are then left mid-repair.
     """
     if not short:
         return 0
@@ -424,10 +411,8 @@ def _certify_base(
         x, y, c = xs[i], ys[i], base[i]
         options = [(x, k) for k in range(c + 1, delta + 1) if k not in at[x]]
         options += [(y, k) for k in range(1, c) if k not in at[y]]
-        if not options:
-            raise ListTooShortError(f"no Kempe flip lowers out-degree of {edges[i]} below its list length")
-        if flips == cap:
-            raise ListTooShortError(f"base repair passed its cap of {cap} flips")
+        if not options or flips == cap:
+            return None
         start, k = rng.choice(options)
         path = _flip_alternating_path(edges, at, base, start, c, k)
         flips += 1
@@ -607,33 +592,39 @@ def _search(
 
 
 def demand_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
-    """List-color a bipartite graph with per-edge lists of size >= demand.
+    """List-color a bipartite graph from per-edge lists of any size.
 
-    The demand of edge uw is max(deg(u), deg(w)); such instances are always
-    colorable, so this never fails on valid input. The kernel method runs on
-    a certified base (``galvin_list_color``); demand-sized lists always leave
-    a Kempe flip for a violating edge, so only a repair past its flip cap
-    falls back to the complete search. That search has a node budget
-    (``_search_cap``) and raises BudgetExceededError past it; its
-    "unsatisfiable" outcome would contradict the guarantee and is raised as
-    TheoremViolationError. Each call logs its engine, short lists and flips
-    at debug level. The one bipartition of g, its degrees and its lists by
-    edge id are shared with the kernel method and its König base.
+    The kernel method (see the module docstring) colors every list that the
+    König base, repaired by ``_certify_base``, certifies, below the demand
+    max(deg(u), deg(w)) of its edge uw or not. When the repair gives up,
+    demand-sized lists, always colorable (Borodin, Kostochka and Woodall),
+    fall back to the complete search under a node budget (``_search_cap``):
+    BudgetExceededError past it, TheoremViolationError on a refutation.
+    Lists below demand then raise DemandViolationError naming their edges,
+    after the repair has spent up to ``_flip_cap`` flips. A call that colors
+    logs its engine, short lists and flips at debug level. The one
+    bipartition of g, its degrees and its lists by edge id are shared with
+    the König base, the repair and the kernel rounds.
     """
     sides = bipartition(g)
     ls = _edge_lists(g, lists)
     deg = [len(ns) for ns in g.adjacency]
+    delta = max(deg, default=0)
+    side = sides.side
+    xs = [u if side[u] == SIDE_X else v for u, v in g.edges]
+    ys = [v if side[u] == SIDE_X else u for u, v in g.edges]
+    short = [i for i, colors in enumerate(ls) if len(colors) < delta]
+    base, at = _konig_base(g)
+    flips = _certify_base(g, ls, xs, ys, base, at, short, delta)
+    if flips is not None:
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("list coloring: engine=kernel short=%d flips=%d", len(short), flips)
+        return _kernel_rounds(g, ls, xs, ys, side, base, at)
     bad = [(u, v) for (u, v), colors in zip(g.edges, ls) if len(colors) < deg[u] or len(colors) < deg[v]]
     if bad:
         raise DemandViolationError(f"lists shorter than endpoint-degree demand at {bad}")
-    delta = max(deg, default=0)
-    try:
-        return _galvin_list_color(g, ls, sides, delta)
-    except ListTooShortError:
-        pass
     if _log.isEnabledFor(logging.DEBUG):
-        short = sum(1 for colors in ls if len(colors) < delta)
-        _log.debug("list coloring: engine=search short=%d flips=%d", short, _flip_cap(g))
+        _log.debug("list coloring: engine=search short=%d flips=%d", len(short), _flip_cap(g))
     result = exact_list_color(g, lists, _search_cap(g))
     if result is None:
         raise TheoremViolationError("demand-sized lists reported unsatisfiable")

@@ -42,11 +42,6 @@ class OddOrderError(EdgexError):
     """A 1-factorization was requested for an odd-order complete graph."""
 
 
-class ListTooShortError(EdgexError):
-    """No base coloring was found under which every edge's out-degree is
-    below its list length, so the kernel method is not certified."""
-
-
 class DemandViolationError(EdgexError):
     """A color list is shorter than its edge's demand."""
 

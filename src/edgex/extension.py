@@ -336,9 +336,11 @@ def extend_hypercube(d: int, pre: Precoloring) -> EdgeColoring:
     """Extend a valid precolored induced matching of Q_d to a proper
     d-edge-coloring: the hypercube is Q_{d-1} box K_2 on the last bit."""
     _require_positive(d=d)
-    _require_size(f"Q_{d}", *_cube_size(d))
-    _require_palette(pre, d, f"Q_{d}")
-    return extend_over_complete(hypercube(d - 1), 1, pre)
+    what = f"Q_{d}"
+    _require_size(what, *_cube_size(d))
+    _require_palette(pre, d, what)
+    base = hypercube(d - 1)
+    return _extend(base, 1, cartesian_product(base, complete(2)).graph, d, what, pre)
 
 
 def _star_to_host(i: int, m: int) -> int:

@@ -264,7 +264,7 @@ def explore_bipartite_factor(
     uniform sample of budget instances (weighted by colorings per matching),
     flagged non-exhaustive. Counterexamples are returned serialized.
     """
-    _require_ints(n=n, m=m, budget=budget)
+    _require_ints(n=n, m=m, budget=budget, seed=seed)
     if n < m or m < 1:
         raise BadParameterError("needs n >= m >= 1")
     if budget < 1:

@@ -42,12 +42,11 @@ from edgex import (
     star,
 )
 from edgex import coloring
-from edgex.coloring import _flip_cap, _require_covered
+from edgex.coloring import _require_covered
 from edgex.extension import _star_to_host
 from edgex.errors import (
     BadParameterError,
     BudgetExceededError,
-    ListTooShortError,
     MissingEdgeError,
     NoKernelError,
     ProofInvariantError,
@@ -572,10 +571,10 @@ def certify_base(
     ends: dict[Edge, Edge],
     base: dict[Edge, int],
     short: list[Edge],
-) -> int:
+) -> int | None:
     """The library's private _certify_base on edge -> value dicts: `ends`
     orients each edge as (x, y), x in X; `base` is flipped in place. Returns
-    the flips."""
+    the flips, or None when the repair gives up."""
     edges = g.edges
     index = {e: i for i, e in enumerate(edges)}
     ids = [base[e] for e in edges]
@@ -592,16 +591,18 @@ def certify_base(
         base.update(zip(edges, ids))
 
 
-def reference_galvin_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
-    """The library's galvin_list_color before the one oriented pass (per
-    round: proposal lists rebuilt and re-sorted, sides read per edge, a
-    working list per edge), kept as a test oracle; it logs the same
-    engine=kernel record."""
+def reference_galvin_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring | None:
+    """The kernel method of the library's demand_list_color before the one
+    oriented pass (per round: proposal lists rebuilt and re-sorted, sides
+    read per edge, a working list per edge), kept as a test oracle; None
+    when the base repair gives up. It logs the same engine=kernel record."""
     sides = bipartition(g)
     delta = max_degree(g)
     short = [e for e in g.edges if len(lists.lists[e]) < delta]
     base = reference_konig_color(g).assignment
     flips = reference_certify_base(g, lists, sides, base, short)
+    if flips is None:
+        return None
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("list coloring: engine=kernel short=%d flips=%d", len(short), flips)
 
@@ -638,9 +639,10 @@ def reference_certify_base(
     sides: Bipartition,
     base: dict[Edge, int],
     short: list[Edge],
-) -> int:
+) -> int | None:
     """The library's _certify_base before edge ids, kept as a test oracle:
-    flip `base` in place until out(e) < |L(e)| on every edge; the flips."""
+    flip `base` in place until out(e) < |L(e)| on every edge; the flips, or
+    None when the repair gives up."""
     if not short:
         return 0
     delta = max_degree(g)
@@ -663,7 +665,7 @@ def reference_certify_base(
     heap = [e for e in short if violates(e)]
     heapq.heapify(heap)
     rng = random.Random(0)
-    cap = _flip_cap(g)
+    cap = coloring._flip_cap(g)  # read per call, so a patched cap reaches both copies
     flips = 0
     while heap:
         e = heapq.heappop(heap)
@@ -673,10 +675,8 @@ def reference_certify_base(
         c = base[e]
         options = [(x, k) for k in range(c + 1, delta + 1) if k not in at[x]]
         options += [(y, k) for k in range(1, c) if k not in at[y]]
-        if not options:
-            raise ListTooShortError(f"no Kempe flip lowers out-degree of {e} below its list length")
-        if flips == cap:
-            raise ListTooShortError(f"base repair passed its cap of {cap} flips")
+        if not options or flips == cap:
+            return None
         start, k = rng.choice(options)
         path = _reference_flip_alternating_path(at, base, start, c, k)
         flips += 1

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from edgex import Precoloring, build_graph, cartesian_product, complete, hypercube, path, spider, star
-from edgex import cli, coloring, extension
+from edgex import cli, coloring, extension, oracle
 from edgex.cli import main
 from edgex.serialize import (
     graph_to_dict,
@@ -57,6 +57,11 @@ class TestBuild:
 
     def test_bad_parameter(self, tmp_path):
         assert main(["build", "cycle:2", "--out", str(tmp_path / "x.json")]) == 1
+
+    def test_non_integer_parameter(self, tmp_path, capsys):
+        assert main(["build", "spider:3,x", "--out", str(tmp_path / "x.json")]) == 1
+        assert capsys.readouterr().err == "error: bad family parameters in 'spider:3,x'\n"
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestProduct:
@@ -330,6 +335,17 @@ class TestExplore11:
         assert code == 5
         assert read_doc(out)["budget_used"] == 30
 
+    def test_counterexample_exits_4(self, tmp_path, monkeypatch):
+        # no real counterexample is known: the oracle is made to refute
+        monkeypatch.setattr(oracle, "decide_extendable", lambda g, pre, palette: None)
+        g = write_graph(tmp_path, complete(2), "k2")
+        out = tmp_path / "report.json"
+        assert main(["explore11", g, "--n", "1", "--m", "1", "--budget", "100", "--out", str(out)]) == 4
+        doc = read_doc(out)
+        assert (doc["instances"], doc["extendable"]) == (9, 0)
+        assert doc["counterexamples"][0] == {"palette_size": 2, "entries": []}
+        assert len(doc["counterexamples"]) == 9
+
 
 class TestExportDot:
     def test_graph_only(self, tmp_path, capsys):
@@ -394,3 +410,9 @@ class TestErrorPaths:
         g = write_graph(tmp_path, path(2), "k2")
         pre = write_pre(tmp_path, Precoloring(2, {}))
         assert main(["extend", g, "--factor", "cube:2", "--pre", pre]) == 1
+
+    def test_non_integer_factor_parameter(self, tmp_path, capsys):
+        g = write_graph(tmp_path, path(2), "k2")
+        pre = write_pre(tmp_path, Precoloring(2, {}))
+        assert main(["extend", g, "--factor", "k2m:two", "--pre", pre]) == 1
+        assert capsys.readouterr().err == "error: bad factor parameter in 'k2m:two'\n"

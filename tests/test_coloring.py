@@ -1,8 +1,9 @@
 import logging
 import random
+from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from edgex import (
@@ -15,7 +16,6 @@ from edgex import (
     complete_bipartite,
     cycle,
     exact_list_color,
-    galvin_list_color,
     hypercube,
     konig_color,
     make_list_assignment,
@@ -33,7 +33,6 @@ from edgex.errors import (
     BudgetExceededError,
     DemandViolationError,
     EdgexError,
-    ListTooShortError,
     MissingEdgeError,
     NotBipartiteError,
     OddOrderError,
@@ -90,7 +89,7 @@ def test_konig_proper_with_tight_palette(g):
 def test_galvin_from_shifted_delta_lists(g, shift):
     delta = max_degree(g)
     lists = delta_lists(g, tuple(range(1 + shift, delta + 1 + shift)))
-    col = galvin_list_color(g, lists)
+    col = demand_list_color(g, lists)
     assert verify_proper(g, col, lists).ok
 
 
@@ -146,7 +145,7 @@ class TestKonig:
 class TestGalvin:
     def test_single_edge_odd_list(self):
         g = path(2)
-        col = galvin_list_color(g, make_list_assignment(g, {(0, 1): (7,)}))
+        col = demand_list_color(g, make_list_assignment(g, {(0, 1): (7,)}))
         assert col.assignment == {(0, 1): 7}
 
     def test_c4_lists_12(self):
@@ -155,7 +154,7 @@ class TestGalvin:
         # oracle first: of the 16 assignments from {1,2}^4 exactly 2 are proper
         proper = enumerate_all_list_colorings(g, lists)
         assert len(proper) == 2
-        col = galvin_list_color(g, lists)
+        col = demand_list_color(g, lists)
         assert col.assignment in proper
 
     def test_p3_staggered_lists(self):
@@ -163,18 +162,20 @@ class TestGalvin:
         lists = make_list_assignment(g, {(0, 1): (1, 2), (1, 2): (2, 3)})
         proper = enumerate_all_list_colorings(g, lists)
         assert len(proper) == 3  # (1,2) (1,3) (2,3)
-        col = galvin_list_color(g, lists)
+        col = demand_list_color(g, lists)
         assert col.assignment in proper
 
     def test_rejects_short_lists(self):
+        # every base of the star gives some edge base color 3, so
+        # out-degree 2, against its list of two colors
         g = star(3)
-        with pytest.raises(ListTooShortError):
-            galvin_list_color(g, ListAssignment(lists={e: (1, 2) for e in g.edges}))
+        with pytest.raises(DemandViolationError, match=r"at \[\(0, 1\), \(0, 2\), \(0, 3\)\]$"):
+            demand_list_color(g, ListAssignment(lists={e: (1, 2) for e in g.edges}))
 
     def test_rejects_non_bipartite(self):
         g = cycle(3)
         with pytest.raises(NotBipartiteError):
-            galvin_list_color(g, ListAssignment(lists={e: (1, 2, 3) for e in g.edges}))
+            demand_list_color(g, ListAssignment(lists={e: (1, 2, 3) for e in g.edges}))
 
     def test_catalog_random_lists_proper_and_in_list(self):
         rng = random.Random(2)
@@ -185,7 +186,7 @@ class TestGalvin:
                     g,
                     {e: rng.sample(range(1, delta + 4), delta) for e in g.edges},
                 )
-                col = galvin_list_color(g, lists)
+                col = demand_list_color(g, lists)
                 assert verify_proper(g, col, lists).ok
                 # same satisfiability verdict as the complete engine
                 assert exact_list_color(g, lists) is not None
@@ -202,13 +203,13 @@ class TestGalvin:
                     for e in g.edges
                 },
             )
-            col = galvin_list_color(g, lists)
+            col = demand_list_color(g, lists)
             assert verify_proper(g, col, lists).ok
 
     def test_deterministic(self):
         g = complete_bipartite(2, 3)
         lists = delta_lists(g, (2, 4, 6, 8))
-        assert galvin_list_color(g, lists) == galvin_list_color(g, lists)
+        assert demand_list_color(g, lists) == demand_list_color(g, lists)
 
 
 class TestExactListColor:
@@ -318,12 +319,22 @@ class TestBkw:
         assert verify_proper(g, col, lists).ok
 
     def test_rejects_demand_violation(self):
+        # two one-color lists: no base gives both base color 1, so none is
+        # certified, though the lists are colorable; only they are named
         g = star(3)
-        lists = ListAssignment(
-            lists={(0, 1): (1, 2), (0, 2): (1, 2, 3), (0, 3): (1, 2, 3)},
-        )
-        with pytest.raises(DemandViolationError):
+        lists = ListAssignment(lists={(0, 1): (1,), (0, 2): (2,), (0, 3): (1, 2, 3)})
+        assert brute_force_list_coloring(g, lists) is not None
+        with pytest.raises(DemandViolationError, match=r"demand at \[\(0, 1\), \(0, 2\)\]$"):
             demand_list_color(g, lists)
+
+    def test_certified_lists_below_demand_color(self):
+        # one list below demand, certified once its edge has base color 1
+        g = star(3)
+        lists = ListAssignment(lists={(0, 1): (1, 2), (0, 2): (1, 2, 3), (0, 3): (1, 2, 3)})
+        with list_coloring_engines() as engines:
+            col = demand_list_color(g, lists)
+        assert engines == ["kernel"]
+        assert verify_proper(g, col, lists).ok
 
     def test_non_bipartite_reported_before_demand_violation(self):
         g = cycle(3)
@@ -428,7 +439,7 @@ class TestCertifiedKernel:
         # lists of 1, 2, 3 colors pass the check with no flip
         g = star(3)
         lists = make_list_assignment(g, {(0, 1): (5,), (0, 2): (5, 6), (0, 3): (5, 6, 7)})
-        col = galvin_list_color(g, lists)
+        col = demand_list_color(g, lists)
         assert col.assignment == {(0, 1): 5, (0, 2): 6, (0, 3): 7}
 
     def test_repair_reorders_a_violating_base(self):
@@ -436,16 +447,18 @@ class TestCertifiedKernel:
         # edge has base color 1
         g = star(3)
         lists = make_list_assignment(g, {(0, 1): (5, 6, 7), (0, 2): (5, 6), (0, 3): (5,)})
-        col = galvin_list_color(g, lists)
+        col = demand_list_color(g, lists)
         assert verify_proper(g, col, lists).ok
         assert col.assignment[(0, 3)] == 5
 
     def test_no_certificate_raises(self):
-        # every base gives one edge of the star out-degree 2 = |L|
+        # every base gives one edge of the star out-degree 2 = |L|: the
+        # repair gives up, and lists below demand get no engine
         g = star(3)
         lists = make_list_assignment(g, {e: (1, 2) for e in g.edges})
-        with pytest.raises(ListTooShortError):
-            galvin_list_color(g, lists)
+        with list_coloring_records() as records, pytest.raises(DemandViolationError):
+            demand_list_color(g, lists)
+        assert records == []
 
     def test_certified_base_bounds_every_out_degree(self):
         rng = random.Random(6)
@@ -540,21 +553,42 @@ def kernel_instances(draw):
 
 
 def _kernel_outcome(color, g, lists):
-    """Ordered items and palette, or the error's type and message, plus the
-    list-coloring debug records."""
+    """Ordered items and palette, the error's type and message, or None (the
+    reference giving up), plus the list-coloring debug records."""
     with list_coloring_records() as records:
         try:
             col = color(g, lists)
         except EdgexError as exc:
             return (type(exc), str(exc)), records
+    if col is None:
+        return None, records
     return (list(col.assignment.items()), col.palette_size), records
 
 
-@given(kernel_instances())
+@given(kernel_instances(), st.booleans())
+@example((K23_MINUS, K23_MINUS_LISTS), True)  # the search fallback
+@example((star(3), make_list_assignment(star(3), {(0, 1): (1, 2), (0, 2): (1, 2, 3), (0, 3): (1, 2, 3)})), False)
 @settings(max_examples=300, deadline=None)
-def test_galvin_matches_reference(instance):
+def test_galvin_matches_reference(instance, capped):
+    # demand_list_color colors as the reference kernel method wherever the
+    # reference's repair succeeds; where it gives up (under a zero flip cap,
+    # at the first violator), demand-sized lists go to the search and lists
+    # below demand are rejected before any engine runs
     g, lists = instance
-    assert _kernel_outcome(galvin_list_color, g, lists) == _kernel_outcome(reference_galvin_list_color, g, lists)
+    with patch.object(coloring, "_flip_cap", (lambda g: 0) if capped else coloring._flip_cap):
+        got = _kernel_outcome(demand_list_color, g, lists)
+        want, records = _kernel_outcome(reference_galvin_list_color, g, lists)
+        cap = coloring._flip_cap(g)
+    if want is not None:
+        assert got == (want, records)
+    elif all(len(lists.lists[e]) >= demand(g, e) for e in g.edges):
+        search = exact_list_color(g, lists)
+        short = sum(len(colors) < max_degree(g) for colors in lists.lists.values())
+        record = f"list coloring: engine=search short={short} flips={cap}"
+        assert got == ((list(search.assignment.items()), search.palette_size), [record])
+    else:
+        (error, _message), records = got
+        assert error is DemandViolationError and records == []
 
 
 @pytest.mark.parametrize("d", range(6, 12))
@@ -562,7 +596,7 @@ def test_galvin_matches_reference_on_seeded_cube_residuals(d):
     _, pre = roadmap_cube_instance(d)
     reduced = reduce_instance(hypercube(d - 1), 1, pre)
     g, lists = reduced.base_residual, reduced.lists
-    assert _kernel_outcome(galvin_list_color, g, lists) == _kernel_outcome(reference_galvin_list_color, g, lists)
+    assert _kernel_outcome(demand_list_color, g, lists) == _kernel_outcome(reference_galvin_list_color, g, lists)
 
 
 @pytest.mark.parametrize("size", [0, 40])
@@ -576,7 +610,7 @@ def test_galvin_matches_reference_on_a_star_residual(size):
     reduced = star_residual(g, 63, pre)
     g, lists = reduced.base_residual, reduced.lists
     assert max_degree(g) == 64
-    assert _kernel_outcome(galvin_list_color, g, lists) == _kernel_outcome(reference_galvin_list_color, g, lists)
+    assert _kernel_outcome(demand_list_color, g, lists) == _kernel_outcome(reference_galvin_list_color, g, lists)
 
 
 def _cube_residual(d):
@@ -596,20 +630,17 @@ def _konig_outcome(color, g):
 
 
 def _certify_outcome(g, lists, reference):
-    """Flips (or the error's type and message) and the ordered items of the
+    """Flips (None on giving up) and the ordered items of the
     base that the library's _certify_base, or its reference copy, leaves
     from the König base of g."""
     sides = bipartition(g)
     ends = {e: e if sides.is_x(e[0]) else (e[1], e[0]) for e in g.edges}
     short = [e for e in g.edges if len(lists.lists[e]) < max_degree(g)]
     base = dict(reference_konig_color(g).assignment)
-    try:
-        if reference:
-            flips = reference_certify_base(g, lists, sides, base, short)
-        else:
-            flips = certify_base(g, lists, ends, base, short)
-    except ListTooShortError as exc:
-        flips = (type(exc), str(exc))
+    if reference:
+        flips = reference_certify_base(g, lists, sides, base, short)
+    else:
+        flips = certify_base(g, lists, ends, base, short)
     return flips, list(base.items())
 
 
@@ -767,12 +798,11 @@ class TestVerifyProper:
     "call, what",
     [
         (demand_list_color, "lists"),
-        (galvin_list_color, "lists"),
         (exact_list_color, "lists"),
         (lambda g, lists: make_list_assignment(g, lists.lists), "lists"),
         (lambda g, lists: color_fibers(g, 1, EdgeColoring(3, dict.fromkeys(lists.lists, 1)), {}), "base coloring"),
     ],
-    ids=["demand", "galvin", "exact", "make_list_assignment", "color_fibers"],
+    ids=["demand", "exact", "make_list_assignment", "color_fibers"],
 )
 def test_missing_edges_named(call, what):
     lists = ListAssignment(lists={(0, 1): (1, 2), (2, 3): (1, 2)})

@@ -100,6 +100,10 @@ class TestStandardFamilies:
             lambda: hypercube(True),
             lambda: spider(2, 1.5),
             lambda: one_factorization(4.0),
+            # an empty side or an empty path
+            lambda: complete_bipartite(0, 1),
+            lambda: complete_bipartite(1, 0),
+            lambda: path(0),
         ],
     )
     def test_bad_parameters(self, bad):

@@ -32,6 +32,7 @@ from edgex.errors import (
     UnknownEdgeError,
     VertexIndexError,
 )
+from edgex import oracle
 from edgex.oracle import _all_distance2_matchings
 
 from helpers import (
@@ -403,6 +404,24 @@ class TestExploreBipartiteFactor:
     def test_non_integer_parameter(self, n, m, budget, name):
         with pytest.raises(BadParameterError, match=f"{name} must be an int"):
             explore_bipartite_factor(path(2), n, m, budget)
+
+    @pytest.mark.parametrize("seed", [[1], True, "a", 1.5])
+    def test_non_integer_seed(self, seed):
+        # random.Random would raise a bare TypeError on [1] and accept the
+        # rest, echoing them in the report
+        with pytest.raises(BadParameterError, match="seed must be an int"):
+            explore_bipartite_factor(path(3), 2, 1, 40, seed)
+
+    def test_refuted_instances_are_counterexample_rows(self, monkeypatch):
+        # no real counterexample is known, so the oracle is made to refute
+        # every instance of K_2 x K_1,1 = C_4: the empty matching, then each
+        # edge alone in both colors
+        monkeypatch.setattr(oracle, "decide_extendable", lambda g, pre, palette: None)
+        rep = explore_bipartite_factor(complete(2), 1, 1, budget=1000)
+        assert (rep.instances, rep.extendable, rep.exhaustive) == (9, 0, True)
+        edges = cartesian_product(complete(2), complete_bipartite(1, 1)).graph.edges
+        singles = [{"palette_size": 2, "entries": [{"u": u, "v": v, "color": c}]} for u, v in edges for c in (1, 2)]
+        assert list(rep.counterexamples) == [{"palette_size": 2, "entries": []}] + singles
 
     @pytest.mark.parametrize(
         "g, h",

@@ -1,51 +1,23 @@
 """Edge-coloring engines for bipartite graphs.
 
-Three engines cooperate:
-
 * ``konig_color`` builds a proper coloring with exactly max-degree colors by
   alternating-path augmentation.
-* ``demand_list_color`` colors from per-edge lists via the kernel method:
-  one stable matching per palette color over the edges whose list holds
-  it, each X vertex proposing its own edges in ascending base color (the
-  Y side keeps the highest). It runs under a certificate: for every edge xy
-  (x in X), out(xy), the number of edges at x with a lower base color plus
-  those at y with a higher one, is below |L(xy)|. Those are the only edges
-  a stable matching can use to dominate xy, so no list runs dry, whatever
-  the list sizes. Lists of max-degree colors always pass; a shorter one
-  that fails is repaired by Kempe flips of the base. Inside, an edge is its
-  id, the position in g.edges: ends, base colors and lists sit in flat
-  per-call lists, and each vertex maps a color to the id of its edge of
-  that color, so the König base, the repair and the rounds hash no edge
-  tuple. As g.edges is lexicographic, id order is canonical edge order, so
-  every loop visits the edges as it would by tuple and the output is the
-  same item for item.
+* ``demand_list_color`` colors from per-edge lists by Galvin's kernel
+  method, ranking the edges at each vertex by the König base or by the
+  peeled base, which certifies every list of at least the endpoint-degree
+  demand (Borodin, Kostochka and Woodall); no repair and no search runs.
+  An edge is its id, its position in the lexicographic g.edges, so loops
+  visit the edges in canonical order, item for item as over edge tuples.
 * ``exact_list_color`` is the complete cross-check: backtracking with
   minimum-remaining-values ordering (edges bucketed by colors left),
   forward checking and a pigeonhole cut at every vertex an assignment
   touches, on an explicit stack (no recursion limit), shared with the
   oracle's budgeted search.
-
-Lists of size max(deg(u), deg(w)) per edge uw, the demand, always suffice
-on bipartite graphs (Borodin, Kostochka and Woodall). For G box K_2 (so for
-Q_d, G box Q_m and G box K_{1,m}) a residual edge between two prescriptions
-of different colors keeps a list below max degree, so the repair runs on
-nearly every maximal precolored matching. Demand-sized lists always leave a
-flip for a violating edge, but nothing bounds the flips: when the repair
-gives up, past its cap, ``demand_list_color`` falls back to the search,
-under a node budget, and that fallback is logged. It does happen: random
-bipartite G(150, 150, 0.27), seed 1 (6,120 edges), with demand-sized lists
-drawn from 1..demand+2 ends in the search after 19 s on a 2-core VM. A
-search that refutes the lists is reported as a library bug, never as an
-unsatisfiable instance; one past its budget as inconclusive
-(BudgetExceededError). Lists below demand that no repaired base certifies
-are rejected (DemandViolationError).
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
-import random
 from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
@@ -59,7 +31,7 @@ from .errors import (
     MissingEdgeError,
     NoKernelError,
     OddOrderError,
-    TheoremViolationError,
+    ProofInvariantError,
     _require_ints,
 )
 from .families import _require_size
@@ -91,9 +63,22 @@ def _require_covered(g: Graph, mapping: Mapping, what: str) -> None:
 
 
 def make_list_assignment(g: Graph, lists: dict[Edge, object]) -> ListAssignment:
-    """Normalize every edge's list to a duplicate-free ascending tuple."""
+    """Normalize every edge's list of ints to a duplicate-free ascending
+    tuple; BadParameterError names an edge whose list is not ints."""
     _require_covered(g, lists, "lists")
-    return ListAssignment(lists={e: tuple(sorted(set(lists[e]))) for e in g.edges})
+    return ListAssignment(lists={e: tuple(sorted(set(_color_list(e, lists[e])))) for e in g.edges})
+
+
+def _color_list(e: Edge, colors: object, distinct: bool = False) -> tuple:
+    """Edge e's list as a tuple of ints (a bool is not; a string is no list),
+    and no repeats if `distinct`; BadParameterError otherwise."""
+    try:
+        items = colors if type(colors) is tuple else None if isinstance(colors, (str, bytes)) else tuple(colors)
+    except TypeError:
+        items = None
+    if items is None or not {int}.issuperset(map(type, items)) or distinct and len(set(items)) < len(items):
+        raise BadParameterError(f"list of edge {e} must hold {'distinct ' * distinct}ints, got {colors!r}")
+    return items
 
 
 @dataclass(frozen=True)
@@ -138,8 +123,9 @@ def verify_proper(
     prescribed: Mapping[Edge, object] | None = None,
 ) -> ColoringReport:
     """Check properness, palette membership, that only edges of g are
-    colored and, optionally, list membership and agreement with a
-    prescription (edge -> color, keys in either order).
+    colored and, optionally, list membership (BadParameterError on a list
+    that is not ints) and agreement with a prescription (edge -> color,
+    keys in either order).
 
     Linear passes over g.edges read each edge's color once. Properness is
     screened with a set of int keys x * (p + 1) + c, one per end x of an
@@ -147,14 +133,17 @@ def verify_proper(
     pair (x, c), so the coloring is proper iff the set holds 2|E| keys; two
     edges clashing at a vertex always give equal keys, whatever the color.
     An off-palette color may alias another end's key, which only costs the
-    exact pass. That pass runs only when the set is short and lists every
-    clashing pair vertex by vertex, colors ascending, edges in adjacency
-    order, so reports are the same as when it ran on every call. Once every
+    exact pass. A color that is not an int (a bool is not) is off the
+    palette and sends the call to the exact pass, where only numbers clash
+    (True equals 1). That pass runs only then or when the set is short and
+    lists every clashing pair vertex by vertex, colors ascending, edges in
+    adjacency order, so reports are the same as when it ran on every call.
+    A palette size that is not an int raises BadParameterError. Once every
     edge is known colored, the coloring holds a pair outside g only when it
-    has more keys than g has edges; those keys are listed in insertion
-    order. Disagreements are listed by canonical edge, a prescribed pair
-    left uncolored as got None. This is the one place a coloring is
-    compared with a prescription.
+    has more keys than g has edges; those are listed in insertion order.
+    Disagreements are listed by canonical edge, a prescribed pair left
+    uncolored as got None. This is the one place a coloring is compared
+    with a prescription.
     """
     a = col.assignment
     try:
@@ -163,26 +152,25 @@ def verify_proper(
         _require_covered(g, a, "coloring")
         raise
     p = col.palette_size
-    ends = {x * (p + 1) + c for e, c in zip(g.edges, colors) for x in e}
+    _require_ints(palette_size=p)
+    off_palette = [e for e, c in zip(g.edges, colors) if type(c) is not int or not 1 <= c <= p]
     conflicts = []
-    if len(ends) < 2 * len(colors):
+    if any(type(a[e]) is not int for e in off_palette) or len(
+        {x * (p + 1) + c for e, c in zip(g.edges, colors) for x in e}
+    ) < 2 * len(colors):
         for v in range(g.n):
-            by_color: dict[int, list[Edge]] = {}
+            by_color: dict[object, list[Edge]] = {}
             for w in g.adjacency[v]:
                 e = canonical_edge(v, w)
-                by_color.setdefault(a[e], []).append(e)
+                if isinstance(a[e], (int, float)):
+                    by_color.setdefault(a[e], []).append(e)
             # two distinct edges share at most one vertex, so each clashing
             # pair is discovered exactly once, at that vertex
             for _, same in sorted(by_color.items()):
-                conflicts.extend(
-                    (same[i], same[j])
-                    for i in range(len(same))
-                    for j in range(i + 1, len(same))
-                )
-    off_palette = [e for e, c in zip(g.edges, colors) if not 1 <= c <= p]
+                conflicts.extend((same[i], same[j]) for i in range(len(same)) for j in range(i + 1, len(same)))
     off_list = []
     if lists is not None:
-        off_list = [e for e, c in zip(g.edges, colors) if c not in lists.lists.get(e, (c,))]
+        off_list = [e for e, c in zip(g.edges, colors) if e in lists.lists and c not in _color_list(e, lists.lists[e])]
     disagreements = []
     if prescribed is not None:
         keyed = ((_edge_key(e), c) for e, c in prescribed.items())
@@ -213,10 +201,19 @@ def konig_color(g: Graph) -> EdgeColoring:
 def _konig_base(g: Graph) -> tuple[list[int], list[dict[int, int]]]:
     """konig_color of a graph known to be bipartite, by edge id: the color
     of each edge, and each vertex's map from color to the edge holding it."""
-    edges = g.edges
-    base = [0] * len(edges)
+    base = [0] * len(g.edges)
     at: list[dict[int, int]] = [{} for _ in range(g.n)]  # vertex -> color -> edge id
-    for i, (u, v) in enumerate(edges):
+    _insert(g.edges, at, base, range(len(base)))
+    return base, at
+
+
+def _insert(edges: tuple[Edge, ...], at: list[dict[int, int]], base: list[int], ids: Iterable[int]) -> list[int]:
+    """König's insertion step for each uncolored edge uv of `ids`: color a,
+    the lowest free at u; if v holds it, v's lowest free b if u misses it,
+    else a after swapping a and b from v. Returns the edges swapped."""
+    swapped: list[int] = []
+    for i in ids:
+        u, v = edges[i]
         at_u, at_v = at[u], at[v]
         a = 1
         while a in at_u:
@@ -228,94 +225,178 @@ def _konig_base(g: Graph) -> tuple[list[int], list[dict[int, int]]]:
             if b not in at_u:
                 a = b
             else:
-                _flip_alternating_path(edges, at, base, v, a, b)
+                swapped += _flip_alternating_path(edges, at, base, v, a, b)
         base[i] = a
         at_u[a] = i
         at_v[a] = i
-    return base, at
+    return swapped
 
 
 def _flip_alternating_path(
     edges: tuple[Edge, ...], at: list[dict[int, int]], base: list[int], start: int, a: int, b: int
 ) -> list[int]:
-    """Swap colors a and b along the path leaving `start` on its a-edge.
-
-    `start` misses b, so the walk is a simple path; bipartiteness keeps the
-    other endpoint of the to-be-colored edge off it. Returns the path's
-    edge ids.
-    """
+    """Swap colors a and b along the path leaving `start` on its a-edge;
+    returns the path's edge ids. `start` misses b, so the walk is a simple
+    path; bipartiteness keeps the other endpoint of the to-be-colored edge
+    off it. One pass sets each edge's new color at both ends, reading the
+    next edge first, and then drops the path's two stale end entries."""
     path = []
-    z, want = start, a
-    while want in at[z]:
-        i = at[z][want]
+    z, old, new = start, a, b
+    i = at[z][a]
+    while True:
         path.append(i)
+        base[i] = new
         u, v = edges[i]
-        z, want = (v if u == z else u), (b if want == a else a)
-    for i in path:
-        u, v = edges[i]
-        del at[u][base[i]]
-        del at[v][base[i]]
-    for i in path:
-        new = base[i] = b if base[i] == a else a
-        u, v = edges[i]
-        at[u][new] = i
-        at[v][new] = i
+        w = v if u == z else u
+        nxt = at[w].get(new)  # w's edge of old color `new` leads on
+        at[z][new] = i
+        at[w][new] = i
+        if nxt is None:
+            del at[w][old]
+            break
+        z, old, new, i = w, new, old, nxt
+    del at[start][a]
     return path
 
 
-def _edge_lists(g: Graph, lists: ListAssignment) -> list[tuple[int, ...]]:
-    """The list of every edge of g, by edge id; MissingEdgeError names the
-    edges that `lists` lacks."""
+def _peeled_ranks(
+    g: Graph, xs: list[int], ys: list[int], base: list[int], at: list[dict[int, int]]
+) -> tuple[list[int], list[int]]:
+    """The peeled base, from the König base `base`, `at` (consumed) of g,
+    edges oriented by xs and ys: each edge's rank at its X and its Y end,
+    r_v(e) counting the edges v ranks above e, with r_x(e) + r_y(e) <=
+    max(d(x), d(y)) - 1. While edges remain: D is the maximum degree, the
+    hot vertices have degree D, and M, the color-D edges at a hot vertex, is
+    a matching covering them. A hot vertex matched to a cold one is forced.
+    One search per forced X vertex (Kuhn's pass) looks for an alternating
+    path to a forced Y vertex (an edge outside M to a hot y, y's M edge, and
+    so on) and swaps M along it. An M edge's first end is its hot end if the
+    other is cold; else its X end if a forced X vertex reaches the edge by
+    such paths, else its Y end. There it ranks above every edge left, at its
+    other end below them. M is removed, and the edges still colored D are
+    recolored into 1..D-1 by König's insertion step.
+
+    Proof, by induction on |E|, d' the degrees in G - M: an M edge ranks 0
+    at its first end and d(b) - 1 at its other end b. An edge xy outside M
+    gains a rank at each end that is a first end, and at most one is: were
+    both, a forced X vertex would reach x, then over xy the hot y and y's M
+    edge, which leads to a forced Y vertex (the pass leaves no such path)
+    or is reached, so its first end is X, not y. A first end is hot, so
+    when xy gains a rank its ends of degree D are covered by M and
+    max(d'(x), d'(y)) = max(d(x), d(y)) - 1.
+    """
+    edges = g.edges
+    top = max(map(len, at), default=0)
+    by_deg: list[list[int]] = [[] for _ in range(top + 1)]  # degree -> cold vertices that reached it, or stale
+    by_color: list[list[int]] = [[] for _ in range(top + 1)]  # color -> edges that took it, or stale (color 0)
+    for v, at_v in enumerate(at):
+        by_deg[len(at_v)].append(v)
+    for i, c in enumerate(base):
+        by_color[c].append(i)
+    above, below = [0] * g.n, [len(at_v) - 1 for at_v in at]  # each vertex's next rank from the top, the bottom
+    rx, ry = [0] * len(edges), [0] * len(edges)
+    mate: dict[int, int] = {}  # hot vertex -> its M edge
+
+    def augment(x0: int) -> bool:
+        # breadth first from x0 over hot Y vertices not yet seen; at a forced one, swap M along the path
+        reach, queue = {}, [x0]  # hot y -> the edge outside M it was reached by; the X vertices to search
+        for x in queue:
+            for j in at[x].values():
+                y = ys[j]
+                if y in mate and y not in seen:
+                    seen.add(y)
+                    reach[y] = j
+                    k = mate[y]
+                    if xs[k] not in mate:
+                        while True:  # back along the path, each x's old M edge leading on
+                            x, k = xs[j], mate[xs[j]]
+                            mate[x] = mate[ys[j]] = j
+                            if x == x0:
+                                seen.clear()
+                                return True
+                            j = reach[ys[k]]
+                    queue.append(xs[k])
+        return False
+
+    for d in range(top, 0, -1):
+        # hot: the last round's hot vertices, now of degree d, and the cold ones that reached d
+        mate = {v: at[v][d] for v in [*mate, *(v for v in by_deg[d] if len(at[v]) == d)]}
+        forced = [v for v, i in mate.items() if xs[i] == v and ys[i] not in mate]
+        seen: set[int] = set()  # hot Y vertices searched since the last swap
+        if [x for x in forced if augment(x)]:  # after a swap, the forced X left search again to mark their reach
+            seen.clear()
+            for x in forced:
+                if ys[mate[x]] not in mate:
+                    augment(x)
+        reached = {mate[y] for y in seen}
+        for a, i in mate.items():  # each M edge from its first end
+            x, y = xs[i], ys[i]
+            b = y if a == x else x
+            if b in mate and (a == x) != (i in reached):
+                continue  # b is its first end
+            r, s = above[a], below[b]
+            rx[i], ry[i] = (r, s) if a == x else (s, r)
+            above[a], below[b] = r + 1, s - 1
+            c, base[i] = base[i], 0
+            del at[x][c], at[y][c]
+            if b not in mate:  # a cold end, now of a lower degree
+                by_deg[len(at[b])].append(b)
+        left = sorted({i for i in by_color.pop() if base[i] == d})  # the edges left with color d
+        for i in left:
+            del at[xs[i]][d], at[ys[i]][d]
+        for i in _insert(edges, at, base, left) + left:
+            by_color[base[i]].append(i)
+    return rx, ry
+
+
+def _edge_lists(g: Graph, lists: ListAssignment) -> tuple[list[tuple[int, ...]], dict[int, set[int]]]:
+    """Each edge's list by edge id, and each distinct list object's colors by
+    its id (the first result keeps the objects alive); MissingEdgeError
+    names the edges `lists` lacks, BadParameterError a bad list's edge."""
     try:
-        return [lists.lists[e] for e in g.edges]
+        ls = [lists.lists[e] for e in g.edges]
     except KeyError:
         _require_covered(g, lists.lists, "lists")
         raise
+    sets: dict[int, set[int]] = {}
+    for e, colors in zip(g.edges, ls):
+        if id(colors) not in sets:
+            sets[id(colors)] = set(_color_list(e, colors, True))
+    return ls, sets
 
 
 def _kernel_rounds(
     g: Graph,
     ls: list[tuple[int, ...]],
+    sets: dict[int, set[int]],
     xs: list[int],
     ys: list[int],
-    side: tuple[str, ...],
-    base: list[int],
-    at: list[dict[int, int]],
+    kx: list[int],
+    ky: list[int],
 ) -> EdgeColoring:
-    """The kernel rounds of ``demand_list_color`` on a certified base: the
-    lists `ls`, the oriented ends xs (in X) and ys, the base colors `base`
-    and each vertex's map `at` from color to edge, all by edge id, under the
-    bipartition sides `side` of g.
+    """The kernel rounds of ``demand_list_color``, by edge id: lists `ls`
+    and their colors `sets` (from ``_edge_lists``), ends xs in X and ys, and
+    a base's rank keys kx at the X end and ky at the Y end (the lower ranks
+    higher; 0 <= kx <= |E|).
 
     Per palette color, ascending, until every edge is colored, the uncolored
     edges whose list holds it are matched by deferred acceptance (X proposes
-    its edges of the round in ascending base color; Y holds the highest).
-    The stable matching is a kernel, so every unmatched edge is dominated by
-    a newly colored out-neighbor and can afford to lose that color, which no
-    later round reads. Since g.edges is lexicographic, ascending ids are
-    canonical edge order, so the rounds meet the edges in the same order as
-    over edge tuples. A round forms the tuples of its colored edges only at
-    its end, as one set filled in the order of `held`, so the result
-    receives them in the same order too, item for item.
+    by ascending key; Y holds its lowest). The stable matching is a kernel:
+    an unmatched edge xy is dominated by a newly colored edge that x or y
+    ranks above it, and loses that color. So the base is certified, and no
+    list runs dry, when out(xy), the edges that x and y rank above xy, stay
+    below |L(xy)|. A round forms its colored edge tuples at its end, in the
+    order of `held`, so the result is the same as over edge tuples.
     """
     edges = g.edges
-
-    # one set per distinct list object: the residual's unblocked edges all
-    # share one tuple, and `ls` keeps every tuple (so its id) alive
-    sets: dict[int, set[int]] = {}
-    allowed = []
-    for colors in ls:
-        s = sets.get(id(colors))
-        if s is None:
-            s = sets[id(colors)] = set(colors)
-        allowed.append(s)
+    allowed = [sets[id(colors)] for colors in ls]
     colored: dict[Edge, int] = {}
     palette = sorted(set().union(*sets.values()))
 
-    # each X vertex's edges in one run, by ascending base color (distinct at
-    # x); a round's filter keeps that order, so its runs are its proposals
-    # and a round walks only its own edges
-    uncolored = [at_x[c] for x, at_x in enumerate(at) if side[x] == SIDE_X for c in sorted(at_x)]
+    # each X vertex's edges in one run, by ascending key; a round's filter
+    # keeps that order, so its runs are its proposals and a round walks
+    # only its own edges
+    uncolored = sorted(range(len(edges)), key=[x * (len(edges) + 1) + k for x, k in zip(xs, kx)].__getitem__)
     for k in palette:
         if not uncolored:  # later rounds would find nothing to match
             break
@@ -332,7 +413,7 @@ def _kernel_rounds(
             cur = held.get(y)
             if cur is None:
                 held[y] = i
-            elif base[i] > base[cur]:  # Y side prefers the higher base color
+            elif ky[i] < ky[cur]:  # y ranks i above the edge it holds
                 held[y] = i
                 free.append(xs[cur])
             else:
@@ -343,84 +424,13 @@ def _kernel_rounds(
             uncolored = [i for i in uncolored if i not in matched]
         at_x = {xs[i]: i for i in matched}
         for i in rough:
-            # dominated: x's match below i or y's above (no match reads as i)
-            if i not in matched and base[at_x.get(xs[i], i)] >= base[i] >= base[held.get(ys[i], i)]:
+            # dominated: x's match or y's ranked above i (no match reads as i)
+            if i not in matched and kx[at_x.get(xs[i], i)] >= kx[i] and ky[held.get(ys[i], i)] >= ky[i]:
                 raise NoKernelError(f"edge {edges[i]} neither colored nor dominated for color {k}")
 
     if len(colored) != len(edges):
         raise NoKernelError("edges left uncolored after the palette pass")
     return EdgeColoring(palette_size=palette[-1] if palette else 0, assignment=colored)
-
-
-def _flip_cap(g: Graph) -> int:
-    """Kempe flips ``_certify_base`` may spend before it gives up."""
-    return max(1000, 4 * len(g.edges))
-
-
-def _search_cap(g: Graph) -> int:
-    """Search nodes the fallback of ``demand_list_color`` may spend."""
-    return max(1_000_000, 100 * len(g.edges))
-
-
-def _certify_base(
-    g: Graph,
-    ls: list[tuple[int, ...]],
-    xs: list[int],
-    ys: list[int],
-    base: list[int],
-    at: list[dict[int, int]],
-    short: list[int],
-    delta: int,
-) -> int | None:
-    """Flip `base` and `at` in place until out(e) < |L(e)| on every edge;
-    the flips, or None when the repair gives up.
-
-    Edges are ids into g.edges, as in ``_kernel_rounds``: edge i runs
-    from xs[i] in X to ys[i], has list ls[i] and base color base[i], and
-    at[v] maps each color at v to its edge. out(i) counts the edges at xs[i]
-    with a lower base color and at ys[i] with a higher one. An edge with
-    |L(e)| >= max degree `delta` never violates, as out(e) <= delta - 1, so
-    only the `short` edges are checked. The lowest violating edge xy of
-    color c goes first (lowest id, so canonical order): one Kempe flip gives
-    it either a color above c that x misses or a color below c that y
-    misses, side and color drawn from random.Random(0); then the edges of
-    the flipped path's vertices, read off `at`, are checked again if short.
-    The heap pops depend only on the ids pushed, not on their order. Under
-    demand-sized lists every violator has such a color (if x saw every color
-    above c, deg(x) > out(xy) >= |L(xy)|; likewise for y), but convergence
-    is not proven, so past ``_flip_cap`` flips, or at a violator without a
-    flip, this gives up; `base` and `at` are then left mid-repair.
-    """
-    if not short:
-        return 0
-    edges = g.edges
-
-    def violates(i: int) -> bool:
-        c = base[i]
-        return len([k for k in at[xs[i]] if k < c]) + len([k for k in at[ys[i]] if k > c]) >= len(ls[i])
-
-    heap = [i for i in short if violates(i)]
-    heapq.heapify(heap)
-    rng = random.Random(0)
-    cap = _flip_cap(g)
-    flips = 0
-    while heap:
-        i = heapq.heappop(heap)
-        if not violates(i):  # repaired since it was pushed
-            continue
-        x, y, c = xs[i], ys[i], base[i]
-        options = [(x, k) for k in range(c + 1, delta + 1) if k not in at[x]]
-        options += [(y, k) for k in range(1, c) if k not in at[y]]
-        if not options or flips == cap:
-            return None
-        start, k = rng.choice(options)
-        path = _flip_alternating_path(edges, at, base, start, c, k)
-        flips += 1
-        for z in {v for j in path for v in edges[j]}:
-            for f in at[z].values():
-                if len(ls[f]) < delta and violates(f):
-                    heapq.heappush(heap, f)
-    return flips
 
 
 def exact_list_color(g: Graph, lists: ListAssignment, budget: int | None = None) -> EdgeColoring | None:
@@ -433,11 +443,11 @@ def exact_list_color(g: Graph, lists: ListAssignment, budget: int | None = None)
     never a "no". A budget that is not an int >= 0 raises BadParameterError.
     """
     _require_budget(budget)
-    _require_covered(g, lists.lists, "lists")
-    assignment = _search(g, {e: set(lists.lists[e]) for e in g.edges}, budget)
+    ls, _sets = _edge_lists(g, lists)
+    assignment = _search(g, {e: set(colors) for e, colors in zip(g.edges, ls)}, budget)
     if assignment is None:
         return None
-    palette = max((c for cs in lists.lists.values() for c in cs), default=0)
+    palette = max((c for colors in ls for c in colors), default=0)
     return EdgeColoring(palette_size=palette, assignment=assignment)
 
 
@@ -592,43 +602,37 @@ def _search(
 
 
 def demand_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
-    """List-color a bipartite graph from per-edge lists of any size.
-
-    The kernel method (see the module docstring) colors every list that the
-    König base, repaired by ``_certify_base``, certifies, below the demand
-    max(deg(u), deg(w)) of its edge uw or not. When the repair gives up,
-    demand-sized lists, always colorable (Borodin, Kostochka and Woodall),
-    fall back to the complete search under a node budget (``_search_cap``):
-    BudgetExceededError past it, TheoremViolationError on a refutation.
-    Lists below demand then raise DemandViolationError naming their edges,
-    after the repair has spent up to ``_flip_cap`` flips. A call that colors
-    logs its engine, short lists and flips at debug level. The one
-    bipartition of g, its degrees and its lists by edge id are shared with
-    the König base, the repair and the kernel rounds.
-    """
-    sides = bipartition(g)
-    ls = _edge_lists(g, lists)
-    deg = [len(ns) for ns in g.adjacency]
-    delta = max(deg, default=0)
-    side = sides.side
-    xs = [u if side[u] == SIDE_X else v for u, v in g.edges]
-    ys = [v if side[u] == SIDE_X else u for u, v in g.edges]
+    """List-color a bipartite graph from per-edge lists of distinct ints
+    (else BadParameterError), of any size. One path: the König base; if a
+    list below max degree fails its certificate (``_kernel_rounds``), the
+    peeled base, which certifies every list of at least the demand
+    max(deg(u), deg(w)) of its edge uw (else ProofInvariantError); then the
+    kernel rounds. Lists below demand that no base certifies raise
+    DemandViolationError naming every edge below demand. A call that colors
+    logs its base (konig or peeled) and its lists below max degree."""
+    side = bipartition(g).side
+    ls, sets = _edge_lists(g, lists)
+    edges = g.edges
+    xs = [u if side[u] == SIDE_X else v for u, v in edges]
+    ys = [v if side[u] == SIDE_X else u for u, v in edges]
+    delta = max(map(len, g.adjacency), default=0)
     short = [i for i, colors in enumerate(ls) if len(colors) < delta]
     base, at = _konig_base(g)
-    flips = _certify_base(g, ls, xs, ys, base, at, short, delta)
-    if flips is not None:
-        if _log.isEnabledFor(logging.DEBUG):
-            _log.debug("list coloring: engine=kernel short=%d flips=%d", len(short), flips)
-        return _kernel_rounds(g, ls, xs, ys, side, base, at)
-    bad = [(u, v) for (u, v), colors in zip(g.edges, ls) if len(colors) < deg[u] or len(colors) < deg[v]]
-    if bad:
-        raise DemandViolationError(f"lists shorter than endpoint-degree demand at {bad}")
+    # out(e) on the König base: the colors at x below e's, and at y above it
+    out = (len([c for c in at[xs[i]] if c < base[i]]) + len([c for c in at[ys[i]] if c > base[i]]) for i in short)
+    if any(o >= len(ls[i]) for o, i in zip(out, short)):
+        name = "peeled"
+        kx, ky = _peeled_ranks(g, xs, ys, base, at)
+        if any(kx[i] + ky[i] >= len(ls[i]) for i in short):
+            bad = [(u, v) for (u, v), colors in zip(edges, ls) if len(colors) < max(g.degree(u), g.degree(v))]
+            if not bad:
+                raise ProofInvariantError("the peeled base fails lists that meet the endpoint-degree demand")
+            raise DemandViolationError(f"lists shorter than endpoint-degree demand at {bad}")
+    else:  # the König base ranks by color: ascending at X, descending at Y
+        name, kx, ky = "konig", base, [-c for c in base]
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("list coloring: engine=search short=%d flips=%d", len(short), _flip_cap(g))
-    result = exact_list_color(g, lists, _search_cap(g))
-    if result is None:
-        raise TheoremViolationError("demand-sized lists reported unsatisfiable")
-    return result
+        _log.debug("list coloring: base=%s short=%d", name, len(short))
+    return _kernel_rounds(g, ls, sets, xs, ys, kx, ky)
 
 
 def one_factorization(order: int) -> list[list[Edge]]:

@@ -79,10 +79,6 @@ class NoKernelError(InternalInvariantError):
     """An uncolored edge survived a round undominated by the stable matching."""
 
 
-class TheoremViolationError(InternalInvariantError):
-    """The exact solver refuted an instance the list-coloring theorem covers."""
-
-
 class ProofInvariantError(InternalInvariantError):
     """A reduction or fiber-assembly invariant failed on validated input."""
 

@@ -11,7 +11,6 @@ The BFS distances are the independent oracle for the library's local rule
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import logging
 import math
@@ -36,6 +35,7 @@ from edgex import (
     canonical_edge,
     cartesian_product,
     hypercube,
+    make_list_assignment,
     max_degree,
     one_factorization,
     reduce_instance,
@@ -332,7 +332,8 @@ def x_vertices(sides: Bipartition) -> list[int]:
 
 def reference_verify_proper(g: Graph, col: EdgeColoring, lists: ListAssignment | None = None) -> ColoringReport:
     """The library's verify_proper before the key-set filter (a per-vertex
-    by-color enumeration on every call), kept as a test oracle."""
+    by-color enumeration on every call), kept as a test oracle. A color
+    that is not an int is off the palette."""
     missing = [e for e in g.edges if e not in col.assignment]
     if missing:
         raise MissingEdgeError(f"coloring misses edges {missing}")
@@ -350,7 +351,10 @@ def reference_verify_proper(g: Graph, col: EdgeColoring, lists: ListAssignment |
                 for i in range(len(same))
                 for j in range(i + 1, len(same))
             )
-    off_palette = [e for e in g.edges if not 1 <= col.assignment[e] <= col.palette_size]
+    off_palette = [
+        e for e in g.edges
+        if type(col.assignment[e]) is not int or not 1 <= col.assignment[e] <= col.palette_size
+    ]
     off_list = []
     if lists is not None:
         off_list = [e for e in g.edges if col.assignment[e] not in lists.lists.get(e, (col.assignment[e],))]
@@ -565,46 +569,20 @@ def _reference_flip_alternating_path(at, assignment, start: int, a: int, b: int)
     return path
 
 
-def certify_base(
-    g: Graph,
-    lists: ListAssignment,
-    ends: dict[Edge, Edge],
-    base: dict[Edge, int],
-    short: list[Edge],
-) -> int | None:
-    """The library's private _certify_base on edge -> value dicts: `ends`
-    orients each edge as (x, y), x in X; `base` is flipped in place. Returns
-    the flips, or None when the repair gives up."""
-    edges = g.edges
-    index = {e: i for i, e in enumerate(edges)}
-    ids = [base[e] for e in edges]
-    at: list[dict[int, int]] = [{} for _ in range(g.n)]  # vertex -> color -> edge id
-    for i, (u, v) in enumerate(edges):
-        at[u][ids[i]] = i
-        at[v][ids[i]] = i
-    ls = [lists.lists[e] for e in edges]
-    xs = [ends[e][0] for e in edges]
-    ys = [ends[e][1] for e in edges]
-    try:
-        return coloring._certify_base(g, ls, xs, ys, ids, at, [index[e] for e in short], max_degree(g))
-    finally:
-        base.update(zip(edges, ids))
-
-
 def reference_galvin_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring | None:
-    """The kernel method of the library's demand_list_color before the one
-    oriented pass (per round: proposal lists rebuilt and re-sorted, sides
-    read per edge, a working list per edge), kept as a test oracle; None
-    when the base repair gives up. It logs the same engine=kernel record."""
+    """The kernel method of the library's demand_list_color on the König
+    base, before the one oriented pass (per round: proposal lists rebuilt
+    and re-sorted, sides read per edge, a working list per edge), kept as a
+    test oracle; None when the König base fails the certificate. It logs
+    the same base=konig record."""
     sides = bipartition(g)
     delta = max_degree(g)
     short = [e for e in g.edges if len(lists.lists[e]) < delta]
     base = reference_konig_color(g).assignment
-    flips = reference_certify_base(g, lists, sides, base, short)
-    if flips is None:
+    if not reference_certifies(g, lists, sides, base, short):
         return None
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("list coloring: engine=kernel short=%d flips=%d", len(short), flips)
+        _log.debug("list coloring: base=konig short=%d", len(short))
 
     work = {e: set(lists.lists[e]) for e in g.edges}
     colored: dict[Edge, int] = {}
@@ -633,58 +611,47 @@ def reference_galvin_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring
     return EdgeColoring(palette_size=palette_size, assignment=colored)
 
 
-def reference_certify_base(
+def reference_certifies(
     g: Graph,
     lists: ListAssignment,
     sides: Bipartition,
     base: dict[Edge, int],
     short: list[Edge],
-) -> int | None:
-    """The library's _certify_base before edge ids, kept as a test oracle:
-    flip `base` in place until out(e) < |L(e)| on every edge; the flips, or
-    None when the repair gives up."""
-    if not short:
-        return 0
-    delta = max_degree(g)
-    at: list[dict[int, int]] = [{} for _ in range(g.n)]  # vertex -> color -> neighbor
+) -> bool:
+    """Whether out(e) < |L(e)| on every short edge e = xy of a base
+    coloring: out(e) counts the edges at x with a lower color and at y with
+    a higher one, read off the colors at each vertex."""
+    at: list[set[int]] = [set() for _ in range(g.n)]  # vertex -> its colors
     for (u, v), c in base.items():
-        at[u][c] = v
-        at[v][c] = u
-    ends = {e: e if sides.is_x(e[0]) else (e[1], e[0]) for e in short}  # (x, y)
-    short_at: dict[int, list[Edge]] = {}
+        at[u].add(c)
+        at[v].add(c)
     for e in short:
-        for v in e:
-            short_at.setdefault(v, []).append(e)
-
-    def violates(e: Edge) -> bool:
-        x, y = ends[e]
+        x, y = e if sides.is_x(e[0]) else (e[1], e[0])
         c = base[e]
-        out = sum(1 for k in at[x] if k < c) + sum(1 for k in at[y] if k > c)
-        return out >= len(lists.lists[e])
+        if sum(1 for k in at[x] if k < c) + sum(1 for k in at[y] if k > c) >= len(lists.lists[e]):
+            return False
+    return True
 
-    heap = [e for e in short if violates(e)]
-    heapq.heapify(heap)
-    rng = random.Random(0)
-    cap = coloring._flip_cap(g)  # read per call, so a patched cap reaches both copies
-    flips = 0
-    while heap:
-        e = heapq.heappop(heap)
-        if not violates(e):  # repaired since it was pushed
-            continue
-        x, y = ends[e]
-        c = base[e]
-        options = [(x, k) for k in range(c + 1, delta + 1) if k not in at[x]]
-        options += [(y, k) for k in range(1, c) if k not in at[y]]
-        if not options or flips == cap:
-            return None
-        start, k = rng.choice(options)
-        path = _reference_flip_alternating_path(at, base, start, c, k)
-        flips += 1
-        for z in {v for step in path for v in step[:2]}:
-            for f in short_at.get(z, ()):
-                if violates(f):
-                    heapq.heappush(heap, f)
-    return flips
+
+def peeled_rank_sums(g: Graph) -> dict[Edge, int]:
+    """r_x(e) + r_y(e) for every edge e = xy of the library's peeled base of
+    g (from its König base), r_v(e) counted as the edges at v whose rank
+    key at v is lower than e's; asserts that every vertex gives its edges
+    distinct keys."""
+    sides = bipartition(g)
+    ends = [(u, v) if sides.is_x(u) else (v, u) for u, v in g.edges]
+    base, at = coloring._konig_base(g)
+    rx, ry = coloring._peeled_ranks(g, [x for x, _ in ends], [y for _, y in ends], base, at)
+    key = {}  # (vertex, edge) -> the edge's key at that vertex
+    for e, (x, y), kx, ky in zip(g.edges, ends, rx, ry):
+        key[x, e], key[y, e] = kx, ky
+    for v in range(g.n):
+        keys = [key[v, e] for e in g.incident_edges(v)]
+        assert len(set(keys)) == len(keys), (v, keys)
+    return {
+        e: sum(key[v, f] < key[v, e] for v in e for f in g.incident_edges(v))
+        for e in g.edges
+    }
 
 
 def _reference_stable_matching(edges: list[Edge], base: dict[Edge, int], sides: Bipartition) -> set[Edge]:
@@ -767,6 +734,25 @@ def random_connected_bipartite(rng: random.Random, max_n: int = 12, max_degree_c
             degree[u] += 1
             degree[v] += 1
     return build_graph([f"v{i}" for i in range(n)], sorted(edges))
+
+
+def bkw_instance(seed: int, short: int = 0) -> tuple[Graph, ListAssignment]:
+    """Random bipartite G(150, 150, 0.27) from random.Random(seed), X the
+    vertices 0..149, with lists `short` colors below the endpoint-degree
+    demand of their edge, each drawn from 1..demand+2 by the same rng."""
+    rng = random.Random(seed)
+    g = build_graph(list(range(300)), [(u, 150 + v) for u in range(150) for v in range(150) if rng.random() < 0.27])
+    lists = {}
+    for u, v in g.edges:
+        need = max(g.degree(u), g.degree(v))
+        lists[(u, v)] = rng.sample(range(1, need + 3), need - short)
+    return g, make_list_assignment(g, lists)
+
+
+def regular_bipartite(n: int, k: int) -> Graph:
+    """The k-regular bipartite circulant: x_i (vertex i < n) joined to
+    y_((i + j) mod n) (vertex n + that) for j < k."""
+    return build_graph([f"v{i}" for i in range(2 * n)], [(i, n + (i + j) % n) for i in range(n) for j in range(k)])
 
 
 def random_tree(rng: random.Random, max_n: int = 8) -> Graph:
@@ -872,9 +858,9 @@ def _debug_records(pattern: str, convert):
         logger.removeHandler(handler)
 
 
-def list_coloring_engines():
-    """The engine ("kernel" or "search") of every list-coloring record."""
-    return _debug_records(r"engine=(\w+)", lambda m: m.group(1))
+def list_coloring_bases():
+    """The base ("konig" or "peeled") of every list-coloring record."""
+    return _debug_records(r"^list coloring: base=(\w+)", lambda m: m.group(1))
 
 
 def list_coloring_records():

@@ -32,7 +32,7 @@ from edgex import (
     validate_precoloring,
     verify_proper,
 )
-from edgex.errors import TheoremViolationError
+from edgex.errors import InternalInvariantError
 
 from helpers import (
     brute_force_list_coloring,
@@ -162,7 +162,7 @@ def test_acceptance_demand_list_engine():
             )
             try:
                 col = demand_list_color(g, lists)
-            except TheoremViolationError:
+            except InternalInvariantError:
                 theorem_violations += 1
                 continue
             assert verify_proper(g, col, lists).ok

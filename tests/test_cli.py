@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from edgex import Precoloring, build_graph, cartesian_product, complete, hypercube, path, spider, star
-from edgex import cli, coloring, extension, oracle
+from edgex import cli, extension, oracle
 from edgex.cli import main
 from edgex.serialize import (
     graph_to_dict,
@@ -16,8 +16,6 @@ from edgex.serialize import (
     read_doc,
     write_doc,
 )
-
-from helpers import roadmap_cube_instance
 
 
 def write_graph(tmp_path, g, name):
@@ -125,15 +123,6 @@ class TestExtendVerify:
         assert main(["extend", base, "--factor", "star:2", "--pre", pre, "--out", str(out)]) == 0
         pre_q = write_pre(tmp_path, Precoloring(4, {(0, 1): 4}), "preq")
         assert main(["extend", base, "--factor", "q:2", "--pre", pre_q, "--out", str(out)]) == 0
-
-    def test_extend_search_fallback_budget_exit_5(self, tmp_path, monkeypatch, capsys):
-        # the Q_6 residual of the seeded Q_7 instance needs Kempe flips; with
-        # none allowed the fallback search runs and passes a budget of 1 node
-        monkeypatch.setattr(coloring, "_flip_cap", lambda g: 0)
-        monkeypatch.setattr(coloring, "_search_cap", lambda g: 1)
-        _, pre = roadmap_cube_instance(7)
-        assert main(["extend", "--factor", "qd:7", "--pre", write_pre(tmp_path, pre)]) == 5
-        assert "inconclusive: search budget exhausted after 1 nodes" in capsys.readouterr().err
 
     def test_extend_invalid_precoloring_exit_2(self, tmp_path):
         base = write_graph(tmp_path, path(3), "p3")
@@ -385,7 +374,7 @@ class TestErrorPaths:
             [sys.executable, "-m", "edgex.cli", "extend", "--factor", "qd:3", "--pre", pre],
             capture_output=True, text=True, env=env, check=True,
         )
-        assert "edgex: list coloring: engine=kernel short=" in run.stderr
+        assert "edgex: list coloring: base=konig short=" in run.stderr
 
     def test_missing_file(self, tmp_path):
         assert main(["verify", str(tmp_path / "no.json"), str(tmp_path / "no2.json")]) == 1

@@ -3,7 +3,7 @@ import random
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgex import (
@@ -27,7 +27,7 @@ from edgex import (
     verify_proper,
 )
 from edgex import coloring
-from edgex.coloring import ListAssignment
+from edgex.coloring import ColoringReport, ListAssignment
 from edgex.errors import (
     BadParameterError,
     BudgetExceededError,
@@ -40,19 +40,21 @@ from edgex.errors import (
 )
 
 from helpers import (
+    bkw_instance,
     brute_force_list_coloring,
-    certify_base,
     connected_bipartite_catalog,
     enumerate_all_list_colorings,
     layer_edges,
-    list_coloring_engines,
+    list_coloring_bases,
     list_coloring_records,
+    peeled_rank_sums,
     random_connected_bipartite,
     random_valid_precoloring,
-    reference_certify_base,
+    reference_certifies,
     reference_galvin_list_color,
     reference_konig_color,
     reference_verify_proper,
+    regular_bipartite,
     roadmap_cube_instance,
     small_bipartite_graphs,
     star_residual,
@@ -166,7 +168,7 @@ class TestGalvin:
         assert col.assignment in proper
 
     def test_rejects_short_lists(self):
-        # every base of the star gives some edge base color 3, so
+        # every base ranks some edge of the star third at its center, so
         # out-degree 2, against its list of two colors
         g = star(3)
         with pytest.raises(DemandViolationError, match=r"at \[\(0, 1\), \(0, 2\), \(0, 3\)\]$"):
@@ -319,8 +321,9 @@ class TestBkw:
         assert verify_proper(g, col, lists).ok
 
     def test_rejects_demand_violation(self):
-        # two one-color lists: no base gives both base color 1, so none is
-        # certified, though the lists are colorable; only they are named
+        # two one-color lists: no base ranks both first at the center, so
+        # none is certified, though the lists are colorable; only they are
+        # named
         g = star(3)
         lists = ListAssignment(lists={(0, 1): (1,), (0, 2): (2,), (0, 3): (1, 2, 3)})
         assert brute_force_list_coloring(g, lists) is not None
@@ -328,12 +331,12 @@ class TestBkw:
             demand_list_color(g, lists)
 
     def test_certified_lists_below_demand_color(self):
-        # one list below demand, certified once its edge has base color 1
+        # one list below demand, certified as its edge has König color 1
         g = star(3)
         lists = ListAssignment(lists={(0, 1): (1, 2), (0, 2): (1, 2, 3), (0, 3): (1, 2, 3)})
-        with list_coloring_engines() as engines:
+        with list_coloring_bases() as bases:
             col = demand_list_color(g, lists)
-        assert engines == ["kernel"]
+        assert bases == ["konig"]
         assert verify_proper(g, col, lists).ok
 
     def test_non_bipartite_reported_before_demand_violation(self):
@@ -342,15 +345,17 @@ class TestBkw:
             demand_list_color(g, ListAssignment(lists={e: (1,) for e in g.edges}))
 
     def test_one_bipartition_per_call(self, monkeypatch):
-        # the kernel method and its König base reuse demand_list_color's sides
+        # the kernel method and both bases reuse demand_list_color's sides
         calls = []
         monkeypatch.setattr(coloring, "bipartition", lambda g: calls.append(g) or bipartition(g))
-        q, pre = roadmap_cube_instance(6)
-        reduced = reduce_instance(hypercube(5), 1, pre)
-        with list_coloring_engines() as engines:
-            demand_list_color(reduced.base_residual, reduced.lists)
-        assert engines == ["kernel"]
-        assert calls == [reduced.base_residual]
+        for d in (6, 7):
+            calls.clear()
+            q, pre = roadmap_cube_instance(d)
+            reduced = reduce_instance(hypercube(d - 1), 1, pre)
+            with list_coloring_bases() as bases:
+                demand_list_color(reduced.base_residual, reduced.lists)
+            assert bases == ["konig" if d == 6 else "peeled"]
+            assert calls == [reduced.base_residual]
 
     def test_catalog_demand_lists_never_fail(self):
         rng = random.Random(4)
@@ -396,7 +401,7 @@ def demand_list_variants(g, rng):
 
 
 # K_2,3 minus an edge: the Konig base gives (1,4) out-degree 2 against its
-# demand-sized list of 2, so the repair must flip
+# demand-sized list of 2, so the peeled base must run
 K23_MINUS = build_graph("abcde", [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4)])
 K23_MINUS_LISTS = make_list_assignment(
     K23_MINUS, {e: range(1, demand(K23_MINUS, e) + 1) for e in K23_MINUS.edges}
@@ -425,9 +430,9 @@ def demand_instances(draw):
 @settings(max_examples=300, deadline=None)
 def test_certified_kernel_on_demand_lists(instance):
     g, lists = instance
-    with list_coloring_engines() as engines:
+    with list_coloring_bases() as bases, patch.object(coloring, "_search", _no_search):
         col = demand_list_color(g, lists)
-    assert engines == ["kernel"]  # no fallback to the search
+    assert bases in (["konig"], ["peeled"])
     assert verify_proper(g, col, lists).ok
     if len(g.edges) <= 8:
         assert exact_list_color(g, lists) is not None
@@ -442,18 +447,22 @@ class TestCertifiedKernel:
         col = demand_list_color(g, lists)
         assert col.assignment == {(0, 1): 5, (0, 2): 6, (0, 3): 7}
 
-    def test_repair_reorders_a_violating_base(self):
-        # the reverse sizes: the base must be flipped until the one-color
-        # edge has base color 1
+    def test_peeled_base_reorders_a_violating_one(self):
+        # the reverse sizes: the König base ranks the one-color edge last at
+        # the center; the peel removes the edges from color 3 down, so it
+        # ranks that edge first
         g = star(3)
         lists = make_list_assignment(g, {(0, 1): (5, 6, 7), (0, 2): (5, 6), (0, 3): (5,)})
-        col = demand_list_color(g, lists)
+        with list_coloring_bases() as bases:
+            col = demand_list_color(g, lists)
+        assert bases == ["peeled"]
         assert verify_proper(g, col, lists).ok
         assert col.assignment[(0, 3)] == 5
 
     def test_no_certificate_raises(self):
-        # every base gives one edge of the star out-degree 2 = |L|: the
-        # repair gives up, and lists below demand get no engine
+        # every base ranks one edge of the star third at its center, so
+        # out-degree 2 = |L|: neither base certifies, and lists below demand
+        # get no record
         g = star(3)
         lists = make_list_assignment(g, {e: (1, 2) for e in g.edges})
         with list_coloring_records() as records, pytest.raises(DemandViolationError):
@@ -461,30 +470,28 @@ class TestCertifiedKernel:
         assert records == []
 
     def test_certified_base_bounds_every_out_degree(self):
+        # the König base where it passes, else the peeled base, whose ranks
+        # bound out(e) by the demand minus one
         rng = random.Random(6)
         graphs = small_bipartite_graphs() + CATALOG
         graphs += [random_connected_bipartite(rng, max_n=16, max_degree_cap=5) for _ in range(150)]
-        flipped = 0
+        peeled = 0
         for g in graphs:
-            delta = max_degree(g)
-            sides = bipartition(g)
-            ends = {e: e if sides.is_x(e[0]) else (e[1], e[0]) for e in g.edges}
+            out = out_degrees(g, konig_color(g).assignment)
+            sums = peeled_rank_sums(g)
             for lists in demand_list_variants(g, rng):
-                base = dict(konig_color(g).assignment)
-                short = [e for e in g.edges if len(lists.lists[e]) < delta]
-                flipped += certify_base(g, lists, ends, base, short) > 0
-                assert verify_proper(g, EdgeColoring(delta, base)).ok
-                out = out_degrees(g, base)
-                assert all(out[e] < len(lists.lists[e]) for e in g.edges)
-        assert flipped
+                if not all(out[e] < len(lists.lists[e]) for e in g.edges):
+                    peeled += 1
+                    assert all(sums[e] < len(lists.lists[e]) for e in g.edges)
+        assert peeled
 
     def test_exhaustive_small_graphs(self):
         rng = random.Random(8)
         for g in small_bipartite_graphs() + CATALOG:
             for lists in demand_list_variants(g, rng):
-                with list_coloring_engines() as engines:
+                with list_coloring_bases() as bases:
                     col = demand_list_color(g, lists)
-                assert engines == ["kernel"]
+                assert bases in (["konig"], ["peeled"])
                 assert verify_proper(g, col, lists).ok
                 assert exact_list_color(g, lists) is not None
 
@@ -498,28 +505,7 @@ class TestCertifiedKernel:
         caplog.set_level(logging.DEBUG, logger="edgex")
         col = demand_list_color(K23_MINUS, K23_MINUS_LISTS)
         assert verify_proper(K23_MINUS, col, K23_MINUS_LISTS).ok
-        [record] = caplog.records
-        message = record.getMessage()
-        assert message.startswith("list coloring: engine=kernel short=2 flips=")
-        assert int(message.rsplit("=", 1)[1]) >= 1
-
-    def test_logs_search_fallback_past_the_flip_cap(self, caplog, monkeypatch):
-        monkeypatch.setattr(coloring, "_flip_cap", lambda g: 0)
-        caplog.set_level(logging.DEBUG, logger="edgex")
-        col = demand_list_color(K23_MINUS, K23_MINUS_LISTS)
-        assert [r.getMessage() for r in caplog.records] == [
-            "list coloring: engine=search short=2 flips=0",
-            "search: nodes=5 pruned=0",
-        ]
-        assert col == exact_list_color(K23_MINUS, K23_MINUS_LISTS)
-
-    def test_search_fallback_has_a_node_budget(self, caplog, monkeypatch):
-        monkeypatch.setattr(coloring, "_flip_cap", lambda g: 0)
-        monkeypatch.setattr(coloring, "_search_cap", lambda g: 1)
-        caplog.set_level(logging.DEBUG, logger="edgex")
-        with pytest.raises(BudgetExceededError):
-            demand_list_color(K23_MINUS, K23_MINUS_LISTS)
-        assert caplog.records[0].getMessage() == "list coloring: engine=search short=2 flips=0"
+        assert [r.getMessage() for r in caplog.records] == ["list coloring: base=peeled short=2"]
 
     def test_silent_when_logging_is_off(self, caplog):
         caplog.set_level(logging.INFO, logger="edgex")
@@ -565,38 +551,42 @@ def _kernel_outcome(color, g, lists):
     return (list(col.assignment.items()), col.palette_size), records
 
 
-@given(kernel_instances(), st.booleans())
-@example((K23_MINUS, K23_MINUS_LISTS), True)  # the search fallback
-@example((star(3), make_list_assignment(star(3), {(0, 1): (1, 2), (0, 2): (1, 2, 3), (0, 3): (1, 2, 3)})), False)
-@settings(max_examples=300, deadline=None)
-def test_galvin_matches_reference(instance, capped):
-    # demand_list_color colors as the reference kernel method wherever the
-    # reference's repair succeeds; where it gives up (under a zero flip cap,
-    # at the first violator), demand-sized lists go to the search and lists
-    # below demand are rejected before any engine runs
-    g, lists = instance
-    with patch.object(coloring, "_flip_cap", (lambda g: 0) if capped else coloring._flip_cap):
-        got = _kernel_outcome(demand_list_color, g, lists)
-        want, records = _kernel_outcome(reference_galvin_list_color, g, lists)
-        cap = coloring._flip_cap(g)
+def _check_against_reference(g, lists):
+    """demand_list_color colors as the reference kernel method, with the
+    same record, wherever the König base certifies the lists. Elsewhere it
+    colors from the peeled base, or, when some list is below demand, may
+    raise DemandViolationError naming every edge below demand, with no
+    record. Returns which of the three happened."""
+    got, records = _kernel_outcome(demand_list_color, g, lists)
+    want, want_records = _kernel_outcome(reference_galvin_list_color, g, lists)
     if want is not None:
-        assert got == (want, records)
-    elif all(len(lists.lists[e]) >= demand(g, e) for e in g.edges):
-        search = exact_list_color(g, lists)
-        short = sum(len(colors) < max_degree(g) for colors in lists.lists.values())
-        record = f"list coloring: engine=search short={short} flips={cap}"
-        assert got == ((list(search.assignment.items()), search.palette_size), [record])
-    else:
-        (error, _message), records = got
-        assert error is DemandViolationError and records == []
+        assert (got, records) == (want, want_records)
+        return "konig"
+    if records:
+        short = sum(len(lists.lists[e]) < max_degree(g) for e in g.edges)
+        assert records == [f"list coloring: base=peeled short={short}"]
+        items, palette = got
+        assert verify_proper(g, EdgeColoring(palette, dict(items)), lists).ok
+        return "peeled"
+    below = [e for e in g.edges if len(lists.lists[e]) < demand(g, e)]
+    assert below and got == (DemandViolationError, f"lists shorter than endpoint-degree demand at {below}")
+    return "rejected"
+
+
+@given(kernel_instances())
+@example((K23_MINUS, K23_MINUS_LISTS))  # the peeled base
+@example((star(3), make_list_assignment(star(3), {(0, 1): (1, 2), (0, 2): (1, 2, 3), (0, 3): (1, 2, 3)})))
+@example((star(3), make_list_assignment(star(3), {e: (1, 2) for e in star(3).edges})))  # rejected
+@settings(max_examples=300, deadline=None)
+def test_galvin_matches_reference(instance):
+    g, lists = instance
+    _check_against_reference(g, lists)
 
 
 @pytest.mark.parametrize("d", range(6, 12))
 def test_galvin_matches_reference_on_seeded_cube_residuals(d):
-    _, pre = roadmap_cube_instance(d)
-    reduced = reduce_instance(hypercube(d - 1), 1, pre)
-    g, lists = reduced.base_residual, reduced.lists
-    assert _kernel_outcome(demand_list_color, g, lists) == _kernel_outcome(reference_galvin_list_color, g, lists)
+    g, lists = _cube_residual(d)
+    assert _check_against_reference(g, lists) == ("konig" if d == 6 else "peeled")
 
 
 @pytest.mark.parametrize("size", [0, 40])
@@ -610,7 +600,7 @@ def test_galvin_matches_reference_on_a_star_residual(size):
     reduced = star_residual(g, 63, pre)
     g, lists = reduced.base_residual, reduced.lists
     assert max_degree(g) == 64
-    assert _kernel_outcome(demand_list_color, g, lists) == _kernel_outcome(reference_galvin_list_color, g, lists)
+    assert _check_against_reference(g, lists) == "konig"  # with 47 short lists at size 40
 
 
 def _cube_residual(d):
@@ -629,21 +619,6 @@ def _konig_outcome(color, g):
     return list(col.assignment.items()), col.palette_size
 
 
-def _certify_outcome(g, lists, reference):
-    """Flips (None on giving up) and the ordered items of the
-    base that the library's _certify_base, or its reference copy, leaves
-    from the König base of g."""
-    sides = bipartition(g)
-    ends = {e: e if sides.is_x(e[0]) else (e[1], e[0]) for e in g.edges}
-    short = [e for e in g.edges if len(lists.lists[e]) < max_degree(g)]
-    base = dict(reference_konig_color(g).assignment)
-    if reference:
-        flips = reference_certify_base(g, lists, sides, base, short)
-    else:
-        flips = certify_base(g, lists, ends, base, short)
-    return flips, list(base.items())
-
-
 @given(kernel_instances())
 @settings(max_examples=300, deadline=None)
 def test_konig_matches_reference(instance):
@@ -651,24 +626,104 @@ def test_konig_matches_reference(instance):
     assert _konig_outcome(konig_color, g) == _konig_outcome(reference_konig_color, g)
 
 
-@given(kernel_instances())
-@settings(max_examples=300, deadline=None)
-def test_certify_base_matches_reference(instance):
-    g, lists = instance
-    try:
-        bipartition(g)
-    except NotBipartiteError:
-        assume(False)
-    assert _certify_outcome(g, lists, False) == _certify_outcome(g, lists, True)
-
-
 @pytest.mark.parametrize("d", range(6, 12))
 def test_konig_and_certify_base_match_reference_on_seeded_cube_residuals(d):
+    # the König base, and whether it passes the certificate, as by the
+    # reference copies; only the Q_6 residual's König base passes
     g, lists = _cube_residual(d)
     assert _konig_outcome(konig_color, g) == _konig_outcome(reference_konig_color, g)
-    flips, base = _certify_outcome(g, lists, False)
-    assert (flips, base) == _certify_outcome(g, lists, True)
-    assert flips > 0 or d == 6  # the Q_6 residual's König base needs no flip
+    short = [e for e in g.edges if len(lists.lists[e]) < max_degree(g)]
+    certified = reference_certifies(g, lists, bipartition(g), reference_konig_color(g).assignment, short)
+    with list_coloring_bases() as bases:
+        demand_list_color(g, lists)
+    assert bases == ["konig" if certified else "peeled"]
+    assert certified == (d == 6)
+
+
+def _disjoint_union(g, h):
+    """g and h side by side, h's vertices shifted past g's."""
+    return build_graph(
+        list(g.labels) + [f"h{v}" for v in range(h.n)],
+        list(g.edges) + [(u + g.n, v + g.n) for u, v in h.edges],
+    )
+
+
+@st.composite
+def peel_graphs(draw):
+    """Bipartite graphs of every shape the peel must handle: random ones
+    (isolated vertices included), disjoint unions of two, stars, regular
+    ones and edgeless ones."""
+    kind = draw(st.sampled_from(("random", "union", "star", "regular", "edgeless")))
+    if kind == "random":
+        return draw(bipartite_graphs(max_n=12))
+    if kind == "union":
+        return _disjoint_union(draw(bipartite_graphs(max_n=8)), draw(bipartite_graphs(max_n=8)))
+    if kind == "star":
+        return star(draw(st.integers(min_value=1, max_value=12)))
+    if kind == "edgeless":
+        return build_graph([f"v{i}" for i in range(draw(st.integers(min_value=0, max_value=5)))], [])
+    n = draw(st.integers(min_value=1, max_value=8))
+    return regular_bipartite(n, draw(st.integers(min_value=1, max_value=n)))
+
+
+@given(peel_graphs())
+@example(hypercube(4))
+@example(complete_bipartite(4, 5))
+@settings(max_examples=300, deadline=None)
+def test_peeled_ranks_meet_the_demand_bound(g):
+    # r_x(e) + r_y(e) <= max(d(x), d(y)) - 1, counted from each vertex's ranking
+    sums = peeled_rank_sums(g)
+    assert all(sums[e] <= demand(g, e) - 1 for e in g.edges)
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("the search ran")
+
+
+class TestBkwScale:
+    # random bipartite G(150, 150, 0.27), about 6,100 edges: each call takes
+    # about 0.1 s, with the search patched to fail
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_demand_sized_lists_color(self, seed, monkeypatch):
+        monkeypatch.setattr(coloring, "_search", _no_search)
+        g, lists = bkw_instance(seed)
+        with list_coloring_bases() as bases:
+            col = demand_list_color(g, lists)
+        assert bases == ["peeled"]
+        assert verify_proper(g, col, lists).ok
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_lists_one_short_rejected(self, seed, monkeypatch):
+        monkeypatch.setattr(coloring, "_search", _no_search)
+        g, lists = bkw_instance(seed, short=1)
+        below = [e for e in g.edges if len(lists.lists[e]) < demand(g, e)]
+        assert below == list(g.edges)
+        with pytest.raises(DemandViolationError) as info:
+            demand_list_color(g, lists)
+        assert str(info.value) == f"lists shorter than endpoint-degree demand at {below}"
+
+
+class TestMalformedLists:
+    def test_repeated_color(self):
+        lists = ListAssignment(lists={(0, 1): (1, 1), (1, 2): (1, 2)})
+        for call in (demand_list_color, exact_list_color):
+            with pytest.raises(BadParameterError, match=r"^list of edge \(0, 1\) must hold distinct ints, got \(1, 1\)$"):
+                call(path(3), lists)
+
+    @pytest.mark.parametrize("bad", [None, (1, "a"), (True, 2), (1.0,), "12", 3])
+    def test_lists_that_are_not_ints(self, bad):
+        lists = ListAssignment(lists={(0, 1): (1, 2), (1, 2): bad})
+        calls = (demand_list_color, exact_list_color, lambda g, lists: make_list_assignment(g, lists.lists))
+        for call in calls:
+            with pytest.raises(BadParameterError, match=r"^list of edge \(1, 2\) must hold (distinct )?ints"):
+                call(path(3), lists)
+        with pytest.raises(BadParameterError, match=r"^list of edge \(1, 2\) must hold ints"):
+            verify_proper(path(3), EdgeColoring(2, {(0, 1): 1, (1, 2): 2}), lists)
+
+    def test_palette_read_from_the_edges_only(self):
+        lists = ListAssignment(lists={(0, 1): (1,), (1, 2): (2,), (5, 6): (9,)})
+        assert exact_list_color(path(3), lists) == EdgeColoring(2, {(0, 1): 1, (1, 2): 2})
 
 
 class TestOneFactorization:
@@ -792,6 +847,23 @@ class TestVerifyProper:
         assert report.not_edges == ((0, 2), (5, 9))
         assert not report.ok
         assert str(report) == "pair (0, 2) colored but not an edge; pair (5, 9) colored but not an edge"
+
+    @pytest.mark.parametrize("palette", ["3", None, 3.0, True])
+    def test_non_int_palette(self, palette):
+        with pytest.raises(BadParameterError, match=r"^palette_size must be an int"):
+            verify_proper(path(2), EdgeColoring(palette, {(0, 1): 1}))
+
+    @pytest.mark.parametrize("color", [None, 1.5, 1.0, True, "1", [1]])
+    def test_non_int_colors_off_palette(self, color):
+        report = verify_proper(path(4), EdgeColoring(3, {(0, 1): color, (1, 2): 2, (2, 3): 1}))
+        assert report == ColoringReport(off_palette=((0, 1),))
+
+    def test_only_numbers_clash(self):
+        # equal numbers clash; any other color is merely off the palette
+        col = EdgeColoring(3, {(0, 1): 1.5, (1, 2): 1.5, (2, 3): None, (3, 4): None, (4, 5): [1]})
+        report = verify_proper(path(6), col)
+        assert report.conflicts == (((0, 1), (1, 2)),)
+        assert report.off_palette == ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))
 
 
 @pytest.mark.parametrize(

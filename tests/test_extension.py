@@ -48,12 +48,13 @@ from helpers import (
     brute_force_extendable,
     edge_distance,
     layer_edges,
-    list_coloring_engines,
+    list_coloring_bases,
     random_connected_bipartite,
     random_tree,
     random_valid_precoloring,
     reference_color_fibers,
     reference_reduce_instance,
+    regular_bipartite,
     roadmap_cube_instance,
     complete_factor_palette,
 )
@@ -662,14 +663,29 @@ class TestExtendHypercube:
         # complete search did not finish these within a minute
         q, pre = roadmap_cube_instance(d)
         assert len(pre.entries) == entries
-        with list_coloring_engines() as engines:
+        with list_coloring_bases() as bases:
             col = extend_hypercube(d, pre)
-        assert engines == ["kernel"]
+        assert bases == ["peeled"]
         assert verify_proper(q, col).ok
         assert all(col.assignment[e] == c for e, c in pre.entries.items())
 
 
 class TestExtendOverStar:
+    @pytest.mark.parametrize("seed", [1, 3, 8])
+    def test_host_residual_on_the_peeled_base(self, seed):
+        # a greedy prescription of G x K_1,m on a regular G: the König base
+        # of the host residual fails some short list, so the peel runs
+        rng = random.Random(seed)
+        g = regular_bipartite(rng.randint(4, 10), rng.randint(2, 4))
+        m = rng.randint(2, 3)
+        product = cartesian_product(g, star(m)).graph
+        pre = random_valid_precoloring(rng, product, max_degree(g) + m, 500)
+        with list_coloring_bases() as bases:
+            col = extend_over_star(g, m, pre)
+        assert bases == ["peeled"]
+        assert verify_proper(product, col).ok
+        assert all(col.assignment[e] == c for e, c in pre.entries.items())
+
     def test_m1_matches_complete(self):
         g = path(3)
         pre = Precoloring(3, {(0, 2): 3})

@@ -1,5 +1,7 @@
-"""Structural fuzzing of the CLI, the four extend_* entry points and the
-oracle's decide_extendable and explore_bipartite_factor.
+"""Structural fuzzing of the CLI, the four extend_* entry points, the
+oracle's decide_extendable and explore_bipartite_factor, and the list
+coloring calls (make_list_assignment, demand_list_color, exact_list_color)
+with verify_proper.
 
 Valid documents of small graphs (a base graph, a one-entry precoloring in
 the product's palette, the extended coloring) are mutated: values of the
@@ -21,21 +23,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgex import (
+    EdgeColoring,
+    ListAssignment,
     Precoloring,
     build_graph,
     cartesian_product,
     complete,
+    complete_bipartite,
     cycle,
     decide_extendable,
+    demand_list_color,
+    exact_list_color,
     explore_bipartite_factor,
     extend_hypercube,
     extend_over_complete,
     extend_over_hypercube,
     extend_over_star,
     hypercube,
+    make_list_assignment,
     max_degree,
     path,
     star,
+    verify_proper,
 )
 from edgex.cli import EXIT_INTERNAL, main
 from edgex.errors import EdgexError, InternalInvariantError
@@ -252,3 +261,42 @@ def test_explore_on_mutated_input(data):
         explore_bipartite_factor(g, n, m, budget, data.draw(st.one_of(st.integers(-(2**64), 2**64), json_values)))
     except EdgexError as exc:
         assert not isinstance(exc, InternalInvariantError), exc
+
+
+LIST_GRAPHS = [path(3), cycle(4), star(3), complete_bipartite(2, 3), cycle(3), build_graph("ab", [])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_list_coloring_on_mutated_input(data):
+    g = data.draw(st.sampled_from(LIST_GRAPHS))
+    # each part is kept valid half of the time, so that some calls color
+    # (lists of every size, below demand included) and the rest fail at
+    # different checks
+    def kept_or(valid, strategy):
+        return valid if data.draw(st.booleans()) else data.draw(strategy)
+
+    lists = {}
+    for e in g.edges:
+        if data.draw(st.integers(0, 9)):  # now and then an edge without a list
+            valid = tuple(data.draw(st.lists(st.integers(1, 6), unique=True, max_size=4)))
+            lists[e] = kept_or(valid, st.one_of(json_values, st.tuples(atoms, atoms), st.just(valid * 2)))
+    if data.draw(st.booleans()):
+        lists[data.draw(entry_keys)] = data.draw(json_values)
+    colors = {e: kept_or(data.draw(st.integers(1, 4)), json_values) for e in g.edges}
+    if data.draw(st.booleans()):
+        colors[data.draw(entry_keys)] = data.draw(json_values)
+    palette = kept_or(4, json_values)
+    budget = kept_or(None, st.one_of(st.integers(-1, 50), atoms))
+    calls = (
+        lambda: make_list_assignment(g, lists),
+        lambda: demand_list_color(g, ListAssignment(lists)),
+        lambda: exact_list_color(g, ListAssignment(lists), budget),
+        lambda: verify_proper(g, EdgeColoring(palette, colors)),
+        lambda: verify_proper(g, EdgeColoring(palette, colors), ListAssignment(lists)),
+    )
+    for call in calls:
+        try:
+            call()
+        except EdgexError as exc:
+            assert not isinstance(exc, InternalInvariantError), exc

@@ -28,6 +28,11 @@ from .errors import BadParameterError, _require_ints
 from .graph import Edge, Graph, build_graph
 
 MAX_PRODUCT_EDGES = 2**21  # in vertices or edges: Q_17 (1,114,112 edges) is built, Q_18 (2,359,296) is not
+# memo states times product edges in explore_bipartite_factor's count of
+# distance-2 matchings: a state keeps an edge mask, so this bounds the memo's
+# mask bits; C_10 x K_3,3 needs 45,374 states of 150 edges (6.8 million),
+# P_2000 x K_1,1 7,996 of 5,998 (48 million)
+MAX_MATCHING_MEMO = 2**26
 
 
 def _product_edges(g_order: int, g_edges: int, h_order: int, h_edges: int) -> int:

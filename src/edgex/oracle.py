@@ -12,6 +12,7 @@ them may take the reserved color.
 from __future__ import annotations
 
 import itertools
+import logging
 import random
 from dataclasses import dataclass, field
 
@@ -24,7 +25,14 @@ from .errors import (
     _require_ints,
 )
 from .extension import Precoloring, validate_precoloring
-from .families import ProductGraph, _as_graph, _require_size, cartesian_product, complete_bipartite
+from .families import (
+    MAX_MATCHING_MEMO,
+    ProductGraph,
+    _as_graph,
+    _require_size,
+    cartesian_product,
+    complete_bipartite,
+)
 from .graph import (
     Edge,
     Graph,
@@ -33,6 +41,8 @@ from .graph import (
     close_edge_pairs,
     max_degree,
 )
+
+_log = logging.getLogger("edgex")
 
 
 def decide_extendable(
@@ -260,9 +270,18 @@ def explore_bipartite_factor(
     """Sweep precolored distance-2 matchings of G box K_{n,m} (n >= m) with
     palette max_degree(G) + n, deciding each exactly.
 
-    Exhaustive when the instance count fits the budget; otherwise a seeded
-    uniform sample of budget instances (weighted by colorings per matching),
-    flagged non-exhaustive. Counterexamples are returned serialized.
+    An instance is a distance-2 matching of the product with a palette color
+    on each of its edges. Their number W, the sum of palette**|M| over the
+    matchings M, is counted without listing them
+    (``_weighted_matching_count``). When W fits the budget the sweep is
+    exhaustive: every instance, matchings in lexicographic order of edge
+    indices and the colorings of each in lexicographic order. Otherwise it
+    decides budget instances drawn uniformly with replacement, each one
+    seeded ``randrange(W)`` unranked into its matching and colors, and is
+    flagged non-exhaustive. A count that would keep more than
+    MAX_MATCHING_MEMO states times product edges raises BadParameterError
+    before memory runs out. Counterexamples are returned serialized. Each
+    call logs W, the count's states and the branch at debug level.
     """
     _require_ints(n=n, m=m, budget=budget, seed=seed)
     if n < m or m < 1:
@@ -273,9 +292,13 @@ def explore_bipartite_factor(
     _require_size(f"G box K_{n},{m}", g.n, len(g.edges), n + m, n * m)  # before K_n,m is built
     product = cartesian_product(g, complete_bipartite(n, m))
     palette = max_degree(g) + n
-    matchings = _all_distance2_matchings(product.graph)
-    weights = [palette ** len(mt) for mt in matchings]
-    total = sum(weights)
+    edges = product.graph.edges
+    close = _close_masks(product.graph)
+    memo = _weighted_matching_count(close, palette)
+    total = memo[(1 << len(edges)) - 1]
+    exhaustive = total <= budget
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("explore: weight=%d states=%d exhaustive=%s", total, len(memo), exhaustive)
 
     decided = 0
     extendable = 0
@@ -299,16 +322,14 @@ def explore_bipartite_factor(
                 }
             )
 
-    exhaustive = total <= budget
     if exhaustive:
-        for matching in matchings:
+        for matching in _all_distance2_matchings(product.graph):
             for colors in itertools.product(range(1, palette + 1), repeat=len(matching)):
                 run(matching, colors)
     else:
         rng = random.Random(seed)
-        for matching in rng.choices(matchings, weights=weights, k=budget):
-            colors = tuple(rng.randint(1, palette) for _ in matching)
-            run(matching, colors)
+        for _ in range(budget):
+            run(*_unrank_instance(memo, close, edges, rng.randrange(total)))
     return ExplorationReport(
         instances=decided,
         extendable=extendable,
@@ -319,15 +340,90 @@ def explore_bipartite_factor(
     )
 
 
+def _close_masks(g: Graph) -> list[int]:
+    """Bit j of close[i]: edges i and j of g, by index, are at distance < 2;
+    bit i is set too."""
+    edges = g.edges
+    index = {e: i for i, e in enumerate(edges)}
+    close = [1 << i for i in range(len(edges))]
+    for e, f, _d in close_edge_pairs(g, edges):
+        close[index[e]] |= 1 << index[f]
+        close[index[f]] |= 1 << index[e]
+    return close
+
+
+def _weighted_matching_count(close: list[int], palette: int) -> dict[int, int]:
+    """W(S), the sum of palette**|M| over the distance-2 matchings M within
+    the edge mask S, for the full mask and every mask its recurrence reaches.
+
+    W(0) = 1 and W(S) = W(S - low) + palette * W(S - close[low]), low the
+    lowest edge of S: a matching within S either skips it, or takes it in
+    one of palette colors and then no edge close to it. Counted on an
+    explicit stack at most twice as deep as there are edges, so a long
+    product raises no RecursionError. Past MAX_MATCHING_MEMO // len(close)
+    states the count raises BadParameterError.
+    """
+    limit = MAX_MATCHING_MEMO // max(1, len(close))
+    memo = {0: 1}
+    stack = [(1 << len(close)) - 1]
+    while stack:
+        s = stack[-1]
+        if s in memo:  # the empty mask, or pushed twice before it was counted
+            stack.pop()
+            continue
+        low = s & -s
+        skip = s ^ low
+        take = s & ~close[low.bit_length() - 1]
+        a = memo.get(skip)
+        b = memo.get(take)
+        if a is None:
+            stack.append(skip)
+        if b is None:
+            stack.append(take)
+        if a is not None and b is not None:
+            memo[s] = a + palette * b
+            stack.pop()
+            if len(memo) > limit:
+                raise BadParameterError(
+                    f"counting the distance-2 matchings of {len(close)} edges needs more than "
+                    f"{limit} states, past the limit of {MAX_MATCHING_MEMO} states times edges"
+                )
+    return memo
+
+
+def _unrank_instance(
+    memo: dict[int, int], close: list[int], edges: list[Edge], r: int
+) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
+    """The instance of rank r in 0..W(full) - 1: a distance-2 matching,
+    sorted, and a color in 1..palette for each of its edges.
+
+    Walks the memo of ``_weighted_matching_count`` down from the full mask:
+    ranks below W(S - low) skip the lowest edge of S; the rest take it, and
+    divmod by W(S - close[low]) splits them into its color and the rank
+    within what is left. Every rank gives a different instance.
+    """
+    s = (1 << len(edges)) - 1
+    matching: list[Edge] = []
+    colors: list[int] = []
+    while s:
+        low = s & -s
+        skip = memo[s ^ low]
+        if r < skip:
+            s ^= low
+            continue
+        i = low.bit_length() - 1
+        s &= ~close[i]
+        c, r = divmod(r - skip, memo[s])
+        matching.append(edges[i])
+        colors.append(c + 1)
+    return tuple(matching), tuple(colors)
+
+
 def _all_distance2_matchings(g: Graph) -> list[tuple[Edge, ...]]:
     """Every distance-2 matching of g, the empty one included, each sorted,
     in lexicographic order of edge indices."""
     edges = g.edges
-    index = {e: i for i, e in enumerate(edges)}
-    close = [0] * len(edges)  # bit j of close[i]: edges i and j at distance < 2
-    for e, f, _d in close_edge_pairs(g, edges):
-        close[index[e]] |= 1 << index[f]
-        close[index[f]] |= 1 << index[e]
+    close = _close_masks(g)
     out: list[tuple[Edge, ...]] = []
 
     def grow(prefix: list[Edge], allowed: int) -> None:

@@ -335,6 +335,12 @@ class TestExplore11:
         assert doc["counterexamples"][0] == {"palette_size": 2, "entries": []}
         assert len(doc["counterexamples"]) == 9
 
+    def test_matching_count_past_its_cap_exits_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "MAX_MATCHING_MEMO", 100)
+        g = write_graph(tmp_path, path(3), "p3")
+        assert main(["explore11", g, "--n", "2", "--m", "1", "--budget", "30"]) == 1
+        assert "past the limit of 100 states times edges" in capsys.readouterr().err
+
 
 class TestExportDot:
     def test_graph_only(self, tmp_path, capsys):

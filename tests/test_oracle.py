@@ -1,11 +1,16 @@
 import itertools
 import random
+import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgex import (
     Precoloring,
     build_blocked_hub_instance,
+    build_graph,
     cartesian_product,
     check_local_obstruction,
     complete,
@@ -22,6 +27,7 @@ from edgex import (
     path,
     spider,
     star,
+    validate_precoloring,
     verify_proper,
 )
 from edgex.errors import (
@@ -33,7 +39,7 @@ from edgex.errors import (
     VertexIndexError,
 )
 from edgex import oracle
-from edgex.oracle import _all_distance2_matchings
+from edgex.oracle import _all_distance2_matchings, _close_masks, _unrank_instance, _weighted_matching_count
 
 from helpers import (
     brute_force_extendable,
@@ -368,6 +374,35 @@ class TestLocalObstruction:
         assert found > 0
 
 
+def assert_ranks_are_the_instances(g, palette):
+    """The count is the sum of palette**|M| over the listed matchings, and
+    unranking every rank below it gives each (matching, colors) pair once,
+    each matching sorted as the listing sorts it."""
+    close = _close_masks(g)
+    memo = _weighted_matching_count(close, palette)
+    total = memo[(1 << len(g.edges)) - 1]
+    listed = _all_distance2_matchings(g)
+    assert total == sum(palette ** len(matching) for matching in listed)
+    drawn = [_unrank_instance(memo, close, g.edges, r) for r in range(total)]
+    expected = [
+        (matching, colors)
+        for matching in listed
+        for colors in itertools.product(range(1, palette + 1), repeat=len(matching))
+    ]
+    assert sorted(drawn) == sorted(expected)
+    assert all(list(matching) == sorted(matching) for matching, _colors in drawn)
+
+
+@st.composite
+def small_sweeps(draw):
+    """A bipartite G on at most 3 vertices, K_{n,m} with n >= m and n <= 3,
+    and a palette of 1 to 3 colors: at most 7,651 instances to unrank."""
+    g = draw(st.sampled_from(small_bipartite_graphs(3)))
+    n = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=1, max_value=n))
+    return g, n, m, draw(st.integers(min_value=1, max_value=3))
+
+
 class TestExploreBipartiteFactor:
     def test_k2_n1_m1_exhaustive(self):
         rep = explore_bipartite_factor(complete(2), 1, 1, budget=1000)
@@ -447,6 +482,9 @@ class TestExploreBipartiteFactor:
             if all(far[pair] for pair in itertools.combinations(combo, 2))
         ]
         assert _all_distance2_matchings(product) == sorted(expected)
+        # the count and the ranks agree with the listing
+        for palette in (1, 2, 3):
+            assert_ranks_are_the_instances(product, palette)
 
     def test_matchings_of_q3_in_order(self):
         # Q_3 = C_4 box K_2: the empty matching, each edge, and each edge
@@ -467,3 +505,83 @@ class TestExploreBipartiteFactor:
             ((5, 7),),
             ((6, 7),),
         ]
+
+
+class TestWeightedMatchingCount:
+    @given(small_sweeps())
+    @settings(max_examples=60, deadline=None)
+    def test_ranks_are_the_listed_instances_of_small_sweeps(self, sweep):
+        g, n, m, palette = sweep
+        product = cartesian_product(g, complete_bipartite(n, m)).graph
+        assert_ranks_are_the_instances(product, palette)
+        # the sweep's own palette, counted against the listing alone
+        sweep_palette = max_degree(g) + n
+        memo = _weighted_matching_count(_close_masks(product), sweep_palette)
+        listed = _all_distance2_matchings(product)
+        assert memo[(1 << len(product.edges)) - 1] == sum(sweep_palette ** len(mt) for mt in listed)
+
+    def test_edgeless_product(self):
+        # the one instance, the empty matching, is always within the budget
+        rep = explore_bipartite_factor(build_graph([], []), 1, 1, 1)
+        assert (rep.instances, rep.exhaustive) == (1, True)
+
+    def test_sampled_sweep_unranks_one_draw_per_instance(self, monkeypatch):
+        # each sampled instance is the unranked rng.randrange(W), in order
+        monkeypatch.setattr(oracle, "decide_extendable", lambda g, pre, palette: None)
+        rep = explore_bipartite_factor(path(3), 2, 1, budget=40, seed=7)
+        product = cartesian_product(path(3), complete_bipartite(2, 1)).graph
+        close = _close_masks(product)
+        memo = _weighted_matching_count(close, 4)
+        rng = random.Random(7)
+        expected = []
+        for _ in range(40):
+            matching, colors = _unrank_instance(memo, close, product.edges, rng.randrange(241))
+            entries = [{"u": u, "v": v, "color": c} for (u, v), c in zip(matching, colors)]
+            expected.append({"palette_size": 4, "entries": entries})
+        assert list(rep.counterexamples) == expected
+
+
+class TestExploreScale:
+    """Sweeps whose products have far more matchings than fit in memory;
+    the exact search is stubbed, so only the count and the draws run."""
+
+    def test_c10_k33_counts_and_draws(self, monkeypatch):
+        # 150 product edges, about 1.9 * 10**14 instances, 45,374 states;
+        # listing the matchings ran out of a 2 GB address space
+        monkeypatch.setattr(oracle, "decide_extendable", lambda g, pre, palette: None)
+        start = time.perf_counter()
+        rep = explore_bipartite_factor(cycle(10), 3, 3, 20)
+        elapsed = time.perf_counter() - start
+        assert (rep.instances, rep.exhaustive, len(rep.counterexamples)) == (20, False, 20)
+        assert elapsed < 1.0, elapsed
+        tracemalloc.start()
+        try:
+            assert explore_bipartite_factor(cycle(10), 3, 3, 20) == rep
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, peak
+        product = cartesian_product(cycle(10), complete_bipartite(3, 3))
+        for row in rep.counterexamples:
+            entries = {(x["u"], x["v"]): x["color"] for x in row["entries"]}
+            assert validate_precoloring(product, Precoloring(5, entries)).ok
+
+    def test_long_path_product_counts_without_recursion(self, monkeypatch):
+        # 5,998 product edges: a recursive count would nest once per edge
+        monkeypatch.setattr(oracle, "decide_extendable", lambda g, pre, palette: None)
+        rep = explore_bipartite_factor(path(2000), 1, 1, 3)
+        assert (rep.instances, rep.exhaustive) == (3, False)
+        product = cartesian_product(path(2000), complete_bipartite(1, 1))
+        for row in rep.counterexamples:
+            entries = {(x["u"], x["v"]): x["color"] for x in row["entries"]}
+            assert len(entries) > 100
+            assert validate_precoloring(product, Precoloring(3, entries)).ok
+
+    def test_memo_cap_is_a_user_error(self, monkeypatch):
+        # C_6 x K_3,2 needs 3,208 states of 66 edges
+        monkeypatch.setattr(oracle, "MAX_MATCHING_MEMO", 3207 * 66)
+        with pytest.raises(BadParameterError, match="past the limit of 211662 states times edges"):
+            explore_bipartite_factor(cycle(6), 3, 2, 20)
+        monkeypatch.setattr(oracle, "MAX_MATCHING_MEMO", 3208 * 66)
+        monkeypatch.setattr(oracle, "decide_extendable", lambda g, pre, palette: None)
+        assert explore_bipartite_factor(cycle(6), 3, 2, 20).instances == 20

@@ -18,6 +18,7 @@ from edgex import (
     build_blocked_hub_instance,
     build_graph,
     cartesian_product,
+    complete,
     complete_bipartite,
     cycle,
     decide_extendable,
@@ -26,6 +27,7 @@ from edgex import (
     hypercube,
     make_list_assignment,
     max_degree,
+    path,
     reduce_instance,
     spider,
     star,
@@ -216,4 +218,23 @@ class TestSearchLog:
         decide_extendable(inst.product.graph, inst.precoloring, inst.precoloring.palette_size)
         g = cycle(4)
         exact_list_color(g, make_list_assignment(g, {e: (1, 2) for e in g.edges}))
+        assert caplog.records == []
+
+
+class TestExploreLog:
+    def test_one_record_per_sweep(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="edgex")
+        explore_bipartite_factor(complete(2), 1, 1, 100)
+        explore_bipartite_factor(path(3), 2, 1, 3)
+        records = [r.getMessage() for r in caplog.records if r.getMessage().startswith("explore:")]
+        # K_2 x K_1,1 = C_4 has 9 instances, P_3 x K_2,1 241 at palette 4
+        assert records == [
+            "explore: weight=9 states=5 exhaustive=True",
+            "explore: weight=241 states=20 exhaustive=False",
+        ]
+
+    def test_silent_below_debug(self, caplog):
+        caplog.set_level(logging.INFO, logger="edgex")
+        explore_bipartite_factor(complete(2), 1, 1, 100)
+        explore_bipartite_factor(path(3), 2, 1, 3)
         assert caplog.records == []

@@ -113,27 +113,17 @@ def find_covering_induced_matching(g: Graph, v: int) -> list[Edge] | None:
     hood = set(g.adjacency[v])
     if not hood:
         return []
-    candidates = sorted(
-        e for e in g.edges if v not in e and not hood.isdisjoint(e)
-    )
-    close = _close_edges(g, candidates)
+    edges = g.edges
+    close = _close_masks(g)
+    candidates = [i for i, e in enumerate(edges) if v not in e and not hood.isdisjoint(e)]
     lo = (len(hood) + 1) // 2
     for size in range(lo, len(hood) + 1):
         for combo in itertools.combinations(candidates, size):
-            if not hood <= {x for e in combo for x in e}:
+            if not hood <= {x for i in combo for x in edges[i]}:
                 continue
-            if all(b not in close[a] for a, b in itertools.combinations(combo, 2)):
-                return list(combo)
+            if all(not close[i] >> j & 1 for i, j in itertools.combinations(combo, 2)):
+                return [edges[i] for i in combo]
     return None
-
-
-def _close_edges(g: Graph, edges: list[Edge]) -> dict[Edge, set[Edge]]:
-    """For each given edge, the given edges at edge distance < 2 from it."""
-    close: dict[Edge, set[Edge]] = {e: set() for e in edges}
-    for e, f, _d in close_edge_pairs(g, edges):
-        close[e].add(f)
-        close[f].add(e)
-    return close
 
 
 @dataclass(frozen=True)
@@ -250,7 +240,13 @@ def check_local_obstruction(
 
 @dataclass(frozen=True)
 class ExplorationReport:
-    """Outcome of an extendability sweep over one product."""
+    """Outcome of an extendability sweep over one product.
+
+    Decisions run in rank order. An exhaustive sweep's counterexample rows
+    are sorted by (matching, colors); a sampled sweep's are in draw order.
+    Memory does not grow with the budget: the sweep holds the count's memo
+    and these rows.
+    """
 
     instances: int
     extendable: int
@@ -273,15 +269,19 @@ def explore_bipartite_factor(
     An instance is a distance-2 matching of the product with a palette color
     on each of its edges. Their number W, the sum of palette**|M| over the
     matchings M, is counted without listing them
-    (``_weighted_matching_count``). When W fits the budget the sweep is
-    exhaustive: every instance, matchings in lexicographic order of edge
-    indices and the colorings of each in lexicographic order. Otherwise it
-    decides budget instances drawn uniformly with replacement, each one
-    seeded ``randrange(W)`` unranked into its matching and colors, and is
-    flagged non-exhaustive. A count that would keep more than
-    MAX_MATCHING_MEMO states times product edges raises BadParameterError
-    before memory runs out. Counterexamples are returned serialized. Each
-    call logs W, the count's states and the branch at debug level.
+    (``_weighted_matching_count``), and each instance decided is a rank in
+    0..W - 1 unranked into its matching and colors (``_unrank_instance``).
+    When W fits the budget the sweep is exhaustive: it decides ranks 0..W - 1
+    in that order, and sorts its counterexample rows by (matching, colors),
+    matchings in lexicographic order of edge indices. Otherwise it decides
+    budget seeded ``randrange(W)`` draws, uniform with replacement, and
+    keeps their rows in draw order; it is flagged non-exhaustive. Either way
+    the walk keeps only the count's memo, so memory does not grow with the
+    budget, only with the counterexample rows. A count that would keep more
+    than MAX_MATCHING_MEMO states times product edges raises
+    BadParameterError before memory runs out. Counterexamples are returned
+    serialized. Each call logs W, the count's states and the branch at
+    debug level.
     """
     _require_ints(n=n, m=m, budget=budget, seed=seed)
     if n < m or m < 1:
@@ -300,40 +300,27 @@ def explore_bipartite_factor(
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("explore: weight=%d states=%d exhaustive=%s", total, len(memo), exhaustive)
 
-    decided = 0
-    extendable = 0
-    counterexamples: list[dict] = []
-
-    def run(matching: tuple[Edge, ...], colors: tuple[int, ...]) -> None:
-        nonlocal decided, extendable
+    rng = random.Random(seed)
+    ranks = range(total) if exhaustive else (rng.randrange(total) for _ in range(budget))
+    decided = min(total, budget)
+    refuted: list[tuple[tuple[Edge, ...], tuple[int, ...]]] = []
+    for r in ranks:
+        matching, colors = _unrank_instance(memo, close, edges, r)
         pre = Precoloring(palette_size=palette, entries=dict(zip(matching, colors)))
-        witness = decide_extendable(product.graph, pre, palette)
-        decided += 1
-        if witness is not None:
-            extendable += 1
-        else:
-            counterexamples.append(
-                {
-                    "palette_size": palette,
-                    "entries": [
-                        {"u": e[0], "v": e[1], "color": c}
-                        for e, c in sorted(pre.entries.items())
-                    ],
-                }
-            )
-
+        if decide_extendable(product.graph, pre, palette) is None:
+            refuted.append((matching, colors))
     if exhaustive:
-        for matching in _all_distance2_matchings(product.graph):
-            for colors in itertools.product(range(1, palette + 1), repeat=len(matching)):
-                run(matching, colors)
-    else:
-        rng = random.Random(seed)
-        for _ in range(budget):
-            run(*_unrank_instance(memo, close, edges, rng.randrange(total)))
+        refuted.sort()  # matchings in lexicographic order, then their colors
     return ExplorationReport(
         instances=decided,
-        extendable=extendable,
-        counterexamples=tuple(counterexamples),
+        extendable=decided - len(refuted),
+        counterexamples=tuple(
+            {
+                "palette_size": palette,
+                "entries": [{"u": e[0], "v": e[1], "color": c} for e, c in zip(matching, colors)],
+            }
+            for matching, colors in refuted
+        ),
         budget_used=decided,
         seed=seed,
         exhaustive=exhaustive,
@@ -417,26 +404,3 @@ def _unrank_instance(
         matching.append(edges[i])
         colors.append(c + 1)
     return tuple(matching), tuple(colors)
-
-
-def _all_distance2_matchings(g: Graph) -> list[tuple[Edge, ...]]:
-    """Every distance-2 matching of g, the empty one included, each sorted,
-    in lexicographic order of edge indices."""
-    edges = g.edges
-    close = _close_masks(g)
-    out: list[tuple[Edge, ...]] = []
-
-    def grow(prefix: list[Edge], allowed: int) -> None:
-        # allowed: the edges after the last one in prefix, at distance >= 2
-        # from all of it
-        out.append(tuple(prefix))
-        while allowed:
-            low = allowed & -allowed
-            allowed ^= low
-            i = low.bit_length() - 1
-            prefix.append(edges[i])
-            grow(prefix, allowed & ~close[i])
-            prefix.pop()
-
-    grow([], (1 << len(edges)) - 1)
-    return out

@@ -784,6 +784,26 @@ def random_distance2_matching(
     return chosen
 
 
+def reference_distance2_matchings(g: Graph) -> list[tuple[Edge, ...]]:
+    """Every distance-2 matching of g, the empty one included, each sorted,
+    in lexicographic order: a test reference over edge tuples and
+    ``edge_distance``, which the oracle's count and ranks must agree with."""
+    edges = g.edges
+    far = {(e, f): edge_distance(g, e, f) >= 2 for e, f in itertools.combinations(edges, 2)}
+    out: list[tuple[Edge, ...]] = []
+
+    def grow(prefix: list[Edge], start: int) -> None:
+        out.append(tuple(prefix))
+        for k in range(start, len(edges)):
+            if all(far[e, edges[k]] for e in prefix):
+                prefix.append(edges[k])
+                grow(prefix, k + 1)
+                prefix.pop()
+
+    grow([], 0)
+    return out
+
+
 def random_valid_precoloring(
     rng: random.Random, g: Graph, palette: int, max_size: int, pool: Iterable[Edge] | None = None
 ) -> Precoloring:

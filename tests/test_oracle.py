@@ -1,7 +1,12 @@
 import itertools
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +44,7 @@ from edgex.errors import (
     VertexIndexError,
 )
 from edgex import oracle
-from edgex.oracle import _all_distance2_matchings, _close_masks, _unrank_instance, _weighted_matching_count
+from edgex.oracle import _close_masks, _unrank_instance, _weighted_matching_count
 
 from helpers import (
     brute_force_extendable,
@@ -47,6 +52,7 @@ from helpers import (
     edge_distance,
     random_connected_bipartite,
     random_valid_precoloring,
+    reference_distance2_matchings,
     complete_factor_palette,
     small_bipartite_graphs,
 )
@@ -375,13 +381,14 @@ class TestLocalObstruction:
 
 
 def assert_ranks_are_the_instances(g, palette):
-    """The count is the sum of palette**|M| over the listed matchings, and
+    """The count is the sum of palette**|M| over the reference listing, and
     unranking every rank below it gives each (matching, colors) pair once,
-    each matching sorted as the listing sorts it."""
+    each matching sorted; sorted, the pairs are the listing's matchings in
+    order, each with its colorings in lexicographic order."""
     close = _close_masks(g)
     memo = _weighted_matching_count(close, palette)
     total = memo[(1 << len(g.edges)) - 1]
-    listed = _all_distance2_matchings(g)
+    listed = reference_distance2_matchings(g)
     assert total == sum(palette ** len(matching) for matching in listed)
     drawn = [_unrank_instance(memo, close, g.edges, r) for r in range(total)]
     expected = [
@@ -389,7 +396,7 @@ def assert_ranks_are_the_instances(g, palette):
         for matching in listed
         for colors in itertools.product(range(1, palette + 1), repeat=len(matching))
     ]
-    assert sorted(drawn) == sorted(expected)
+    assert sorted(drawn) == expected
     assert all(list(matching) == sorted(matching) for matching, _colors in drawn)
 
 
@@ -481,16 +488,24 @@ class TestExploreBipartiteFactor:
             for combo in itertools.combinations(edges, size)
             if all(far[pair] for pair in itertools.combinations(combo, 2))
         ]
-        assert _all_distance2_matchings(product) == sorted(expected)
+        assert reference_distance2_matchings(product) == sorted(expected)
         # the count and the ranks agree with the listing
         for palette in (1, 2, 3):
             assert_ranks_are_the_instances(product, palette)
 
-    def test_matchings_of_q3_in_order(self):
-        # Q_3 = C_4 box K_2: the empty matching, each edge, and each edge
-        # with its antipodal edge, in lexicographic order
-        product = cartesian_product(cycle(4), complete(2)).graph
-        assert _all_distance2_matchings(product) == [
+    def test_matchings_of_q3_in_order(self, monkeypatch):
+        # Q_3 = C_4 box K_1,1, palette 3: the empty matching, each edge, and
+        # each edge with its antipodal edge, in lexicographic order, each
+        # with its colorings in lexicographic order; decided in rank order
+        decided = []
+
+        def refute(g, pre, palette):
+            decided.append(tuple(sorted(pre.entries.items())))
+
+        monkeypatch.setattr(oracle, "decide_extendable", refute)
+        rep = explore_bipartite_factor(cycle(4), 1, 1, budget=91)
+        assert (rep.instances, rep.extendable, rep.exhaustive) == (91, 0, True)
+        matchings = [
             (),
             ((0, 1),), ((0, 1), (4, 5)),
             ((0, 2),), ((0, 2), (5, 7)),
@@ -505,6 +520,17 @@ class TestExploreBipartiteFactor:
             ((5, 7),),
             ((6, 7),),
         ]
+        expected = [
+            {"palette_size": 3, "entries": [{"u": u, "v": v, "color": c} for (u, v), c in zip(matching, colors)]}
+            for matching in matchings
+            for colors in itertools.product((1, 2, 3), repeat=len(matching))
+        ]
+        assert list(rep.counterexamples) == expected
+        product = cartesian_product(cycle(4), complete_bipartite(1, 1)).graph
+        close = _close_masks(product)
+        memo = _weighted_matching_count(close, 3)
+        ranked = [_unrank_instance(memo, close, product.edges, r) for r in range(91)]
+        assert decided == [tuple(zip(matching, colors)) for matching, colors in ranked]
 
 
 class TestWeightedMatchingCount:
@@ -517,7 +543,7 @@ class TestWeightedMatchingCount:
         # the sweep's own palette, counted against the listing alone
         sweep_palette = max_degree(g) + n
         memo = _weighted_matching_count(_close_masks(product), sweep_palette)
-        listed = _all_distance2_matchings(product)
+        listed = reference_distance2_matchings(product)
         assert memo[(1 << len(product.edges)) - 1] == sum(sweep_palette ** len(mt) for mt in listed)
 
     def test_edgeless_product(self):
@@ -565,6 +591,50 @@ class TestExploreScale:
         for row in rep.counterexamples:
             entries = {(x["u"], x["v"]): x["color"] for x in row["entries"]}
             assert validate_precoloring(product, Precoloring(5, entries)).ok
+
+    def test_budget_past_the_count_walks_the_ranks_lazily(self):
+        # a budget of 10**15 makes the C_10 x K_3,3 sweep exhaustive over its
+        # 1.9 * 10**14 instances; only the count's memo is held, so the
+        # stub's own exception after 1,000 decisions is what ends it. Run in
+        # a child under a 1 GB address space, where a sweep that listed its
+        # matchings first fails with MemoryError instead of filling memory.
+        child = """
+import tracemalloc
+from edgex import cycle, explore_bipartite_factor, oracle
+
+class Stop(Exception):
+    pass
+
+calls = 0
+
+def refute(g, pre, palette):
+    global calls
+    calls += 1
+    if calls > 1000:
+        raise Stop
+
+oracle.decide_extendable = refute
+tracemalloc.start()
+try:
+    explore_bipartite_factor(cycle(10), 3, 3, 10**15)
+except Stop:
+    print(calls, tracemalloc.get_traced_memory()[1])
+"""
+        src = str(Path(oracle.__file__).resolve().parents[1])
+
+        def limit():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            cap = 10**9 if hard == resource.RLIM_INFINITY else min(10**9, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+        run = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit,
+        )
+        assert run.returncode == 0 and run.stdout, run.stderr
+        calls, peak = map(int, run.stdout.split())
+        assert calls == 1001
+        assert peak < 64 * 2**20, peak
 
     def test_long_path_product_counts_without_recursion(self, monkeypatch):
         # 5,998 product edges: a recursive count would nest once per edge

@@ -12,7 +12,9 @@
   minimum-remaining-values ordering (edges bucketed by colors left),
   forward checking and a pigeonhole cut at every vertex an assignment
   touches, on an explicit stack (no recursion limit), shared with the
-  oracle's budgeted search.
+  oracle's budgeted search. The per-vertex counts the cut reads are built
+  only when a first descent without them meets a dead end; the outcome is
+  the counted search's either way.
 """
 
 from __future__ import annotations
@@ -467,24 +469,45 @@ def _search(
 ) -> dict[Edge, int] | None:
     """A proper coloring of g from the given domains, or None if none exists.
 
-    The pinned (edge, color in its domain) pairs, distinct edges of g, are
-    assigned first, in order, as no search nodes. Then a depth-first search
-    with forward checking: the unassigned edge with the fewest colors left
-    goes next (ties by canonical edge), its colors are tried in ascending
-    order, one node each; passing the node budget raises
-    BudgetExceededError. Domains are trimmed in place. The witness lists the
-    pinned edges first, then the searched ones in search order.
+    The pinned (edge, color) pairs, distinct edges of g whose domain is that
+    one color, are assigned first, in order, as no search nodes. Then a
+    depth-first search with forward checking (Haralick and Elliott, 1980):
+    the unassigned edge with the fewest colors left goes next (ties by
+    canonical edge), its colors are tried in ascending order, one node each;
+    passing the node budget raises BudgetExceededError. Domains are trimmed
+    in place. The witness lists the pinned edges first, then the searched
+    ones in search order.
 
     Edges are indices in canonical order, and the unassigned ones sit in
     buckets by domain size, so the next edge is the lowest index in the
     lowest non-empty bucket. Per vertex v, free[v] counts the unassigned
-    edges at v and cnt[v] maps each color to how many of them still offer
-    it. An assignment fails when a neighbor's domain empties, or when some
-    vertex it touched is left with more unassigned edges than colors to give
-    them (free[v] > len(cnt[v]), a pigeonhole; the blocked hub is one). Both
-    only cut subtrees without a solution, so the verdict and the first
-    witness are those of the same search without the pigeonhole. Each call
-    logs its nodes and pigeonhole prunes at debug level.
+    edges at v. An assignment fails when a neighbor's domain empties. When
+    counts are kept, cnt[v] maps each color to how many of v's unassigned
+    edges still offer it, and an assignment also fails when some vertex it
+    touched is left with more unassigned edges than colors to give them
+    (free[v] > len(cnt[v]), a pigeonhole; the blocked hub is one). Both only
+    cut subtrees without a solution, so the verdict and the first witness
+    are those of the same search without the pigeonhole.
+
+    The search runs in up to two passes of the same loop. Pass 1 keeps no
+    counts (cnt is None) and never backtracks: it stops at its first dead
+    end, an assignment that empties a domain, or when it passes the budget.
+    Only then does pass 2 run: every assignment is undone in reverse, which
+    restores the domains, buckets and free; the counts are built, the node
+    count reset, and the counted search runs from the pinned edges. A pass 1
+    that completes returns what the counted search would, with its node
+    count and no prune:
+    1. both passes see the same domains, so until one of them fails they
+       choose the same edges and colors;
+    2. a complete pass 1 gives each edge a color of its domain at that
+       time, and no two edges at a vertex the same color; domains only
+       shrink along the descent, so at each of its nodes the unassigned
+       edges at every vertex still offer at least as many colors as there
+       are of them, and the pigeonhole cannot fire;
+    3. so the counted search walks the same nodes to the same witness, with
+       pruned = 0. Where pass 1 stops, pass 2 is the counted search itself.
+    Each call logs its nodes and pigeonhole prunes (pass 2's when it runs)
+    at debug level.
     """
     edges = g.edges
     at: list[list[int]] = [[] for _ in range(g.n)]  # vertex -> its edges
@@ -494,32 +517,30 @@ def _search(
     dom = [domains[e] for e in edges]
     val: list[int | None] = [None] * len(edges)
     free = [len(incident) for incident in at]
-    cnt: list[dict[int, int]] = [{} for _ in range(g.n)]
-    for e, d in zip(edges, dom):
-        for v in e:
-            counts = cnt[v]
-            for k in d:
-                counts[k] = counts.get(k, 0) + 1
+    cnt: list[dict[int, int]] | None = None  # pass 1 keeps no counts
     buckets: list[set[int]] = [set() for _ in range(max(map(len, dom), default=0) + 1)]
     for i, d in enumerate(dom):
         buckets[len(d)].add(i)
     trimmed: dict[int, list[int]] = {}  # assigned edge -> neighbors that lost its color
+    pins = [(bisect_left(edges, e), c) for e, c in pinned]  # read once, assigned by each pass
     nodes = pruned = 0
 
     def assign(i: int, c: int) -> bool:
-        """Assign and forward-check; False on an emptied domain or a pigeonhole."""
+        """Assign and forward-check; False on an emptied domain or, with
+        counts, a pigeonhole."""
         nonlocal pruned
         val[i] = c
         d = dom[i]
         buckets[len(d)].remove(i)
         for x in edges[i]:
             free[x] -= 1
-            counts = cnt[x]
-            for k in d:
-                if counts[k] == 1:
-                    del counts[k]
-                else:
-                    counts[k] -= 1
+            if cnt is not None:
+                counts = cnt[x]
+                for k in d:
+                    if counts[k] == 1:
+                        del counts[k]
+                    else:
+                        counts[k] -= 1
         trim = trimmed[i] = []
         for x in edges[i]:
             for j in at[x]:  # i itself is assigned, so it is skipped
@@ -529,14 +550,17 @@ def _search(
                     dj.remove(c)
                     buckets[len(dj)].add(j)
                     trim.append(j)
-                    for y in edges[j]:
-                        counts = cnt[y]
-                        if counts[c] == 1:
-                            del counts[c]
-                        else:
-                            counts[c] -= 1
+                    if cnt is not None:
+                        for y in edges[j]:
+                            counts = cnt[y]
+                            if counts[c] == 1:
+                                del counts[c]
+                            else:
+                                counts[c] -= 1
                     if not dj:
                         return False
+        if cnt is None:
+            return True
         for x in edges[i]:
             if free[x] > len(cnt[x]):
                 pruned += 1
@@ -556,46 +580,58 @@ def _search(
             buckets[len(dj)].remove(j)
             dj.add(c)
             buckets[len(dj)].add(j)
-            for y in edges[j]:
-                cnt[y][c] = cnt[y].get(c, 0) + 1
+            if cnt is not None:
+                for y in edges[j]:
+                    cnt[y][c] = cnt[y].get(c, 0) + 1
         d = dom[i]
         for x in edges[i]:
             free[x] += 1
-            counts = cnt[x]
-            for k in d:
-                counts[k] = counts.get(k, 0) + 1
+            if cnt is not None:
+                counts = cnt[x]
+                for k in d:
+                    counts[k] = counts.get(k, 0) + 1
         buckets[len(d)].add(i)
 
     try:
-        order = []  # pinned, then searched edges: the witness's insertion order
-        for e, c in pinned:
-            order.append(bisect_left(edges, e))
-            if not assign(order[-1], c):
-                return None
-        stack: list[tuple[int, Iterator[int]]] = []  # search edges, each with its untried colors
         while True:
-            low = next((b for b in buckets if b), None)
-            if low is None:
-                break
-            i = min(low)
-            stack.append((i, iter(sorted(dom[i]))))
-            while stack:
+            stack: list[tuple[int, Iterator[int]]] = []  # search edges, each with its untried colors
+            ok = all(assign(i, c) for i, c in pins)
+            # pass 1 ends at its first dead end; pass 2 backtracks until the stack empties
+            while ok or stack and cnt is not None:
+                if ok:
+                    low = next((b for b in buckets if b), None)
+                    if low is None:
+                        order = [i for i, _c in pins] + [i for i, _colors in stack]  # the witness's insertion order
+                        return {edges[i]: val[i] for i in order}
+                    i = min(low)
+                    stack.append((i, iter(sorted(dom[i]))))
                 i, colors = stack[-1]
                 if val[i] is not None:
                     unassign(i)
                 c = next(colors, None)
                 if c is None:
                     stack.pop()
+                    ok = False
                     continue
                 nodes += 1
                 if budget is not None and nodes > budget:
-                    raise BudgetExceededError(nodes - 1)
-                if assign(i, c):
+                    if cnt is not None:
+                        raise BudgetExceededError(nodes - 1)
                     break
-            else:
+                ok = assign(i, c)
+            if cnt is not None:
                 return None
-        order.extend(i for i, _colors in stack)
-        return {edges[i]: val[i] for i in order}
+            # pass 1 stopped: undo its assignments in reverse, then count
+            for i in reversed([i for i, _c in pins] + [i for i, _colors in stack]):
+                if val[i] is not None:
+                    unassign(i)
+            cnt = [{} for _ in range(g.n)]
+            for e, d in zip(edges, dom):
+                for v in e:
+                    counts = cnt[v]
+                    for k in d:
+                        counts[k] = counts.get(k, 0) + 1
+            nodes = 0
     finally:
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug("search: nodes=%d pruned=%d", nodes, pruned)

@@ -60,11 +60,13 @@ def decide_extendable(
     2*max_degree - 2 neighbors it never empties, and verdicts, witnesses and
     node counts are those of whole-palette domains. A prescription that
     leaves some vertex more uncolored edges than colors for them, the
-    blocked hub among them, is refuted before any search node. With a node
-    budget, exhausting it raises BudgetExceededError: an inconclusive
-    outcome, never a "no". The palette and the budget must be ints, the
-    budget at least 0, prescribed colors ints in 1..palette, and no edge
-    may be prescribed under both of its key orders (BadParameterError).
+    blocked hub among them, is refuted before any search node. Most
+    decisions reach their witness on the search's first descent, which keeps
+    no pigeonhole counts until it meets a dead end. With a node budget,
+    exhausting it raises BudgetExceededError: an inconclusive outcome, never
+    a "no". The palette and the budget must be ints, the budget at least 0,
+    prescribed colors ints in 1..palette, and no edge may be prescribed
+    under both of its key orders (BadParameterError).
     """
     _require_ints(palette=palette)
     _require_budget(budget)

@@ -16,6 +16,7 @@ from edgex import (
     Precoloring,
     build_blocked_hub_instance,
     build_graph,
+    canonical_edge,
     cartesian_product,
     check_local_obstruction,
     complete,
@@ -25,6 +26,7 @@ from edgex import (
     exact_list_color,
     explore_bipartite_factor,
     extend_over_complete,
+    extend_over_star,
     find_covering_induced_matching,
     hypercube,
     make_list_assignment,
@@ -565,6 +567,46 @@ class TestWeightedMatchingCount:
             entries = [{"u": u, "v": v, "color": c} for (u, v), c in zip(matching, colors)]
             expected.append({"palette_size": 4, "entries": entries})
         assert list(rep.counterexamples) == expected
+
+
+class TestStarSweeps:
+    """G box K_{n,1} is G box K_{1,n}, a case of the theorem, so the exact
+    oracle and the construction must agree on every instance."""
+
+    @pytest.mark.parametrize(
+        "g, n, total",
+        [
+            (path(3), 2, 241),
+            (cycle(4), 2, 1105),
+            (path(4), 2, 1557),
+            (complete(2), 2, 31),
+            (path(3), 3, 2661),
+            (complete(2), 3, 153),
+        ],
+        ids=["P3xK2,1", "C4xK2,1", "P4xK2,1", "K2xK2,1", "P3xK3,1", "K2xK3,1"],
+    )
+    def test_exhaustive_sweep_against_extend_over_star(self, g, n, total):
+        report = explore_bipartite_factor(g, n, 1, total)
+        assert (report.instances, report.extendable, report.exhaustive) == (total, total, True)
+        assert report.counterexamples == ()
+        # every instance, mapped onto G box K_1,n: K_n,1's vertex n is the
+        # star's center 0 and its vertex i the leaf i + 1, in each layer
+        product = cartesian_product(g, complete_bipartite(n, 1)).graph
+        target = cartesian_product(g, star(n)).graph
+        palette = max_degree(g) + n
+        close = _close_masks(product)
+        memo = _weighted_matching_count(close, palette)
+        assert memo[(1 << len(product.edges)) - 1] == total
+
+        def to_star(x):
+            layer, b = divmod(x, n + 1)
+            return layer * (n + 1) + (0 if b == n else b + 1)
+
+        for r in range(total):
+            matching, colors = _unrank_instance(memo, close, product.edges, r)
+            entries = {canonical_edge(to_star(u), to_star(v)): c for (u, v), c in zip(matching, colors)}
+            col = extend_over_star(g, n, Precoloring(palette, entries))
+            assert verify_proper(target, col, prescribed=entries).ok
 
 
 class TestExploreScale:

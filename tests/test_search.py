@@ -4,12 +4,16 @@ Its pigeonhole pruning and bucketed ordering must not change an outcome:
 the kernel is checked against ``helpers.reference_search`` (the same search
 with neither) for verdicts, witnesses in insertion order and node counts.
 decide_extendable's bounded domains are checked against the kernel on
-whole-palette domains, budget outcomes and prune counts included.
+whole-palette domains, budget outcomes and prune counts included. Decisions
+whose first, uncounted descent meets a dead end, so that the counted pass
+runs, are pinned record for record and witness for witness.
 """
 
+import hashlib
 import logging
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +37,7 @@ from edgex import (
     star,
     verify_proper,
 )
+from edgex import oracle
 from edgex.coloring import _search
 from edgex.errors import BudgetExceededError
 
@@ -165,6 +170,107 @@ def test_bounded_domains_match_whole_palette_domains(instance):
         return None if col is None else col.assignment
 
     assert search_outcome(decide) == expected
+
+
+@given(palette_prescriptions())
+@settings(max_examples=200, deadline=None)
+def test_pinned_generator_matches_list(instance):
+    # the pinned pairs are read once, though a search that meets a dead end
+    # assigns them in both of its passes
+    g, pre, budget = instance
+    pairs = sorted(pre.entries.items())
+
+    def search(pinned):
+        domains = {e: {pre.entries[e]} if e in pre.entries else set(range(1, pre.palette_size + 1)) for e in g.edges}
+        return search_outcome(lambda: _search(g, domains, budget, pinned))
+
+    assert search(pair for pair in pairs) == search(pairs)
+
+
+def witness_digest(col):
+    """The first 16 hex digits of the sha256 of a witness's items, in
+    insertion order; None for no witness."""
+    return None if col is None else hashlib.sha256(repr(list(col.assignment.items())).encode()).hexdigest()[:16]
+
+
+class TestFirstDescentDeadEnds:
+    """Oracle decisions whose first descent meets a dead end, so the search
+    undoes it and runs its counted pass: (nodes, pruned) and the witness, as
+    recorded before the search ran in two passes. A decision whose first
+    descent completes logs its unprescribed edges as nodes and no prune."""
+
+    @pytest.mark.parametrize(
+        "factor, seed, dead_ends",
+        [
+            (cycle(6), 0, {
+                0: (78, 4, "5d34019698fbb736"),
+                4: (68, 4, "bb0c788e66463525"),
+                7: (61, 1, "80857c3f9150e328"),
+                12: (127, 8, "15e0c29c7e7d3bbc"),
+                13: (81, 5, "836efcbb09840783"),
+                14: (62, 1, "d42e01b35593abf4"),
+            }),
+            (cycle(6), 1, {
+                1: (72, 4, "234d682eeb95ea52"),
+                3: (61, 1, "594db974983b8d87"),
+                4: (118, 8, "93fa024ba3cf564c"),
+                10: (84, 5, "5db96ef404b93936"),
+                14: (61, 1, "0351132f6d38ebcf"),
+            }),
+            (cycle(6), 2, {
+                3: (98, 10, "9d47e7ae4cb58e6a"),
+                5: (62, 1, "6d33f8e19d2b4c6a"),
+                6: (68, 1, "6dd9851c3c9bc1d3"),
+                9: (62, 1, "e63f46322f6b1970"),
+            }),
+            (spider(2, 2), 0, {
+                6: (46, 1, "82bb77b5c5f6aa7a"),
+                7: (47, 1, "d7392b7538373900"),
+                8: (47, 1, "9d0520c8f84a5499"),
+                19: (46, 1, "1086b108eada6e7b"),
+            }),
+            (spider(2, 2), 3, {
+                10: (46, 1, "1b2501d2c9582a40"),
+                13: (48, 2, "fa3ea54e8e12fe40"),
+            }),
+        ],
+        ids=["C6xK3,2@0", "C6xK3,2@1", "C6xK3,2@2", "spider2,2xK3,2@0", "spider2,2xK3,2@3"],
+    )
+    def test_sweep_records_and_witnesses(self, monkeypatch, factor, seed, dead_ends):
+        # dead_ends: a decision's place in the sweep -> (nodes, pruned,
+        # witness digest); every other decision descends straight
+        decide = oracle.decide_extendable
+        seen = []
+
+        def spy(g, pre, palette):
+            col = decide(g, pre, palette)
+            seen.append((len(g.edges) - len(pre.entries), witness_digest(col)))
+            return col
+
+        monkeypatch.setattr(oracle, "decide_extendable", spy)
+        with search_counts() as counts:
+            explore_bipartite_factor(factor, 3, 2, 20, seed)
+        assert len(seen) == len(counts) == 20
+        got = {
+            k: (nodes, pruned, digest)
+            for k, ((unprescribed, digest), (nodes, pruned)) in enumerate(zip(seen, counts))
+            if (nodes, pruned) != (unprescribed, 0)
+        }
+        assert got == dead_ends
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [((3, 2), (3, 2)), ((3, 3), (3, 2)), ((4, 2), (3, 2)), ((4, 3), (4, 2))],
+        ids=["spider3,2xspider3,2", "spider3,3xspider3,2", "spider4,2xspider3,2", "spider4,3xspider4,2"],
+    )
+    def test_blocked_hubs(self, left, right):
+        # no descent completes on a refuted prescription; the counted pass
+        # prunes at the hub as soon as the prescription is pinned
+        inst = build_blocked_hub_instance(spider(*left), spider(*right))
+        pre = inst.precoloring
+        with search_counts() as counts:
+            assert decide_extendable(inst.product.graph, pre, pre.palette_size) is None
+        assert counts == [(0, 1)]
 
 
 class TestPastTheOldSearch:

@@ -5,9 +5,12 @@ base box K_{2m}, in a fixed order: palette check; one validation of the
 prescription on the caller's product; reduce_instance (layer entries remove
 their base edge, fiber entries stay; every surviving base edge gets the
 palette minus the colors blocked at its two ends); demand_list_color on the
-residual base; replication into every layer and color_fibers; one
-verify_proper on the caller's product (proper, in palette, agreeing with the
-prescription, only its edges colored), whose failure is an internal error.
+residual base; one pass that colors the product in its own edge order, each
+edge a copy of its base edge's color or its fiber class's color at its base
+vertex (``_vertex_colors``, the free-color rule that color_fibers also
+shows as a dict); one verify_proper on the caller's product (proper, in
+palette, agreeing with the prescription, only its edges colored), whose
+failure is an internal error.
 An entry point checks its integers, bipartitions the caller's own G first
 (so an odd cycle is reported in G's indices), runs the families size check
 on the counts of its product before building anything, and picks base,
@@ -15,13 +18,14 @@ product and palette. Hypercube and star
 products take m = 1: G box Q_m is (G box Q_{m-1}) box K_2 split on the
 least significant bit, and G box K_{1,m} is an induced subgraph of
 (G box K_{1,m-1}) box K_2, so the star maps its prescription into that
-host and restricts the result. Both are identities of the vertex indexing,
-proven by the test suite rather than checked at run time.
+host and reads its edges' colors from the host's base. Both are identities
+of the vertex indexing, proven by the test suite rather than checked at run
+time.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
 
@@ -170,9 +174,9 @@ def reduce_instance(g: Graph, m: int, pre: Precoloring) -> ReducedInstance:
     residual = g
     if forced_layer:
         adjacency = list(g.adjacency)
-        for e in forced_layer:
-            for x in e:
-                adjacency[x] = tuple(w for w in adjacency[x] if canonical_edge(x, w) != e)
+        for u, v in forced_layer:
+            adjacency[u] = tuple(w for w in adjacency[u] if w != v)
+            adjacency[v] = tuple(w for w in adjacency[v] if w != u)
         edges = tuple(e for e in g.edges if e not in forced_layer)
         residual = Graph(g.labels, edges, tuple(adjacency))
     degree = [len(ns) for ns in residual.adjacency]
@@ -210,13 +214,11 @@ def color_fibers(
 ) -> dict[Edge, int]:
     """Color every fiber K_{2m} from the colors unused at its base vertex.
 
-    The base coloring covers all of g (forced edges included) with at most
-    max_degree colors out of a palette of max_degree + 2m - 1, so at least
-    2m - 1 colors remain at each vertex: exactly enough for a 1-factorization
-    of K_{2m}. The class containing a prescribed pair is pinned to its
-    prescribed color; the other classes take the remaining chosen colors in
-    ascending class order. The slots of the 1-factorization are laid out
-    once and every fiber is emitted from them.
+    The dict view of ``_vertex_colors``, which holds the free-color rule:
+    every fiber edge (u*2m + p, u*2m + q) takes its class's color at base
+    vertex u, fiber by fiber in class order, the slots of the
+    1-factorization laid out once. The base coloring must cover all of g
+    (forced edges included).
 
     A prescription maps a vertex of g to (pair, color): an edge of K_{2m},
     in either order, and an int color. A vertex outside g raises
@@ -228,8 +230,39 @@ def color_fibers(
     _require_covered(g, base_coloring.assignment, "base coloring")
     width = 2 * m
     classes = one_factorization(width)
+    base_colors = [base_coloring.assignment[e] for e in g.edges]
+    fiber, _up = _vertex_colors(g, classes, base_colors, base_coloring.palette_size, fiber_prescriptions)
     slots = [(t, p, q) for t, cls in enumerate(classes) for p, q in cls]
-    class_of = {(p, q): t for t, p, q in slots}
+    out: dict[Edge, int] = {}
+    for u, colors in enumerate(fiber):
+        s = u * width
+        for t, p, q in slots:
+            out[(s + p, s + q)] = colors[t]
+    return out
+
+
+def _vertex_colors(
+    g: Graph,
+    classes: list[list[Edge]],
+    base_colors: list[int],
+    palette: int,
+    fiber_prescriptions: dict[int, tuple[Edge, int]],
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Per base vertex u of g: fiber[u], the colors of the classes of the
+    1-factorization `classes` of K_{2m} in u's fiber, and up[u], the colors
+    of u's edges to higher neighbors. base_colors colors g.edges by
+    position, so up[u] is a slice of it: u's upper edges are contiguous.
+
+    The base coloring uses at most max_degree colors at a vertex out of a
+    palette of max_degree + 2m - 1, so at least 2m - 1 colors remain at each
+    vertex: exactly enough for the 2m - 1 classes. The class containing a
+    prescribed pair is pinned to its prescribed color; the other classes
+    take the lowest remaining free colors in ascending class order. The
+    colors used at each vertex come from one pass over the base edges.
+    Prescriptions are checked as color_fibers states.
+    """
+    width = len(classes) + 1
+    class_of = {pair: t for t, cls in enumerate(classes) for pair in cls}
     pinned: dict[int, tuple[int, int]] = {}  # base vertex -> (class, color)
     for u, entry in fiber_prescriptions.items():
         g.check_vertex(u)
@@ -243,26 +276,33 @@ def color_fibers(
             raise UnknownEdgeError(
                 f"fiber prescription {entry!r} at base vertex {u} names no edge of K_{width}"
             ) from None
-    palette = range(1, base_coloring.palette_size + 1)
-    out: dict[Edge, int] = {}
-    for u in range(g.n):
-        used = {base_coloring.assignment[e] for e in g.incident_edges(u)}
+    used: list[list[int]] = [[] for _ in range(g.n)]
+    for (u, v), c in zip(g.edges, base_colors):
+        used[u].append(c)
+        used[v].append(c)
+    palette_colors = range(1, palette + 1)
+    fiber: list[list[int]] = []
+    up: list[list[int]] = []
+    lo = 0
+    for u, row in enumerate(g.adjacency):
+        hi = lo + len(row) - bisect_right(row, u)
+        up.append(base_colors[lo:hi])
+        lo = hi
+        taken = set(used[u])
         # the first 2m - 1 free colors are all any class can take
-        avail = list(islice((c for c in palette if c not in used), width - 1))
+        avail = list(islice((c for c in palette_colors if c not in taken), width - 1))
         if len(avail) < width - 1:
             raise ProofInvariantError(f"only {len(avail)} colors free at base vertex {u}")
         if u in pinned:
             target, color = pinned[u]
-            if color not in palette or color in used:
+            if color not in palette_colors or color in taken:
                 raise ProofInvariantError(
                     f"prescribed fiber color {color} is not free at base vertex {u}"
                 )
             rest = [c for c in avail if c != color][: width - 2]
             avail = rest[:target] + [color] + rest[target:]
-        s = u * width
-        for t, p, q in slots:
-            out[(s + p, s + q)] = avail[t]
-    return out
+        fiber.append(avail)
+    return fiber, up
 
 
 def _require_positive(**params: int) -> None:
@@ -287,22 +327,65 @@ def _extend(
     palette: int,
     what: str,
     pre: Precoloring,
-    to_host: Callable[[Edge], Edge] | None = None,
+    star: int | None = None,
 ) -> EdgeColoring:
     """The pipeline (module docstring) for `product`, named `what`, through
-    the host base box K_{2m}; `to_host` maps product edges into the host when
-    the product is only a subgraph of it (the star)."""
+    the host base box K_{2m}; for G box K_{1,star}, the subgraph of the host
+    (G box K_{1,star-1}) box K_2 that ``_star_to_host`` gives, only the
+    prescription is mapped into the host.
+
+    The coloring is built as one list in product.edges order from
+    ``_vertex_colors``: cartesian_product emits product vertex u*k + w with
+    its upper fiber edges, then its upper layer edges, which are the copies
+    of u's upper base edges, colored up[u]. In the host (k = 2m) the fiber
+    edges of w are the pairs (w, z > w), each colored by its class at u.
+    The star's vertex u*(star+1) + s sits on base vertex c + s (c = u*star)
+    for s < star: the center's fiber edges to leaves 1..star-1 are c's upper
+    fiber edges in the base, up[c][:star-1], its edge to leaf `star` is
+    c's host fiber edge, class 0, and its layer edges are c's upper layer
+    edges, up[c][star-1:]; leaf s < star has only the layer edges up[c+s];
+    leaf `star` sits on c in copy 1, whose layer edges are copies of c's,
+    up[c][star-1:] again.
+    """
     _require_palette(pre, palette, what)
     require_valid(product, pre)
-    entries = pre.entries if to_host is None else {to_host(e): c for e, c in pre.entries.items()}
+    entries = pre.entries
+    if star is not None:
+        entries = {
+            canonical_edge(_star_to_host(u, star), _star_to_host(v, star)): c for (u, v), c in entries.items()
+        }
     red = reduce_instance(base, m, Precoloring(palette, entries))
-    colored = dict(demand_list_color(red.base_residual, red.lists).assignment)
-    colored.update(red.forced_layer)
+    assigned = demand_list_color(red.base_residual, red.lists).assignment
+    forced = red.forced_layer
+    try:
+        base_colors = [forced[e] if e in forced else assigned[e] for e in base.edges]
+    except KeyError as exc:
+        raise ProofInvariantError(f"base edge {exc.args[0]} missing from the base coloring") from None
     width = 2 * m
-    host = {(u * width + i, v * width + i): c for (u, v), c in colored.items() for i in range(width)}
-    host.update(color_fibers(base, m, EdgeColoring(palette, colored), red.fiber_prescriptions))
-    assignment = host if to_host is None else {e: host[to_host(e)] for e in product.edges}
-    coloring = EdgeColoring(palette_size=palette, assignment=assignment)
+    classes = one_factorization(width)
+    fiber, up = _vertex_colors(base, classes, base_colors, palette, red.fiber_prescriptions)
+    colors: list[int] = []
+    if star is None:
+        class_of = {pair: t for t, cls in enumerate(classes) for pair in cls}
+        rows = [[class_of[w, z] for z in range(w + 1, width)] for w in range(width)]
+        for f, layer in zip(fiber, up):
+            for row in rows:
+                colors += [f[t] for t in row]
+                colors += layer
+    else:
+        k = star - 1
+        for c in range(0, base.n, star):
+            center = up[c]
+            layer = center[k:]
+            colors += center[:k]
+            colors.append(fiber[c][0])
+            colors += layer
+            for leaf in up[c + 1 : c + star]:
+                colors += leaf
+            colors += layer
+    if len(colors) != len(product.edges):
+        raise ProofInvariantError(f"assembled {len(colors)} colors for {len(product.edges)} product edges")
+    coloring = EdgeColoring(palette_size=palette, assignment=dict(zip(product.edges, colors)))
     report = verify_proper(product, coloring, prescribed=pre.entries)
     if not report.ok:
         raise ProofInvariantError(f"assembled coloring fails its final check: {report}")
@@ -356,10 +439,11 @@ def extend_over_star(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     colors, as one K_2 extension of the base G box K_{1,m-1}, restricted.
 
     K_{1,m} is induced in K_{1,m-1} box K_2 (``_star_to_host``), so the
-    prescription transfers, stays a distance-2 matching, extends over the
-    host and restricts back; the host's base has maximum degree
-    max_degree(G) + m - 1, which gives the palette. The map does not keep
-    edges canonical, so every mapped edge is put back in canonical order.
+    prescription transfers, stays a distance-2 matching and extends over
+    the host, whose colors the product's edges take (``_extend``); the
+    host's base has maximum degree max_degree(G) + m - 1, which gives the
+    palette. The map does not keep edges canonical, so every mapped entry
+    is put back in canonical order.
     """
     _require_positive(m=m)
     bipartition(g)
@@ -367,8 +451,4 @@ def extend_over_star(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     _require_size(what, g.n, len(g.edges), m + 1, m)
     base = g if m == 1 else cartesian_product(g, star(m - 1)).graph
     product = cartesian_product(g, star(m)).graph
-
-    def to_host(e: Edge) -> Edge:
-        return canonical_edge(_star_to_host(e[0], m), _star_to_host(e[1], m))
-
-    return _extend(base, 1, product, max_degree(g) + m, what, pre, to_host)
+    return _extend(base, 1, product, max_degree(g) + m, what, pre, star=m)

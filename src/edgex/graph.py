@@ -173,21 +173,20 @@ def close_edge_pairs(g: Graph, edges: list[Edge]) -> list[tuple[Edge, Edge, int]
     """Pairs (edges[i], edges[j], d), i < j, at edge distance d < 2, by (i, j).
 
     Distance 0 means a shared endpoint, 1 an endpoint of one adjacent to an
-    endpoint of the other; every other pair is at distance >= 2. A map from
-    each vertex to the edges ending at it or next to it finds the pairs in
-    O(sum of endpoint degrees + pairs), without a BFS. Edges must be
-    canonical edges of g; a repeated edge pairs with itself at distance 0.
+    endpoint of the other; every other pair is at distance >= 2. The entries
+    are indexed by endpoint once; each entry then looks up the entries at
+    its ends and at every neighbor of its ends, in O(sum of endpoint degrees
+    + pairs), without a BFS. Edges must be canonical edges of g; a repeated
+    edge pairs with itself at distance 0.
     """
     at: dict[int, list[int]] = {}
-    near: dict[int, list[int]] = {}
     for i, e in enumerate(edges):
         for x in e:
             at.setdefault(x, []).append(i)
-            for w in g.adjacency[x]:
-                near.setdefault(w, []).append(i)
+    adjacency = g.adjacency
     pairs = []
     for i, e in enumerate(edges):
-        dist = {j: 1 for x in e for j in near.get(x, ()) if j > i}
+        dist = {j: 1 for x in e for w in adjacency[x] for j in at.get(w, ()) if j > i}
         dist.update((j, 0) for x in e for j in at[x] if j > i)
         pairs.extend((e, edges[j], dist[j]) for j in sorted(dist))
     return pairs

@@ -518,6 +518,27 @@ def reference_color_fibers(
     return out
 
 
+def reference_assemble(
+    base: Graph, m: int, product: Graph, palette: int, pre: Precoloring, star_m: int | None = None
+) -> dict[Edge, int]:
+    """The extension pipeline's assembly before the product-order pass, for
+    a prescription of `product`: the base colored as the pipeline colors it,
+    copied into every layer of base box K_{2m} by edge, the fibers of
+    reference_color_fibers added, and for G box K_{1,star_m} every product
+    edge looked up in that host through ``_star_to_host``."""
+
+    def to_host(e: Edge) -> Edge:
+        return e if star_m is None else canonical_edge(_star_to_host(e[0], star_m), _star_to_host(e[1], star_m))
+
+    red = reduce_instance(base, m, Precoloring(palette, {to_host(e): c for e, c in pre.entries.items()}))
+    colored = dict(coloring.demand_list_color(red.base_residual, red.lists).assignment)
+    colored.update(red.forced_layer)
+    width = 2 * m
+    host = {(u * width + i, v * width + i): c for (u, v), c in colored.items() for i in range(width)}
+    host.update(reference_color_fibers(base, m, EdgeColoring(palette, colored), red.fiber_prescriptions))
+    return {e: host[to_host(e)] for e in product.edges}
+
+
 # ---------------------------------------------------------------------------
 # reference kernel method
 

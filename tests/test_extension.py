@@ -17,6 +17,7 @@ from edgex import (
     complete_bipartite,
     cycle,
     decide_extendable,
+    demand_list_color,
     extend_hypercube,
     extend_over_complete,
     extend_over_hypercube,
@@ -50,8 +51,10 @@ from helpers import (
     layer_edges,
     list_coloring_bases,
     random_connected_bipartite,
+    random_distance2_matching,
     random_tree,
     random_valid_precoloring,
+    reference_assemble,
     reference_color_fibers,
     reference_reduce_instance,
     regular_bipartite,
@@ -883,14 +886,138 @@ class TestOnePipeline:
 
     @every_extend
     def test_final_check_catches_a_disagreement(self, monkeypatch, extend):
-        def recolored(*args):
-            out = color_fibers(*args)
-            out[(0, 1)] = 3 - out[(0, 1)] % 3
-            return out
+        # product edge (0, 1) is base vertex 0's fiber edge, class 0
+        vertex_colors = extension._vertex_colors
 
-        monkeypatch.setattr(extension, "color_fibers", recolored)
+        def recolored(*args):
+            fiber, up = vertex_colors(*args)
+            fiber[0][0] = 3 - fiber[0][0] % 3
+            return fiber, up
+
+        monkeypatch.setattr(extension, "_vertex_colors", recolored)
         with pytest.raises(ProofInvariantError, match=r"edge \(0, 1\) prescribed 1 but colored"):
             extend(Precoloring(3, {(0, 1): 1}))
+
+    @every_extend
+    def test_short_color_list_is_internal_error(self, monkeypatch, extend):
+        vertex_colors = extension._vertex_colors
+
+        def short(*args):
+            fiber, up = vertex_colors(*args)
+            up[0] = up[0][:-1]
+            return fiber, up
+
+        monkeypatch.setattr(extension, "_vertex_colors", short)
+        with pytest.raises(ProofInvariantError, match=r"assembled \d+ colors for \d+ product edges"):
+            extend(Precoloring(3, {}))
+
+    @every_extend
+    def test_uncolored_base_edge_is_internal_error(self, monkeypatch, extend):
+        def dropped(g, lists):
+            col = demand_list_color(g, lists)
+            return EdgeColoring(col.palette_size, dict(list(col.assignment.items())[1:]))
+
+        monkeypatch.setattr(extension, "demand_list_color", dropped)
+        with pytest.raises(ProofInvariantError, match=r"base edge \(\d+, \d+\) missing from the base coloring"):
+            extend(Precoloring(3, {}))
+
+
+def _matching_through(rng, g, first, size):
+    """A seeded distance-2 matching of g with up to two edges from `first`
+    and up to `size` more from the rest of g."""
+    chosen = random_distance2_matching(rng, g, 2, first)
+    rest = [e for e in g.edges if all(edge_distance(g, e, f) >= 2 for f in chosen)]
+    return chosen + random_distance2_matching(rng, g, size, rest)
+
+
+def _assembly_case(kind, g, m):
+    """(extend, base, host m, product, palette, star m) as the entry point
+    `kind` picks them for G = g and parameter m (d = m + 1 for Q_d)."""
+    delta = max_degree(g)
+    if kind == "complete":
+        product = cartesian_product(g, complete(2 * m)).graph
+        return (lambda pre: extend_over_complete(g, m, pre)), g, m, product, delta + 2 * m - 1, None
+    if kind == "over_hypercube":
+        base = g if m == 1 else cartesian_product(g, hypercube(m - 1)).graph
+        product = cartesian_product(base, complete(2)).graph
+        return (lambda pre: extend_over_hypercube(g, m, pre)), base, 1, product, delta + m, None
+    if kind == "hypercube":
+        base = hypercube(m)
+        return (lambda pre: extend_hypercube(m + 1, pre)), base, 1, hypercube(m + 1), m + 1, None
+    base = g if m == 1 else cartesian_product(g, star(m - 1)).graph
+    product = cartesian_product(g, star(m)).graph
+    return (lambda pre: extend_over_star(g, m, pre)), base, 1, product, delta + m, m
+
+
+class TestProductOrderAssembly:
+    """_extend colors the product as one list in product.edges order; the
+    assignment equals the layer dict, fiber dict and star remap it replaced
+    (reference_assemble), edge for edge, with the product's edge order."""
+
+    @staticmethod
+    def _check(kind, g, m, entries_from):
+        extend, base, host_m, product, palette, star_m = _assembly_case(kind, g, m)
+        rng = random.Random(f"{kind} {m} {len(g.edges)}")
+        matching = entries_from(rng, product)
+        pre = Precoloring(palette, {e: rng.randint(1, palette) for e in matching})
+        col = extend(pre)
+        assert col.assignment == reference_assemble(base, host_m, product, palette, pre, star_m)
+        assert list(col.assignment) == list(product.edges)
+        return pre
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_complete_fiber_prescriptions_in_every_class(self, m):
+        width = 2 * m
+        classes = one_factorization(width)
+        seen = set()
+        for seed in range(2 * len(classes)):
+            g = random_connected_bipartite(random.Random(seed), 8, 3)
+            cls = classes[seed % len(classes)]
+
+            def entries_from(rng, product):
+                fibers = [(a, b) for a, b in product.edges 
+                          if a // width == b // width and (a % width, b % width) in cls]
+                return _matching_through(rng, product, fibers, 6)
+
+            pre = self._check("complete", g, m, entries_from)
+            seen.update(
+                t for (a, b) in pre.entries if a // width == b // width
+                for t, pairs in enumerate(classes) if (a % width, b % width) in pairs
+            )
+        assert seen == set(range(len(classes)))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_stars_with_entries_on_the_last_leafs_layer(self, m):
+        k = m + 1
+        on_last = 0
+        for seed in range(6):
+            g = random_connected_bipartite(random.Random(seed), 8, 3)
+
+            def entries_from(rng, product):
+                last = [(a, b) for a, b in product.edges if a % k == m and b % k == m]
+                return _matching_through(rng, product, last, 6)
+
+            pre = self._check("star", g, m, entries_from)
+            on_last += sum(1 for a, b in pre.entries if a % k == m and b % k == m)
+        assert on_last > 0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["over_hypercube", "hypercube"])
+    def test_cubes_with_fiber_prescriptions(self, kind, m):
+        # the host fiber of a cube is its last bit's K_2: edges (2c, 2c + 1)
+        for seed in range(4):
+            g = random_connected_bipartite(random.Random(seed), 8, 3)
+
+            def entries_from(rng, product):
+                fibers = [(a, b) for a, b in product.edges if b == a + 1 and a % 2 == 0]
+                return _matching_through(rng, product, fibers, 6)
+
+            self._check(kind, g, m, entries_from)
+
+    @pytest.mark.parametrize("kind", ["complete", "over_hypercube", "star"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_vertex_free_g(self, kind, m):
+        self._check(kind, EMPTY, m, lambda rng, product: [])
 
 
 class TestSizeGuard:

@@ -8,6 +8,8 @@ exactly, and constructs non-extendable instances for products that escape
 those bounds.
 """
 
+from types import ModuleType as _ModuleType
+
 from .coloring import (
     ColoringReport,
     EdgeColoring,
@@ -23,7 +25,6 @@ from .extension import (
     Precoloring,
     ReducedInstance,
     ValidationReport,
-    color_fibers,
     extend_hypercube,
     extend_over_complete,
     extend_over_hypercube,
@@ -63,5 +64,8 @@ from .oracle import (
     find_covering_induced_matching,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the API's names, not the submodules the imports above also bind
+__all__ = [
+    name for name, value in sorted(vars().items()) if not name.startswith("_") and not isinstance(value, _ModuleType)
+]
 __version__ = "0.1.0"

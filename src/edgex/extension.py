@@ -7,10 +7,10 @@ their base edge, fiber entries stay; every surviving base edge gets the
 palette minus the colors blocked at its two ends); demand_list_color on the
 residual base; one pass that colors the product in its own edge order, each
 edge a copy of its base edge's color or its fiber class's color at its base
-vertex (``_vertex_colors``, the free-color rule that color_fibers also
-shows as a dict); one verify_proper on the caller's product (proper, in
-palette, agreeing with the prescription, only its edges colored), whose
-failure is an internal error.
+vertex (``_vertex_colors``, the free-color rule, with each fiber entry's
+class pinned to its color); one verify_proper on the caller's product
+(proper, in palette, agreeing with the prescription, only its edges
+colored), whose failure is an internal error.
 An entry point checks its integers, bipartitions the caller's own G first
 (so an odd cycle is reported in G's indices), runs the families size check
 on the counts of its product before building anything, and picks base,
@@ -32,7 +32,6 @@ from itertools import islice
 from .coloring import (
     EdgeColoring,
     ListAssignment,
-    _require_covered,
     demand_list_color,
     one_factorization,
     verify_proper,
@@ -206,76 +205,27 @@ def reduce_instance(g: Graph, m: int, pre: Precoloring) -> ReducedInstance:
     )
 
 
-def color_fibers(
-    g: Graph,
-    m: int,
-    base_coloring: EdgeColoring,
-    fiber_prescriptions: dict[int, tuple[Edge, int]],
-) -> dict[Edge, int]:
-    """Color every fiber K_{2m} from the colors unused at its base vertex.
-
-    The dict view of ``_vertex_colors``, which holds the free-color rule:
-    every fiber edge (u*2m + p, u*2m + q) takes its class's color at base
-    vertex u, fiber by fiber in class order, the slots of the
-    1-factorization laid out once. The base coloring must cover all of g
-    (forced edges included).
-
-    A prescription maps a vertex of g to (pair, color): an edge of K_{2m},
-    in either order, and an int color. A vertex outside g raises
-    VertexIndexError, a pair that is no edge of K_{2m} UnknownEdgeError, and
-    an entry of any other shape or a color that is not an int
-    BadParameterError.
-    """
-    _require_positive(m=m)
-    _require_covered(g, base_coloring.assignment, "base coloring")
-    width = 2 * m
-    classes = one_factorization(width)
-    base_colors = [base_coloring.assignment[e] for e in g.edges]
-    fiber, _up = _vertex_colors(g, classes, base_colors, base_coloring.palette_size, fiber_prescriptions)
-    slots = [(t, p, q) for t, cls in enumerate(classes) for p, q in cls]
-    out: dict[Edge, int] = {}
-    for u, colors in enumerate(fiber):
-        s = u * width
-        for t, p, q in slots:
-            out[(s + p, s + q)] = colors[t]
-    return out
-
-
 def _vertex_colors(
     g: Graph,
-    classes: list[list[Edge]],
+    width: int,
     base_colors: list[int],
     palette: int,
-    fiber_prescriptions: dict[int, tuple[Edge, int]],
+    pinned: dict[int, tuple[int, int]],
 ) -> tuple[list[list[int]], list[list[int]]]:
-    """Per base vertex u of g: fiber[u], the colors of the classes of the
-    1-factorization `classes` of K_{2m} in u's fiber, and up[u], the colors
-    of u's edges to higher neighbors. base_colors colors g.edges by
-    position, so up[u] is a slice of it: u's upper edges are contiguous.
+    """Per base vertex u of g: fiber[u], the colors of the 2m - 1 classes
+    of the 1-factorization of K_{2m} (width = 2m) in u's fiber, and up[u],
+    the colors of u's edges to higher neighbors. base_colors colors g.edges
+    by position, so up[u] is a slice of it: u's upper edges are contiguous.
 
     The base coloring uses at most max_degree colors at a vertex out of a
     palette of max_degree + 2m - 1, so at least 2m - 1 colors remain at each
-    vertex: exactly enough for the 2m - 1 classes. The class containing a
-    prescribed pair is pinned to its prescribed color; the other classes
-    take the lowest remaining free colors in ascending class order. The
-    colors used at each vertex come from one pass over the base edges.
-    Prescriptions are checked as color_fibers states.
+    vertex: exactly enough for the 2m - 1 classes. pinned maps a base vertex
+    to (class, color), as ``_extend`` derives it from reduce_instance's
+    fiber prescriptions, which are already checked: that class takes that
+    color, and the other classes take the lowest remaining free colors in
+    ascending class order. The colors used at each vertex come from one
+    pass over the base edges.
     """
-    width = len(classes) + 1
-    class_of = {pair: t for t, cls in enumerate(classes) for pair in cls}
-    pinned: dict[int, tuple[int, int]] = {}  # base vertex -> (class, color)
-    for u, entry in fiber_prescriptions.items():
-        g.check_vertex(u)
-        if not (isinstance(entry, tuple) and len(entry) == 2 and type(entry[1]) is int):
-            raise BadParameterError(
-                f"fiber prescription {entry!r} at base vertex {u} is not (pair, int color)"
-            )
-        try:
-            pinned[u] = (class_of[_edge_key(entry[0])], entry[1])
-        except (UnknownEdgeError, KeyError):
-            raise UnknownEdgeError(
-                f"fiber prescription {entry!r} at base vertex {u} names no edge of K_{width}"
-            ) from None
     used: list[list[int]] = [[] for _ in range(g.n)]
     for (u, v), c in zip(g.edges, base_colors):
         used[u].append(c)
@@ -362,11 +312,11 @@ def _extend(
     except KeyError as exc:
         raise ProofInvariantError(f"base edge {exc.args[0]} missing from the base coloring") from None
     width = 2 * m
-    classes = one_factorization(width)
-    fiber, up = _vertex_colors(base, classes, base_colors, palette, red.fiber_prescriptions)
+    class_of = {pair: t for t, cls in enumerate(one_factorization(width)) for pair in cls}
+    pinned = {u: (class_of[pair], color) for u, (pair, color) in red.fiber_prescriptions.items()}
+    fiber, up = _vertex_colors(base, width, base_colors, palette, pinned)
     colors: list[int] = []
     if star is None:
-        class_of = {pair: t for t, cls in enumerate(classes) for pair in cls}
         rows = [[class_of[w, z] for z in range(w + 1, width)] for w in range(width)]
         for f, layer in zip(fiber, up):
             for row in rows:

@@ -485,9 +485,11 @@ def reference_color_fibers(
     base_coloring: EdgeColoring,
     fiber_prescriptions: dict[int, tuple[Edge, int]],
 ) -> dict[Edge, int]:
-    """The library's color_fibers before the slot template (free colors and
-    the prescribed pair's class found per base vertex); a test oracle for
-    prescriptions as reduce_instance gives them."""
+    """The fiber completion as an edge -> color dict, built per base vertex
+    from its free colors and the prescribed pair's class (the library's
+    removed color_fibers before its slot template); a test oracle for
+    extension._vertex_colors on prescriptions as reduce_instance gives
+    them."""
     _require_covered(g, base_coloring.assignment, "base coloring")
     palette = base_coloring.palette_size
     classes = one_factorization(2 * m)

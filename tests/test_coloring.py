@@ -10,7 +10,6 @@ from edgex import (
     EdgeColoring,
     bipartition,
     cartesian_product,
-    color_fibers,
     demand_list_color,
     build_graph,
     complete_bipartite,
@@ -872,9 +871,8 @@ class TestVerifyProper:
         (demand_list_color, "lists"),
         (exact_list_color, "lists"),
         (lambda g, lists: make_list_assignment(g, lists.lists), "lists"),
-        (lambda g, lists: color_fibers(g, 1, EdgeColoring(3, dict.fromkeys(lists.lists, 1)), {}), "base coloring"),
     ],
-    ids=["demand", "exact", "make_list_assignment", "color_fibers"],
+    ids=["demand", "exact", "make_list_assignment"],
 )
 def test_missing_edges_named(call, what):
     lists = ListAssignment(lists={(0, 1): (1, 2), (2, 3): (1, 2)})

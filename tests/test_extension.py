@@ -12,7 +12,6 @@ from edgex import (
     build_graph,
     canonical_edge,
     cartesian_product,
-    color_fibers,
     complete,
     complete_bipartite,
     cycle,
@@ -40,7 +39,6 @@ from edgex.errors import (
     NotBipartiteError,
     ProofInvariantError,
     UnknownEdgeError,
-    VertexIndexError,
 )
 from edgex import coloring, extension, families, oracle
 from edgex.extension import require_valid
@@ -364,9 +362,9 @@ class TestReduce:
         with pytest.raises(BadParameterError, match=r"blocked at base vertex 0 is not an int"):
             reduce_instance(path(3), m, Precoloring(3, {(0, 2 * m): color}))
 
-    @pytest.mark.parametrize("m", [1.5, "2", True, None])
+    @pytest.mark.parametrize("m", [1.5, "2", True, None, 0])
     def test_non_integer_m(self, m):
-        with pytest.raises(BadParameterError, match="m must be an int"):
+        with pytest.raises(BadParameterError, match="m must be >= 1" if m == 0 else "m must be an int"):
             reduce_instance(path(2), m, Precoloring(2, {}))
 
 
@@ -394,76 +392,65 @@ def fiber_instances(draw, max_n=7):
     return g, m, base, prescriptions
 
 
+def vertex_fibers(g, m, base, prescriptions):
+    """extension._vertex_colors' fiber colors for a base coloring and fiber
+    prescriptions as reduce_instance gives them, each pair pinned by its
+    class as _extend pins it."""
+    class_of = {pair: t for t, cls in enumerate(one_factorization(2 * m)) for pair in cls}
+    pinned = {u: (class_of[pair], color) for u, (pair, color) in prescriptions.items()}
+    base_colors = [base.assignment[e] for e in g.edges]
+    fiber, _up = extension._vertex_colors(g, 2 * m, base_colors, base.palette_size, pinned)
+    return fiber
+
+
+def assert_fibers_match_reference(g, m, base, prescriptions):
+    """fiber[u][t] is reference_color_fibers' color of every pair of class t
+    in u's fiber, and the reference colors no other edge."""
+    fiber = vertex_fibers(g, m, base, prescriptions)
+    ref = reference_color_fibers(g, m, base, prescriptions)
+    classes, width = one_factorization(2 * m), 2 * m
+    assert len(fiber) == g.n and len(ref) == g.n * m * (width - 1)
+    for u, colors in enumerate(fiber):
+        assert len(colors) == width - 1
+        for t, cls in enumerate(classes):
+            for p, q in cls:
+                assert ref[(u * width + p, u * width + q)] == colors[t]
+    return fiber
+
+
 class TestColorFibers:
     def test_m1_smallest_available(self):
         g = path(3)
         base = EdgeColoring(3, {(0, 1): 3, (1, 2): 1})
-        fibers = color_fibers(g, 1, base, {})
-        assert fibers[(0, 1)] == 1  # at vertex 0 only 3 is used
-        assert fibers[(2, 3)] == 2  # at vertex 1 both 3 and 1 are used
-        assert fibers[(4, 5)] == 2  # at vertex 2 only 1 is used
+        fiber = vertex_fibers(g, 1, base, {})
+        assert fiber[0] == [1]  # at vertex 0 only 3 is used
+        assert fiber[1] == [2]  # at vertex 1 both 3 and 1 are used
+        assert fiber[2] == [2]  # at vertex 2 only 1 is used
 
     def test_m1_prescription_wins(self):
         g = path(3)
         base = EdgeColoring(3, {(0, 1): 3, (1, 2): 1})
-        fibers = color_fibers(g, 1, base, {0: ((0, 1), 2)})
-        assert fibers[(0, 1)] == 2
+        assert vertex_fibers(g, 1, base, {0: ((0, 1), 2)})[0] == [2]
 
-    @pytest.mark.parametrize("pair", [(0, 2), (2, 0)])
+    @pytest.mark.parametrize("pair", [(0, 2), (1, 3)])
     def test_m2_prescribed_pair_lands_in_its_class(self, pair):
         g = build_graph(["u"], [])
         base = EdgeColoring(5, {})
-        # pair {a_1, a_3} = indices (0, 2), in either order; round-robin
-        # classes of K_4 are [(0,3),(1,2)], [(0,2),(1,3)], [(0,1),(2,3)] so
-        # class 1 is pinned
-        fibers = color_fibers(g, 2, base, {0: (pair, 5)})
-        assert fibers[(0, 2)] == 5 and fibers[(1, 3)] == 5
-        assert fibers[(0, 3)] == fibers[(1, 2)] == 1
-        assert fibers[(0, 1)] == fibers[(2, 3)] == 2
+        # round-robin classes of K_4 are [(0,3),(1,2)], [(0,2),(1,3)],
+        # [(0,1),(2,3)], so either pair of class 1 pins class 1
+        assert vertex_fibers(g, 2, base, {0: (pair, 5)}) == [[1, 5, 2]]
 
     @pytest.mark.parametrize("color", [1, 3, 0])  # used, past the palette, below it
     def test_unavailable_prescription_is_internal_error(self, color):
         g = path(2)
         base = EdgeColoring(2, {(0, 1): 1})
         with pytest.raises(ProofInvariantError, match=f"color {color} is not free at base vertex 0"):
-            color_fibers(g, 1, base, {0: ((0, 1), color)})
-
-    @pytest.mark.parametrize(
-        "m, prescriptions, error, message",
-        [
-            (1, {0: ((0, 5), 2)}, UnknownEdgeError, r"\(\(0, 5\), 2\) at base vertex 0 names no edge"),
-            (2, {1: ((1, 1), 2)}, UnknownEdgeError, "names no edge of K_4"),
-            (1, {0: ([0, 1], 2)}, UnknownEdgeError, "names no edge"),
-            (1, {0: ((0, 1, 2), 2)}, UnknownEdgeError, "names no edge"),
-            (1, {0: "x"}, BadParameterError, r"'x' at base vertex 0 is not \(pair, int color\)"),
-            (1, {0: ((0, 1),)}, BadParameterError, "is not"),
-            (1, {0: ((0, 1), 2.0)}, BadParameterError, "is not"),
-            (1, {0: ((0, 1), True)}, BadParameterError, "is not"),
-            (1, {0: ((0, 1), [2])}, BadParameterError, "is not"),
-            (1, {5: ((0, 1), 2)}, VertexIndexError, r"vertex 5 not in 0\.\.1"),
-            (1, {-1: ((0, 1), 2)}, VertexIndexError, "vertex -1"),
-            (1, {True: ((0, 1), 2)}, VertexIndexError, "vertex True"),
-            (True, {}, BadParameterError, "m must be an int"),
-            (1.0, {}, BadParameterError, "m must be an int"),
-            (0, {}, BadParameterError, "m must be >= 1"),
-        ],
-        ids=[
-            "pair-outside", "loop-pair", "list-pair", "triple-pair", "string", "one-item",
-            "float-color", "bool-color", "list-color", "vertex-5", "vertex-neg", "vertex-bool",
-            "m-bool", "m-float", "m-zero",
-        ],
-    )
-    def test_bad_input_is_an_edgex_error(self, m, prescriptions, error, message):
-        base = EdgeColoring(2, {(0, 1): 1})
-        with pytest.raises(error, match=message):
-            color_fibers(path(2), m, base, prescriptions)
+            vertex_fibers(g, 1, base, {0: ((0, 1), color)})
 
     @given(fiber_instances())
     @settings(max_examples=150, deadline=None)
     def test_matches_reference(self, instance):
-        g, m, base, prescriptions = instance
-        got = color_fibers(g, m, base, prescriptions)
-        assert list(got.items()) == list(reference_color_fibers(g, m, base, prescriptions).items())
+        assert_fibers_match_reference(*instance)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_every_class_matches_reference(self, m):
@@ -473,11 +460,8 @@ class TestColorFibers:
         for t, cls in enumerate(one_factorization(2 * m)):
             for pair in cls:
                 for color in range(3, 2 * m + 2):
-                    prescriptions = {1: (pair, color)}
-                    got = color_fibers(g, m, base, prescriptions)
-                    ref = reference_color_fibers(g, m, base, prescriptions)
-                    assert list(got.items()) == list(ref.items())
-                    assert all(got[(2 * m + p, 2 * m + q)] == color for p, q in cls)
+                    fiber = assert_fibers_match_reference(g, m, base, {1: (pair, color)})
+                    assert fiber[1][t] == color
 
 
 class TestExtendOverComplete:
@@ -1124,13 +1108,12 @@ class TestSizeGuard:
             lambda: path(10**7),
             lambda: one_factorization(10**6),
             lambda: reduce_instance(path(2), 10**9, Precoloring(3, {})),
-            lambda: color_fibers(path(2), 10**6, EdgeColoring(1, {(0, 1): 1}), {}),
             lambda: explore_bipartite_factor(path(2), 10**7, 1, 5),
             lambda: cartesian_product(build_graph([""] * 2000, []), build_graph([""] * 2000, [])),
         ],
         ids=["q18", "huge-hypercube", "huge-complete", "huge-over_hypercube", "empty-g-huge-star",
              "family-q18", "family-q40", "family-complete", "family-path", "one_factorization",
-             "reduce_instance", "color_fibers", "explore_bipartite_factor", "edgeless-product"],
+             "reduce_instance", "explore_bipartite_factor", "edgeless-product"],
     )
     def test_far_past_the_limit_builds_nothing(self, monkeypatch, call):
         # Q_17 has 1,114,112 edges and fits; Q_18 has 2,359,296; the

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import logging
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .coloring import EdgeColoring, _require_budget, _search, verify_proper
@@ -105,27 +106,29 @@ def _prescribed_edges(g: Graph, pre: Precoloring, palette: int) -> dict[Edge, in
 def find_covering_induced_matching(g: Graph, v: int) -> list[Edge] | None:
     """An induced matching avoiding v whose endpoints cover N(v), or None.
 
-    Edges through v never qualify: with deg(v) >= 2 they break the induced
-    condition against any edge covering another neighbor, and the obstruction
-    argument needs the reserved color to stay off the covered vertex. Exact
-    search over candidate subsets, smallest size first, lexicographically
-    first within a size.
+    g must be bipartite (NotBipartiteError). Then N(v) lies on one side, so
+    an edge avoiding v covers at most one neighbor, and a cover takes one
+    edge xy per neighbor x. Its y must be private to x: not v, and adjacent
+    to no other neighbor of v; any such choices form an induced matching.
+    So there is no cover when some neighbor has no private neighbor, and
+    otherwise each neighbor's lowest private edge, sorted, is the smallest
+    cover and the lexicographically first of that size.
     """
     g.check_vertex(v)
-    hood = set(g.adjacency[v])
-    if not hood:
-        return []
-    edges = g.edges
-    close = _close_masks(g)
-    candidates = [i for i, e in enumerate(edges) if v not in e and not hood.isdisjoint(e)]
-    lo = (len(hood) + 1) // 2
-    for size in range(lo, len(hood) + 1):
-        for combo in itertools.combinations(candidates, size):
-            if not hood <= {x for i in combo for x in edges[i]}:
-                continue
-            if all(not close[i] >> j & 1 for i, j in itertools.combinations(combo, 2)):
-                return [edges[i] for i in combo]
-    return None
+    bipartition(g)
+    return _private_cover(g, v)
+
+
+def _private_cover(g: Graph, v: int) -> list[Edge] | None:
+    """find_covering_induced_matching on a graph known to be bipartite."""
+    touches = Counter(y for x in g.adjacency[v] for y in g.adjacency[x])
+    cover = []
+    for x in g.adjacency[v]:
+        y = next((y for y in g.adjacency[x] if y != v and touches[y] == 1), None)
+        if y is None:
+            return None
+        cover.append(canonical_edge(x, y))
+    return sorted(cover)
 
 
 @dataclass(frozen=True)
@@ -192,11 +195,12 @@ def build_blocked_hub_instance(g: Graph, h: Graph) -> BlockedHubInstance:
 
 
 def _hub_and_cover(g: Graph, which: str) -> tuple[int, list[Edge]]:
+    """The lowest maximum-degree vertex of the bipartite g that has a cover, and the cover."""
     delta = max_degree(g)
     for v in range(g.n):
         if g.degree(v) != delta:
             continue
-        cover = find_covering_induced_matching(g, v)
+        cover = _private_cover(g, v)
         if cover is not None:
             return v, cover
     raise InapplicableError(
@@ -207,8 +211,12 @@ def _hub_and_cover(g: Graph, which: str) -> tuple[int, list[Edge]]:
 def check_local_obstruction(
     p: ProductGraph | Graph, pre: Precoloring
 ) -> ObstructionCertificate | None:
-    """Search saturated vertices for a color blocked on every incident edge.
+    """The first saturated vertex w (degree = palette size) with its lowest
+    blocked color c and a witness per edge at w, in adjacency order; or None.
 
+    c is blocked at w when no edge at w is prescribed c but each neighbor z
+    is on one that is: that edge avoids w, so it witnesses wz, and the
+    lowest one is read from an index (vertex, color) -> lowest such edge.
     A declared palette that is not an int raises InvalidPrecoloringError; an
     edge prescribed under both of its key orders, or a color that is not an
     int in 1..palette_size, BadParameterError, so no certificate ever names
@@ -217,26 +225,18 @@ def check_local_obstruction(
     _require_ints(InvalidPrecoloringError, palette_size=pre.palette_size)
     g = _as_graph(p)
     entries = _prescribed_edges(g, pre, pre.palette_size)
-    by_color: dict[int, list[Edge]] = {}
+    lowest: dict[tuple[int, int], Edge] = {}
     for e, c in sorted(entries.items()):
-        by_color.setdefault(c, []).append(e)
+        for x in e:
+            lowest.setdefault((x, c), e)
+    colors = sorted(set(entries.values()))
     for w in range(g.n):
         if g.degree(w) != pre.palette_size:
             continue
-        incident = g.incident_edges(w)
-        for color, colored in sorted(by_color.items()):
-            if any(entries.get(e) == color for e in incident):
-                continue
-            witnesses: dict[Edge, Edge] = {}
-            for e in incident:
-                witness = next(
-                    (f for f in colored if f != e and not set(e).isdisjoint(f)), None
-                )
-                if witness is None:
-                    break
-                witnesses[e] = witness
-            else:
-                return ObstructionCertificate(hub=w, blocked_color=color, witnesses=witnesses)
+        for c in colors:
+            if (w, c) not in lowest and all((z, c) in lowest for z in g.adjacency[w]):
+                witnesses = {canonical_edge(w, z): lowest[z, c] for z in g.adjacency[w]}
+                return ObstructionCertificate(hub=w, blocked_color=c, witnesses=witnesses)
     return None
 
 

@@ -27,6 +27,7 @@ from edgex import (
     EdgeColoring,
     Graph,
     ListAssignment,
+    ObstructionCertificate,
     Precoloring,
     ProductGraph,
     ReducedInstance,
@@ -825,6 +826,34 @@ def reference_distance2_matchings(g: Graph) -> list[tuple[Edge, ...]]:
 
     grow([], 0)
     return out
+
+
+def reference_local_obstruction(g: Graph, pre: Precoloring) -> ObstructionCertificate | None:
+    """The obstruction search as a scan: for each saturated vertex w and
+    each prescribed color in order, skip the color if an edge at w has it,
+    else give each edge at w the first prescribed edge of that color, in
+    sorted order, that touches it. A test reference for the oracle's
+    indexed ``check_local_obstruction``; takes canonical keys and palette
+    colors only."""
+    by_color: dict[int, list[Edge]] = {}
+    for e, c in sorted(pre.entries.items()):
+        by_color.setdefault(c, []).append(e)
+    for w in range(g.n):
+        if g.degree(w) != pre.palette_size:
+            continue
+        incident = g.incident_edges(w)
+        for color, colored in sorted(by_color.items()):
+            if any(pre.entries.get(e) == color for e in incident):
+                continue
+            witnesses: dict[Edge, Edge] = {}
+            for e in incident:
+                witness = next((f for f in colored if f != e and not set(e).isdisjoint(f)), None)
+                if witness is None:
+                    break
+                witnesses[e] = witness
+            else:
+                return ObstructionCertificate(hub=w, blocked_color=color, witnesses=witnesses)
+    return None
 
 
 def random_valid_precoloring(

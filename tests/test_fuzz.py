@@ -1,7 +1,9 @@
 """Structural fuzzing of the CLI, the four extend_* entry points, the
-oracle's decide_extendable and explore_bipartite_factor, and the list
-coloring calls (make_list_assignment, demand_list_color, exact_list_color)
-with verify_proper.
+oracle's decide_extendable, explore_bipartite_factor and blocked-hub side
+(find_covering_induced_matching, build_blocked_hub_instance,
+check_local_obstruction), and the list coloring calls
+(make_list_assignment, demand_list_color, exact_list_color) with
+verify_proper.
 
 Valid documents of small graphs (a base graph, a one-entry precoloring in
 the product's palette, the extended coloring) are mutated: values of the
@@ -26,8 +28,10 @@ from edgex import (
     EdgeColoring,
     ListAssignment,
     Precoloring,
+    build_blocked_hub_instance,
     build_graph,
     cartesian_product,
+    check_local_obstruction,
     complete,
     complete_bipartite,
     cycle,
@@ -39,10 +43,12 @@ from edgex import (
     extend_over_complete,
     extend_over_hypercube,
     extend_over_star,
+    find_covering_induced_matching,
     hypercube,
     make_list_assignment,
     max_degree,
     path,
+    spider,
     star,
     verify_proper,
 )
@@ -145,6 +151,11 @@ def _mutated(data, doc):
     return doc
 
 
+# blocked-hub factors: the first three have a covering induced matching at a
+# maximum-degree vertex, the rest do not or are not bipartite
+HUB_FACTORS = [path(1), path(5), spider(3, 2), path(3), cycle(4), cycle(3), build_graph("", [])]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_cli_on_mutated_documents(data):
@@ -153,9 +164,9 @@ def test_cli_on_mutated_documents(data):
     g, kind, value = CASES[index]
     graph_doc = _mutated(data, graph_to_dict(product if g is None else g, "g"))
     pre_doc = _mutated(data, precoloring_to_dict(pre))
-    command = data.draw(st.sampled_from(["extend", "verify", "oracle"]))
+    command = data.draw(st.sampled_from(["extend", "verify", "oracle", "counterexample"]))
     with tempfile.TemporaryDirectory() as tmp:
-        files = {name: str(Path(tmp, f"{name}.json")) for name in ("graph", "pre", "coloring", "product")}
+        files = {name: str(Path(tmp, f"{name}.json")) for name in ("graph", "pre", "coloring", "product", "right")}
         write_doc(files["graph"], graph_doc)
         write_doc(files["pre"], pre_doc)
         if command == "extend":
@@ -169,6 +180,11 @@ def test_cli_on_mutated_documents(data):
             argv = ["verify", files["product"], files["coloring"]]
             if data.draw(st.booleans()):
                 argv += ["--pre", files["pre"]]
+        elif command == "counterexample":
+            for name in ("graph", "right"):  # each factor mutated half of the time
+                doc = graph_to_dict(data.draw(st.sampled_from(HUB_FACTORS)), name)
+                write_doc(files[name], _mutated(data, doc) if data.draw(st.booleans()) else doc)
+            argv = ["counterexample", files["graph"], files["right"], "--out-prefix", str(Path(tmp, "hub"))]
         else:
             write_doc(files["product"], _mutated(data, graph_to_dict(product, "p")))
             argv = ["oracle", files["product"], files["pre"], "--budget", str(data.draw(st.integers(-1, 2000)))]
@@ -239,17 +255,21 @@ def test_decide_extendable_on_mutated_input(data):
         assert not isinstance(exc, InternalInvariantError), exc
 
 
+def _mutated_graph(data, g):
+    """g, or a graph read from a mutation of its document when that parses."""
+    try:
+        return graph_from_dict(_mutated(data, graph_to_dict(g, "g")))[1]
+    except EdgexError:
+        return g
+
+
 EXPLORE_FACTORS = [path(2), path(3), cycle(4), star(2), cycle(3), build_graph("", []), build_graph("ab", [])]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_explore_on_mutated_input(data):
-    g = data.draw(st.sampled_from(EXPLORE_FACTORS))
-    try:
-        _name, g = graph_from_dict(_mutated(data, graph_to_dict(g, "g")))
-    except EdgexError:
-        pass
+    g = _mutated_graph(data, data.draw(st.sampled_from(EXPLORE_FACTORS)))
     # each parameter is kept valid half of the time, so that some sweeps
     # sample, the only path that reads the seed
     def kept_or(valid, strategy):
@@ -261,6 +281,36 @@ def test_explore_on_mutated_input(data):
         explore_bipartite_factor(g, n, m, budget, data.draw(st.one_of(st.integers(-(2**64), 2**64), json_values)))
     except EdgexError as exc:
         assert not isinstance(exc, InternalInvariantError), exc
+
+
+@functools.cache
+def _hub_instance():
+    return build_blocked_hub_instance(path(5), spider(3, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_blocked_hub_on_mutated_input(data):
+    g, h = (_mutated_graph(data, data.draw(st.sampled_from(HUB_FACTORS))) for _ in range(2))
+    # each part is kept valid half of the time, so that some certificates
+    # are found and the rest fail at different checks
+    def kept_or(valid, strategy):
+        return valid if data.draw(st.booleans()) else data.draw(strategy)
+
+    inst = _hub_instance()
+    pre = inst.precoloring
+    entries = _mutated_entries(data, inst.product.graph, pre.palette_size, pre.entries)
+    palette = kept_or(pre.palette_size, st.one_of(st.integers(-1, pre.palette_size + 2), atoms))
+    calls = (
+        lambda: find_covering_induced_matching(g, data.draw(st.one_of(st.integers(-1, 10), atoms))),
+        lambda: build_blocked_hub_instance(g, h),
+        lambda: check_local_obstruction(kept_or(inst.product, st.sampled_from([g, h])), Precoloring(palette, entries)),
+    )
+    for call in calls:
+        try:
+            call()
+        except EdgexError as exc:
+            assert not isinstance(exc, InternalInvariantError), exc
 
 
 LIST_GRAPHS = [path(3), cycle(4), star(3), complete_bipartite(2, 3), cycle(3), build_graph("ab", [])]

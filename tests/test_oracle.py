@@ -42,6 +42,7 @@ from edgex.errors import (
     BudgetExceededError,
     InapplicableError,
     InvalidPrecoloringError,
+    NotBipartiteError,
     UnknownEdgeError,
     VertexIndexError,
 )
@@ -55,6 +56,7 @@ from helpers import (
     random_connected_bipartite,
     random_valid_precoloring,
     reference_distance2_matchings,
+    reference_local_obstruction,
     complete_factor_palette,
     small_bipartite_graphs,
 )
@@ -194,6 +196,17 @@ class TestDecideExtendable:
             decide_extendable(hypercube(3), pre, palette, budget=budget)
 
 
+@st.composite
+def bipartite_graphs(draw, max_n=6):
+    """A bipartite graph on 1..max_n vertices, edgeless and disconnected
+    ones included."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if side[u] != side[v]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return build_graph([f"v{i}" for i in range(n)], edges)
+
+
 def brute_covering_matchings(g, v):
     """All covering induced matchings avoiding v, by subset enumeration."""
     hood = set(g.adjacency[v])
@@ -225,16 +238,24 @@ class TestCoveringInducedMatching:
         assert find_covering_induced_matching(g, 1) is None
         assert brute_covering_matchings(g, 1) == []
 
-    def test_agrees_with_subset_enumeration(self):
-        rng = random.Random(21)
-        for _ in range(20):
-            g = random_connected_bipartite(rng, max_n=7)
-            for v in range(g.n):
-                got = find_covering_induced_matching(g, v)
-                everything = brute_covering_matchings(g, v)
-                assert (got is None) == (not everything)
-                if got is not None:
-                    assert tuple(got) in everything
+    @settings(max_examples=150, deadline=None)
+    @given(bipartite_graphs())
+    def test_agrees_with_subset_enumeration(self, g):
+        # the enumeration lists covers by size, then lexicographically: the
+        # private-neighbor rule must return its first
+        for v in range(g.n):
+            everything = brute_covering_matchings(g, v)
+            expected = list(everything[0]) if everything else None
+            assert find_covering_induced_matching(g, v) == expected
+
+    def test_q7_vertex_has_none(self):
+        # two neighbors of a cube vertex share a second common neighbor, so
+        # no neighbor has a private one
+        assert find_covering_induced_matching(hypercube(7), 0) is None
+
+    def test_odd_cycle_rejected(self):
+        with pytest.raises(NotBipartiteError):
+            find_covering_induced_matching(cycle(5), 0)
 
     @pytest.mark.parametrize("v", [1.5, "1", True, -1, 7], ids=["float", "str", "bool", "negative", "past-end"])
     def test_non_vertex_rejected(self, v):
@@ -248,6 +269,18 @@ class TestCoveringInducedMatching:
         assert find_covering_induced_matching(g, 0) == []
 
 
+@st.composite
+def hub_factors(draw):
+    """A bipartite graph on 1..4 vertices or, three times in four, its
+    corona (a pendant on every vertex), where every vertex has a covering
+    induced matching."""
+    g = draw(bipartite_graphs(max_n=4))
+    if not draw(st.integers(0, 3)):
+        return g
+    pendants = [(v, g.n + v) for v in range(g.n)]
+    return build_graph([f"v{i}" for i in range(2 * g.n)], list(g.edges) + pendants)
+
+
 class TestBlockedHub:
     def test_spider_spider_instance(self):
         g = spider(3, 2)
@@ -259,6 +292,22 @@ class TestBlockedHub:
         from edgex import validate_precoloring
 
         assert validate_precoloring(inst.product, inst.precoloring).ok
+
+    def test_cube_left_factor_inapplicable(self):
+        with pytest.raises(InapplicableError, match="left factor"):
+            build_blocked_hub_instance(hypercube(5), path(3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(hub_factors(), hub_factors())
+    def test_every_instance_is_certified_and_refuted(self, g, h):
+        try:
+            inst = build_blocked_hub_instance(g, h)
+        except InapplicableError:
+            return
+        pre = inst.precoloring
+        cert = check_local_obstruction(inst.product, pre)
+        assert (cert.hub, cert.blocked_color) == (inst.hub, 1)
+        assert decide_extendable(inst.product.graph, pre, pre.palette_size) is None
 
     def test_star_right_factor_inapplicable(self):
         with pytest.raises(InapplicableError):
@@ -297,7 +346,35 @@ class TestBlockedHub:
         assert verdict is None
 
 
+@st.composite
+def prescriptions(draw, max_n=6):
+    """Any graph on 1..max_n vertices, a palette that is often some vertex's
+    degree, and entries in up to three palette colors: not necessarily a
+    distance-2 matching, nor even proper."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    g = build_graph([f"v{i}" for i in range(n)], draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    degrees = sorted({g.degree(v) for v in range(n)} - {0})
+    palette = draw(st.sampled_from(degrees) if degrees and draw(st.booleans()) else st.integers(1, 4))
+    colors = st.integers(min_value=1, max_value=min(palette, 3))
+    entries = draw(st.dictionaries(st.sampled_from(g.edges), colors)) if g.edges else {}
+    return g, Precoloring(palette, entries)
+
+
+def _certificate_key(cert):
+    return None if cert is None else (cert.hub, cert.blocked_color, list(cert.witnesses.items()))
+
+
 class TestLocalObstruction:
+    @settings(max_examples=300, deadline=None)
+    @given(prescriptions())
+    def test_agrees_with_the_reference_scan(self, case):
+        # the index must give the scan's hub, color and witnesses, in order
+        g, pre = case
+        assert _certificate_key(check_local_obstruction(g, pre)) == _certificate_key(
+            reference_local_obstruction(g, pre)
+        )
+
     def test_certificate_on_spider_instance(self):
         inst = build_blocked_hub_instance(spider(3, 2), spider(3, 2))
         cert = check_local_obstruction(inst.product, inst.precoloring)

@@ -172,12 +172,7 @@ def reduce_instance(g: Graph, m: int, pre: Precoloring) -> ReducedInstance:
 
     residual = g
     if forced_layer:
-        adjacency = list(g.adjacency)
-        for u, v in forced_layer:
-            adjacency[u] = tuple(w for w in adjacency[u] if w != v)
-            adjacency[v] = tuple(w for w in adjacency[v] if w != u)
-        edges = tuple(e for e in g.edges if e not in forced_layer)
-        residual = Graph(g.labels, edges, tuple(adjacency))
+        residual = Graph(g.labels, tuple(e for e in g.edges if e not in forced_layer))
     degree = [len(ns) for ns in residual.adjacency]
     full = tuple(range(1, max_degree(g) + width))
     without: dict[frozenset[int], tuple[int, ...]] = {}  # lost colors -> list
@@ -367,13 +362,13 @@ def extend_over_hypercube(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
 
 def extend_hypercube(d: int, pre: Precoloring) -> EdgeColoring:
     """Extend a valid precolored induced matching of Q_d to a proper
-    d-edge-coloring: the hypercube is Q_{d-1} box K_2 on the last bit."""
+    d-edge-coloring: the hypercube is Q_{d-1} box K_2 on the last bit, with
+    the same edges as hypercube(d), which serves as the product."""
     _require_positive(d=d)
     what = f"Q_{d}"
     _require_size(what, *_cube_size(d))
     _require_palette(pre, d, what)
-    base = hypercube(d - 1)
-    return _extend(base, 1, cartesian_product(base, complete(2)).graph, d, what, pre)
+    return _extend(hypercube(d - 1), 1, hypercube(d), d, what, pre)
 
 
 def _star_to_host(i: int, m: int) -> int:

@@ -12,9 +12,11 @@ its last leaf; the extension pipeline places G x K_{1,m} inside
 (G x K_{1,m-1}) x K_2 by that indexing.
 
 Products and hypercubes are emitted with canonical edges in lexicographic
-order and sorted adjacency by construction, in one pass and unchecked: their
-inputs are Graphs or a checked dimension. The small families with user
-parameters go through build_graph, the checked entry for outside input.
+order by construction, in one pass and unchecked: their inputs are Graphs or
+a checked dimension. They build no adjacency rows (a Graph derives those on
+first use), and every vertex in their edge tuples is the one int object of
+its index. The small families with user parameters go through build_graph,
+the checked entry for outside input.
 
 Every constructor here and the product, and every extension entry point on
 its product's counts, first run ``_require_size``, the one size check.
@@ -128,23 +130,20 @@ def cycle(n: int) -> Graph:
 
 
 def hypercube(d: int) -> Graph:
-    """Q_d with vertices labeled by d-bit strings (empty label for d = 0)."""
+    """Q_d with vertices labeled by d-bit strings (empty label for d = 0).
+
+    Vertex i's upper edges set one clear bit, lowest first, so the edges
+    come out sorted; both ends of each are taken from one list of the
+    vertex ints."""
     _require_ints(d=d)
     if d < 0:
         raise BadParameterError("hypercube needs d >= 0")
     _require_size(f"Q_{d}", *_cube_size(d))
-    n = 1 << d
-    labels = tuple(format(i, f"0{d}b") if d else "" for i in range(n))
+    ids = list(range(1 << d))
+    labels = tuple(format(i, f"0{d}b") if d else "" for i in ids)
     bits = [1 << b for b in range(d)]
-    high_first = bits[::-1]
-    edges = tuple((i, i | t) for i in range(n) for t in bits if not i & t)
-    # lower neighbors clear a set bit, highest first; upper ones set a clear
-    # bit, lowest first: ascending either way
-    adjacency = tuple(
-        tuple([i ^ t for t in high_first if i & t] + [i | t for t in bits if not i & t])
-        for i in range(n)
-    )
-    return Graph(labels, edges, adjacency)
+    edges = tuple((i, ids[i | t]) for i in ids for t in bits if not i & t)
+    return Graph(labels, edges)
 
 
 def spider(legs: int, leg_length: int) -> Graph:
@@ -190,29 +189,24 @@ def cartesian_product(g: Graph, h: Graph) -> ProductGraph:
     """G box H: a layer copy of G for every vertex of H (edges (u,w)-(v,w))
     and a fiber copy of H for every vertex of G (edges (u,w)-(u,z)).
 
-    One pass over both adjacencies, in product index order, emits canonical
-    edges already sorted and sorted adjacency, without build_graph's checks.
-    Vertex a = u*k + w starts its fiber edges to u*k + z, z > w in H, then
-    its layer edges to v*k + w, v > u in G: every fiber end lies below
-    (u+1)*k and every layer end at or above it. Its neighbors are the lower
-    layer ones, its whole fiber, then the upper layer ones.
+    One pass in product index order emits canonical edges already sorted,
+    without build_graph's checks and without adjacency rows. Vertex
+    a = u*k + w has its upper fiber edges at offsets z - w, z > w in H,
+    then its upper layer edges at offsets (v - u)*k, v > u in G: every
+    fiber end lies below (u+1)*k and every layer end at or above it. The
+    fiber offsets are the same for every u and the layer offsets for every
+    w. Both ends of each edge are taken from one list of the product's
+    vertex ints.
     """
     _require_size("G box H", g.n, len(g.edges), h.n, len(h.edges))
     k = h.n
+    ids = list(range(g.n * k))
     labels = tuple(f"{lu}|{lw}" for lu in g.labels for lw in h.labels)
-    above = [[z for z in ns if z > w] for w, ns in enumerate(h.adjacency)]
+    fiber = [[z - w for z in ns if z > w] for w, ns in enumerate(h.adjacency)]
     edges: list[Edge] = []
-    adjacency = []
     for u, ns in enumerate(g.adjacency):
         s = u * k
-        lower = [v * k for v in ns if v < u]
-        upper = [v * k for v in ns if v > u]
-        for w, fiber in enumerate(h.adjacency):
-            a = s + w
-            up = [b + w for b in upper]
-            edges += [(a, s + z) for z in above[w]]
-            edges += [(a, b) for b in up]
-            adjacency.append(tuple([b + w for b in lower] + [s + z for z in fiber] + up))
-    graph = Graph(labels, tuple(edges), tuple(adjacency))
-    return ProductGraph(graph=graph, left_order=g.n, right_order=k)
+        layer = [(v - u) * k for v in ns if v > u]
+        edges += [(ids[a], ids[a + o]) for a, up in zip(range(s, s + k), [f + layer for f in fiber]) for o in up]
+    return ProductGraph(graph=Graph(labels, tuple(edges)), left_order=g.n, right_order=k)
 

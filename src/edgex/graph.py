@@ -3,7 +3,10 @@
 Vertices are dense indices 0..n-1 carrying text labels. Edges are canonical
 pairs (u, v) with u < v, kept in lexicographic order so every derived
 structure (adjacency, colorings, serializations) is deterministic; their
-positions in that order are the only edge index a Graph has.
+positions in that order are the only edge index a Graph has. A Graph holds
+only its labels and edges: the adjacency rows are derived from the edges on
+first use, and edge tests and the distance rule read the edges directly, so
+a graph that is only validated against and verified never builds its rows.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DuplicateEdgeError,
@@ -40,27 +44,40 @@ def _edge_key(e: object) -> Edge:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph; immutable after construction. Adjacency
-    rows are sorted: build_graph checks it, the other builders keep it."""
+    """Simple undirected graph; immutable after construction. Its edges are
+    canonical and sorted: build_graph sorts them, the other builders emit
+    them in order. Equality compares the labels and the edges."""
 
     labels: tuple[str, ...]
     edges: tuple[Edge, ...]
-    adjacency: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbors, ascending, from one pass over the edges:
+        every (u, x) with u < x sorts before every (x, w), so row x takes
+        its lower neighbors before its upper ones. Derived on first use and
+        kept; the rows hold the edge tuples' own int objects."""
+        rows: list[list[int]] = [[] for _ in self.labels]
+        for u, v in self.edges:
+            rows[u].append(v)
+            rows[v].append(u)
+        return tuple(map(tuple, rows))
+
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        # a negative u would index a row from the end
-        if not (type(u) is int and type(v) is int and 0 <= u < self.n):
+        """Whether u and v, two ints in either order, are joined by an edge:
+        one bisection of the sorted edges, without the adjacency rows."""
+        if not (type(u) is int and type(v) is int):
             return False
-        row = self.adjacency[u]
-        i = bisect_left(row, v)
-        return i < len(row) and row[i] == v
+        e = canonical_edge(u, v)
+        i = bisect_left(self.edges, e)
+        return i < len(self.edges) and self.edges[i] == e
 
     def check_vertex(self, v: int) -> None:
         if not (type(v) is int and 0 <= v < self.n):
@@ -95,9 +112,9 @@ def build_graph(labels, pairs) -> Graph:
     the CLI, family constructors with user parameters). Pairs are
     canonicalized to (min, max); duplicates (in either order) and self-loops
     are rejected, and so is a pair that is not two int indices in range.
-    Adjacency lists come out sorted, so identical input always yields an
-    identical graph. Graphs derived from Graphs (products, hypercubes,
-    residuals) are emitted in canonical order by construction instead.
+    The edges are sorted, so identical input always yields an identical
+    graph. Graphs derived from Graphs (products, hypercubes, residuals) are
+    emitted in canonical order by construction instead.
     """
     labels = tuple(str(x) for x in labels)
     n = len(labels)
@@ -117,13 +134,7 @@ def build_graph(labels, pairs) -> Graph:
         if e in seen:
             raise DuplicateEdgeError(f"edge {e} supplied twice")
         seen.add(e)
-    edges = tuple(sorted(seen))
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
-    return Graph(labels, edges, adjacency)
+    return Graph(labels, tuple(sorted(seen)))
 
 
 def bipartition(g: Graph) -> Bipartition:
@@ -174,21 +185,43 @@ def close_edge_pairs(g: Graph, edges: list[Edge]) -> list[tuple[Edge, Edge, int]
 
     Distance 0 means a shared endpoint, 1 an endpoint of one adjacent to an
     endpoint of the other; every other pair is at distance >= 2. The entries
-    are indexed by endpoint once; each entry then looks up the entries at
-    its ends and at every neighbor of its ends, in O(sum of endpoint degrees
-    + pairs), without a BFS. Edges must be canonical edges of g; a repeated
-    edge pairs with itself at distance 0.
+    are indexed by endpoint once. An entry end x finds the entry ends
+    adjacent to it in its run of upper edges (x, w) in g.edges, which one
+    bisection locates; each such link is recorded at both ends, unless both
+    ends hold the same entries, which already pair at distance 0 there. Only
+    the entries at a linked or shared end then look up their partners, so a
+    distance-2 matching costs one bisection and one upper run per end, and
+    g's adjacency rows are never read. Edges must be canonical edges of g; a
+    repeated edge pairs with itself at distance 0.
     """
     at: dict[int, list[int]] = {}
     for i, e in enumerate(edges):
         for x in e:
             at.setdefault(x, []).append(i)
-    adjacency = g.adjacency
+    g_edges = g.edges
+    size = len(g_edges)
+    near: dict[int, list[int]] = {}  # entry end -> the linked entry ends
+    for x, here in at.items():
+        k = bisect_left(g_edges, (x, x))
+        while k < size:
+            u, w = g_edges[k]
+            if u != x:
+                break
+            if w in at and at[w] != here:
+                near.setdefault(x, []).append(w)
+                near.setdefault(w, []).append(x)
+            k += 1
+    touched = {i for x in near for i in at[x]}
+    touched.update(i for here in at.values() if len(here) > 1 for i in here)
     pairs = []
-    for i, e in enumerate(edges):
-        dist = {j: 1 for x in e for w in adjacency[x] for j in at.get(w, ()) if j > i}
-        dist.update((j, 0) for x in e for j in at[x] if j > i)
-        pairs.extend((e, edges[j], dist[j]) for j in sorted(dist))
+    for i in sorted(touched):
+        e = edges[i]
+        dist = {j: 1 for x in e for w in near.get(x, ()) for j in at[w] if j > i}
+        for x in e:
+            for j in at[x]:
+                if j > i:
+                    dist[j] = 0
+        pairs += [(e, edges[j], dist[j]) for j in sorted(dist)]
     return pairs
 
 

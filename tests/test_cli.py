@@ -166,12 +166,14 @@ class TestExtendVerify:
             return cartesian_product(g, h)
 
         def counting_hypercube(d):
-            calls.append(d)
+            if d == 3:  # the product Q_3; extend_hypercube also builds its base Q_2
+                calls.append(d)
             return hypercube(d)
 
         monkeypatch.setattr(cli, "cartesian_product", counting_product)
         monkeypatch.setattr(cli, "hypercube", counting_hypercube)
         monkeypatch.setattr(extension, "cartesian_product", counting_product)
+        monkeypatch.setattr(extension, "hypercube", counting_hypercube)
         if factor == "qd:3":
             base = [write_graph(tmp_path, hypercube(3), "q3")] if check else []
             pre = write_pre(tmp_path, Precoloring(3, {(0, 1): 1}))

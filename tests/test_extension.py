@@ -637,6 +637,23 @@ class TestExtendHypercube:
         with pytest.raises(BadParameterError):
             extend_hypercube(0, Precoloring(0, {}))
 
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_product_is_the_split_cube(self, monkeypatch, d):
+        # hypercube(d) has the edges of Q_{d-1} x K_2, so it serves as the
+        # product and the coloring is the one through the built split
+        _, pre = roadmap_cube_instance(d)
+        base = hypercube(d - 1)
+        split = cartesian_product(base, complete(2)).graph
+        assert split.edges == hypercube(d).edges
+        through_split = extension._extend(base, 1, split, d, f"Q_{d}", pre)
+
+        def no_product(g, h):
+            raise AssertionError("extend_hypercube built a Cartesian product")
+
+        monkeypatch.setattr(extension, "cartesian_product", no_product)
+        col = extend_hypercube(d, pre)
+        assert list(col.assignment.items()) == list(through_split.assignment.items())
+
     def test_q10_roadmap_instance(self):
         q, pre = roadmap_cube_instance(10)
         assert len(pre.entries) == 100
@@ -867,6 +884,30 @@ class TestOnePipeline:
         entries = {(1, 0): 1}
         extend(Precoloring(3, entries))
         assert checked == [entries]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["hypercube", "complete", "over_hypercube", "star"])
+    def test_product_rows_never_derived(self, monkeypatch, kind, m):
+        # the product is only validated against, keyed by and verified, so
+        # no extension derives its adjacency rows
+        products = []
+
+        def recording(g, col, lists=None, prescribed=None):
+            products.append(g)
+            return verify_proper(g, col, lists, prescribed)
+
+        monkeypatch.setattr(extension, "verify_proper", recording)
+        g, entries = cycle(6), {(0, 1): 1}
+        if kind == "hypercube":
+            extend_hypercube(m + 2, Precoloring(m + 2, entries))
+        elif kind == "complete":
+            extend_over_complete(g, m, Precoloring(2 * m + 1, entries))
+        elif kind == "over_hypercube":
+            extend_over_hypercube(g, m, Precoloring(m + 2, entries))
+        else:
+            extend_over_star(g, m, Precoloring(m + 2, entries))
+        assert len(products) == 1
+        assert "adjacency" not in vars(products[0])
 
     @every_extend
     def test_final_check_catches_a_disagreement(self, monkeypatch, extend):

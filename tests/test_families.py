@@ -173,7 +173,8 @@ class TestCartesianProduct:
                 assert p.graph.has_edge(p.vertex(u, w), p.vertex(v, w))
 
     def test_hypercube_is_iterated_k2_product(self):
-        # the extension pipeline colors Q_d as Q_{d-1} x K_2 in Q_d's indices
+        # the extension pipeline colors Q_d as Q_{d-1} x K_2 in Q_d's indices,
+        # and extend_hypercube takes hypercube(d) itself as that product
         for d in range(1, 11):
             direct = hypercube(d)
             p = cartesian_product(hypercube(d - 1), complete(2))
@@ -205,6 +206,17 @@ class TestOrderedBuilds:
     def test_hypercube_equals_reference(self):
         for d in range(13):
             assert hypercube(d) == reference_hypercube(d)
+
+    def test_one_int_object_per_vertex(self):
+        # vertex ints above 256 are not cached by CPython: the builders take
+        # both ends of every edge from one list, and the derived rows hold
+        # the same objects
+        g = hypercube(10)
+        ids = {id(x) for e in g.edges for x in e}
+        assert len(ids) == 1024
+        assert {id(x) for row in g.adjacency for x in row} == ids
+        p = cartesian_product(hypercube(6), complete(5)).graph
+        assert len({id(x) for e in p.edges for x in e}) == p.n == 320
 
 
 class TestStarEmbedding:

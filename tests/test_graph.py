@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -6,12 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgex import (
+    EdgeColoring,
+    Precoloring,
     bipartition,
     build_graph,
     canonical_edge,
+    cartesian_product,
+    complete,
+    cycle,
+    extend_over_complete,
     hypercube,
     max_degree,
     path,
+    reduce_instance,
+    standard_family,
+    validate_precoloring,
+    verify_proper,
 )
 from edgex.errors import (
     DuplicateEdgeError,
@@ -20,10 +31,13 @@ from edgex.errors import (
     UnknownEdgeError,
     VertexIndexError,
 )
+from edgex.graph import close_edge_pairs
 from helpers import (
     adjacent_edges,
+    connected_bipartite_catalog,
     distances_from,
     edge_distance,
+    random_valid_precoloring,
     small_bipartite_graphs,
     vertex_distance,
     x_vertices,
@@ -216,8 +230,9 @@ class TestCheckEdge:
 
 
 class TestHasEdge:
-    """Membership bisects an adjacency row; it answers as the edge list
-    does for every pair of ints, and False for anything else."""
+    """Membership bisects the sorted edges; it answers as the edge list
+    does for every pair of ints, and False for anything else, without
+    deriving the adjacency rows."""
 
     @pytest.mark.parametrize(
         "g",
@@ -232,10 +247,138 @@ class TestHasEdge:
         for u in span:
             for v in span:
                 assert g.has_edge(u, v) == (canonical_edge(u, v) in edges), (u, v)
+        assert "adjacency" not in vars(g)
 
-    @pytest.mark.parametrize("u, v", [(1.0, 2), (1, 2.0), (True, 2), ("1", 2), (1, "2"), (None, 0), (0, None)])
+    def test_matches_the_edge_list_on_the_catalog(self):
+        # both orders, negative and out-of-range indices, on every small
+        # bipartite graph, disconnected and edgeless ones included
+        for g in small_bipartite_graphs(4):
+            edges = set(g.edges)
+            span = range(-2, g.n + 2)
+            assert all(g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges) for u in span for v in span)
+            assert "adjacency" not in vars(g)
+
+    @pytest.mark.parametrize(
+        "u, v",
+        [(1.0, 2), (1, 2.0), (True, 2), ("1", 2), (1, "2"), (None, 0), (0, None), (False, True), (0.0, 1.0), (0, True)],
+    )
     def test_non_int_is_no_edge(self, u, v):
+        # (0, 1) and (1, 2) are edges of path(4): a bool or a float naming
+        # them must still answer False
         assert not path(4).has_edge(u, v)
+
+
+def _bfs_close_pairs(g, edges):
+    """What close_edge_pairs must return, from the BFS edge distances."""
+    return [(e, f, d) for e, f in combinations(edges, 2) if (d := edge_distance(g, e, f)) < 2]
+
+
+class TestCloseEdgePairs:
+    """The local distance rule against BFS distances: pairs by entry
+    position, a repeated edge paired with itself at distance 0, nothing
+    across components, and the adjacency rows never derived."""
+
+    def test_agrees_with_bfs_on_the_catalog(self):
+        for index, g in enumerate(small_bipartite_graphs(5)):
+            rng = random.Random(index)
+            entries = rng.sample(g.edges, rng.randint(0, len(g.edges)))  # in any order
+            if entries and rng.random() < 0.5:
+                entries.insert(rng.randrange(len(entries) + 1), rng.choice(entries))
+            got = close_edge_pairs(g, entries)
+            assert "adjacency" not in vars(g)
+            assert got == _bfs_close_pairs(g, entries), (g.edges, entries)
+
+    @given(graphs(), st.data())
+    @settings(max_examples=200)
+    def test_agrees_with_bfs_on_any_graph(self, g, data):
+        # odd cycles too; entries repeat and come in any order
+        entries = data.draw(st.lists(st.sampled_from(g.edges))) if g.edges else []
+        assert close_edge_pairs(g, entries) == _bfs_close_pairs(g, entries)
+
+    def test_agrees_with_bfs_on_a_product(self):
+        product = cartesian_product(cycle(6), complete(4)).graph
+        rng = random.Random(6)
+        for size in (0, 1, 5, 20, len(product.edges)):
+            entries = rng.sample(product.edges, size)
+            assert close_edge_pairs(product, entries) == _bfs_close_pairs(product, entries)
+
+    def test_repeated_edge_pairs_with_itself(self):
+        g = path(4)
+        assert close_edge_pairs(g, [(1, 2), (1, 2)]) == [((1, 2), (1, 2), 0)]
+        assert close_edge_pairs(g, [(0, 1), (2, 3), (0, 1)]) == [
+            ((0, 1), (2, 3), 1),
+            ((0, 1), (0, 1), 0),
+            ((2, 3), (0, 1), 1),
+        ]
+
+    def test_pairs_follow_entry_positions(self):
+        g = path(5)
+        assert close_edge_pairs(g, [(3, 4), (2, 3), (0, 1)]) == [((3, 4), (2, 3), 0), ((2, 3), (0, 1), 1)]
+
+    def test_disconnected(self):
+        g = build_graph("abcdefg", [(0, 1), (1, 2), (3, 4), (5, 6)])
+        assert close_edge_pairs(g, [(0, 1), (3, 4), (5, 6)]) == []
+        assert close_edge_pairs(g, [(5, 6), (1, 2), (3, 4), (0, 1)]) == [((1, 2), (0, 1), 0)]
+        assert "adjacency" not in vars(g)
+
+
+def _independent_rows(g):
+    near = {v: set() for v in range(g.n)}
+    for u, v in g.edges:
+        near[u].add(v)
+        near[v].add(u)
+    return tuple(tuple(sorted(near[v])) for v in range(g.n))
+
+
+class TestDerivedAdjacency:
+    """A Graph holds its labels and edges; every builder's rows, derived on
+    first use, are the sorted neighbor sets of its edges."""
+
+    @given(graphs())
+    def test_build_graph(self, g):
+        assert "adjacency" not in vars(g)
+        assert g.adjacency == _independent_rows(g)
+        assert vars(g)["adjacency"] is g.adjacency
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("complete", (5,)), ("complete_bipartite", (3, 4)), ("star", (5,)), ("path", (6,)), ("cycle", (7,)),
+         ("hypercube", (0,)), ("hypercube", (1,)), ("hypercube", (9,)), ("spider", (4, 3))],
+    )
+    def test_families(self, kind, params):
+        g = standard_family(kind, *params)
+        assert g.adjacency == _independent_rows(g)
+
+    def test_cartesian_product(self):
+        catalog = connected_bipartite_catalog(4) + [build_graph("ab", []), hypercube(3)]
+        for g in catalog:
+            for h in catalog:
+                p = cartesian_product(g, h).graph
+                assert p.adjacency == _independent_rows(p)
+
+    def test_reduce_instance_residual(self):
+        rng = random.Random(3)
+        for g in connected_bipartite_catalog(6):
+            for m in (1, 2):
+                product = cartesian_product(g, complete(2 * m)).graph
+                pre = random_valid_precoloring(rng, product, max_degree(g) + 2 * m - 1, 4)
+                residual = reduce_instance(g, m, pre).base_residual
+                assert residual.adjacency == _independent_rows(residual)
+
+    def test_validation_and_verification_leave_the_product_rows_underived(self):
+        g = cycle(8)
+        product = cartesian_product(g, complete(4)).graph
+        pre = random_valid_precoloring(random.Random(8), product, 5, 6)
+        col = extend_over_complete(g, 2, pre)
+        fresh = cartesian_product(g, complete(4)).graph
+        assert validate_precoloring(fresh, pre).ok
+        assert verify_proper(fresh, col, prescribed=pre.entries).ok
+        assert "adjacency" not in vars(fresh)
+        # an invalid prescription and a conflict are still reported
+        e, f = fresh.edges[:2]
+        assert not validate_precoloring(fresh, Precoloring(5, {e: 1, f: 2})).ok
+        assert "adjacency" not in vars(fresh)
+        assert not verify_proper(fresh, EdgeColoring(5, {**col.assignment, e: col.assignment[f]})).ok
 
 
 def test_small_bipartite_catalog_is_bipartite():

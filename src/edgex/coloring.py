@@ -8,6 +8,8 @@
   demand (Borodin, Kostochka and Woodall); no repair and no search runs.
   An edge is its id, its position in the lexicographic g.edges, so loops
   visit the edges in canonical order, item for item as over edge tuples.
+  Colors stay lists by edge id until the boundary: the assignment lists the
+  edges in g.edges order, as every other coloring of the library does.
 * ``exact_list_color`` is the complete cross-check: backtracking with
   minimum-remaining-values ordering (edges bucketed by colors left),
   forward checking and a pigeonhole cut at every vertex an assignment
@@ -23,7 +25,7 @@ import logging
 from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import groupby
 
 from .errors import (
@@ -129,23 +131,11 @@ def verify_proper(
     that is not ints) and agreement with a prescription (edge -> color,
     keys in either order).
 
-    Linear passes over g.edges read each edge's color once. Properness is
-    screened with a set of int keys x * (p + 1) + c, one per end x of an
-    edge colored c (p the palette size). On palette colors a key names the
-    pair (x, c), so the coloring is proper iff the set holds 2|E| keys; two
-    edges clashing at a vertex always give equal keys, whatever the color.
-    An off-palette color may alias another end's key, which only costs the
-    exact pass. A color that is not an int (a bool is not) is off the
-    palette and sends the call to the exact pass, where only numbers clash
-    (True equals 1). That pass runs only then or when the set is short and
-    lists every clashing pair vertex by vertex, colors ascending, edges in
-    adjacency order, so reports are the same as when it ran on every call.
-    A palette size that is not an int raises BadParameterError. Once every
-    edge is known colored, the coloring holds a pair outside g only when it
-    has more keys than g has edges; those are listed in insertion order.
-    Disagreements are listed by canonical edge, a prescribed pair left
-    uncolored as got None. This is the one place a coloring is compared
-    with a prescription.
+    The boundary view of ``_verify``: it reads each edge's color once, in
+    g.edges order (MissingEdgeError names the edges left uncolored), and
+    checks that list. Once every edge is known colored, the coloring holds
+    a pair outside g only when it has more keys than g has edges; those are
+    listed in insertion order.
     """
     a = col.assignment
     try:
@@ -153,38 +143,77 @@ def verify_proper(
     except KeyError:
         _require_covered(g, a, "coloring")
         raise
-    p = col.palette_size
+    report = _verify(g, colors, col.palette_size, lists, prescribed, a)
+    if len(a) > len(colors):
+        known = set(g.edges)
+        report = replace(report, not_edges=tuple(e for e in a if e not in known))
+    return report
+
+
+def _verify(
+    g: Graph,
+    colors: list,
+    p: int,
+    lists: ListAssignment | None = None,
+    prescribed: Mapping[Edge, object] | None = None,
+    colored: Mapping[object, object] | None = None,
+) -> ColoringReport:
+    """verify_proper of the coloring that gives edge i of g colors[i], over
+    palette 1..p; a prescribed pair that is no edge of g reads its color
+    from `colored` (None when absent). Pairs outside g are not its concern.
+
+    Linear passes over g.edges read each edge's color once. Properness is
+    screened with a set of int keys x * (p + 1) + c, one per end x of an
+    edge colored c. On palette colors a key names the pair (x, c), so the
+    coloring is proper iff the set holds 2|E| keys; two edges clashing at a
+    vertex always give equal keys, whatever the color. An off-palette color
+    may alias another end's key, which only costs the exact pass. A color
+    that is not an int (a bool is not) is off the palette and sends the call
+    to the exact pass, where only numbers clash (True equals 1). That pass
+    runs only then or when the set is short and lists every clashing pair
+    vertex by vertex, colors ascending, edges in adjacency order (each
+    vertex's edge ids in g.edges order), so reports are the same as when it
+    ran on every call. A palette size that is not an int raises
+    BadParameterError. Disagreements are listed by canonical edge, a
+    prescribed pair left uncolored as got None. This is the one place a
+    coloring is compared with a prescription.
+    """
+    edges = g.edges
     _require_ints(palette_size=p)
-    off_palette = [e for e, c in zip(g.edges, colors) if type(c) is not int or not 1 <= c <= p]
+    off = [i for i, c in enumerate(colors) if type(c) is not int or not 1 <= c <= p]
     conflicts = []
-    if any(type(a[e]) is not int for e in off_palette) or len(
-        {x * (p + 1) + c for e, c in zip(g.edges, colors) for x in e}
+    if any(type(colors[i]) is not int for i in off) or len(
+        {x * (p + 1) + c for e, c in zip(edges, colors) for x in e}
     ) < 2 * len(colors):
-        for v in range(g.n):
+        at: list[list[int]] = [[] for _ in range(g.n)]  # vertex -> its edge ids
+        for i, (u, v) in enumerate(edges):
+            at[u].append(i)
+            at[v].append(i)
+        for ids in at:
             by_color: dict[object, list[Edge]] = {}
-            for w in g.adjacency[v]:
-                e = canonical_edge(v, w)
-                if isinstance(a[e], (int, float)):
-                    by_color.setdefault(a[e], []).append(e)
+            for i in ids:
+                if isinstance(colors[i], (int, float)):
+                    by_color.setdefault(colors[i], []).append(edges[i])
             # two distinct edges share at most one vertex, so each clashing
             # pair is discovered exactly once, at that vertex
             for _, same in sorted(by_color.items()):
                 conflicts.extend((same[i], same[j]) for i in range(len(same)) for j in range(i + 1, len(same)))
     off_list = []
     if lists is not None:
-        off_list = [e for e, c in zip(g.edges, colors) if e in lists.lists and c not in _color_list(e, lists.lists[e])]
+        ls = lists.lists
+        off_list = [e for e, c in zip(edges, colors) if e in ls and c not in _color_list(e, ls[e])]
     disagreements = []
     if prescribed is not None:
-        keyed = ((_edge_key(e), c) for e, c in prescribed.items())
-        disagreements = sorted(((e, c, a.get(e)) for e, c in keyed if a.get(e) != c), key=lambda t: t[0])
-    known = set(g.edges) if len(a) > len(colors) else None
-    not_edges = [e for e in a if e not in known] if known is not None else []
+        for e, c in sorted(((_edge_key(e), c) for e, c in prescribed.items()), key=lambda t: t[0]):
+            i = bisect_left(edges, e)
+            got = colors[i] if i < len(edges) and edges[i] == e else None if colored is None else colored.get(e)
+            if got != c:
+                disagreements.append((e, c, got))
     return ColoringReport(
         conflicts=tuple(conflicts),
-        off_palette=tuple(off_palette),
+        off_palette=tuple(edges[i] for i in off),
         off_list=tuple(off_list),
         disagreements=tuple(disagreements),
-        not_edges=tuple(not_edges),
     )
 
 
@@ -375,11 +404,11 @@ def _kernel_rounds(
     ys: list[int],
     kx: list[int],
     ky: list[int],
-) -> EdgeColoring:
+) -> list[int]:
     """The kernel rounds of ``demand_list_color``, by edge id: lists `ls`
     and their colors `sets` (from ``_edge_lists``), ends xs in X and ys, and
     a base's rank keys kx at the X end and ky at the Y end (the lower ranks
-    higher; 0 <= kx <= |E|).
+    higher; 0 <= kx <= |E|). Returns each edge's color by edge id.
 
     Per palette color, ascending, until every edge is colored, the uncolored
     edges whose list holds it are matched by deferred acceptance (X proposes
@@ -387,12 +416,12 @@ def _kernel_rounds(
     an unmatched edge xy is dominated by a newly colored edge that x or y
     ranks above it, and loses that color. So the base is certified, and no
     list runs dry, when out(xy), the edges that x and y rank above xy, stay
-    below |L(xy)|. A round forms its colored edge tuples at its end, in the
-    order of `held`, so the result is the same as over edge tuples.
+    below |L(xy)|. A round writes its color at the ids it matched; no edge
+    tuple is formed but to name an edge in an error.
     """
     edges = g.edges
     allowed = [sets[id(colors)] for colors in ls]
-    colored: dict[Edge, int] = {}
+    colored = [0] * len(edges)
     palette = sorted(set().union(*sets.values()))
 
     # each X vertex's edges in one run, by ascending key; a round's filter
@@ -420,8 +449,9 @@ def _kernel_rounds(
                 free.append(xs[cur])
             else:
                 free.append(x)
-        colored.update(dict.fromkeys({edges[i] for i in held.values()}, k))
         matched = set(held.values())
+        for i in matched:
+            colored[i] = k
         if matched:
             uncolored = [i for i in uncolored if i not in matched]
         at_x = {xs[i]: i for i in matched}
@@ -430,9 +460,9 @@ def _kernel_rounds(
             if i not in matched and kx[at_x.get(xs[i], i)] >= kx[i] and ky[held.get(ys[i], i)] >= ky[i]:
                 raise NoKernelError(f"edge {edges[i]} neither colored nor dominated for color {k}")
 
-    if len(colored) != len(edges):
+    if uncolored:
         raise NoKernelError("edges left uncolored after the palette pass")
-    return EdgeColoring(palette_size=palette[-1] if palette else 0, assignment=colored)
+    return colored
 
 
 def exact_list_color(g: Graph, lists: ListAssignment, budget: int | None = None) -> EdgeColoring | None:
@@ -645,9 +675,23 @@ def demand_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
     max(deg(u), deg(w)) of its edge uw (else ProofInvariantError); then the
     kernel rounds. Lists below demand that no base certifies raise
     DemandViolationError naming every edge below demand. A call that colors
-    logs its base (konig or peeled) and its lists below max degree."""
+    logs its base (konig or peeled) and its lists below max degree. The
+    assignment lists the edges in g.edges order, as konig_color's does; the
+    palette size is the largest color of any list.
+
+    The boundary view of ``_list_color``: it reads the lists by edge id and
+    keys the colors by edge."""
     side = bipartition(g).side
     ls, sets = _edge_lists(g, lists)
+    colors = _list_color(g, side, ls, sets)
+    palette = max(set().union(*sets.values()), default=0)
+    return EdgeColoring(palette_size=palette, assignment=dict(zip(g.edges, colors)))
+
+
+def _list_color(g: Graph, side: tuple[str, ...], ls: list[tuple[int, ...]], sets: dict[int, set[int]]) -> list[int]:
+    """demand_list_color by edge id: g with its bipartition's sides, each
+    edge's list `ls` and the lists' colors `sets` (as ``_edge_lists`` gives
+    them); returns each edge's color by edge id."""
     edges = g.edges
     xs = [u if side[u] == SIDE_X else v for u, v in edges]
     ys = [v if side[u] == SIDE_X else u for u, v in edges]

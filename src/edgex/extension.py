@@ -2,15 +2,19 @@
 
 Every extend_* call runs one pipeline, ``_extend``, through a host
 base box K_{2m}, in a fixed order: palette check; one validation of the
-prescription on the caller's product; reduce_instance (layer entries remove
+prescription on the caller's product; the reduction (layer entries remove
 their base edge, fiber entries stay; every surviving base edge gets the
-palette minus the colors blocked at its two ends); demand_list_color on the
+palette minus the colors blocked at its two ends); the list coloring of the
 residual base; one pass that colors the product in its own edge order, each
 edge a copy of its base edge's color or its fiber class's color at its base
 vertex (``_vertex_colors``, the free-color rule, with each fiber entry's
-class pinned to its color); one verify_proper on the caller's product
-(proper, in palette, agreeing with the prescription, only its edges
-colored), whose failure is an internal error.
+class pinned to its color); one final check on the caller's product
+(proper, in palette, agreeing with the prescription), whose failure is an
+internal error. Each stage is the private, positional core of a public
+function (``_reduce`` of reduce_instance, ``coloring._list_color`` of
+demand_list_color, ``coloring._verify`` of verify_proper): lists and colors
+pass between them as lists by edge id, and the only per-edge dict is the
+result.
 An entry point checks its integers, bipartitions the caller's own G first
 (so an odd cycle is reported in G's indices), runs the families size check
 on the counts of its product before building anything, and picks base,
@@ -25,16 +29,16 @@ time.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from operator import itemgetter
 
 from .coloring import (
     EdgeColoring,
     ListAssignment,
-    demand_list_color,
+    _list_color,
+    _verify,
     one_factorization,
-    verify_proper,
 )
 from .errors import (
     BadParameterError,
@@ -49,6 +53,7 @@ from .graph import (
     Edge,
     Graph,
     _edge_key,
+    _without_edges,
     bipartition,
     canonical_edge,
     close_edge_pairs,
@@ -135,27 +140,49 @@ def reduce_instance(g: Graph, m: int, pre: Precoloring) -> ReducedInstance:
     vertex's K_{2m}) by the vertex indexing, and records the color each
     blocks at its base vertices. Keys are checked against G box K_{2m} by
     index arithmetic, without building it. The residual is g less the
-    removed edges, by filtering (g itself when none is removed). A residual
-    edge's list is the palette minus the colors blocked at its two ends,
-    one tuple per distinct set of blocked colors. On valid input each
-    base vertex is blocked at most once, so a list loses at most two colors
-    and never drops below the endpoint-degree demand; any breach of that is
-    a validation bug and raises ProofInvariantError. A color that is not an
+    removed edges, its rows g's with those at the removed edges' ends
+    rebuilt (g itself when none is removed). A residual edge's list is the
+    palette minus the colors blocked at its two ends, one tuple per
+    distinct set of blocked colors. On valid input each base vertex is
+    blocked at most once, so a list loses at most two colors and never
+    drops below the endpoint-degree demand; any breach of that is a
+    validation bug and raises ProofInvariantError. A color that is not an
     int raises BadParameterError once the entries are classified.
+
+    The boundary view of ``_reduce``: it keys the lists and the layer
+    entries by edge, the layer entries in the order of their keys.
     """
+    residual, ls, _sets, forced, fiber_prescriptions = _reduce(g, m, pre.entries)
+    return ReducedInstance(
+        base_residual=residual,
+        lists=ListAssignment(lists=dict(zip(residual.edges, ls))),
+        forced_layer={g.edges[i]: color for i, color in forced.items()},
+        fiber_prescriptions=fiber_prescriptions,
+    )
+
+
+def _reduce(
+    g: Graph, m: int, entries: dict[Edge, int]
+) -> tuple[Graph, list[tuple[int, ...]], dict[int, set[int]], dict[int, int], dict[int, tuple[Edge, int]]]:
+    """reduce_instance by edge id: the residual; its lists in
+    residual.edges order and their colors by list id, as ``_edge_lists``
+    gives them; each removed base edge's id mapped to its color, in the
+    order of the entries' keys; and the fiber prescriptions."""
     _require_positive(m=m)
     width = 2 * m
     _require_size(f"K_{width}", width, m * (width - 1))  # bounds the palette, max degree + 2m - 1
-    forced_layer: dict[Edge, int] = {}
+    edges = g.edges
+    forced: dict[int, int] = {}  # removed base edge id -> its color
     fiber_prescriptions: dict[int, tuple[Edge, int]] = {}
     blocked: dict[int, int] = {}  # base vertex -> the color prescribed at it
-    keyed = sorted(((_edge_key(e), c) for e, c in pre.entries.items()), key=lambda t: t[0])
+    keyed = sorted(((_edge_key(e), c) for e, c in entries.items()), key=lambda t: t[0])
     for (a, b), color in keyed:
         (u, w), (v, z) = divmod(a, width), divmod(b, width)
-        if w == z and g.has_edge(u, v):
-            if (u, v) in forced_layer:
+        i = bisect_left(edges, (u, v))  # a < b, so (u, v) is canonical
+        if w == z and i < len(edges) and edges[i] == (u, v):
+            if i in forced:
                 raise ProofInvariantError(f"base edge {(u, v)} precolored in two copies")
-            forced_layer[(u, v)] = color
+            forced[i] = color
         elif w != z and u == v and 0 <= u < g.n:
             if u in fiber_prescriptions:
                 raise ProofInvariantError(f"two fiber prescriptions at base vertex {u}")
@@ -170,34 +197,33 @@ def reduce_instance(g: Graph, m: int, pre: Precoloring) -> ReducedInstance:
         if type(color) is not int:
             raise BadParameterError(f"color {color!r} blocked at base vertex {x} is not an int")
 
-    residual = g
-    if forced_layer:
-        residual = Graph(g.labels, tuple(e for e in g.edges if e not in forced_layer))
-    degree = [len(ns) for ns in residual.adjacency]
     full = tuple(range(1, max_degree(g) + width))
+    residual = _without_edges(g, sorted(forced)) if forced else g
+    degree = [len(ns) for ns in residual.adjacency]
     without: dict[frozenset[int], tuple[int, ...]] = {}  # lost colors -> list
-    lists: dict[Edge, tuple[int, ...]] = {}
+    ls: list[tuple[int, ...]] = []
+    touched = 0  # residual edges with a blocked end
     for e in residual.edges:
         u, v = e
         lost = None
+        colors = full
         if u in blocked or v in blocked:
+            touched += 1
             lost = frozenset(blocked[x] for x in e if x in blocked)
             if lost not in without:
                 without[lost] = tuple(c for c in full if c not in lost)
-        lists[e] = full if lost is None else without[lost]
+            colors = without[lost]
+        ls.append(colors)
         demand = max(degree[u], degree[v])
-        if len(lists[e]) < demand:
+        if len(colors) < demand:
             raise ProofInvariantError(f"list of {e} shorter than its demand {demand}")
         # for m = 1 a fiber entry at one end leaves no room for any entry at
         # the other: both ends lie within distance 1 in G box K_2
         if m == 1 and len(lost or ()) == 2 and any(x in fiber_prescriptions for x in e):
             raise ProofInvariantError(f"edge {e} lost two colors without two removed edges")
-    return ReducedInstance(
-        base_residual=residual,
-        lists=ListAssignment(lists=lists),
-        forced_layer=forced_layer,
-        fiber_prescriptions=fiber_prescriptions,
-    )
+    used = [*without.values(), full] if touched < len(ls) else without.values()
+    sets = {id(colors): set(colors) for colors in used}
+    return residual, ls, sets, forced, fiber_prescriptions
 
 
 def _vertex_colors(
@@ -219,7 +245,9 @@ def _vertex_colors(
     fiber prescriptions, which are already checked: that class takes that
     color, and the other classes take the lowest remaining free colors in
     ascending class order. The colors used at each vertex come from one
-    pass over the base edges.
+    pass over the base edges. At most deg(u) colors are taken at u, so the
+    first 2m - 1 free ones lie in 1..deg(u) + 2m - 1, within the palette,
+    and only those are scanned.
     """
     used: list[list[int]] = [[] for _ in range(g.n)]
     for (u, v), c in zip(g.edges, base_colors):
@@ -235,7 +263,7 @@ def _vertex_colors(
         lo = hi
         taken = set(used[u])
         # the first 2m - 1 free colors are all any class can take
-        avail = list(islice((c for c in palette_colors if c not in taken), width - 1))
+        avail = [c for c in range(1, len(row) + width) if c not in taken][: width - 1]
         if len(avail) < width - 1:
             raise ProofInvariantError(f"only {len(avail)} colors free at base vertex {u}")
         if u in pinned:
@@ -299,24 +327,38 @@ def _extend(
         entries = {
             canonical_edge(_star_to_host(u, star), _star_to_host(v, star)): c for (u, v), c in entries.items()
         }
-    red = reduce_instance(base, m, Precoloring(palette, entries))
-    assigned = demand_list_color(red.base_residual, red.lists).assignment
-    forced = red.forced_layer
-    try:
-        base_colors = [forced[e] if e in forced else assigned[e] for e in base.edges]
-    except KeyError as exc:
-        raise ProofInvariantError(f"base edge {exc.args[0]} missing from the base coloring") from None
+    residual, ls, sets, forced, fiber_prescriptions = _reduce(base, m, entries)
+    colored = _list_color(residual, bipartition(residual).side, ls, sets)
+    if len(colored) != len(residual.edges):
+        raise ProofInvariantError(
+            f"base coloring holds {len(colored)} colors for {len(residual.edges)} residual edges"
+        )
+    # the removed edges' ids are ascending; before id i, k of them and i - k residual edges
+    base_colors: list[int] = []
+    lo = 0
+    for k, (i, color) in enumerate(sorted(forced.items())):
+        base_colors += colored[lo : i - k]
+        base_colors.append(color)
+        lo = i - k
+    base_colors += colored[lo:]
     width = 2 * m
     class_of = {pair: t for t, cls in enumerate(one_factorization(width)) for pair in cls}
-    pinned = {u: (class_of[pair], color) for u, (pair, color) in red.fiber_prescriptions.items()}
+    pinned = {u: (class_of[pair], color) for u, (pair, color) in fiber_prescriptions.items()}
     fiber, up = _vertex_colors(base, width, base_colors, palette, pinned)
     colors: list[int] = []
     if star is None:
+        # vertex u's block reads its fiber colors f and upper layer colors
+        # from f + up[u], by one index pattern per upper degree
         rows = [[class_of[w, z] for z in range(w + 1, width)] for w in range(width)]
+        patterns: dict[int, itemgetter] = {}
         for f, layer in zip(fiber, up):
-            for row in rows:
-                colors += [f[t] for t in row]
-                colors += layer
+            block = patterns.get(len(layer))
+            if block is None:
+                at = [t for row in rows for t in (*row, *range(width - 1, width - 1 + len(layer)))]
+                # itemgetter of one index gives a bare item, so one item is a slice
+                block = itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1))
+                patterns[len(layer)] = block
+            colors += block(f + layer)
     else:
         k = star - 1
         for c in range(0, base.n, star):
@@ -330,11 +372,10 @@ def _extend(
             colors += layer
     if len(colors) != len(product.edges):
         raise ProofInvariantError(f"assembled {len(colors)} colors for {len(product.edges)} product edges")
-    coloring = EdgeColoring(palette_size=palette, assignment=dict(zip(product.edges, colors)))
-    report = verify_proper(product, coloring, prescribed=pre.entries)
+    report = _verify(product, colors, palette, prescribed=pre.entries)
     if not report.ok:
         raise ProofInvariantError(f"assembled coloring fails its final check: {report}")
-    return coloring
+    return EdgeColoring(palette_size=palette, assignment=dict(zip(product.edges, colors)))
 
 
 def extend_over_complete(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:

@@ -7,6 +7,7 @@ positions in that order are the only edge index a Graph has. A Graph holds
 only its labels and edges: the adjacency rows are derived from the edges on
 first use, and edge tests and the distance rule read the edges directly, so
 a graph that is only validated against and verified never builds its rows.
+A graph less some of its edges takes its rows from its parent's.
 """
 
 from __future__ import annotations
@@ -93,6 +94,31 @@ class Graph:
 
     def incident_edges(self, v: int) -> list[Edge]:
         return [canonical_edge(v, w) for w in self.adjacency[v]]
+
+
+def _without_edges(g: Graph, removed: list[int]) -> Graph:
+    """g less its edges at the ascending ids `removed`. The edges are the
+    runs between them, and the adjacency rows are g's: only the rows at a
+    removed edge's end are rebuilt, by filtering, so the result never
+    derives its rows from scratch. They equal a fresh derivation, since
+    filtering keeps a row ascending."""
+    edges = g.edges
+    kept: list[Edge] = []
+    gone: dict[int, set[int]] = {}  # vertex -> its neighbors across removed edges
+    lo = 0
+    for i in removed:
+        kept += edges[lo:i]
+        lo = i + 1
+        u, v = edges[i]
+        gone.setdefault(u, set()).add(v)
+        gone.setdefault(v, set()).add(u)
+    kept += edges[lo:]
+    rows = list(g.adjacency)
+    for x, ws in gone.items():
+        rows[x] = tuple(w for w in rows[x] if w not in ws)
+    h = Graph(g.labels, tuple(kept))
+    vars(h)["adjacency"] = tuple(rows)  # the cached_property's own slot
+    return h
 
 
 @dataclass(frozen=True)

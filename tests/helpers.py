@@ -598,7 +598,7 @@ def reference_galvin_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring
     base, before the one oriented pass (per round: proposal lists rebuilt
     and re-sorted, sides read per edge, a working list per edge), kept as a
     test oracle; None when the König base fails the certificate. It logs
-    the same base=konig record."""
+    the same base=konig record, and lists the edges in g.edges order."""
     sides = bipartition(g)
     delta = max_degree(g)
     short = [e for e in g.edges if len(lists.lists[e]) < delta]
@@ -632,7 +632,7 @@ def reference_galvin_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring
     if len(colored) != len(g.edges):
         raise NoKernelError("edges left uncolored after the palette pass")
     palette_size = palette[-1] if palette else 0
-    return EdgeColoring(palette_size=palette_size, assignment=colored)
+    return EdgeColoring(palette_size=palette_size, assignment={e: colored[e] for e in g.edges})
 
 
 def reference_certifies(

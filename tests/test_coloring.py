@@ -1,5 +1,6 @@
 import logging
 import random
+from dataclasses import replace
 from unittest.mock import patch
 
 import pytest
@@ -943,6 +944,54 @@ def _verify_outcome(check, g, col, lists):
 def test_verify_proper_matches_reference(case):
     g, col, lists = case
     assert _verify_outcome(verify_proper, g, col, lists) == _verify_outcome(reference_verify_proper, g, col, lists)
+
+
+@given(verify_cases(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_verify_proper_is_its_core_on_the_edge_order(case, data):
+    # verify_proper reads the colors in g.edges order (MissingEdgeError if
+    # one is missing), hands them to coloring._verify, and adds the pairs
+    # outside g; a prescribed pair outside g reads its color from the dict
+    g, col, lists = case
+    keys = data.draw(st.lists(st.sampled_from([*g.edges, (0, g.n), (g.n, g.n + 1)]), max_size=3, unique=True))
+    prescribed = {
+        (v, u) if data.draw(st.booleans()) else (u, v): data.draw(st.integers(0, 3)) for u, v in keys
+    }
+    if data.draw(st.booleans()):
+        col = EdgeColoring(col.palette_size, {**col.assignment, (0, g.n): 1})
+    a = col.assignment
+
+    def via_core(g, col, lists):
+        missing = [e for e in g.edges if e not in a]
+        if missing:
+            raise MissingEdgeError(f"coloring misses edges {missing}")
+        report = coloring._verify(g, [a[e] for e in g.edges], col.palette_size, lists, prescribed, a)
+        return replace(report, not_edges=tuple(e for e in a if e not in set(g.edges)))
+
+    def public(g, col, lists):
+        return verify_proper(g, col, lists, prescribed)
+
+    assert _verify_outcome(public, g, col, lists) == _verify_outcome(via_core, g, col, lists)
+
+
+@given(kernel_instances())
+@settings(max_examples=200, deadline=None)
+def test_demand_list_color_is_its_core_keyed_by_edge(instance):
+    # demand_list_color parses the lists by edge id, colors by edge id and
+    # keys the colors by g.edges, in that order
+    g, lists = instance
+
+    def via_core(g, lists):
+        side = bipartition(g).side
+        ls, sets = coloring._edge_lists(g, lists)
+        colors = coloring._list_color(g, side, ls, sets)
+        return EdgeColoring(max(set().union(*sets.values()), default=0), dict(zip(g.edges, colors)))
+
+    got = _kernel_outcome(demand_list_color, g, lists)
+    assert got == _kernel_outcome(via_core, g, lists)
+    outcome, _records = got
+    if type(outcome[0]) is list:
+        assert [e for e, _c in outcome[0]] == list(g.edges)
 
 
 def test_bipartition_of_catalog_members():

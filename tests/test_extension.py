@@ -16,7 +16,6 @@ from edgex import (
     complete_bipartite,
     cycle,
     decide_extendable,
-    demand_list_color,
     extend_hypercube,
     extend_over_complete,
     extend_over_hypercube,
@@ -33,15 +32,18 @@ from edgex import (
     validate_precoloring,
     verify_proper,
 )
+from edgex.coloring import ListAssignment
 from edgex.errors import (
     BadParameterError,
+    EdgexError,
     InvalidPrecoloringError,
     NotBipartiteError,
     ProofInvariantError,
     UnknownEdgeError,
 )
 from edgex import coloring, extension, families, oracle
-from edgex.extension import require_valid
+from edgex.extension import ReducedInstance, require_valid
+from edgex.graph import Graph
 
 from helpers import (
     brute_force_extendable,
@@ -58,6 +60,7 @@ from helpers import (
     regular_bipartite,
     roadmap_cube_instance,
     complete_factor_palette,
+    star_residual,
 )
 
 # factors built once, so a size check records only the graph a call builds
@@ -366,6 +369,73 @@ class TestReduce:
     def test_non_integer_m(self, m):
         with pytest.raises(BadParameterError, match="m must be >= 1" if m == 0 else "m must be an int"):
             reduce_instance(path(2), m, Precoloring(2, {}))
+
+    @given(st.integers(0, 10**6), st.integers(1, 3), st.sampled_from(["valid", "layers", "unvalidated"]))
+    @settings(max_examples=200, deadline=None)
+    def test_is_its_core_keyed_by_edge(self, seed, m, shape):
+        # reduce_instance keys _reduce's lists by residual edge and its
+        # removed edge ids by base edge, keeping the order of both; the core's
+        # color sets are those the public lists parse to; on input that
+        # breaks an invariant both raise the same error
+        rng = random.Random(seed)
+        g = random_connected_bipartite(rng, max_n=8)
+        width = 2 * m
+        host = cartesian_product(g, complete(width)).graph
+        palette = complete_factor_palette(g, m)
+        if shape == "unvalidated":
+            entries = {rng.choice(host.edges): rng.randint(0, palette + 1) for _ in range(rng.randint(0, 4))}
+        else:
+            pool = layer_edges(host, width) if shape == "layers" else None
+            entries = random_valid_precoloring(rng, host, palette, 6, pool).entries
+
+        def via_core():
+            residual, ls, sets, forced, fibers = extension._reduce(g, m, entries)
+            lists = ListAssignment(lists=dict(zip(residual.edges, ls)))
+            assert sets == coloring._edge_lists(residual, lists)[1]
+            return ReducedInstance(residual, lists, {g.edges[i]: c for i, c in forced.items()}, fibers)
+
+        def outcome(reduce):
+            try:
+                red = reduce()
+            except EdgexError as exc:
+                return type(exc), str(exc)
+            return red, list(red.lists.lists), list(red.forced_layer.items())
+
+        assert outcome(lambda: reduce_instance(g, m, Precoloring(palette, entries))) == outcome(via_core)
+
+    @pytest.mark.parametrize("d", range(3, 12))
+    def test_cube_residual_rows_come_from_the_base(self, d):
+        _q, pre = roadmap_cube_instance(d)
+        residual = reduce_instance(hypercube(d - 1), 1, pre).base_residual
+        assert residual.edges != hypercube(d - 1).edges
+        assert "adjacency" in vars(residual)  # set by the reduction, not derived on use
+        assert residual.adjacency == Graph(residual.labels, residual.edges).adjacency
+
+    @pytest.mark.parametrize("kind", ["complete", "over_hypercube", "star"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_product_residual_rows_come_from_the_base(self, kind, m):
+        removed = 0
+        for seed in range(6):
+            rng = random.Random(f"{kind} {m} {seed}")
+            g = random_connected_bipartite(rng, max_n=10)
+            if kind == "complete":
+                host = cartesian_product(g, complete(2 * m)).graph
+                palette = complete_factor_palette(g, m)
+                pre = random_valid_precoloring(rng, host, palette, 8, layer_edges(host, 2 * m))
+                red = reduce_instance(g, m, pre)
+            elif kind == "over_hypercube":
+                base = cartesian_product(g, hypercube(m - 1)).graph
+                host = cartesian_product(base, complete(2)).graph
+                pre = random_valid_precoloring(rng, host, max_degree(g) + m, 8, layer_edges(host, 2))
+                red = reduce_instance(base, 1, pre)
+            else:  # G box K_{1,m+1}, whose base is G box K_{1,m}
+                product = cartesian_product(g, star(m + 1)).graph
+                red = star_residual(g, m + 1, random_valid_precoloring(rng, product, max_degree(g) + m + 1, 8))
+            residual = red.base_residual
+            removed += len(red.forced_layer)
+            assert "adjacency" in vars(residual)  # the base's, or set by the reduction
+            assert residual.adjacency == Graph(residual.labels, residual.edges).adjacency
+        assert removed > 0
 
 
 @st.composite
@@ -852,7 +922,8 @@ def test_m4_products_still_extend():
 
 class TestOnePipeline:
     """Every extend_* runs the one pipeline: G bipartitioned before any
-    product is built, one final verify_proper given the prescription."""
+    product is built, one final check (verify_proper's positional core,
+    coloring._verify) given the prescription."""
 
     @pytest.mark.parametrize("extend", [extend_over_complete, extend_over_hypercube, extend_over_star])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -876,11 +947,11 @@ class TestOnePipeline:
     def test_one_final_check_with_the_prescription(self, monkeypatch, extend):
         checked = []
 
-        def recording(g, col, lists=None, prescribed=None):
+        def recording(g, colors, p, lists=None, prescribed=None, colored=None):
             checked.append(prescribed)
-            return verify_proper(g, col, lists, prescribed)
+            return coloring._verify(g, colors, p, lists, prescribed, colored)
 
-        monkeypatch.setattr(extension, "verify_proper", recording)
+        monkeypatch.setattr(extension, "_verify", recording)
         entries = {(1, 0): 1}
         extend(Precoloring(3, entries))
         assert checked == [entries]
@@ -892,11 +963,11 @@ class TestOnePipeline:
         # no extension derives its adjacency rows
         products = []
 
-        def recording(g, col, lists=None, prescribed=None):
+        def recording(g, colors, p, lists=None, prescribed=None, colored=None):
             products.append(g)
-            return verify_proper(g, col, lists, prescribed)
+            return coloring._verify(g, colors, p, lists, prescribed, colored)
 
-        monkeypatch.setattr(extension, "verify_proper", recording)
+        monkeypatch.setattr(extension, "_verify", recording)
         g, entries = cycle(6), {(0, 1): 1}
         if kind == "hypercube":
             extend_hypercube(m + 2, Precoloring(m + 2, entries))
@@ -938,12 +1009,13 @@ class TestOnePipeline:
 
     @every_extend
     def test_uncolored_base_edge_is_internal_error(self, monkeypatch, extend):
-        def dropped(g, lists):
-            col = demand_list_color(g, lists)
-            return EdgeColoring(col.palette_size, dict(list(col.assignment.items())[1:]))
+        # the base coloring is a list by residual edge id; one short of it
+        # leaves a base edge uncolored
+        def dropped(*args):
+            return coloring._list_color(*args)[1:]
 
-        monkeypatch.setattr(extension, "demand_list_color", dropped)
-        with pytest.raises(ProofInvariantError, match=r"base edge \(\d+, \d+\) missing from the base coloring"):
+        monkeypatch.setattr(extension, "_list_color", dropped)
+        with pytest.raises(ProofInvariantError, match=r"base coloring holds \d+ colors for \d+ residual edges"):
             extend(Precoloring(3, {}))
 
 

@@ -1,0 +1,89 @@
+"""Byte-identity pins for the four extend_* entry points.
+
+Each digest is a sha256 over (palette_size, list(assignment.items())) of
+every call in a seeded set, in order: the coloring, its palette and the
+assignment's order are all pinned. A change that alters any output, even
+only its order, changes the digest; one that keeps every output keeps it.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from edgex import (
+    cartesian_product,
+    complete,
+    cycle,
+    extend_hypercube,
+    extend_over_complete,
+    extend_over_hypercube,
+    extend_over_star,
+    hypercube,
+    spider,
+    star,
+)
+from edgex.graph import max_degree
+
+from helpers import random_connected_bipartite, random_valid_precoloring, roadmap_cube_instance
+
+
+def _hypercube_calls():
+    for d in range(3, 10):
+        _q, pre = roadmap_cube_instance(d)
+        yield lambda pre=pre, d=d: extend_hypercube(d, pre)
+
+
+def _complete_calls():
+    bases = [spider(3, 2), spider(4, 3), spider(2, 5), cycle(4), cycle(6), cycle(10)]
+    for k, g in enumerate(bases):
+        for m in (2, 3):
+            product = cartesian_product(g, complete(2 * m)).graph
+            palette = max_degree(g) + 2 * m - 1
+            pre = random_valid_precoloring(random.Random(f"complete {k} {m}"), product, palette, 8)
+            yield lambda g=g, m=m, pre=pre: extend_over_complete(g, m, pre)
+
+
+def _factor_calls(kind, factor, extend):
+    for seed in range(6):
+        g = random_connected_bipartite(random.Random(seed), 9, 3)
+        for m in (2, 3):
+            product = cartesian_product(g, factor(m)).graph
+            palette = max_degree(g) + m
+            pre = random_valid_precoloring(random.Random(f"{kind} {seed} {m}"), product, palette, 8)
+            yield lambda g=g, m=m, pre=pre: extend(g, m, pre)
+
+
+# name -> (its calls, the digest of their outputs)
+GOLDEN = {
+    "extend_hypercube": (
+        _hypercube_calls,
+        "aabfa00140c40fa6c8329fe0f76853ab4becfded7702bb501d6f1b9f00eb7511",
+    ),
+    "extend_over_complete": (
+        _complete_calls,
+        "611673021b1c68173045e2d7dd8cf9ee8371e027ce44557e2f95f5d8b03da9e7",
+    ),
+    "extend_over_hypercube": (
+        lambda: _factor_calls("cube", hypercube, extend_over_hypercube),
+        "58832ae61128fa98c42e5be93d5e4142afa1a9418f8b5dad2e38de3ac06a51ae",
+    ),
+    "extend_over_star": (
+        lambda: _factor_calls("star", star, extend_over_star),
+        "6b52310b590f79d249cfa307a84f76f0cc96c67f0692b4b81b9e21cc0bff5a8b",
+    ),
+}
+
+
+def digest(calls) -> str:
+    h = hashlib.sha256()
+    for call in calls():
+        col = call()
+        h.update(repr((col.palette_size, list(col.assignment.items()))).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_outputs_byte_identical(name):
+    calls, want = GOLDEN[name]
+    assert digest(calls) == want

@@ -14,16 +14,19 @@
   minimum-remaining-values ordering (edges bucketed by colors left),
   forward checking and a pigeonhole cut at every vertex an assignment
   touches, on an explicit stack (no recursion limit), shared with the
-  oracle's budgeted search. The per-vertex counts the cut reads are built
-  only when a first descent without them meets a dead end; the outcome is
-  the counted search's either way.
+  oracle's budgeted search. The search runs on edge ids: domains a list of
+  sets, pins (id, color) pairs, and each assignment trims along the
+  graph's neighbor lists, which a graph derives once and keeps, so the
+  decisions of one oracle sweep share them. The per-vertex counts the cut
+  reads are built only when a first descent without them meets a dead
+  end; the outcome is the counted search's either way.
 """
 
 from __future__ import annotations
 
 import logging
 from bisect import bisect_left
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, replace
 from itertools import groupby
@@ -164,7 +167,8 @@ def _verify(
 
     Linear passes over g.edges read each edge's color once. Properness is
     screened with a set of int keys x * (p + 1) + c, one per end x of an
-    edge colored c. On palette colors a key names the pair (x, c), so the
+    edge colored c, built in one flat pass over the first ends and one over
+    the second. On palette colors a key names the pair (x, c), so the
     coloring is proper iff the set holds 2|E| keys; two edges clashing at a
     vertex always give equal keys, whatever the color. An off-palette color
     may alias another end's key, which only costs the exact pass. A color
@@ -182,9 +186,13 @@ def _verify(
     _require_ints(palette_size=p)
     off = [i for i, c in enumerate(colors) if type(c) is not int or not 1 <= c <= p]
     conflicts = []
-    if any(type(colors[i]) is not int for i in off) or len(
-        {x * (p + 1) + c for e, c in zip(edges, colors) for x in e}
-    ) < 2 * len(colors):
+    proper = all(type(colors[i]) is int for i in off)
+    if proper:
+        q = p + 1
+        keys = {u * q + c for (u, _v), c in zip(edges, colors)}
+        keys.update([v * q + c for (_u, v), c in zip(edges, colors)])
+        proper = len(keys) == 2 * len(colors)
+    if not proper:
         at: list[list[int]] = [[] for _ in range(g.n)]  # vertex -> its edge ids
         for i, (u, v) in enumerate(edges):
             at[u].append(i)
@@ -476,11 +484,12 @@ def exact_list_color(g: Graph, lists: ListAssignment, budget: int | None = None)
     """
     _require_budget(budget)
     ls, _sets = _edge_lists(g, lists)
-    assignment = _search(g, {e: set(colors) for e, colors in zip(g.edges, ls)}, budget)
-    if assignment is None:
+    found = _search(g, [set(colors) for colors in ls], budget)
+    if found is None:
         return None
+    order, colors = found
     palette = max((c for colors in ls for c in colors), default=0)
-    return EdgeColoring(palette_size=palette, assignment=assignment)
+    return EdgeColoring(palette_size=palette, assignment={g.edges[i]: colors[i] for i in order})
 
 
 def _require_budget(budget: int | None) -> None:
@@ -493,40 +502,47 @@ def _require_budget(budget: int | None) -> None:
 
 def _search(
     g: Graph,
-    domains: dict[Edge, set[int]],
+    dom: list[set[int]],
     budget: int | None = None,
-    pinned: Iterable[tuple[Edge, int]] = (),
-) -> dict[Edge, int] | None:
-    """A proper coloring of g from the given domains, or None if none exists.
+    pinned: Iterable[tuple[int, int]] = (),
+) -> tuple[list[int], list[int]] | None:
+    """A proper coloring of g from the domains `dom`, a set per edge id, or
+    None if none exists.
 
-    The pinned (edge, color) pairs, distinct edges of g whose domain is that
+    The pinned (id, color) pairs, distinct edges of g whose domain is that
     one color, are assigned first, in order, as no search nodes. Then a
     depth-first search with forward checking (Haralick and Elliott, 1980):
     the unassigned edge with the fewest colors left goes next (ties by
     canonical edge), its colors are tried in ascending order, one node each;
     passing the node budget raises BudgetExceededError. Domains are trimmed
-    in place. The witness lists the pinned edges first, then the searched
-    ones in search order.
+    in place. A coloring is returned as the witness's edge ids in insertion
+    order, the pinned edges first, then the searched ones in search order,
+    and the list of colors by edge id.
 
-    Edges are indices in canonical order, and the unassigned ones sit in
-    buckets by domain size, so the next edge is the lowest index in the
-    lowest non-empty bucket. Per vertex v, free[v] counts the unassigned
-    edges at v. An assignment fails when a neighbor's domain empties. When
-    counts are kept, cnt[v] maps each color to how many of v's unassigned
-    edges still offer it, and an assignment also fails when some vertex it
-    touched is left with more unassigned edges than colors to give them
-    (free[v] > len(cnt[v]), a pigeonhole; the blocked hub is one). Both only
-    cut subtrees without a solution, so the verdict and the first witness
-    are those of the same search without the pigeonhole.
+    Edges are ids in canonical order, and the unassigned ones sit in
+    buckets by domain size, so the next edge is the lowest id in the lowest
+    non-empty bucket; no non-empty bucket lies below the index `lo`, which
+    each trim and unassignment lowers and the next choice raises. An
+    assignment trims its edge's neighbors in g's neighbor lists, derived
+    once per graph. It fails when a neighbor's domain empties. When counts
+    are kept, free[v] counts the unassigned edges at vertex v and cnt[v]
+    maps each color to how many of them still offer it, and an assignment
+    also fails when some vertex it touched is left with more unassigned
+    edges than colors to give them (free[v] > len(cnt[v]), a pigeonhole;
+    the blocked hub is one). Both only cut subtrees without a solution, so
+    the verdict and the first witness are those of the same search without
+    the pigeonhole.
 
     The search runs in up to two passes of the same loop. Pass 1 keeps no
     counts (cnt is None) and never backtracks: it stops at its first dead
     end, an assignment that empties a domain, or when it passes the budget.
     Only then does pass 2 run: every assignment is undone in reverse, which
-    restores the domains, buckets and free; the counts are built, the node
-    count reset, and the counted search runs from the pinned edges. A pass 1
-    that completes returns what the counted search would, with its node
-    count and no prune:
+    restores the domains and buckets; free and the counts are built (each
+    vertex's tallied by one Counter.update per edge domain at it, then kept
+    as a plain dict, which the counted search updates faster), the node
+    count and `lo` are reset, and the counted search runs from the pinned
+    edges. A pass 1 that completes returns what the counted search would,
+    with its node count and no prune:
     1. both passes see the same domains, so until one of them fails they
        choose the same edges and colors;
     2. a complete pass 1 gives each edge a color of its domain at that
@@ -540,31 +556,29 @@ def _search(
     at debug level.
     """
     edges = g.edges
-    at: list[list[int]] = [[] for _ in range(g.n)]  # vertex -> its edges
-    for i, (u, v) in enumerate(edges):
-        at[u].append(i)
-        at[v].append(i)
-    dom = [domains[e] for e in edges]
+    near = g._edge_neighbors
     val: list[int | None] = [None] * len(edges)
-    free = [len(incident) for incident in at]
-    cnt: list[dict[int, int]] | None = None  # pass 1 keeps no counts
-    buckets: list[set[int]] = [set() for _ in range(max(map(len, dom), default=0) + 1)]
+    free: list[int] = []  # pass 1 keeps neither these nor the counts
+    cnt: list[dict[int, int]] | None = None
+    top = max(map(len, dom), default=0) + 1
+    buckets: list[set[int]] = [set() for _ in range(top)]
     for i, d in enumerate(dom):
         buckets[len(d)].add(i)
-    trimmed: dict[int, list[int]] = {}  # assigned edge -> neighbors that lost its color
-    pins = [(bisect_left(edges, e), c) for e, c in pinned]  # read once, assigned by each pass
+    lo = 0
+    trimmed: list = [None] * len(edges)  # assigned edge -> neighbors that lost its color
+    pins = list(pinned)  # read once, assigned by each pass
     nodes = pruned = 0
 
     def assign(i: int, c: int) -> bool:
         """Assign and forward-check; False on an emptied domain or, with
         counts, a pigeonhole."""
-        nonlocal pruned
+        nonlocal pruned, lo
         val[i] = c
         d = dom[i]
         buckets[len(d)].remove(i)
-        for x in edges[i]:
-            free[x] -= 1
-            if cnt is not None:
+        if cnt is not None:
+            for x in edges[i]:
+                free[x] -= 1
                 counts = cnt[x]
                 for k in d:
                     if counts[k] == 1:
@@ -572,23 +586,26 @@ def _search(
                     else:
                         counts[k] -= 1
         trim = trimmed[i] = []
-        for x in edges[i]:
-            for j in at[x]:  # i itself is assigned, so it is skipped
-                dj = dom[j]
-                if val[j] is None and c in dj:
-                    buckets[len(dj)].remove(j)
-                    dj.remove(c)
-                    buckets[len(dj)].add(j)
-                    trim.append(j)
-                    if cnt is not None:
-                        for y in edges[j]:
-                            counts = cnt[y]
-                            if counts[c] == 1:
-                                del counts[c]
-                            else:
-                                counts[c] -= 1
-                    if not dj:
-                        return False
+        for j in near[i]:
+            dj = dom[j]
+            if val[j] is None and c in dj:
+                k = len(dj)
+                buckets[k].remove(j)
+                dj.remove(c)
+                k -= 1
+                buckets[k].add(j)
+                if k < lo:
+                    lo = k
+                trim.append(j)
+                if cnt is not None:
+                    for y in edges[j]:
+                        counts = cnt[y]
+                        if counts[c] == 1:
+                            del counts[c]
+                        else:
+                            counts[c] -= 1
+                if not k:
+                    return False
         if cnt is None:
             return True
         for x in edges[i]:
@@ -603,24 +620,29 @@ def _search(
         return True
 
     def unassign(i: int) -> None:
+        nonlocal lo
         c = val[i]
         val[i] = None
-        for j in trimmed.pop(i):
+        for j in trimmed[i]:
             dj = dom[j]
-            buckets[len(dj)].remove(j)
+            k = len(dj)
+            buckets[k].remove(j)
             dj.add(c)
-            buckets[len(dj)].add(j)
+            buckets[k + 1].add(j)
             if cnt is not None:
                 for y in edges[j]:
                     cnt[y][c] = cnt[y].get(c, 0) + 1
         d = dom[i]
-        for x in edges[i]:
-            free[x] += 1
-            if cnt is not None:
+        if cnt is not None:
+            for x in edges[i]:
+                free[x] += 1
                 counts = cnt[x]
                 for k in d:
                     counts[k] = counts.get(k, 0) + 1
-        buckets[len(d)].add(i)
+        k = len(d)
+        buckets[k].add(i)
+        if k < lo:
+            lo = k
 
     try:
         while True:
@@ -629,11 +651,11 @@ def _search(
             # pass 1 ends at its first dead end; pass 2 backtracks until the stack empties
             while ok or stack and cnt is not None:
                 if ok:
-                    low = next((b for b in buckets if b), None)
-                    if low is None:
-                        order = [i for i, _c in pins] + [i for i, _colors in stack]  # the witness's insertion order
-                        return {edges[i]: val[i] for i in order}
-                    i = min(low)
+                    while lo < top and not buckets[lo]:
+                        lo += 1
+                    if lo == top:
+                        return [i for i, _c in pins] + [i for i, _colors in stack], val
+                    i = min(buckets[lo])
                     stack.append((i, iter(sorted(dom[i]))))
                 i, colors = stack[-1]
                 if val[i] is not None:
@@ -655,13 +677,13 @@ def _search(
             for i in reversed([i for i, _c in pins] + [i for i, _colors in stack]):
                 if val[i] is not None:
                     unassign(i)
-            cnt = [{} for _ in range(g.n)]
-            for e, d in zip(edges, dom):
-                for v in e:
-                    counts = cnt[v]
-                    for k in d:
-                        counts[k] = counts.get(k, 0) + 1
-            nodes = 0
+            free = list(map(len, g.adjacency))
+            tally = [Counter() for _ in free]
+            for (u, v), d in zip(edges, dom):
+                tally[u].update(d)
+                tally[v].update(d)
+            cnt = list(map(dict, tally))
+            nodes = lo = 0
     finally:
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug("search: nodes=%d pruned=%d", nodes, pruned)

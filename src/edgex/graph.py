@@ -4,9 +4,10 @@ Vertices are dense indices 0..n-1 carrying text labels. Edges are canonical
 pairs (u, v) with u < v, kept in lexicographic order so every derived
 structure (adjacency, colorings, serializations) is deterministic; their
 positions in that order are the only edge index a Graph has. A Graph holds
-only its labels and edges: the adjacency rows are derived from the edges on
-first use, and edge tests and the distance rule read the edges directly, so
-a graph that is only validated against and verified never builds its rows.
+only its labels and edges: the adjacency rows, and each edge's neighboring
+edge ids for the exact search, are derived from the edges on first use and
+kept, and edge tests and the distance rule read the edges directly, so a
+graph that is only validated against and verified never builds its rows.
 A graph less some of its edges takes its rows from its parent's.
 """
 
@@ -47,7 +48,8 @@ def _edge_key(e: object) -> Edge:
 class Graph:
     """Simple undirected graph; immutable after construction. Its edges are
     canonical and sorted: build_graph sorts them, the other builders emit
-    them in order. Equality compares the labels and the edges."""
+    them in order. Equality, hashing and repr read the labels and the edges
+    only, never what is derived from them."""
 
     labels: tuple[str, ...]
     edges: tuple[Edge, ...]
@@ -68,6 +70,20 @@ class Graph:
             rows[v].append(u)
         return tuple(map(tuple, rows))
 
+    @cached_property
+    def _edge_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Each edge's neighboring edge ids: for edge i = (u, v), the other
+        edges at u, then those at v, each run ascending. Derived on first
+        use and kept, so the decisions of one sweep, which share their
+        product graph, derive them once."""
+        at: list[list[int]] = [[] for _ in self.labels]  # vertex -> its edge ids
+        for i, (u, v) in enumerate(self.edges):
+            at[u].append(i)
+            at[v].append(i)
+        return tuple(
+            tuple(j for j in at[u] + at[v] if j != i) for i, (u, v) in enumerate(self.edges)
+        )
+
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -87,10 +103,16 @@ class Graph:
     def check_edge(self, e: Edge) -> Edge:
         """Canonicalize a key naming an edge in either order; a key that is
         not a pair of ints, or names no edge, raises UnknownEdgeError."""
+        return self.edges[self._edge_id(e)]
+
+    def _edge_id(self, e: object) -> int:
+        """The id of the edge a key names in either order, by one bisection
+        of the sorted edges; UnknownEdgeError as check_edge."""
         e = _edge_key(e)
-        if not self.has_edge(*e):
+        i = bisect_left(self.edges, e)
+        if i == len(self.edges) or self.edges[i] != e:
             raise UnknownEdgeError(f"edge {e} not in graph")
-        return e
+        return i
 
     def incident_edges(self, v: int) -> list[Edge]:
         return [canonical_edge(v, w) for w in self.adjacency[v]]

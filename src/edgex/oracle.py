@@ -17,7 +17,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .coloring import EdgeColoring, _require_budget, _search, verify_proper
+from .coloring import EdgeColoring, _require_budget, _search, _verify
 from .errors import (
     BadParameterError,
     InapplicableError,
@@ -63,43 +63,49 @@ def decide_extendable(
     leaves some vertex more uncolored edges than colors for them, the
     blocked hub among them, is refuted before any search node. Most
     decisions reach their witness on the search's first descent, which keeps
-    no pigeonhole counts until it meets a dead end. With a node budget,
-    exhausting it raises BudgetExceededError: an inconclusive outcome, never
-    a "no". The palette and the budget must be ints, the budget at least 0,
-    prescribed colors ints in 1..palette, and no edge may be prescribed
-    under both of its key orders (BadParameterError).
+    no pigeonhole counts until it meets a dead end. The decision runs on
+    edge ids: each prescribed key is found by one bisection, the domains
+    are a list by id, the search trims along g's neighbor lists, which g
+    derives once for every decision on it, and the witness is checked as a
+    color list against the prescription; it is keyed by edge only for the
+    return. With a node budget, exhausting it raises BudgetExceededError:
+    an inconclusive outcome, never a "no". The palette and the budget must
+    be ints, the budget at least 0, prescribed colors ints in 1..palette,
+    and no edge may be prescribed under both of its key orders
+    (BadParameterError).
     """
     _require_ints(palette=palette)
     _require_budget(budget)
-    entries = _prescribed_edges(g, pre, palette)
+    entries = _prescribed_ids(g, pre, palette)
     used = set(entries.values())
     others = (c for c in range(1, palette + 1) if c not in used)
     bounded = used.union(itertools.islice(others, max(0, 2 * max_degree(g) - 1)))
-    domains = {e: {entries[e]} if e in entries else set(bounded) for e in g.edges}
+    dom = [{entries[i]} if i in entries else set(bounded) for i in range(len(g.edges))]
     # the prescription is pinned first; a dead end there means it is itself
     # improper or strangled, hence not extendable
-    assignment = _search(g, domains, budget, pinned=sorted(entries.items()))
-    if assignment is None:
+    found = _search(g, dom, budget, pinned=sorted(entries.items()))
+    if found is None:
         return None
-    witness = EdgeColoring(palette_size=palette, assignment=assignment)
-    report = verify_proper(g, witness, prescribed=entries)
+    order, colors = found
+    report = _verify(g, colors, palette, prescribed=pre.entries)
     if not report.ok:
         raise ProofInvariantError(f"search produced an invalid witness: {report}")
-    return witness
+    return EdgeColoring(palette_size=palette, assignment={g.edges[i]: colors[i] for i in order})
 
 
-def _prescribed_edges(g: Graph, pre: Precoloring, palette: int) -> dict[Edge, int]:
-    """The prescription by canonical edge; UnknownEdgeError for a key that
-    names no edge, BadParameterError when two keys name one edge or a color
-    is not an int in 1..palette (a bool is not)."""
-    entries: dict[Edge, int] = {}
+def _prescribed_ids(g: Graph, pre: Precoloring, palette: int) -> dict[int, int]:
+    """The prescription by edge id, each key found by one bisection;
+    UnknownEdgeError for a key that names no edge, BadParameterError when
+    two keys name one edge or a color is not an int in 1..palette (a bool
+    is not)."""
+    entries: dict[int, int] = {}
     for key, c in pre.entries.items():
-        e = g.check_edge(key)
-        if e in entries:
-            raise BadParameterError(f"edge {e} prescribed twice")
+        i = g._edge_id(key)
+        if i in entries:
+            raise BadParameterError(f"edge {g.edges[i]} prescribed twice")
         if not (type(c) is int and 1 <= c <= palette):
-            raise BadParameterError(f"prescribed color {c!r} on {e} outside 1..{palette}")
-        entries[e] = c
+            raise BadParameterError(f"prescribed color {c!r} on {g.edges[i]} outside 1..{palette}")
+        entries[i] = c
     return entries
 
 
@@ -224,9 +230,10 @@ def check_local_obstruction(
     """
     _require_ints(InvalidPrecoloringError, palette_size=pre.palette_size)
     g = _as_graph(p)
-    entries = _prescribed_edges(g, pre, pre.palette_size)
+    entries = _prescribed_ids(g, pre, pre.palette_size)
     lowest: dict[tuple[int, int], Edge] = {}
-    for e, c in sorted(entries.items()):
+    for i, c in sorted(entries.items()):
+        e = g.edges[i]
         for x in e:
             lowest.setdefault((x, c), e)
     colors = sorted(set(entries.values()))

@@ -940,6 +940,11 @@ def list_coloring_records():
     return _debug_records(r"^list coloring: .*", lambda m: m.group(0))
 
 
+def debug_records():
+    """The full message of every record."""
+    return _debug_records(r".*", lambda m: m.group(0))
+
+
 def search_counts():
     """(nodes, pigeonhole prunes) of every search kernel call."""
     return _debug_records(

@@ -1,9 +1,12 @@
-"""Byte-identity pins for the four extend_* entry points.
+"""Byte-identity pins for the four extend_* entry points and the oracle.
 
-Each digest is a sha256 over (palette_size, list(assignment.items())) of
-every call in a seeded set, in order: the coloring, its palette and the
-assignment's order are all pinned. A change that alters any output, even
-only its order, changes the digest; one that keeps every output keeps it.
+Each extend_* digest is a sha256 over (palette_size,
+list(assignment.items())) of every call in a seeded set, in order: the
+coloring, its palette and the assignment's order are all pinned. The
+oracle's two digests cover seeded sweeps of small products: one their
+ExplorationReports, the other every decision's witness items and every
+debug record the sweeps log. A change that alters any output, even only its
+order, changes a digest; one that keeps every output keeps it.
 """
 
 import hashlib
@@ -15,17 +18,20 @@ from edgex import (
     cartesian_product,
     complete,
     cycle,
+    explore_bipartite_factor,
     extend_hypercube,
     extend_over_complete,
     extend_over_hypercube,
     extend_over_star,
     hypercube,
+    path,
     spider,
     star,
 )
+from edgex import oracle
 from edgex.graph import max_degree
 
-from helpers import random_connected_bipartite, random_valid_precoloring, roadmap_cube_instance
+from helpers import debug_records, random_connected_bipartite, random_valid_precoloring, roadmap_cube_instance
 
 
 def _hypercube_calls():
@@ -87,3 +93,35 @@ def digest(calls) -> str:
 def test_outputs_byte_identical(name):
     calls, want = GOLDEN[name]
     assert digest(calls) == want
+
+
+# the benchmark's small oracle products, each factor x K_n,m swept at
+# seeds 0-2 with its budget of 20 decisions
+ORACLE_SWEEPS = [
+    (g, n, m, seed)
+    for g in (path(3), path(4), cycle(4), star(3))
+    for n, m in ((2, 1), (2, 2), (3, 1), (3, 2))
+    for seed in range(3)
+]
+ORACLE_REPORTS = "87f50443fc7e8405674f35d99f2ede1c2e18896ed47b0e450a4414f383623607"
+ORACLE_DECISIONS = "176e1f933dd76eb212b19797f0392dc4505907fcb21c253c9214bcffde5e47fe"
+
+
+def test_oracle_sweeps_byte_identical(monkeypatch):
+    decide = oracle.decide_extendable
+    witnesses = []
+
+    def spy(g, pre, palette):
+        col = decide(g, pre, palette)
+        witnesses.append(None if col is None else list(col.assignment.items()))
+        return col
+
+    monkeypatch.setattr(oracle, "decide_extendable", spy)
+    reports, decisions = hashlib.sha256(), hashlib.sha256()
+    for g, n, m, seed in ORACLE_SWEEPS:
+        witnesses.clear()
+        with debug_records() as records:
+            report = explore_bipartite_factor(g, n, m, 20, seed)
+        reports.update(repr(report).encode())
+        decisions.update(repr((witnesses, records)).encode())
+    assert (reports.hexdigest(), decisions.hexdigest()) == (ORACLE_REPORTS, ORACLE_DECISIONS)

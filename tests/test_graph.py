@@ -1,5 +1,6 @@
 import math
 import random
+from functools import cached_property
 from itertools import combinations
 
 import pytest
@@ -8,19 +9,27 @@ from hypothesis import strategies as st
 
 from edgex import (
     EdgeColoring,
+    Graph,
     Precoloring,
     bipartition,
     build_graph,
     canonical_edge,
     cartesian_product,
     complete,
+    complete_bipartite,
     cycle,
+    explore_bipartite_factor,
+    extend_hypercube,
     extend_over_complete,
+    extend_over_hypercube,
+    extend_over_star,
     hypercube,
     max_degree,
     path,
     reduce_instance,
+    spider,
     standard_family,
+    star,
     validate_precoloring,
     verify_proper,
 )
@@ -38,6 +47,7 @@ from helpers import (
     distances_from,
     edge_distance,
     random_valid_precoloring,
+    roadmap_cube_instance,
     small_bipartite_graphs,
     vertex_distance,
     x_vertices,
@@ -379,6 +389,83 @@ class TestDerivedAdjacency:
         assert not validate_precoloring(fresh, Precoloring(5, {e: 1, f: 2})).ok
         assert "adjacency" not in vars(fresh)
         assert not verify_proper(fresh, EdgeColoring(5, {**col.assignment, e: col.assignment[f]})).ok
+
+
+def _independent_neighbors(g):
+    """Each edge's neighbors by a scan of all edges per end: the other edges
+    at its first end, then those at its second, each ascending."""
+    return tuple(
+        tuple(j for x in e for j, f in enumerate(g.edges) if x in f and j != i) for i, e in enumerate(g.edges)
+    )
+
+
+@pytest.fixture
+def neighbor_derivations(monkeypatch):
+    """The graphs whose edge neighbor lists the test derives, in order."""
+    derive = Graph.__dict__["_edge_neighbors"].func
+    derived = []
+
+    def counted(g):
+        derived.append(g)
+        return derive(g)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Graph, "_edge_neighbors")
+    monkeypatch.setattr(Graph, "_edge_neighbors", prop)
+    return derived
+
+
+class TestEdgeNeighbors:
+    """The search's per-edge neighbor ids: derived on first use and kept,
+    equal to a scan of the edges, and outside equality, hashing and repr."""
+
+    @given(graphs())
+    def test_build_graph(self, g):
+        assert "_edge_neighbors" not in vars(g)
+        assert g._edge_neighbors == _independent_neighbors(g)
+        assert vars(g)["_edge_neighbors"] is g._edge_neighbors
+
+    def test_catalog_and_edgeless(self):
+        edgeless = [build_graph([], []), build_graph("abc", [])]
+        for g in connected_bipartite_catalog(6) + edgeless + [hypercube(4), complete(6)]:
+            assert g._edge_neighbors == _independent_neighbors(g)
+
+    def test_reduce_instance_residual(self):
+        rng = random.Random(5)
+        for g in connected_bipartite_catalog(6):
+            for m in (1, 2):
+                product = cartesian_product(g, complete(2 * m)).graph
+                pre = random_valid_precoloring(rng, product, max_degree(g) + 2 * m - 1, 4)
+                residual = reduce_instance(g, m, pre).base_residual
+                assert residual._edge_neighbors == _independent_neighbors(residual)
+
+    def test_equality_hash_and_repr(self):
+        g, fresh = cycle(6), cycle(6)
+        assert g._edge_neighbors and "_edge_neighbors" not in vars(fresh)
+        assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+        assert "_edge_neighbors" not in repr(g)
+        assert g != Graph(g.labels, g.edges[1:])
+
+    def test_one_derivation_per_sweep(self, neighbor_derivations):
+        report = explore_bipartite_factor(cycle(6), 3, 2, 20, 1)
+        assert report.instances == 20
+        assert neighbor_derivations == [cartesian_product(cycle(6), complete_bipartite(3, 2)).graph]
+
+    def test_extend_entry_points_derive_none(self, neighbor_derivations):
+        rng = random.Random(7)
+        g = spider(3, 2)
+        _q, pre = roadmap_cube_instance(6)
+        assert extend_hypercube(6, pre) is not None
+        for m in (1, 2):
+            product = cartesian_product(g, complete(2 * m)).graph
+            pre = random_valid_precoloring(rng, product, max_degree(g) + 2 * m - 1, 6)
+            assert extend_over_complete(g, m, pre) is not None
+        for factor, extend in ((hypercube, extend_over_hypercube), (star, extend_over_star)):
+            for m in (2, 3):
+                product = cartesian_product(g, factor(m)).graph
+                pre = random_valid_precoloring(rng, product, max_degree(g) + m, 6)
+                assert extend(g, m, pre) is not None
+        assert neighbor_derivations == []
 
 
 def test_small_bipartite_catalog_is_bipartite():

@@ -12,6 +12,7 @@ runs, are pinned record for record and witness for witness.
 import hashlib
 import logging
 import re
+from collections.abc import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +106,19 @@ def reference(g, domains, pinned=()):
         return None
 
 
+def search(g, domains, budget=None, pinned=()):
+    """The kernel on edge-keyed input and output: domains by edge, pinned
+    (edge, color) pairs (converted to id pairs in a list, or in a one-shot
+    generator when they come as an iterator), and the witness as a dict in
+    insertion order, or None."""
+    pins = ((g.edges.index(e), c) for e, c in pinned)
+    found = _search(g, [domains[e] for e in g.edges], budget, pins if isinstance(pinned, Iterator) else list(pins))
+    if found is None:
+        return None
+    order, colors = found
+    return {g.edges[i]: colors[i] for i in order}
+
+
 def witness_items(col):
     return None if col is None else list(col.assignment.items())
 
@@ -163,7 +177,7 @@ def test_bounded_domains_match_whole_palette_domains(instance):
     g, pre, budget = instance
     palette = pre.palette_size
     domains = {e: {pre.entries[e]} if e in pre.entries else set(range(1, palette + 1)) for e in g.edges}
-    expected = search_outcome(lambda: _search(g, domains, budget, pinned=sorted(pre.entries.items())))
+    expected = search_outcome(lambda: search(g, domains, budget, pinned=sorted(pre.entries.items())))
 
     def decide():
         col = decide_extendable(g, pre, palette, budget)
@@ -180,11 +194,11 @@ def test_pinned_generator_matches_list(instance):
     g, pre, budget = instance
     pairs = sorted(pre.entries.items())
 
-    def search(pinned):
+    def outcome(pinned):
         domains = {e: {pre.entries[e]} if e in pre.entries else set(range(1, pre.palette_size + 1)) for e in g.edges}
-        return search_outcome(lambda: _search(g, domains, budget, pinned))
+        return search_outcome(lambda: search(g, domains, budget, pinned))
 
-    assert search(pair for pair in pairs) == search(pairs)
+    assert outcome(pair for pair in pairs) == outcome(pairs)
 
 
 def witness_digest(col):
@@ -271,6 +285,20 @@ class TestFirstDescentDeadEnds:
         with search_counts() as counts:
             assert decide_extendable(inst.product.graph, pre, pre.palette_size) is None
         assert counts == [(0, 1)]
+
+    def test_backtracking_returns_to_the_lowest_bucket(self):
+        # two isolated edges with lists {1, 2}, then a star of seven edges:
+        # its first offers only 4..6 and the rest share {1, 2, 3}, so the
+        # counted pass prunes at the center on every color of the first
+        # star edge without trimming a domain. Each isolated edge put back
+        # on backtracking lies in a lower bucket than every star edge and
+        # must be chosen again; the record is the one the kernel gave
+        # before it ran on edge ids
+        g = build_graph(range(11), [(0, 1), (2, 3)] + [(4, x) for x in range(5, 11)])
+        lists = {e: (1, 2) if e[0] < 4 else (4, 5, 6) if e == (4, 5) else (1, 2, 3) for e in g.edges}
+        with search_counts() as counts:
+            assert exact_list_color(g, make_list_assignment(g, lists)) is None
+        assert counts == [(18, 12)]
 
 
 class TestPastTheOldSearch:

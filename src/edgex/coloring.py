@@ -30,6 +30,7 @@ from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, replace
 from itertools import groupby
+from operator import itemgetter
 
 from .errors import (
     BadParameterError,
@@ -40,6 +41,7 @@ from .errors import (
     OddOrderError,
     ProofInvariantError,
     _require_ints,
+    _require_mapping,
 )
 from .families import _require_size
 from .graph import SIDE_X, Edge, Graph, _edge_key, bipartition, canonical_edge, max_degree
@@ -49,10 +51,15 @@ _log = logging.getLogger("edgex")
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """Edge -> color assignment over palette 1..palette_size."""
+    """Edge -> color assignment over palette 1..palette_size. An
+    assignment that is not a mapping raises BadParameterError here, so no
+    reader of it meets a bare TypeError or AttributeError."""
 
     palette_size: int
     assignment: dict[Edge, int]
+
+    def __post_init__(self) -> None:
+        _require_mapping(BadParameterError, assignment=self.assignment)
 
 
 @dataclass(frozen=True)
@@ -132,13 +139,18 @@ def verify_proper(
     """Check properness, palette membership, that only edges of g are
     colored and, optionally, list membership (BadParameterError on a list
     that is not ints) and agreement with a prescription (edge -> color,
-    keys in either order).
+    keys in either order; UnknownEdgeError for a key that is not a pair of
+    ints).
 
     The boundary view of ``_verify``: it reads each edge's color once, in
-    g.edges order (MissingEdgeError names the edges left uncolored), and
-    checks that list. Once every edge is known colored, the coloring holds
-    a pair outside g only when it has more keys than g has edges; those are
-    listed in insertion order.
+    g.edges order (MissingEdgeError names the edges left uncolored), maps
+    each prescribed key naming an edge to its id by one bisection, and
+    checks the color list against those (id, color) pairs. A prescribed
+    pair that is no edge of g disagrees unless the coloring gives it the
+    same color (got None when it is absent); all disagreements are listed
+    by canonical edge, keys naming one edge in insertion order. Once every
+    edge is known colored, the coloring holds a pair outside g only when it
+    has more keys than g has edges; those are listed in insertion order.
     """
     a = col.assignment
     try:
@@ -146,7 +158,22 @@ def verify_proper(
     except KeyError:
         _require_covered(g, a, "coloring")
         raise
-    report = _verify(g, colors, col.palette_size, lists, prescribed, a)
+    pins: list[tuple[int, object]] | None = None
+    strays: list[tuple[Edge, object, object]] = []  # prescribed pairs outside g that disagree
+    if prescribed is not None:
+        edges = g.edges
+        pins = []
+        for key, c in prescribed.items():
+            e = _edge_key(key)
+            i = bisect_left(edges, e)
+            if i < len(edges) and edges[i] == e:
+                pins.append((i, c))
+            elif (got := a.get(e)) != c:
+                strays.append((e, c, got))
+        pins.sort(key=itemgetter(0))
+    report = _verify(g, colors, col.palette_size, lists, pins)
+    if strays:
+        report = replace(report, disagreements=tuple(sorted([*report.disagreements, *strays], key=itemgetter(0))))
     if len(a) > len(colors):
         known = set(g.edges)
         report = replace(report, not_edges=tuple(e for e in a if e not in known))
@@ -158,12 +185,11 @@ def _verify(
     colors: list,
     p: int,
     lists: ListAssignment | None = None,
-    prescribed: Mapping[Edge, object] | None = None,
-    colored: Mapping[object, object] | None = None,
+    prescribed: Iterable[tuple[int, object]] | None = None,
 ) -> ColoringReport:
     """verify_proper of the coloring that gives edge i of g colors[i], over
-    palette 1..p; a prescribed pair that is no edge of g reads its color
-    from `colored` (None when absent). Pairs outside g are not its concern.
+    palette 1..p, against the prescribed (id, color) pairs, ids ascending.
+    Pairs outside g are not its concern.
 
     Linear passes over g.edges read each edge's color once. Properness is
     screened with a set of int keys x * (p + 1) + c, one per end x of an
@@ -178,9 +204,10 @@ def _verify(
     vertex by vertex, colors ascending, edges in adjacency order (each
     vertex's edge ids in g.edges order), so reports are the same as when it
     ran on every call. A palette size that is not an int raises
-    BadParameterError. Disagreements are listed by canonical edge, a
-    prescribed pair left uncolored as got None. This is the one place a
-    coloring is compared with a prescription.
+    BadParameterError. Disagreements are listed in the order of the pairs,
+    by edge. This is the one place a coloring of g's edges is compared with
+    a prescription: the oracle and the extension pipeline hand it the ids
+    they already hold, and verify_proper the ids of its keys.
     """
     edges = g.edges
     _require_ints(palette_size=p)
@@ -212,11 +239,7 @@ def _verify(
         off_list = [e for e, c in zip(edges, colors) if e in ls and c not in _color_list(e, ls[e])]
     disagreements = []
     if prescribed is not None:
-        for e, c in sorted(((_edge_key(e), c) for e, c in prescribed.items()), key=lambda t: t[0]):
-            i = bisect_left(edges, e)
-            got = colors[i] if i < len(edges) and edges[i] == e else None if colored is None else colored.get(e)
-            if got != c:
-                disagreements.append((e, c, got))
+        disagreements = [(edges[i], c, colors[i]) for i, c in prescribed if colors[i] != c]
     return ColoringReport(
         conflicts=tuple(conflicts),
         off_palette=tuple(edges[i] for i in off),

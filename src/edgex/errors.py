@@ -5,6 +5,8 @@ in this library (or a violated theorem), never bad user input, and map to a
 dedicated CLI exit code.
 """
 
+from collections.abc import Mapping
+
 
 class EdgexError(Exception):
     """Base class for all edgex errors."""
@@ -88,3 +90,10 @@ def _require_ints(error: type[Exception] = BadParameterError, **params: object) 
     for name, value in params.items():
         if type(value) is not int:
             raise error(f"{name} must be an int, got {value!r}")
+
+
+def _require_mapping(error: type[Exception], **params: object) -> None:
+    """Raise `error` naming the first parameter that is not a mapping."""
+    for name, value in params.items():
+        if type(value) is not dict and not isinstance(value, Mapping):
+            raise error(f"{name} must be a mapping, got {type(value).__name__}")

@@ -13,7 +13,8 @@ class pinned to its color); one final check on the caller's product
 internal error. Each stage is the private, positional core of a public
 function (``_reduce`` of reduce_instance, ``coloring._list_color`` of
 demand_list_color, ``coloring._verify`` of verify_proper): lists and colors
-pass between them as lists by edge id, and the only per-edge dict is the
+pass between them as lists by edge id, the final check reads the
+prescription as (id, color) pairs, and the only per-edge dict is the
 result.
 An entry point checks its integers, bipartitions the caller's own G first
 (so an odd cycle is reported in G's indices), runs the families size check
@@ -46,6 +47,7 @@ from .errors import (
     ProofInvariantError,
     UnknownEdgeError,
     _require_ints,
+    _require_mapping,
 )
 from .families import ProductGraph, _as_graph, cartesian_product, complete, hypercube, star
 from .families import _cube_size, _require_size
@@ -63,10 +65,16 @@ from .graph import (
 
 @dataclass(frozen=True)
 class Precoloring:
-    """Palette size plus a partial edge -> color prescription."""
+    """Palette size plus a partial edge -> color prescription. Entries that
+    are not a mapping raise InvalidPrecoloringError here, so no reader of
+    them meets a bare AttributeError; everything else about them is checked
+    where they are used."""
 
     palette_size: int
     entries: dict[Edge, int]
+
+    def __post_init__(self) -> None:
+        _require_mapping(InvalidPrecoloringError, entries=self.entries)
 
 
 @dataclass(frozen=True)
@@ -372,7 +380,8 @@ def _extend(
             colors += layer
     if len(colors) != len(product.edges):
         raise ProofInvariantError(f"assembled {len(colors)} colors for {len(product.edges)} product edges")
-    report = _verify(product, colors, palette, prescribed=pre.entries)
+    prescribed = sorted((product._edge_id(e), c) for e, c in pre.entries.items())
+    report = _verify(product, colors, palette, prescribed=prescribed)
     if not report.ok:
         raise ProofInvariantError(f"assembled coloring fails its final check: {report}")
     return EdgeColoring(palette_size=palette, assignment=dict(zip(product.edges, colors)))

@@ -39,7 +39,6 @@ from .graph import (
     Graph,
     bipartition,
     canonical_edge,
-    close_edge_pairs,
     max_degree,
 )
 
@@ -63,34 +62,49 @@ def decide_extendable(
     leaves some vertex more uncolored edges than colors for them, the
     blocked hub among them, is refuted before any search node. Most
     decisions reach their witness on the search's first descent, which keeps
-    no pigeonhole counts until it meets a dead end. The decision runs on
-    edge ids: each prescribed key is found by one bisection, the domains
-    are a list by id, the search trims along g's neighbor lists, which g
-    derives once for every decision on it, and the witness is checked as a
-    color list against the prescription; it is keyed by edge only for the
-    return. With a node budget, exhausting it raises BudgetExceededError:
-    an inconclusive outcome, never a "no". The palette and the budget must
-    be ints, the budget at least 0, prescribed colors ints in 1..palette,
-    and no edge may be prescribed under both of its key orders
-    (BadParameterError).
+    no pigeonhole counts until it meets a dead end. With a node budget,
+    exhausting it raises BudgetExceededError: an inconclusive outcome, never
+    a "no". The palette and the budget must be ints, the budget at least 0,
+    prescribed colors ints in 1..palette, and no edge may be prescribed
+    under both of its key orders (BadParameterError).
+
+    The boundary view of ``_decide``: it checks its arguments, finds each
+    prescribed key's edge id by one bisection, and keys the witness by edge
+    for the return.
     """
     _require_ints(palette=palette)
     _require_budget(budget)
-    entries = _prescribed_ids(g, pre, palette)
+    found = _decide(g, _prescribed_ids(g, pre, palette), palette, budget)
+    if found is None:
+        return None
+    order, colors = found
+    return EdgeColoring(palette_size=palette, assignment={g.edges[i]: colors[i] for i in order})
+
+
+def _decide(
+    g: Graph, entries: dict[int, int], palette: int, budget: int | None
+) -> tuple[list[int], list[int]] | None:
+    """decide_extendable on edge ids: `entries` maps distinct edge ids of g
+    to colors in 1..palette. Builds the bounded domains as a list by id,
+    pins the prescription first (a dead end there means it is itself
+    improper or strangled, hence not extendable), and searches along g's
+    neighbor lists, which g derives once for every decision on it. The
+    witness, ``_search``'s (ids in insertion order, colors by id), is
+    checked in full against the palette and the prescription by id before
+    it is returned (ProofInvariantError otherwise); None when there is
+    none."""
     used = set(entries.values())
     others = (c for c in range(1, palette + 1) if c not in used)
     bounded = used.union(itertools.islice(others, max(0, 2 * max_degree(g) - 1)))
     dom = [{entries[i]} if i in entries else set(bounded) for i in range(len(g.edges))]
-    # the prescription is pinned first; a dead end there means it is itself
-    # improper or strangled, hence not extendable
-    found = _search(g, dom, budget, pinned=sorted(entries.items()))
+    pins = sorted(entries.items())
+    found = _search(g, dom, budget, pins)
     if found is None:
         return None
-    order, colors = found
-    report = _verify(g, colors, palette, prescribed=pre.entries)
+    report = _verify(g, found[1], palette, prescribed=pins)
     if not report.ok:
         raise ProofInvariantError(f"search produced an invalid witness: {report}")
-    return EdgeColoring(palette_size=palette, assignment={g.edges[i]: colors[i] for i in order})
+    return found
 
 
 def _prescribed_ids(g: Graph, pre: Precoloring, palette: int) -> dict[int, int]:
@@ -279,7 +293,7 @@ def explore_bipartite_factor(
     on each of its edges. Their number W, the sum of palette**|M| over the
     matchings M, is counted without listing them
     (``_weighted_matching_count``), and each instance decided is a rank in
-    0..W - 1 unranked into its matching and colors (``_unrank_instance``).
+    0..W - 1 unranked into its edge ids and colors (``_unrank_instance``).
     When W fits the budget the sweep is exhaustive: it decides ranks 0..W - 1
     in that order, and sorts its counterexample rows by (matching, colors),
     matchings in lexicographic order of edge indices. Otherwise it decides
@@ -291,6 +305,12 @@ def explore_bipartite_factor(
     BadParameterError before memory runs out. Counterexamples are returned
     serialized. Each call logs W, the count's states and the branch at
     debug level.
+
+    The sweep stays on edge ids from the unranking to the verdict: each
+    instance goes to ``_decide`` as it is unranked, its ids distinct and
+    its colors in 1..palette by construction, and only a refuted one is
+    mapped to its edges, for its row. Ids sort as their edges do, so the
+    rows' order is that of the edges.
     """
     _require_ints(n=n, m=m, budget=budget, seed=seed)
     if n < m or m < 1:
@@ -299,12 +319,11 @@ def explore_bipartite_factor(
         raise BadParameterError("budget must be positive")
     bipartition(g)
     _require_size(f"G box K_{n},{m}", g.n, len(g.edges), n + m, n * m)  # before K_n,m is built
-    product = cartesian_product(g, complete_bipartite(n, m))
+    product = cartesian_product(g, complete_bipartite(n, m)).graph
     palette = max_degree(g) + n
-    edges = product.graph.edges
-    close = _close_masks(product.graph)
+    close = _close_masks(product)
     memo = _weighted_matching_count(close, palette)
-    total = memo[(1 << len(edges)) - 1]
+    total = memo[(1 << len(close)) - 1]
     exhaustive = total <= budget
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("explore: weight=%d states=%d exhaustive=%s", total, len(memo), exhaustive)
@@ -312,23 +331,23 @@ def explore_bipartite_factor(
     rng = random.Random(seed)
     ranks = range(total) if exhaustive else (rng.randrange(total) for _ in range(budget))
     decided = min(total, budget)
-    refuted: list[tuple[tuple[Edge, ...], tuple[int, ...]]] = []
+    refuted: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for r in ranks:
-        matching, colors = _unrank_instance(memo, close, edges, r)
-        pre = Precoloring(palette_size=palette, entries=dict(zip(matching, colors)))
-        if decide_extendable(product.graph, pre, palette) is None:
-            refuted.append((matching, colors))
+        ids, colors = _unrank_instance(memo, close, r)
+        if _decide(product, dict(zip(ids, colors)), palette, None) is None:
+            refuted.append((ids, colors))
     if exhaustive:
         refuted.sort()  # matchings in lexicographic order, then their colors
+    edges = product.edges
     return ExplorationReport(
         instances=decided,
         extendable=decided - len(refuted),
         counterexamples=tuple(
             {
                 "palette_size": palette,
-                "entries": [{"u": e[0], "v": e[1], "color": c} for e, c in zip(matching, colors)],
+                "entries": [{"u": edges[i][0], "v": edges[i][1], "color": c} for i, c in zip(ids, colors)],
             }
-            for matching, colors in refuted
+            for ids, colors in refuted
         ),
         budget_used=decided,
         seed=seed,
@@ -337,14 +356,26 @@ def explore_bipartite_factor(
 
 
 def _close_masks(g: Graph) -> list[int]:
-    """Bit j of close[i]: edges i and j of g, by index, are at distance < 2;
-    bit i is set too."""
-    edges = g.edges
-    index = {e: i for i, e in enumerate(edges)}
-    close = [1 << i for i in range(len(edges))]
-    for e, f, _d in close_edge_pairs(g, edges):
-        close[index[e]] |= 1 << index[f]
-        close[index[f]] |= 1 << index[e]
+    """Bit j of close[i]: edges i and j of g, by id, are at distance < 2;
+    bit i is set too.
+
+    Read from g's neighbor lists, which every decision of a sweep uses
+    too: own[i] holds edge i and the edges sharing an end with it. An edge
+    at distance 1 from i shares an end with some edge j that shares the
+    other end of that link with i, so close[i] is own[i] joined with own[j]
+    for each neighbor j of i."""
+    near = g._edge_neighbors
+    own = []
+    for i, js in enumerate(near):
+        mask = 1 << i
+        for j in js:
+            mask |= 1 << j
+        own.append(mask)
+    close = []
+    for mask, js in zip(own, near):
+        for j in js:
+            mask |= own[j]
+        close.append(mask)
     return close
 
 
@@ -387,19 +418,17 @@ def _weighted_matching_count(close: list[int], palette: int) -> dict[int, int]:
     return memo
 
 
-def _unrank_instance(
-    memo: dict[int, int], close: list[int], edges: list[Edge], r: int
-) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
-    """The instance of rank r in 0..W(full) - 1: a distance-2 matching,
-    sorted, and a color in 1..palette for each of its edges.
+def _unrank_instance(memo: dict[int, int], close: list[int], r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The instance of rank r in 0..W(full) - 1: a distance-2 matching, as
+    ascending edge ids, and a color in 1..palette for each of its edges.
 
     Walks the memo of ``_weighted_matching_count`` down from the full mask:
     ranks below W(S - low) skip the lowest edge of S; the rest take it, and
     divmod by W(S - close[low]) splits them into its color and the rank
     within what is left. Every rank gives a different instance.
     """
-    s = (1 << len(edges)) - 1
-    matching: list[Edge] = []
+    s = (1 << len(close)) - 1
+    ids: list[int] = []
     colors: list[int] = []
     while s:
         low = s & -s
@@ -410,6 +439,6 @@ def _unrank_instance(
         i = low.bit_length() - 1
         s &= ~close[i]
         c, r = divmod(r - skip, memo[s])
-        matching.append(edges[i])
+        ids.append(i)
         colors.append(c + 1)
-    return tuple(matching), tuple(colors)
+    return tuple(ids), tuple(colors)

@@ -45,6 +45,7 @@ from edgex import (
 from edgex import coloring
 from edgex.coloring import _require_covered
 from edgex.extension import _star_to_host
+from edgex.graph import close_edge_pairs
 from edgex.errors import (
     BadParameterError,
     BudgetExceededError,
@@ -826,6 +827,20 @@ def reference_distance2_matchings(g: Graph) -> list[tuple[Edge, ...]]:
 
     grow([], 0)
     return out
+
+
+def reference_close_masks(g: Graph) -> list[int]:
+    """The oracle's close masks by the pairwise rule: bit j of close[i] for
+    each pair of edges i, j that ``close_edge_pairs`` finds at distance < 2
+    over all of g's edges, and bit i; a reference copy of the construction
+    the oracle replaced with one read of g's neighbor lists."""
+    edges = g.edges
+    index = {e: i for i, e in enumerate(edges)}
+    close = [1 << i for i in range(len(edges))]
+    for e, f, _d in close_edge_pairs(g, list(edges)):
+        close[index[e]] |= 1 << index[f]
+        close[index[f]] |= 1 << index[e]
+    return close
 
 
 def reference_local_obstruction(g: Graph, pre: Precoloring) -> ObstructionCertificate | None:

@@ -328,7 +328,7 @@ class TestExplore11:
 
     def test_counterexample_exits_4(self, tmp_path, monkeypatch):
         # no real counterexample is known: the oracle is made to refute
-        monkeypatch.setattr(oracle, "decide_extendable", lambda g, pre, palette: None)
+        monkeypatch.setattr(oracle, "_decide", lambda g, entries, palette, budget: None)
         g = write_graph(tmp_path, complete(2), "k2")
         out = tmp_path / "report.json"
         assert main(["explore11", g, "--n", "1", "--m", "1", "--budget", "100", "--out", str(out)]) == 4

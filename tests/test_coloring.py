@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from edgex import (
     EdgeColoring,
     bipartition,
+    canonical_edge,
     cartesian_product,
     demand_list_color,
     build_graph,
@@ -950,8 +951,9 @@ def test_verify_proper_matches_reference(case):
 @settings(max_examples=300, deadline=None)
 def test_verify_proper_is_its_core_on_the_edge_order(case, data):
     # verify_proper reads the colors in g.edges order (MissingEdgeError if
-    # one is missing), hands them to coloring._verify, and adds the pairs
-    # outside g; a prescribed pair outside g reads its color from the dict
+    # one is missing), hands them to coloring._verify with the prescription
+    # as (id, color) pairs by id, and adds the pairs outside g; a prescribed
+    # pair outside g reads its color from the dict
     g, col, lists = case
     keys = data.draw(st.lists(st.sampled_from([*g.edges, (0, g.n), (g.n, g.n + 1)]), max_size=3, unique=True))
     prescribed = {
@@ -965,8 +967,13 @@ def test_verify_proper_is_its_core_on_the_edge_order(case, data):
         missing = [e for e in g.edges if e not in a]
         if missing:
             raise MissingEdgeError(f"coloring misses edges {missing}")
-        report = coloring._verify(g, [a[e] for e in g.edges], col.palette_size, lists, prescribed, a)
-        return replace(report, not_edges=tuple(e for e in a if e not in set(g.edges)))
+        ids = {e: i for i, e in enumerate(g.edges)}
+        keyed = [(canonical_edge(*key), c) for key, c in prescribed.items()]
+        pins = sorted(((ids[e], c) for e, c in keyed if e in ids), key=lambda t: t[0])
+        report = coloring._verify(g, [a[e] for e in g.edges], col.palette_size, lists, pins)
+        strays = [(e, c, a.get(e)) for e, c in keyed if e not in ids and a.get(e) != c]
+        disagreements = tuple(sorted([*report.disagreements, *strays], key=lambda t: t[0]))
+        return replace(report, disagreements=disagreements, not_edges=tuple(e for e in a if e not in ids))
 
     def public(g, col, lists):
         return verify_proper(g, col, lists, prescribed)

@@ -1,5 +1,6 @@
 import random
 import time
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +185,44 @@ def _pairwise_report(g, pre):
         color_violations=tuple((e, c) for e, c in entries if not 1 <= c <= pre.palette_size),
         distance_violations=tuple(close),
     )
+
+
+# every reader of a precoloring's entries, each on path(3) with palette 3
+ENTRY_READERS = {
+    "validate_precoloring": lambda pre: validate_precoloring(path(3), pre),
+    "require_valid": lambda pre: require_valid(path(3), pre),
+    "reduce_instance": lambda pre: reduce_instance(path(3), 1, pre),
+    "decide_extendable": lambda pre: decide_extendable(path(3), pre, 3),
+    "check_local_obstruction": lambda pre: oracle.check_local_obstruction(path(3), pre),
+    "extend_over_complete": lambda pre: extend_over_complete(path(3), 1, pre),
+    "extend_over_hypercube": lambda pre: extend_over_hypercube(path(3), 1, pre),
+    "extend_over_star": lambda pre: extend_over_star(path(3), 1, pre),
+    "extend_hypercube": lambda pre: extend_hypercube(3, pre),
+}
+
+
+class TestMalformedContainers:
+    """Entries or an assignment that is not a mapping is refused where the
+    Precoloring or EdgeColoring is made, with an EdgexError, so no reader
+    meets it and raises a bare AttributeError or TypeError."""
+
+    @pytest.mark.parametrize("reader", ENTRY_READERS.values(), ids=ENTRY_READERS)
+    @pytest.mark.parametrize("entries, kind", [(None, "NoneType"), ([((0, 1), 1)], "list"), ("01", "str")])
+    def test_precoloring_entries(self, reader, entries, kind):
+        with pytest.raises(InvalidPrecoloringError, match=f"entries must be a mapping, got {kind}"):
+            reader(Precoloring(3, entries))
+
+    @pytest.mark.parametrize("assignment, kind", [(None, "NoneType"), ([((0, 1), 1)], "list")])
+    def test_coloring_assignment(self, assignment, kind):
+        with pytest.raises(BadParameterError, match=f"assignment must be a mapping, got {kind}"):
+            verify_proper(path(2), EdgeColoring(2, assignment))
+
+    def test_any_mapping_is_accepted(self):
+        entries = MappingProxyType({(1, 0): 1})
+        assert validate_precoloring(path(3), Precoloring(3, entries)).ok
+        col = extend_over_complete(path(3), 1, Precoloring(3, entries))
+        product = cartesian_product(path(3), complete(2)).graph
+        assert verify_proper(product, EdgeColoring(3, MappingProxyType(dict(col.assignment))), prescribed=entries).ok
 
 
 class TestReduce:
@@ -947,14 +986,14 @@ class TestOnePipeline:
     def test_one_final_check_with_the_prescription(self, monkeypatch, extend):
         checked = []
 
-        def recording(g, colors, p, lists=None, prescribed=None, colored=None):
+        def recording(g, colors, p, lists=None, prescribed=None):
             checked.append(prescribed)
-            return coloring._verify(g, colors, p, lists, prescribed, colored)
+            return coloring._verify(g, colors, p, lists, prescribed)
 
         monkeypatch.setattr(extension, "_verify", recording)
-        entries = {(1, 0): 1}
-        extend(Precoloring(3, entries))
-        assert checked == [entries]
+        extend(Precoloring(3, {(1, 0): 1}))
+        # by id: (0, 1) is the first edge of every product
+        assert checked == [[(0, 1)]]
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["hypercube", "complete", "over_hypercube", "star"])
@@ -963,9 +1002,9 @@ class TestOnePipeline:
         # no extension derives its adjacency rows
         products = []
 
-        def recording(g, colors, p, lists=None, prescribed=None, colored=None):
+        def recording(g, colors, p, lists=None, prescribed=None):
             products.append(g)
-            return coloring._verify(g, colors, p, lists, prescribed, colored)
+            return coloring._verify(g, colors, p, lists, prescribed)
 
         monkeypatch.setattr(extension, "_verify", recording)
         g, entries = cycle(6), {(0, 1): 1}

@@ -108,15 +108,16 @@ ORACLE_DECISIONS = "176e1f933dd76eb212b19797f0392dc4505907fcb21c253c9214bcffde5e
 
 
 def test_oracle_sweeps_byte_identical(monkeypatch):
-    decide = oracle.decide_extendable
+    decide = oracle._decide
     witnesses = []
 
-    def spy(g, pre, palette):
-        col = decide(g, pre, palette)
-        witnesses.append(None if col is None else list(col.assignment.items()))
-        return col
+    def spy(g, entries, palette, budget):
+        found = decide(g, entries, palette, budget)
+        # the items of the witness decide_extendable would key by edge
+        witnesses.append(None if found is None else [(g.edges[i], found[1][i]) for i in found[0]])
+        return found
 
-    monkeypatch.setattr(oracle, "decide_extendable", spy)
+    monkeypatch.setattr(oracle, "_decide", spy)
     reports, decisions = hashlib.sha256(), hashlib.sha256()
     for g, n, m, seed in ORACLE_SWEEPS:
         witnesses.clear()

@@ -43,6 +43,7 @@ from edgex.errors import (
     InapplicableError,
     InvalidPrecoloringError,
     NotBipartiteError,
+    ProofInvariantError,
     UnknownEdgeError,
     VertexIndexError,
 )
@@ -55,6 +56,7 @@ from helpers import (
     edge_distance,
     random_connected_bipartite,
     random_valid_precoloring,
+    reference_close_masks,
     reference_distance2_matchings,
     reference_local_obstruction,
     complete_factor_palette,
@@ -194,6 +196,70 @@ class TestDecideExtendable:
         pre = Precoloring(3, {(0, 1): 1})
         with pytest.raises(BadParameterError, match=f"{name} must be an int"):
             decide_extendable(hypercube(3), pre, palette, budget=budget)
+
+
+def corrupt_witnesses(monkeypatch, change):
+    """Make the oracle's search hand back each witness it finds after
+    change(pins, colors) has edited its colors by id in place."""
+    search = oracle._search
+
+    def stub(g, dom, budget, pinned):
+        found = search(g, dom, budget, pinned)
+        if found is not None:
+            change(pinned, found[1])
+        return found
+
+    monkeypatch.setattr(oracle, "_search", stub)
+
+
+def repin(palette):
+    """A change that gives the first pinned edge another palette color."""
+
+    def change(pins, colors):
+        if pins:
+            i, c = pins[0]
+            colors[i] = c % palette + 1
+
+    return change
+
+
+def off_palette(palette):
+    """A change that colors the first edge one past the palette."""
+
+    def change(pins, colors):
+        colors[0] = palette + 1
+
+    return change
+
+
+class TestWitnessCheck:
+    """Every witness is checked in full against the palette and the
+    prescription before it is returned, whether the decision is asked for
+    by decide_extendable or made inside a sweep; a witness that fails is an
+    internal error, never an answer."""
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [(repin, r"edge \(0, 1\) prescribed 1 but colored 2"), (off_palette, r"edge \(0, 1\) colored outside palette")],
+        ids=["repinned", "off-palette"],
+    )
+    def test_decide_extendable_raises(self, monkeypatch, change, message):
+        corrupt_witnesses(monkeypatch, change(2))
+        with pytest.raises(ProofInvariantError, match=f"search produced an invalid witness: .*{message}"):
+            decide_extendable(cycle(4), Precoloring(2, {(0, 1): 1}), 2)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [(repin, r"prescribed \d but colored \d"), (off_palette, r"edge \(0, 2\) colored outside palette")],
+        ids=["repinned", "off-palette"],
+    )
+    def test_sweep_raises(self, monkeypatch, change, message):
+        # P_3 x K_2,1 has palette 4 and first edge (0, 2); its sampled
+        # draws at seed 7 include instances with entries, so a repinned
+        # witness is met too
+        corrupt_witnesses(monkeypatch, change(4))
+        with pytest.raises(ProofInvariantError, match=f"search produced an invalid witness: .*{message}"):
+            explore_bipartite_factor(path(3), 2, 1, budget=40, seed=7)
 
 
 @st.composite
@@ -459,6 +525,12 @@ class TestLocalObstruction:
         assert found > 0
 
 
+def unrank_edges(memo, close, edges, r):
+    """_unrank_instance's instance of rank r, its edge ids mapped to edges."""
+    ids, colors = _unrank_instance(memo, close, r)
+    return tuple(edges[i] for i in ids), colors
+
+
 def assert_ranks_are_the_instances(g, palette):
     """The count is the sum of palette**|M| over the reference listing, and
     unranking every rank below it gives each (matching, colors) pair once,
@@ -469,7 +541,7 @@ def assert_ranks_are_the_instances(g, palette):
     total = memo[(1 << len(g.edges)) - 1]
     listed = reference_distance2_matchings(g)
     assert total == sum(palette ** len(matching) for matching in listed)
-    drawn = [_unrank_instance(memo, close, g.edges, r) for r in range(total)]
+    drawn = [unrank_edges(memo, close, g.edges, r) for r in range(total)]
     expected = [
         (matching, colors)
         for matching in listed
@@ -537,7 +609,7 @@ class TestExploreBipartiteFactor:
         # no real counterexample is known, so the oracle is made to refute
         # every instance of K_2 x K_1,1 = C_4: the empty matching, then each
         # edge alone in both colors
-        monkeypatch.setattr(oracle, "decide_extendable", lambda g, pre, palette: None)
+        monkeypatch.setattr(oracle, "_decide", lambda g, entries, palette, budget: None)
         rep = explore_bipartite_factor(complete(2), 1, 1, budget=1000)
         assert (rep.instances, rep.extendable, rep.exhaustive) == (9, 0, True)
         edges = cartesian_product(complete(2), complete_bipartite(1, 1)).graph.edges
@@ -578,10 +650,10 @@ class TestExploreBipartiteFactor:
         # with its colorings in lexicographic order; decided in rank order
         decided = []
 
-        def refute(g, pre, palette):
-            decided.append(tuple(sorted(pre.entries.items())))
+        def refute(g, entries, palette, budget):
+            decided.append(tuple((g.edges[i], c) for i, c in sorted(entries.items())))
 
-        monkeypatch.setattr(oracle, "decide_extendable", refute)
+        monkeypatch.setattr(oracle, "_decide", refute)
         rep = explore_bipartite_factor(cycle(4), 1, 1, budget=91)
         assert (rep.instances, rep.extendable, rep.exhaustive) == (91, 0, True)
         matchings = [
@@ -608,7 +680,7 @@ class TestExploreBipartiteFactor:
         product = cartesian_product(cycle(4), complete_bipartite(1, 1)).graph
         close = _close_masks(product)
         memo = _weighted_matching_count(close, 3)
-        ranked = [_unrank_instance(memo, close, product.edges, r) for r in range(91)]
+        ranked = [unrank_edges(memo, close, product.edges, r) for r in range(91)]
         assert decided == [tuple(zip(matching, colors)) for matching, colors in ranked]
 
 
@@ -632,7 +704,7 @@ class TestWeightedMatchingCount:
 
     def test_sampled_sweep_unranks_one_draw_per_instance(self, monkeypatch):
         # each sampled instance is the unranked rng.randrange(W), in order
-        monkeypatch.setattr(oracle, "decide_extendable", lambda g, pre, palette: None)
+        monkeypatch.setattr(oracle, "_decide", lambda g, entries, palette, budget: None)
         rep = explore_bipartite_factor(path(3), 2, 1, budget=40, seed=7)
         product = cartesian_product(path(3), complete_bipartite(2, 1)).graph
         close = _close_masks(product)
@@ -640,10 +712,42 @@ class TestWeightedMatchingCount:
         rng = random.Random(7)
         expected = []
         for _ in range(40):
-            matching, colors = _unrank_instance(memo, close, product.edges, rng.randrange(241))
+            matching, colors = unrank_edges(memo, close, product.edges, rng.randrange(241))
             entries = [{"u": u, "v": v, "color": c} for (u, v), c in zip(matching, colors)]
             expected.append({"palette_size": 4, "entries": entries})
         assert list(rep.counterexamples) == expected
+
+
+SWEEP_FACTORS = [path(3), path(4), cycle(4), star(3), spider(2, 2), cycle(6), spider(3, 2)]
+SWEEP_RIGHT = [(2, 1), (2, 2), (3, 1), (3, 2)]
+
+
+class TestCloseMasks:
+    """_close_masks reads g's neighbor lists; the pairwise construction it
+    replaced, ``helpers.reference_close_masks``, is the reference."""
+
+    @given(bipartite_graphs(max_n=12))
+    @settings(max_examples=200, deadline=None)
+    def test_random_bipartite_graphs(self, g):
+        assert _close_masks(g) == reference_close_masks(g)
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_edgeless_graphs(self, n):
+        g = build_graph([str(v) for v in range(n)], [])
+        assert _close_masks(g) == reference_close_masks(g) == []
+
+    @pytest.mark.parametrize("factor", SWEEP_FACTORS, ids=repr)
+    @pytest.mark.parametrize("n, m", SWEEP_RIGHT)
+    def test_sweep_products(self, factor, n, m):
+        # every product of the benchmark's oracle sweeps, P_3 x K_2,1 to
+        # spider(3, 2) x K_3,2
+        product = cartesian_product(factor, complete_bipartite(n, m)).graph
+        assert _close_masks(product) == reference_close_masks(product)
+
+    def test_c10_k33(self):
+        product = cartesian_product(cycle(10), complete_bipartite(3, 3)).graph
+        assert len(product.edges) == 150
+        assert _close_masks(product) == reference_close_masks(product)
 
 
 class TestStarSweeps:
@@ -680,7 +784,7 @@ class TestStarSweeps:
             return layer * (n + 1) + (0 if b == n else b + 1)
 
         for r in range(total):
-            matching, colors = _unrank_instance(memo, close, product.edges, r)
+            matching, colors = unrank_edges(memo, close, product.edges, r)
             entries = {canonical_edge(to_star(u), to_star(v)): c for (u, v), c in zip(matching, colors)}
             col = extend_over_star(g, n, Precoloring(palette, entries))
             assert verify_proper(target, col, prescribed=entries).ok
@@ -693,7 +797,7 @@ class TestExploreScale:
     def test_c10_k33_counts_and_draws(self, monkeypatch):
         # 150 product edges, about 1.9 * 10**14 instances, 45,374 states;
         # listing the matchings ran out of a 2 GB address space
-        monkeypatch.setattr(oracle, "decide_extendable", lambda g, pre, palette: None)
+        monkeypatch.setattr(oracle, "_decide", lambda g, entries, palette, budget: None)
         start = time.perf_counter()
         rep = explore_bipartite_factor(cycle(10), 3, 3, 20)
         elapsed = time.perf_counter() - start
@@ -726,13 +830,13 @@ class Stop(Exception):
 
 calls = 0
 
-def refute(g, pre, palette):
+def refute(g, entries, palette, budget):
     global calls
     calls += 1
     if calls > 1000:
         raise Stop
 
-oracle.decide_extendable = refute
+oracle._decide = refute
 tracemalloc.start()
 try:
     explore_bipartite_factor(cycle(10), 3, 3, 10**15)
@@ -757,7 +861,7 @@ except Stop:
 
     def test_long_path_product_counts_without_recursion(self, monkeypatch):
         # 5,998 product edges: a recursive count would nest once per edge
-        monkeypatch.setattr(oracle, "decide_extendable", lambda g, pre, palette: None)
+        monkeypatch.setattr(oracle, "_decide", lambda g, entries, palette, budget: None)
         rep = explore_bipartite_factor(path(2000), 1, 1, 3)
         assert (rep.instances, rep.exhaustive) == (3, False)
         product = cartesian_product(path(2000), complete_bipartite(1, 1))
@@ -772,5 +876,5 @@ except Stop:
         with pytest.raises(BadParameterError, match="past the limit of 211662 states times edges"):
             explore_bipartite_factor(cycle(6), 3, 2, 20)
         monkeypatch.setattr(oracle, "MAX_MATCHING_MEMO", 3208 * 66)
-        monkeypatch.setattr(oracle, "decide_extendable", lambda g, pre, palette: None)
+        monkeypatch.setattr(oracle, "_decide", lambda g, entries, palette, budget: None)
         assert explore_bipartite_factor(cycle(6), 3, 2, 20).instances == 20

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgex import (
+    EdgeColoring,
     Precoloring,
     build_blocked_hub_instance,
     build_graph,
@@ -253,15 +254,16 @@ class TestFirstDescentDeadEnds:
     def test_sweep_records_and_witnesses(self, monkeypatch, factor, seed, dead_ends):
         # dead_ends: a decision's place in the sweep -> (nodes, pruned,
         # witness digest); every other decision descends straight
-        decide = oracle.decide_extendable
+        decide = oracle._decide
         seen = []
 
-        def spy(g, pre, palette):
-            col = decide(g, pre, palette)
-            seen.append((len(g.edges) - len(pre.entries), witness_digest(col)))
-            return col
+        def spy(g, entries, palette, budget):
+            found = decide(g, entries, palette, budget)
+            col = None if found is None else EdgeColoring(palette, {g.edges[i]: found[1][i] for i in found[0]})
+            seen.append((len(g.edges) - len(entries), witness_digest(col)))
+            return found
 
-        monkeypatch.setattr(oracle, "decide_extendable", spy)
+        monkeypatch.setattr(oracle, "_decide", spy)
         with search_counts() as counts:
             explore_bipartite_factor(factor, 3, 2, 20, seed)
         assert len(seen) == len(counts) == 20

@@ -13,9 +13,9 @@ class pinned to its color); one final check on the caller's product
 internal error. Each stage is the private, positional core of a public
 function (``_reduce`` of reduce_instance, ``coloring._list_color`` of
 demand_list_color, ``coloring._verify`` of verify_proper): lists and colors
-pass between them as lists by edge id, the final check reads the
-prescription as (id, color) pairs, and the only per-edge dict is the
-result.
+pass between them as lists by edge id, validation resolves each
+prescription key to its edge id once and the final check reads those
+(id, color) pairs, and the only per-edge dict is the result.
 An entry point checks its integers, bipartitions the caller's own G first
 (so an odd cycle is reported in G's indices), runs the families size check
 on the counts of its product before building anything, and picks base,
@@ -26,12 +26,20 @@ least significant bit, and G box K_{1,m} is an induced subgraph of
 host and reads its edges' colors from the host's base. Both are identities
 of the vertex indexing, proven by the test suite rather than checked at run
 time.
+
+extend_hypercube keeps its base Q_{d-1} and product Q_d for each d <= 12
+once built (``_cube_pair``), after its integer, size and palette checks:
+the base with the adjacency rows the reduction derives on it, the product
+as a separate object whose rows are never derived. Every pair up to Q_12
+holds 5.6 MiB (1.2 MiB up to Q_10); above Q_12 both cubes are built per
+call. Outputs are byte-identical to fresh builds.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 
 from .coloring import (
@@ -55,6 +63,7 @@ from .graph import (
     Edge,
     Graph,
     _edge_key,
+    _require_graph,
     _without_edges,
     bipartition,
     canonical_edge,
@@ -123,15 +132,22 @@ def validate_precoloring(p: ProductGraph | Graph, pre: Precoloring) -> Validatio
     that are not pairs of ints raise UnknownEdgeError; everything else is
     reported, not raised, so callers can show all problems at once.
     """
+    return _validate(_as_graph(p), pre)[0]
+
+
+def _validate(g: Graph, pre: Precoloring) -> tuple[ValidationReport, list[tuple[int, int]]]:
+    """validate_precoloring on g, and the entries as (edge id, color) pairs
+    in the order it reports them: each key is resolved once."""
     _require_ints(InvalidPrecoloringError, palette_size=pre.palette_size)
-    g = _as_graph(p)
-    entries = sorted(((g.check_edge(e), c) for e, c in pre.entries.items()), key=lambda t: t[0])
-    return ValidationReport(
+    entries = sorted(((g._edge_id(e), c) for e, c in pre.entries.items()), key=itemgetter(0))
+    edges = g.edges
+    report = ValidationReport(
         color_violations=tuple(
-            (e, c) for e, c in entries if not (type(c) is int and 1 <= c <= pre.palette_size)
+            (edges[i], c) for i, c in entries if not (type(c) is int and 1 <= c <= pre.palette_size)
         ),
-        distance_violations=tuple(close_edge_pairs(g, [e for e, _c in entries])),
+        distance_violations=tuple(close_edge_pairs(g, [edges[i] for i, _c in entries])),
     )
+    return report, entries
 
 
 def require_valid(p: ProductGraph | Graph, pre: Precoloring) -> None:
@@ -151,8 +167,10 @@ def reduce_instance(g: Graph, m: int, pre: Precoloring) -> ReducedInstance:
     removed edges, its rows g's with those at the removed edges' ends
     rebuilt (g itself when none is removed). A residual edge's list is the
     palette minus the colors blocked at its two ends, one tuple per
-    distinct set of blocked colors. On valid input each base vertex is
-    blocked at most once, so a list loses at most two colors and never
+    distinct set of blocked colors; only the edges with a blocked end are
+    looked at one by one, and the full lists' demand is checked once,
+    against the residual's maximum degree. On valid input each base vertex
+    is blocked at most once, so a list loses at most two colors and never
     drops below the endpoint-degree demand; any breach of that is a
     validation bug and raises ProofInvariantError. A color that is not an
     int raises BadParameterError once the entries are classified.
@@ -207,29 +225,30 @@ def _reduce(
 
     full = tuple(range(1, max_degree(g) + width))
     residual = _without_edges(g, sorted(forced)) if forced else g
-    degree = [len(ns) for ns in residual.adjacency]
+    rows = residual.adjacency
+    top = max_degree(residual)
+    if top > len(full):  # every full list meets its edge's demand
+        raise ProofInvariantError(f"{len(full)} colors fall short of the residual's maximum degree {top}")
+    ls = [full] * len(residual.edges)
+    mark: list[int | None] = [None] * g.n  # base vertex -> the color blocked at it
+    for x, color in blocked.items():
+        mark[x] = color
+    touched = [i for i, (u, v) in enumerate(residual.edges) if mark[u] is not None or mark[v] is not None]
     without: dict[frozenset[int], tuple[int, ...]] = {}  # lost colors -> list
-    ls: list[tuple[int, ...]] = []
-    touched = 0  # residual edges with a blocked end
-    for e in residual.edges:
-        u, v = e
-        lost = None
-        colors = full
-        if u in blocked or v in blocked:
-            touched += 1
-            lost = frozenset(blocked[x] for x in e if x in blocked)
-            if lost not in without:
-                without[lost] = tuple(c for c in full if c not in lost)
-            colors = without[lost]
-        ls.append(colors)
-        demand = max(degree[u], degree[v])
+    for i in touched:
+        e = u, v = residual.edges[i]
+        lost = frozenset(mark[x] for x in e if mark[x] is not None)
+        if lost not in without:
+            without[lost] = tuple(c for c in full if c not in lost)
+        colors = ls[i] = without[lost]
+        demand = max(len(rows[u]), len(rows[v]))
         if len(colors) < demand:
             raise ProofInvariantError(f"list of {e} shorter than its demand {demand}")
         # for m = 1 a fiber entry at one end leaves no room for any entry at
         # the other: both ends lie within distance 1 in G box K_2
-        if m == 1 and len(lost or ()) == 2 and any(x in fiber_prescriptions for x in e):
+        if m == 1 and len(lost) == 2 and (u in fiber_prescriptions or v in fiber_prescriptions):
             raise ProofInvariantError(f"edge {e} lost two colors without two removed edges")
-    used = [*without.values(), full] if touched < len(ls) else without.values()
+    used = [*without.values(), full] if len(touched) < len(ls) else without.values()
     sets = {id(colors): set(colors) for colors in used}
     return residual, ls, sets, forced, fiber_prescriptions
 
@@ -329,7 +348,9 @@ def _extend(
     up[c][star-1:] again.
     """
     _require_palette(pre, palette, what)
-    require_valid(product, pre)
+    report, prescribed = _validate(product, pre)  # valid, so the ids are distinct
+    if not report.ok:
+        raise InvalidPrecoloringError(report)
     entries = pre.entries
     if star is not None:
         entries = {
@@ -380,7 +401,6 @@ def _extend(
             colors += layer
     if len(colors) != len(product.edges):
         raise ProofInvariantError(f"assembled {len(colors)} colors for {len(product.edges)} product edges")
-    prescribed = sorted((product._edge_id(e), c) for e, c in pre.entries.items())
     report = _verify(product, colors, palette, prescribed=prescribed)
     if not report.ok:
         raise ProofInvariantError(f"assembled coloring fails its final check: {report}")
@@ -390,6 +410,7 @@ def _extend(
 def extend_over_complete(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     """Extend a valid precoloring of G box K_{2m} to a full proper coloring
     with max_degree(G) + 2m - 1 colors."""
+    _require_graph(g=g)
     _require_positive(m=m)
     bipartition(g)
     what = f"G box K_{2 * m}"
@@ -401,6 +422,7 @@ def extend_over_complete(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
 def extend_over_hypercube(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     """Extend a valid precoloring of G box Q_m using max_degree(G) + m colors,
     as one K_2 extension of the iterated base G box Q_{m-1}."""
+    _require_graph(g=g)
     _require_positive(m=m)
     bipartition(g)
     what = f"G box Q_{m}"
@@ -408,6 +430,20 @@ def extend_over_hypercube(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     base = g if m == 1 else cartesian_product(g, hypercube(m - 1)).graph
     product = cartesian_product(base, complete(2)).graph
     return _extend(base, 1, product, max_degree(g) + m, what, pre)
+
+
+# the largest d whose cube pair is kept: every pair up to Q_12 (24,576
+# edges), the bases' rows included, holds 5.6 MiB
+_CACHED_CUBES = 12
+
+
+@lru_cache(maxsize=None)
+def _cube_pair(d: int) -> tuple[Graph, Graph]:
+    """The base Q_{d-1} and the product Q_d of extend_hypercube at d, built
+    once per process for d <= _CACHED_CUBES. The base keeps the rows the
+    reduction derives on it; the product is its own object, never a base,
+    so its rows are never derived."""
+    return hypercube(d - 1), hypercube(d)
 
 
 def extend_hypercube(d: int, pre: Precoloring) -> EdgeColoring:
@@ -418,7 +454,8 @@ def extend_hypercube(d: int, pre: Precoloring) -> EdgeColoring:
     what = f"Q_{d}"
     _require_size(what, *_cube_size(d))
     _require_palette(pre, d, what)
-    return _extend(hypercube(d - 1), 1, hypercube(d), d, what, pre)
+    base, product = _cube_pair(d) if d <= _CACHED_CUBES else (hypercube(d - 1), hypercube(d))
+    return _extend(base, 1, product, d, what, pre)
 
 
 def _star_to_host(i: int, m: int) -> int:
@@ -440,6 +477,7 @@ def extend_over_star(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     palette. The map does not keep edges canonical, so every mapped entry
     is put back in canonical order.
     """
+    _require_graph(g=g)
     _require_positive(m=m)
     bipartition(g)
     what = f"G box K_1,{m}"

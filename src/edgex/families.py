@@ -132,18 +132,24 @@ def cycle(n: int) -> Graph:
 def hypercube(d: int) -> Graph:
     """Q_d with vertices labeled by d-bit strings (empty label for d = 0).
 
-    Vertex i's upper edges set one clear bit, lowest first, so the edges
-    come out sorted; both ends of each are taken from one list of the
-    vertex ints."""
+    Built by doubling: Q_{b+1} is two copies of Q_b, the vertices with bit
+    b clear and then those with it set. Each vertex's upper edges set one
+    clear bit, lowest first, so a vertex of the lower copy keeps its
+    offsets and gains 2**b, and one of the upper copy keeps its offsets.
+    The edges then come out sorted, and both ends of each are taken from
+    one list of the vertex ints."""
     _require_ints(d=d)
     if d < 0:
         raise BadParameterError("hypercube needs d >= 0")
     _require_size(f"Q_{d}", *_cube_size(d))
+    labels = [""]
+    up: list[list[int]] = [[]]  # vertex -> its upper neighbors' offsets
+    for b in range(d):
+        labels = ["0" + s for s in labels] + ["1" + s for s in labels]
+        up = [u + [1 << b] for u in up] + up
     ids = list(range(1 << d))
-    labels = tuple(format(i, f"0{d}b") if d else "" for i in ids)
-    bits = [1 << b for b in range(d)]
-    edges = tuple((i, ids[i | t]) for i in ids for t in bits if not i & t)
-    return Graph(labels, edges)
+    edges = tuple((i, ids[i + o]) for i, offsets in zip(ids, up) for o in offsets)
+    return Graph(tuple(labels), edges)
 
 
 def spider(legs: int, leg_length: int) -> Graph:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
+    BadParameterError,
     DuplicateEdgeError,
     NotBipartiteError,
     SelfLoopError,
@@ -116,6 +117,13 @@ class Graph:
 
     def incident_edges(self, v: int) -> list[Edge]:
         return [canonical_edge(v, w) for w in self.adjacency[v]]
+
+
+def _require_graph(**params: object) -> None:
+    """BadParameterError naming the first parameter that is not a Graph."""
+    for name, value in params.items():
+        if not isinstance(value, Graph):
+            raise BadParameterError(f"{name} must be a Graph, got {type(value).__name__}")
 
 
 def _without_edges(g: Graph, removed: list[int]) -> Graph:

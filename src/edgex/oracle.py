@@ -37,6 +37,7 @@ from .families import (
 from .graph import (
     Edge,
     Graph,
+    _require_graph,
     bipartition,
     canonical_edge,
     max_degree,
@@ -312,6 +313,7 @@ def explore_bipartite_factor(
     mapped to its edges, for its row. Ids sort as their edges do, so the
     rows' order is that of the edges.
     """
+    _require_graph(g=g)
     _require_ints(n=n, m=m, budget=budget, seed=seed)
     if n < m or m < 1:
         raise BadParameterError("needs n >= m >= 1")

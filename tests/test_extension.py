@@ -375,10 +375,20 @@ class TestReduce:
                 {(0, 1): 1, (2, 3): 2},
                 r"edge \(0, 1\) lost two colors without two removed edges",
             ),
+            # colors are not validated here, so 0 is a blocked color like any other
+            (
+                build_graph("abcde", [(0, 1), (2, 3), (3, 4)]),
+                1,
+                {(0, 1): 0, (2, 3): 2},
+                r"edge \(0, 1\) lost two colors without two removed edges",
+            ),
             # entries sort by key alone, so the colors are never compared
             (path(2), 1, {(0, 1): "a", (1, 0): 1}, "two fiber prescriptions at base vertex 0"),
         ],
-        ids=["two-copies", "two-fibers", "layer-layer", "fiber-layer", "demand", "m1-fiber", "mixed-colors"],
+        ids=[
+            "two-copies", "two-fibers", "layer-layer", "fiber-layer", "demand", "m1-fiber", "m1-fiber-color-0",
+            "mixed-colors",
+        ],
     )
     def test_proof_invariant_on_unvalidated_input(self, g, m, entries, message):
         palette = complete_factor_palette(g, m)
@@ -783,6 +793,79 @@ class TestExtendHypercube:
         assert all(col.assignment[e] == c for e, c in pre.entries.items())
 
 
+class TestCubePairs:
+    """extend_hypercube takes Q_{d-1} and Q_d from one pair per d <= 12,
+    built on the first call at d and kept; above 12 it builds both fresh."""
+
+    @staticmethod
+    def _recorded(monkeypatch):
+        builds, bases, products = [], [], []
+        build, reduce, verify = extension.hypercube, extension._reduce, extension._verify
+
+        def counting(d):
+            builds.append(d)
+            return build(d)
+
+        def reducing(g, m, entries):
+            bases.append(g)
+            return reduce(g, m, entries)
+
+        def verifying(g, colors, p, lists=None, prescribed=None):
+            products.append(g)
+            return verify(g, colors, p, lists, prescribed)
+
+        monkeypatch.setattr(extension, "hypercube", counting)
+        monkeypatch.setattr(extension, "_reduce", reducing)
+        monkeypatch.setattr(extension, "_verify", verifying)
+        return builds, bases, products
+
+    @pytest.mark.parametrize("d", [1, 3, 7, 12])
+    def test_repeated_calls_reuse_one_pair(self, monkeypatch, d):
+        builds, bases, products = self._recorded(monkeypatch)
+        q = hypercube(d)
+        cols = [extend_hypercube(d, random_valid_precoloring(random.Random(k), q, d, 4)) for k in range(3)]
+        assert builds == [d - 1, d]
+        assert all(b is bases[0] for b in bases) and all(p is products[0] for p in products)
+        assert (bases[0], products[0]) == (hypercube(d - 1), q) and bases[0] is not products[0]
+        assert extension._cube_pair.cache_info().currsize == 1
+        assert all(verify_proper(q, col).ok for col in cols)
+
+    def test_above_the_cap_builds_fresh_and_keeps_nothing(self, monkeypatch):
+        builds, _bases, products = self._recorded(monkeypatch)
+        for _ in range(2):
+            extend_hypercube(13, Precoloring(13, {(0, 1): 1}))
+        assert builds == [12, 13, 12, 13]
+        assert products[0] is not products[1]
+        assert extension._cube_pair.cache_info().currsize == 0
+
+    @pytest.mark.parametrize(
+        "call, kept",
+        [
+            (lambda: extend_hypercube(3, Precoloring(4, {})), 0),
+            (lambda: extend_hypercube(18, Precoloring(18, {})), 0),
+            (lambda: extend_hypercube(3, Precoloring(3, {(0, 3): 1})), 1),
+        ],
+        ids=["palette", "size", "unknown-edge"],
+    )
+    def test_pair_taken_after_the_palette_and_size_checks(self, call, kept):
+        # validation runs on the product, so a call refused there keeps its pair
+        with pytest.raises(EdgexError):
+            call()
+        assert extension._cube_pair.cache_info().currsize == kept
+
+    @pytest.mark.parametrize("d", [2, 5, 11])
+    def test_product_rows_never_derived_under_the_next_base(self, d):
+        # the product of d and the base of d + 1 are both Q_d, but two
+        # objects: the reduction derives rows on the base only
+        extend_hypercube(d, Precoloring(d, {(0, 1): 1}))
+        extend_hypercube(d + 1, Precoloring(d + 1, {(0, 1): 1}))
+        product = extension._cube_pair(d)[1]
+        base = extension._cube_pair(d + 1)[0]
+        assert product == base and product is not base
+        assert "adjacency" not in vars(product)
+        assert "adjacency" in vars(base)
+
+
 class TestExtendOverStar:
     @pytest.mark.parametrize("seed", [1, 3, 8])
     def test_host_residual_on_the_peeled_base(self, seed):
@@ -923,6 +1006,30 @@ class TestIntegerParameters:
     def test_string_palette_rejected_by_extend(self, extend):
         with pytest.raises(InvalidPrecoloringError, match="declares '3'"):
             extend(Precoloring("3", {(0, 1): 1}))
+
+
+class TestGraphParameter:
+    """A graph argument that is not a Graph is a user error, not a bare
+    AttributeError."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: extend_over_complete(g, 1, Precoloring(3, {})),
+            lambda g: extend_over_hypercube(g, 1, Precoloring(3, {})),
+            lambda g: extend_over_star(g, 1, Precoloring(3, {})),
+            lambda g: explore_bipartite_factor(g, 2, 1, 5),
+        ],
+        ids=["complete", "over_hypercube", "star", "explore"],
+    )
+    @pytest.mark.parametrize(
+        "g, kind",
+        [("x", "str"), (None, "NoneType"), (cartesian_product(P3, complete(2)), "ProductGraph")],
+        ids=["str", "none", "product-graph"],
+    )
+    def test_not_a_graph(self, call, g, kind):
+        with pytest.raises(BadParameterError, match=f"g must be a Graph, got {kind}"):
+            call(g)
 
 
 def test_determinism_across_runs():

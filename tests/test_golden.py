@@ -28,7 +28,7 @@ from edgex import (
     spider,
     star,
 )
-from edgex import oracle
+from edgex import extension, oracle
 from edgex.graph import max_degree
 
 from helpers import debug_records, random_connected_bipartite, random_valid_precoloring, roadmap_cube_instance
@@ -93,6 +93,16 @@ def digest(calls) -> str:
 def test_outputs_byte_identical(name):
     calls, want = GOLDEN[name]
     assert digest(calls) == want
+
+
+def test_extend_hypercube_cold_then_warm():
+    # the first pass builds and keeps each cube pair, the second reuses them
+    calls, want = GOLDEN["extend_hypercube"]
+    assert extension._cube_pair.cache_info().currsize == 0
+    assert digest(calls) == want
+    assert extension._cube_pair.cache_info().currsize == 7
+    assert digest(calls) == want
+    assert extension._cube_pair.cache_info()[:2] == (7, 7)  # hits, misses
 
 
 # the benchmark's small oracle products, each factor x K_n,m swept at

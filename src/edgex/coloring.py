@@ -6,6 +6,10 @@
   method, ranking the edges at each vertex by the König base or by the
   peeled base, which certifies every list of at least the endpoint-degree
   demand (Borodin, Kostochka and Woodall); no repair and no search runs.
+  Its core, ``_list_color``, may start from another proper max-degree
+  coloring in place of the König base: the extension pipeline hands it
+  ``_dimension_base`` on a cube's residual, which colors each edge by the
+  bit its ends differ in, at no search cost.
   An edge is its id, its position in the lexicographic g.edges, so loops
   visit the edges in canonical order, item for item as over edge tuples.
   Colors stay lists by edge id until the boundary: the assignment lists the
@@ -44,7 +48,7 @@ from .errors import (
     _require_mapping,
 )
 from .families import _require_size
-from .graph import SIDE_X, Edge, Graph, _edge_key, bipartition, canonical_edge, max_degree
+from .graph import SIDE_X, Edge, Graph, _edge_key, _require_graph, bipartition, canonical_edge, max_degree
 
 _log = logging.getLogger("edgex")
 
@@ -79,6 +83,7 @@ def _require_covered(g: Graph, mapping: Mapping, what: str) -> None:
 def make_list_assignment(g: Graph, lists: dict[Edge, object]) -> ListAssignment:
     """Normalize every edge's list of ints to a duplicate-free ascending
     tuple; BadParameterError names an edge whose list is not ints."""
+    _require_graph(g=g)
     _require_covered(g, lists, "lists")
     return ListAssignment(lists={e: tuple(sorted(set(_color_list(e, lists[e])))) for e in g.edges})
 
@@ -152,6 +157,7 @@ def verify_proper(
     edge is known colored, the coloring holds a pair outside g only when it
     has more keys than g has edges; those are listed in insertion order.
     """
+    _require_graph(g=g)
     a = col.assignment
     try:
         colors = [a[e] for e in g.edges]
@@ -255,6 +261,7 @@ def konig_color(g: Graph) -> EdgeColoring:
     the endpoints share no free color, swap colors along the alternating
     path starting at one endpoint, which frees a common color.
     """
+    _require_graph(g=g)
     bipartition(g)  # raises NotBipartiteError on bad input
     base, _at = _konig_base(g)
     return EdgeColoring(palette_size=max_degree(g), assignment=dict(zip(g.edges, base)))
@@ -266,6 +273,20 @@ def _konig_base(g: Graph) -> tuple[list[int], list[dict[int, int]]]:
     base = [0] * len(g.edges)
     at: list[dict[int, int]] = [{} for _ in range(g.n)]  # vertex -> color -> edge id
     _insert(g.edges, at, base, range(len(base)))
+    return base, at
+
+
+def _dimension_base(g: Graph) -> tuple[list[int], list[dict[int, int]]]:
+    """The dimension coloring of g, a subgraph of the indexed Q_k, as
+    ``_konig_base`` gives its base: edge uv takes (u ^ v).bit_length(), one
+    more than the index of the bit its ends differ in. The edges at a vertex
+    differ from it in distinct bits, so the coloring is proper in 1..k, and
+    a proper max-degree coloring once g keeps a vertex of degree k."""
+    base = [(u ^ v).bit_length() for u, v in g.edges]
+    at: list[dict[int, int]] = [{} for _ in range(g.n)]  # vertex -> color -> edge id
+    for i, ((u, v), c) in enumerate(zip(g.edges, base)):
+        at[u][c] = i
+        at[v][c] = i
     return base, at
 
 
@@ -324,12 +345,15 @@ def _flip_alternating_path(
 def _peeled_ranks(
     g: Graph, xs: list[int], ys: list[int], base: list[int], at: list[dict[int, int]]
 ) -> tuple[list[int], list[int]]:
-    """The peeled base, from the König base `base`, `at` (consumed) of g,
-    edges oriented by xs and ys: each edge's rank at its X and its Y end,
+    """The peeled base, from `base`, `at` (consumed), a proper max-degree
+    coloring of g by edge id and each vertex's color -> edge id map (the
+    König base, or any other such as ``_dimension_base``), edges oriented
+    by xs and ys: each edge's rank at its X and its Y end,
     r_v(e) counting the edges v ranks above e, with r_x(e) + r_y(e) <=
     max(d(x), d(y)) - 1. While edges remain: D is the maximum degree, the
     hot vertices have degree D, and M, the color-D edges at a hot vertex, is
-    a matching covering them. A hot vertex matched to a cold one is forced.
+    a matching covering them: a proper coloring in 1..D gives a vertex of
+    degree D every color, whatever coloring it is. A hot vertex matched to a cold one is forced.
     One search per forced X vertex (Kuhn's pass) looks for an alternating
     path to a forced Y vertex (an edge outside M to a hot y, y's M edge, and
     so on) and swaps M along it. An M edge's first end is its hot end if the
@@ -505,6 +529,7 @@ def exact_list_color(g: Graph, lists: ListAssignment, budget: int | None = None)
     int), exhausting it raises BudgetExceededError: an inconclusive outcome,
     never a "no". A budget that is not an int >= 0 raises BadParameterError.
     """
+    _require_graph(g=g)
     _require_budget(budget)
     ls, _sets = _edge_lists(g, lists)
     found = _search(g, [set(colors) for colors in ls], budget)
@@ -726,6 +751,7 @@ def demand_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
 
     The boundary view of ``_list_color``: it reads the lists by edge id and
     keys the colors by edge."""
+    _require_graph(g=g)
     side = bipartition(g).side
     ls, sets = _edge_lists(g, lists)
     colors = _list_color(g, side, ls, sets)
@@ -733,17 +759,28 @@ def demand_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
     return EdgeColoring(palette_size=palette, assignment=dict(zip(g.edges, colors)))
 
 
-def _list_color(g: Graph, side: tuple[str, ...], ls: list[tuple[int, ...]], sets: dict[int, set[int]]) -> list[int]:
+def _list_color(
+    g: Graph,
+    side: tuple[str, ...],
+    ls: list[tuple[int, ...]],
+    sets: dict[int, set[int]],
+    start: tuple[list[int], list[dict[int, int]]] | None = None,
+) -> list[int]:
     """demand_list_color by edge id: g with its bipartition's sides, each
     edge's list `ls` and the lists' colors `sets` (as ``_edge_lists`` gives
-    them); returns each edge's color by edge id."""
+    them); returns each edge's color by edge id. `start` is the base in
+    place of the König base, in its form: a proper max-degree coloring of
+    g by edge id and each vertex's color -> edge id map, which the peel
+    consumes. The extension pipeline passes ``_dimension_base`` on a cube
+    (logged as base=dimension); any proper max-degree coloring ranks as the
+    König base does and meets the peel's proof."""
     edges = g.edges
     xs = [u if side[u] == SIDE_X else v for u, v in edges]
     ys = [v if side[u] == SIDE_X else u for u, v in edges]
     delta = max(map(len, g.adjacency), default=0)
     short = [i for i, colors in enumerate(ls) if len(colors) < delta]
-    base, at = _konig_base(g)
-    # out(e) on the König base: the colors at x below e's, and at y above it
+    name, (base, at) = ("konig", _konig_base(g)) if start is None else ("dimension", start)
+    # out(e) on a base ranked by color: the colors at x below e's, and at y above it
     out = (len([c for c in at[xs[i]] if c < base[i]]) + len([c for c in at[ys[i]] if c > base[i]]) for i in short)
     if any(o >= len(ls[i]) for o, i in zip(out, short)):
         name = "peeled"
@@ -753,8 +790,8 @@ def _list_color(g: Graph, side: tuple[str, ...], ls: list[tuple[int, ...]], sets
             if not bad:
                 raise ProofInvariantError("the peeled base fails lists that meet the endpoint-degree demand")
             raise DemandViolationError(f"lists shorter than endpoint-degree demand at {bad}")
-    else:  # the König base ranks by color: ascending at X, descending at Y
-        name, kx, ky = "konig", base, [-c for c in base]
+    else:  # the base ranks by color: ascending at X, descending at Y
+        kx, ky = base, [-c for c in base]
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("list coloring: base=%s short=%d", name, len(short))
     return _kernel_rounds(g, ls, sets, xs, ys, kx, ky)

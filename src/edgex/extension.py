@@ -16,6 +16,13 @@ demand_list_color, ``coloring._verify`` of verify_proper): lists and colors
 pass between them as lists by edge id, validation resolves each
 prescription key to its edge id once and the final check reads those
 (id, color) pairs, and the only per-edge dict is the result.
+When the base is the indexed Q_k (``Graph._cube_dim``), as it is for
+extend_hypercube, for extend_over_hypercube(Q_j, m) and for any other call
+whose base is a cube, the residual, Q_k less a matching, takes its sides
+from each vertex's bit parity (no bipartition BFS), and its list coloring
+starts from its dimension coloring (``coloring._dimension_base``) in place
+of the König base, unless the removed matching covers every vertex, so
+that the dimension coloring is no max-degree coloring.
 An entry point checks its integers, bipartitions the caller's own G first
 (so an odd cycle is reported in G's indices), runs the families size check
 on the counts of its product before building anything, and picks base,
@@ -45,6 +52,7 @@ from operator import itemgetter
 from .coloring import (
     EdgeColoring,
     ListAssignment,
+    _dimension_base,
     _list_color,
     _verify,
     one_factorization,
@@ -63,6 +71,7 @@ from .graph import (
     Edge,
     Graph,
     _edge_key,
+    _parity_sides,
     _require_graph,
     _without_edges,
     bipartition,
@@ -132,7 +141,9 @@ def validate_precoloring(p: ProductGraph | Graph, pre: Precoloring) -> Validatio
     that are not pairs of ints raise UnknownEdgeError; everything else is
     reported, not raised, so callers can show all problems at once.
     """
-    return _validate(_as_graph(p), pre)[0]
+    g = _as_graph(p)
+    _require_graph(p=g)
+    return _validate(g, pre)[0]
 
 
 def _validate(g: Graph, pre: Precoloring) -> tuple[ValidationReport, list[tuple[int, int]]]:
@@ -178,6 +189,7 @@ def reduce_instance(g: Graph, m: int, pre: Precoloring) -> ReducedInstance:
     The boundary view of ``_reduce``: it keys the lists and the layer
     entries by edge, the layer entries in the order of their keys.
     """
+    _require_graph(g=g)
     residual, ls, _sets, forced, fiber_prescriptions = _reduce(g, m, pre.entries)
     return ReducedInstance(
         base_residual=residual,
@@ -357,7 +369,12 @@ def _extend(
             canonical_edge(_star_to_host(u, star), _star_to_host(v, star)): c for (u, v), c in entries.items()
         }
     residual, ls, sets, forced, fiber_prescriptions = _reduce(base, m, entries)
-    colored = _list_color(residual, bipartition(residual).side, ls, sets)
+    k = base._cube_dim
+    if k is None:
+        colored = _list_color(residual, bipartition(residual).side, ls, sets)
+    else:  # Q_k less a matching: parity sides, and the dimension base while a vertex keeps degree k
+        start = _dimension_base(residual) if max_degree(residual) == k else None
+        colored = _list_color(residual, _parity_sides(k), ls, sets, start)
     if len(colored) != len(residual.edges):
         raise ProofInvariantError(
             f"base coloring holds {len(colored)} colors for {len(residual.edges)} residual edges"

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadParameterError, _require_ints
-from .graph import Edge, Graph, build_graph
+from .graph import Edge, Graph, _require_graph, build_graph
 
 MAX_PRODUCT_EDGES = 2**21  # in vertices or edges: Q_17 (1,114,112 edges) is built, Q_18 (2,359,296) is not
 # memo states times product edges in explore_bipartite_factor's count of
@@ -204,6 +204,7 @@ def cartesian_product(g: Graph, h: Graph) -> ProductGraph:
     w. Both ends of each edge are taken from one list of the product's
     vertex ints.
     """
+    _require_graph(g=g, h=h)
     _require_size("G box H", g.n, len(g.edges), h.n, len(h.edges))
     k = h.n
     ids = list(range(g.n * k))

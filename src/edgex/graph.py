@@ -4,10 +4,11 @@ Vertices are dense indices 0..n-1 carrying text labels. Edges are canonical
 pairs (u, v) with u < v, kept in lexicographic order so every derived
 structure (adjacency, colorings, serializations) is deterministic; their
 positions in that order are the only edge index a Graph has. A Graph holds
-only its labels and edges: the adjacency rows, and each edge's neighboring
-edge ids for the exact search, are derived from the edges on first use and
-kept, and edge tests and the distance rule read the edges directly, so a
-graph that is only validated against and verified never builds its rows.
+only its labels and edges: the adjacency rows, each edge's neighboring
+edge ids for the exact search, and whether it is the indexed cube Q_k, are
+derived from the edges on first use and kept, and edge tests and the
+distance rule read the edges directly, so a graph that is only validated
+against and verified never builds its rows.
 A graph less some of its edges takes its rows from its parent's.
 """
 
@@ -84,6 +85,20 @@ class Graph:
         return tuple(
             tuple(j for j in at[u] + at[v] if j != i) for i, (u, v) in enumerate(self.edges)
         )
+
+    @cached_property
+    def _cube_dim(self) -> int | None:
+        """k when the graph is the indexed Q_k, hypercube(k)'s vertices and
+        edges (its labels play no part), else None. Any other graph is told
+        apart on its counts in O(1) unless it has 2^k vertices and
+        k * 2^(k-1) edges; then one scan decides: the edges are distinct,
+        so they are all of Q_k's iff the ends of each differ in one bit.
+        Derived on first use and kept, so a kept cube pays the scan once."""
+        n = self.n
+        k = n.bit_length() - 1
+        if n == 0 or n != 1 << k or len(self.edges) != k * n // 2:
+            return None
+        return k if all(not (u ^ v) & ((u ^ v) - 1) for u, v in self.edges) else None
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -199,6 +214,7 @@ def bipartition(g: Graph) -> Bipartition:
     Deterministic: components are scanned in index order and the lowest
     vertex of each lands in X.
     """
+    _require_graph(g=g)
     side: list[str | None] = [None] * g.n
     parent: list[int] = [-1] * g.n
     for root in range(g.n):
@@ -216,6 +232,18 @@ def bipartition(g: Graph) -> Bipartition:
                 elif side[w] == side[u]:
                     raise NotBipartiteError(_odd_cycle(parent, u, w))
     return Bipartition(side=tuple(side))
+
+
+def _parity_sides(k: int) -> tuple[str, ...]:
+    """bipartition(hypercube(k)).side without a BFS: vertex v sits in X iff
+    it has an even number of 1 bits, so each edge, which flips one bit,
+    joins the two sides; so does every edge of a subgraph of Q_k. Built by
+    doubling: vertices 2^b..2^(b+1)-1 are those below 2^b with bit b set,
+    so they take the swapped sides."""
+    side = [SIDE_X]
+    for _ in range(k):
+        side += [SIDE_Y if s == SIDE_X else SIDE_X for s in side]
+    return tuple(side)
 
 
 def _odd_cycle(parent: list[int], u: int, w: int) -> list[int]:
@@ -282,5 +310,6 @@ def close_edge_pairs(g: Graph, edges: list[Edge]) -> list[tuple[Edge, Edge, int]
 
 
 def max_degree(g: Graph) -> int:
+    _require_graph(g=g)
     return max((len(ns) for ns in g.adjacency), default=0)
 

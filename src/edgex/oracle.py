@@ -73,6 +73,7 @@ def decide_extendable(
     prescribed key's edge id by one bisection, and keys the witness by edge
     for the return.
     """
+    _require_graph(g=g)
     _require_ints(palette=palette)
     _require_budget(budget)
     found = _decide(g, _prescribed_ids(g, pre, palette), palette, budget)
@@ -135,6 +136,7 @@ def find_covering_induced_matching(g: Graph, v: int) -> list[Edge] | None:
     otherwise each neighbor's lowest private edge, sorted, is the smallest
     cover and the lexicographically first of that size.
     """
+    _require_graph(g=g)
     g.check_vertex(v)
     bipartition(g)
     return _private_cover(g, v)
@@ -185,6 +187,7 @@ def build_blocked_hub_instance(g: Graph, h: Graph) -> BlockedHubInstance:
     covered by an induced matching; the lowest-index qualifying vertex and
     the smallest covering matching are used, all entries get color 1.
     """
+    _require_graph(g=g, h=h)
     bipartition(g)
     bipartition(h)
     if max_degree(g) + max_degree(h) == 0:
@@ -245,6 +248,7 @@ def check_local_obstruction(
     """
     _require_ints(InvalidPrecoloringError, palette_size=pre.palette_size)
     g = _as_graph(p)
+    _require_graph(p=g)
     entries = _prescribed_ids(g, pre, pre.palette_size)
     lowest: dict[tuple[int, int], Edge] = {}
     for i, c in sorted(entries.items()):

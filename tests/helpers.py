@@ -522,11 +522,38 @@ def reference_color_fibers(
     return out
 
 
+def reference_cube_dim(g: Graph) -> int | None:
+    """k when g has 2^k vertices and reference_hypercube(k)'s edges, else None."""
+    k = g.n.bit_length() - 1
+    if g.n and g.n == 1 << k and g.edges == reference_hypercube(k).edges:
+        return k
+    return None
+
+
+def reference_dimension_base(g: Graph) -> tuple[list[int], list[dict[int, int]]]:
+    """The dimension coloring of a subgraph of a cube, bit by bit: edge uv
+    colored one more than the index of the bit where u and v differ; with
+    each vertex's color -> edge id map, as coloring._konig_base gives them."""
+    base: list[int] = []
+    at: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for i, (u, v) in enumerate(g.edges):
+        c = next(b for b in itertools.count() if (u >> b) & 1 != (v >> b) & 1) + 1
+        base.append(c)
+        at[u][c] = at[v][c] = i
+    return base, at
+
+
+def parity_bipartition(g: Graph) -> Bipartition:
+    """Sides by the parity of each vertex's 1 bits: X when even."""
+    return Bipartition(side=tuple("Y" if bin(v).count("1") % 2 else "X" for v in range(g.n)))
+
+
 def reference_assemble(
     base: Graph, m: int, product: Graph, palette: int, pre: Precoloring, star_m: int | None = None
 ) -> dict[Edge, int]:
     """The extension pipeline's assembly before the product-order pass, for
-    a prescription of `product`: the base colored as the pipeline colors it,
+    a prescription of `product`: the base colored as the pipeline colors it
+    (on a cube base from parity sides and reference_dimension_base),
     copied into every layer of base box K_{2m} by edge, the fibers of
     reference_color_fibers added, and for G box K_{1,star_m} every product
     edge looked up in that host through ``_star_to_host``."""
@@ -535,7 +562,14 @@ def reference_assemble(
         return e if star_m is None else canonical_edge(_star_to_host(e[0], star_m), _star_to_host(e[1], star_m))
 
     red = reduce_instance(base, m, Precoloring(palette, {to_host(e): c for e, c in pre.entries.items()}))
-    colored = dict(coloring.demand_list_color(red.base_residual, red.lists).assignment)
+    residual, k = red.base_residual, reference_cube_dim(base)
+    if k is None:
+        colored = dict(coloring.demand_list_color(residual, red.lists).assignment)
+    else:  # a cube base: parity sides, and the dimension base while the residual keeps degree k
+        ls, sets = coloring._edge_lists(residual, red.lists)
+        start = reference_dimension_base(residual) if max_degree(residual) == k else None
+        side = parity_bipartition(residual).side
+        colored = dict(zip(residual.edges, coloring._list_color(residual, side, ls, sets, start)))
     colored.update(red.forced_layer)
     width = 2 * m
     host = {(u * width + i, v * width + i): c for (u, v), c in colored.items() for i in range(width)}
@@ -658,14 +692,18 @@ def reference_certifies(
     return True
 
 
-def peeled_rank_sums(g: Graph) -> dict[Edge, int]:
+def peeled_rank_sums(
+    g: Graph, start: tuple[list[int], list[dict[int, int]]] | None = None, sides: Bipartition | None = None
+) -> dict[Edge, int]:
     """r_x(e) + r_y(e) for every edge e = xy of the library's peeled base of
-    g (from its König base), r_v(e) counted as the edges at v whose rank
-    key at v is lower than e's; asserts that every vertex gives its edges
-    distinct keys."""
-    sides = bipartition(g)
+    g, r_v(e) counted as the edges at v whose rank key at v is lower than
+    e's; asserts that every vertex gives its edges distinct keys. The peel
+    starts from `start`, a proper max-degree coloring with its color maps
+    (the König base when None), with the X ends on `sides`'s X side
+    (bipartition(g)'s when None)."""
+    sides = bipartition(g) if sides is None else sides
     ends = [(u, v) if sides.is_x(u) else (v, u) for u, v in g.edges]
-    base, at = coloring._konig_base(g)
+    base, at = coloring._konig_base(g) if start is None else start
     rx, ry = coloring._peeled_ranks(g, [x for x, _ in ends], [y for _, y in ends], base, at)
     key = {}  # (vertex, edge) -> the edge's key at that vertex
     for e, (x, y), kx, ky in zip(g.edges, ends, rx, ry):

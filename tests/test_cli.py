@@ -382,7 +382,7 @@ class TestErrorPaths:
             [sys.executable, "-m", "edgex.cli", "extend", "--factor", "qd:3", "--pre", pre],
             capture_output=True, text=True, env=env, check=True,
         )
-        assert "edgex: list coloring: base=konig short=" in run.stderr
+        assert "edgex: list coloring: base=dimension short=" in run.stderr
 
     def test_missing_file(self, tmp_path):
         assert main(["verify", str(tmp_path / "no.json"), str(tmp_path / "no2.json")]) == 1

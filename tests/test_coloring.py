@@ -48,10 +48,12 @@ from helpers import (
     layer_edges,
     list_coloring_bases,
     list_coloring_records,
+    parity_bipartition,
     peeled_rank_sums,
     random_connected_bipartite,
     random_valid_precoloring,
     reference_certifies,
+    reference_dimension_base,
     reference_galvin_list_color,
     reference_konig_color,
     reference_verify_proper,
@@ -675,6 +677,27 @@ def test_peeled_ranks_meet_the_demand_bound(g):
     # r_x(e) + r_y(e) <= max(d(x), d(y)) - 1, counted from each vertex's ranking
     sums = peeled_rank_sums(g)
     assert all(sums[e] <= demand(g, e) - 1 for e in g.edges)
+
+
+@pytest.mark.parametrize("d", range(3, 11))
+def test_dimension_base_peels_within_the_demand_bound(d):
+    # seeded induced matchings of Q_d, each smaller than a perfect matching
+    # of Q_{d-1}, reduced as extend_hypercube reduces them: the residual
+    # keeps degree k = d - 1, so its dimension coloring in 1..k is a proper
+    # maximum-degree coloring, and the peel from it meets the demand bound
+    q, k = hypercube(d), d - 1
+    for seed in range(3):
+        rng = random.Random(f"dimension {d} {seed}")
+        pre = random_valid_precoloring(rng, q, d, rng.randint(1, 2 ** (d - 2) - 1))
+        g = reduce_instance(hypercube(k), 1, pre).base_residual
+        assert max_degree(g) == k
+        colors, at = coloring._dimension_base(g)
+        assert (colors, at) == reference_dimension_base(g)
+        assert verify_proper(g, EdgeColoring(k, dict(zip(g.edges, colors)))).ok
+        sides = parity_bipartition(g)
+        assert all(sides.side[u] != sides.side[v] for u, v in g.edges)
+        sums = peeled_rank_sums(g, (colors, at), sides)
+        assert all(sums[e] <= demand(g, e) - 1 for e in g.edges)
 
 
 def _no_search(*args, **kwargs):

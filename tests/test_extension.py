@@ -866,6 +866,73 @@ class TestCubePairs:
         assert "adjacency" in vars(base)
 
 
+class TestCubeBase:
+    """A base that is the indexed Q_k takes its sides from each vertex's bit
+    parity and its list coloring's base from the residual's dimensions:
+    neither the bipartition BFS nor the König base runs on it."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = {}
+        for module, name in [(coloring, "_konig_base"), (coloring, "bipartition"), (extension, "bipartition")]:
+            key = f"{module.__name__.split('.')[-1]}.{name}"
+
+            def counting(*args, _f=getattr(module, name), _key=key):
+                calls[_key] = calls.get(_key, 0) + 1
+                return _f(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("d", range(3, 11))
+    def test_extend_hypercube_runs_neither(self, monkeypatch, d):
+        # fewer entries than a perfect matching of Q_{d-1}, so a vertex of
+        # the residual keeps degree d - 1
+        q = hypercube(d)
+        pre = random_valid_precoloring(random.Random(d), q, d, 2 ** (d - 2) - 1)
+        calls = self._counted(monkeypatch)
+        with list_coloring_bases() as bases:
+            col = extend_hypercube(d, pre)
+        assert calls == {}
+        assert bases in (["dimension"], ["peeled"])
+        assert verify_proper(q, col, prescribed=pre.entries).ok
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_extend_over_hypercube_on_a_non_cube_runs_both(self, monkeypatch, seed, m):
+        g = random_connected_bipartite(random.Random(seed), 8, 3)
+        product = cartesian_product(g, hypercube(m)).graph
+        pre = random_valid_precoloring(random.Random(seed), product, max_degree(g) + m, 6)
+        calls = self._counted(monkeypatch)
+        col = extend_over_hypercube(g, m, pre)
+        # G's own check and the residual's sides, then the König base
+        assert calls == {"extension.bipartition": 2, "coloring._konig_base": 1}
+        assert verify_proper(product, col, prescribed=pre.entries).ok
+
+    def test_residual_below_degree_k_falls_back_to_konig(self, monkeypatch):
+        # layer entries on base edges (0, 1) in copy 0 and (2, 3) in copy 1
+        # cover every vertex of Q_2, so the residual has maximum degree 1
+        # and the dimension coloring, in 1..2, is no maximum-degree coloring
+        pre = Precoloring(3, {(0, 2): 1, (5, 7): 2})
+        calls = self._counted(monkeypatch)
+        with list_coloring_bases() as bases:
+            col = extend_hypercube(3, pre)
+        assert calls == {"coloring._konig_base": 1}
+        assert bases == ["konig"]
+        assert verify_proper(hypercube(3), col, prescribed=pre.entries).ok
+
+    @pytest.mark.parametrize("d", [4, 7])
+    def test_split_cube_takes_the_same_base(self, monkeypatch, d):
+        # Q_j x Q_m is tested on its graph, not on its entry point
+        _q, pre = roadmap_cube_instance(d)
+        calls = self._counted(monkeypatch)
+        with list_coloring_bases() as bases:
+            extend_over_hypercube(hypercube(d - 2), 2, pre)
+        # only G's own check: the base Q_{d-1} takes parity sides
+        assert calls.pop("extension.bipartition") == 1
+        assert calls == ({"coloring._konig_base": 1} if bases == ["konig"] else {})
+
+
 class TestExtendOverStar:
     @pytest.mark.parametrize("seed", [1, 3, 8])
     def test_host_residual_on_the_peeled_base(self, seed):

@@ -64,7 +64,7 @@ def _factor_calls(kind, factor, extend):
 GOLDEN = {
     "extend_hypercube": (
         _hypercube_calls,
-        "aabfa00140c40fa6c8329fe0f76853ab4becfded7702bb501d6f1b9f00eb7511",
+        "84d7378a76a79962b457246b95dcba60500e5eea7ffe7404795e2aac6b28980d",
     ),
     "extend_over_complete": (
         _complete_calls,

@@ -4,7 +4,7 @@ from functools import cached_property
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgex import (
@@ -40,13 +40,14 @@ from edgex.errors import (
     UnknownEdgeError,
     VertexIndexError,
 )
-from edgex.graph import close_edge_pairs
+from edgex.graph import _parity_sides, close_edge_pairs
 from helpers import (
     adjacent_edges,
     connected_bipartite_catalog,
     distances_from,
     edge_distance,
     random_valid_precoloring,
+    reference_cube_dim,
     roadmap_cube_instance,
     small_bipartite_graphs,
     vertex_distance,
@@ -466,6 +467,38 @@ class TestEdgeNeighbors:
                 pre = random_valid_precoloring(rng, product, max_degree(g) + m, 6)
                 assert extend(g, m, pre) is not None
         assert neighbor_derivations == []
+
+
+class TestCubeDim:
+    """Whether a graph is the indexed Q_k: derived on first use and kept,
+    equal to a comparison with reference_hypercube, and outside equality."""
+
+    @pytest.mark.parametrize("k", range(11))
+    def test_hypercubes(self, k):
+        q = hypercube(k)
+        assert "_cube_dim" not in vars(q)
+        assert q._cube_dim == k and vars(q)["_cube_dim"] == k
+        assert q == hypercube(k) and "_cube_dim" not in repr(q)
+        assert _parity_sides(k) == bipartition(q).side
+
+    @given(graphs())
+    @example(path(2))
+    @example(hypercube(2))
+    @example(hypercube(3))
+    def test_matches_the_reference(self, g):
+        assert g._cube_dim == reference_cube_dim(g)
+
+    def test_products_and_near_misses(self):
+        assert cartesian_product(hypercube(3), hypercube(2)).graph._cube_dim == 5
+        assert cartesian_product(hypercube(3), complete(2)).graph._cube_dim == 4
+        q = hypercube(4)
+        # Q_4's counts, one edge joining two vertices two bits apart
+        assert build_graph(q.labels, [*q.edges[1:], (0, 3)])._cube_dim is None
+        assert cycle(4)._cube_dim is None  # Q_2's counts in another indexing
+        assert build_graph([], [])._cube_dim is None
+        assert Graph(q.labels, q.edges[1:])._cube_dim is None
+        residual = reduce_instance(hypercube(3), 1, Precoloring(4, {(0, 2): 1})).base_residual
+        assert residual._cube_dim is None
 
 
 def test_small_bipartite_catalog_is_bipartite():

@@ -44,6 +44,7 @@ from .errors import (
     NoKernelError,
     OddOrderError,
     ProofInvariantError,
+    _require_instance,
     _require_ints,
     _require_mapping,
 )
@@ -84,6 +85,7 @@ def make_list_assignment(g: Graph, lists: dict[Edge, object]) -> ListAssignment:
     """Normalize every edge's list of ints to a duplicate-free ascending
     tuple; BadParameterError names an edge whose list is not ints."""
     _require_graph(g=g)
+    _require_mapping(BadParameterError, lists=lists)
     _require_covered(g, lists, "lists")
     return ListAssignment(lists={e: tuple(sorted(set(_color_list(e, lists[e])))) for e in g.edges})
 
@@ -158,6 +160,11 @@ def verify_proper(
     has more keys than g has edges; those are listed in insertion order.
     """
     _require_graph(g=g)
+    _require_instance(EdgeColoring, col=col)
+    if lists is not None:
+        _require_instance(ListAssignment, lists=lists)
+    if prescribed is not None:
+        _require_mapping(BadParameterError, prescribed=prescribed)
     a = col.assignment
     try:
         colors = [a[e] for e in g.edges]
@@ -530,6 +537,7 @@ def exact_list_color(g: Graph, lists: ListAssignment, budget: int | None = None)
     never a "no". A budget that is not an int >= 0 raises BadParameterError.
     """
     _require_graph(g=g)
+    _require_instance(ListAssignment, lists=lists)
     _require_budget(budget)
     ls, _sets = _edge_lists(g, lists)
     found = _search(g, [set(colors) for colors in ls], budget)
@@ -752,6 +760,7 @@ def demand_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
     The boundary view of ``_list_color``: it reads the lists by edge id and
     keys the colors by edge."""
     _require_graph(g=g)
+    _require_instance(ListAssignment, lists=lists)
     side = bipartition(g).side
     ls, sets = _edge_lists(g, lists)
     colors = _list_color(g, side, ls, sets)

@@ -92,6 +92,14 @@ def _require_ints(error: type[Exception] = BadParameterError, **params: object) 
             raise error(f"{name} must be an int, got {value!r}")
 
 
+def _require_instance(cls: type, **params: object) -> None:
+    """BadParameterError naming the first parameter that is not a `cls`."""
+    article = "an" if cls.__name__[0] in "AEIOU" else "a"
+    for name, value in params.items():
+        if not isinstance(value, cls):
+            raise BadParameterError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
+
+
 def _require_mapping(error: type[Exception], **params: object) -> None:
     """Raise `error` naming the first parameter that is not a mapping."""
     for name, value in params.items():

@@ -62,6 +62,7 @@ from .errors import (
     InvalidPrecoloringError,
     ProofInvariantError,
     UnknownEdgeError,
+    _require_instance,
     _require_ints,
     _require_mapping,
 )
@@ -143,6 +144,7 @@ def validate_precoloring(p: ProductGraph | Graph, pre: Precoloring) -> Validatio
     """
     g = _as_graph(p)
     _require_graph(p=g)
+    _require_instance(Precoloring, pre=pre)
     return _validate(g, pre)[0]
 
 
@@ -190,6 +192,7 @@ def reduce_instance(g: Graph, m: int, pre: Precoloring) -> ReducedInstance:
     entries by edge, the layer entries in the order of their keys.
     """
     _require_graph(g=g)
+    _require_instance(Precoloring, pre=pre)
     residual, ls, _sets, forced, fiber_prescriptions = _reduce(g, m, pre.entries)
     return ReducedInstance(
         base_residual=residual,
@@ -429,6 +432,7 @@ def extend_over_complete(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     with max_degree(G) + 2m - 1 colors."""
     _require_graph(g=g)
     _require_positive(m=m)
+    _require_instance(Precoloring, pre=pre)
     bipartition(g)
     what = f"G box K_{2 * m}"
     _require_size(what, g.n, len(g.edges), 2 * m, m * (2 * m - 1))
@@ -441,6 +445,7 @@ def extend_over_hypercube(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     as one K_2 extension of the iterated base G box Q_{m-1}."""
     _require_graph(g=g)
     _require_positive(m=m)
+    _require_instance(Precoloring, pre=pre)
     bipartition(g)
     what = f"G box Q_{m}"
     _require_size(what, g.n, len(g.edges), *_cube_size(m))
@@ -468,6 +473,7 @@ def extend_hypercube(d: int, pre: Precoloring) -> EdgeColoring:
     d-edge-coloring: the hypercube is Q_{d-1} box K_2 on the last bit, with
     the same edges as hypercube(d), which serves as the product."""
     _require_positive(d=d)
+    _require_instance(Precoloring, pre=pre)
     what = f"Q_{d}"
     _require_size(what, *_cube_size(d))
     _require_palette(pre, d, what)
@@ -496,6 +502,7 @@ def extend_over_star(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     """
     _require_graph(g=g)
     _require_positive(m=m)
+    _require_instance(Precoloring, pre=pre)
     bipartition(g)
     what = f"G box K_1,{m}"
     _require_size(what, g.n, len(g.edges), m + 1, m)

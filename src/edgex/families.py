@@ -137,7 +137,8 @@ def hypercube(d: int) -> Graph:
     clear bit, lowest first, so a vertex of the lower copy keeps its
     offsets and gains 2**b, and one of the upper copy keeps its offsets.
     The edges then come out sorted, and both ends of each are taken from
-    one list of the vertex ints."""
+    one list of the vertex ints. The result is Q_d by construction, so its
+    ``_cube_dim`` is set to d, and no caller scans its edges for it."""
     _require_ints(d=d)
     if d < 0:
         raise BadParameterError("hypercube needs d >= 0")
@@ -149,7 +150,9 @@ def hypercube(d: int) -> Graph:
         up = [u + [1 << b] for u in up] + up
     ids = list(range(1 << d))
     edges = tuple((i, ids[i + o]) for i, offsets in zip(ids, up) for o in offsets)
-    return Graph(tuple(labels), edges)
+    g = Graph(tuple(labels), edges)
+    vars(g)["_cube_dim"] = d  # the cached_property's own slot
+    return g
 
 
 def spider(legs: int, leg_length: int) -> Graph:
@@ -184,6 +187,8 @@ _FAMILY_ARITY = {
 
 def standard_family(kind: str, *params: int) -> Graph:
     """Dispatch on a family name; used by the CLI's `build` subcommand."""
+    if not isinstance(kind, str):
+        raise BadParameterError(f"kind must be a str, got {type(kind).__name__}")
     if kind not in _FAMILY_ARITY:
         raise BadParameterError(f"unknown family {kind!r}; expected one of {sorted(_FAMILY_ARITY)}")
     if len(params) != _FAMILY_ARITY[kind]:

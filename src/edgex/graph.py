@@ -26,6 +26,7 @@ from .errors import (
     SelfLoopError,
     UnknownEdgeError,
     VertexIndexError,
+    _require_instance,
 )
 
 Edge = tuple[int, int]
@@ -93,7 +94,8 @@ class Graph:
         apart on its counts in O(1) unless it has 2^k vertices and
         k * 2^(k-1) edges; then one scan decides: the edges are distinct,
         so they are all of Q_k's iff the ends of each differ in one bit.
-        Derived on first use and kept, so a kept cube pays the scan once."""
+        Derived on first use and kept, so a kept cube pays the scan once;
+        hypercube sets it when it builds Q_k, so a cube it built pays none."""
         n = self.n
         k = n.bit_length() - 1
         if n == 0 or n != 1 << k or len(self.edges) != k * n // 2:
@@ -136,9 +138,7 @@ class Graph:
 
 def _require_graph(**params: object) -> None:
     """BadParameterError naming the first parameter that is not a Graph."""
-    for name, value in params.items():
-        if not isinstance(value, Graph):
-            raise BadParameterError(f"{name} must be a Graph, got {type(value).__name__}")
+    _require_instance(Graph, **params)
 
 
 def _without_edges(g: Graph, removed: list[int]) -> Graph:
@@ -185,8 +185,14 @@ def build_graph(labels, pairs) -> Graph:
     are rejected, and so is a pair that is not two int indices in range.
     The edges are sorted, so identical input always yields an identical
     graph. Graphs derived from Graphs (products, hypercubes, residuals) are
-    emitted in canonical order by construction instead.
+    emitted in canonical order by construction instead. Labels or pairs
+    that are not iterable raise BadParameterError.
     """
+    for name, value in (("labels", labels), ("pairs", pairs)):
+        try:
+            iter(value)
+        except TypeError:
+            raise BadParameterError(f"{name} must be iterable, got {type(value).__name__}") from None
     labels = tuple(str(x) for x in labels)
     n = len(labels)
     seen: set[Edge] = set()

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import logging
 import random
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 
 from .coloring import EdgeColoring, _require_budget, _search, _verify
@@ -23,6 +23,7 @@ from .errors import (
     InapplicableError,
     InvalidPrecoloringError,
     ProofInvariantError,
+    _require_instance,
     _require_ints,
 )
 from .extension import Precoloring, validate_precoloring
@@ -74,6 +75,7 @@ def decide_extendable(
     for the return.
     """
     _require_graph(g=g)
+    _require_instance(Precoloring, pre=pre)
     _require_ints(palette=palette)
     _require_budget(budget)
     found = _decide(g, _prescribed_ids(g, pre, palette), palette, budget)
@@ -246,6 +248,7 @@ def check_local_obstruction(
     int in 1..palette_size, BadParameterError, so no certificate ever names
     a color outside the palette.
     """
+    _require_instance(Precoloring, pre=pre)
     _require_ints(InvalidPrecoloringError, palette_size=pre.palette_size)
     g = _as_graph(p)
     _require_graph(p=g)
@@ -273,7 +276,8 @@ class ExplorationReport:
     Decisions run in rank order. An exhaustive sweep's counterexample rows
     are sorted by (matching, colors); a sampled sweep's are in draw order.
     Memory does not grow with the budget: the sweep holds the count's memo
-    and these rows.
+    and these rows. A report does not depend on whether the sweep built its
+    product's state or found it kept from an earlier sweep in the process.
     """
 
     instances: int
@@ -311,6 +315,14 @@ def explore_bipartite_factor(
     serialized. Each call logs W, the count's states and the branch at
     debug level.
 
+    A process keeps each (G, n, m)'s product, neighbor lists, palette,
+    close masks and memo for later sweeps (``_sweep_state``), G compared by
+    value, up to _SWEEP_STATE_BYTES (8 MiB) estimated, least recently used
+    dropped first: the benchmark's 28 small products take 1.7 MB, C_10 box
+    K_3,3 7.2 MB (6.0 MB traced). Every check above runs first and a kept
+    memo is held to the cap again, so a later sweep raises, logs and
+    reports exactly what the first did.
+
     The sweep stays on edge ids from the unranking to the verdict: each
     instance goes to ``_decide`` as it is unranked, its ids distinct and
     its colors in 1..palette by construction, and only a refuted one is
@@ -325,10 +337,8 @@ def explore_bipartite_factor(
         raise BadParameterError("budget must be positive")
     bipartition(g)
     _require_size(f"G box K_{n},{m}", g.n, len(g.edges), n + m, n * m)  # before K_n,m is built
-    product = cartesian_product(g, complete_bipartite(n, m)).graph
-    palette = max_degree(g) + n
-    close = _close_masks(product)
-    memo = _weighted_matching_count(close, palette)
+    state = _sweep_state(g, n, m)
+    product, palette, close, memo = state.product, state.palette, state.close, state.memo
     total = memo[(1 << len(close)) - 1]
     exhaustive = total <= budget
     if _log.isEnabledFor(logging.DEBUG):
@@ -359,6 +369,64 @@ def explore_bipartite_factor(
         seed=seed,
         exhaustive=exhaustive,
     )
+
+
+# the bound on the estimated bytes of the kept sweep states
+_SWEEP_STATE_BYTES = 8 << 20
+
+
+class _SweepState:
+    """What the sweeps of one G box K_{n,m} share, and its estimated bytes;
+    a plain class, as a dataclass costs each import about 0.5 ms."""
+
+    __slots__ = ("product", "palette", "close", "memo", "size")
+
+    def __init__(self, product: Graph, palette: int, close: list[int], memo: dict[int, int], size: int) -> None:
+        self.product, self.palette, self.close, self.memo, self.size = product, palette, close, memo, size
+
+
+# (G, n, m) -> its sweep state, least recently used first; equal graphs
+# built apart share one
+_sweep_states: OrderedDict[tuple[Graph, int, int], _SweepState] = OrderedDict()
+
+
+def _sweep_state(g: Graph, n: int, m: int) -> _SweepState:
+    """The state of G box K_{n,m}, its arguments checked: a kept one once
+    its memo passes the cap as it stands now, else one built and kept
+    unless its estimate alone passes the bound, least recently used states
+    dropped until the rest fit. Estimated as measured: per memo state 120
+    bytes plus a quarter byte per product edge, per product edge 200 bytes
+    plus an eighth of a byte per edge (graph, neighbor list, close mask)."""
+    key = (g, n, m)
+    state = _sweep_states.get(key)
+    if state is not None:
+        _require_memo_cap(len(state.memo), len(state.close))
+        _sweep_states.move_to_end(key)
+        return state
+    product = cartesian_product(g, complete_bipartite(n, m)).graph
+    palette = max_degree(g) + n
+    close = _close_masks(product)
+    memo = _weighted_matching_count(close, palette)
+    edges = len(close)
+    size = len(memo) * (120 + edges // 4) + edges * (200 + edges // 8)
+    state = _SweepState(product, palette, close, memo, size)
+    if size <= _SWEEP_STATE_BYTES:
+        _sweep_states[key] = state
+        kept = sum(s.size for s in _sweep_states.values())
+        while kept > _SWEEP_STATE_BYTES:
+            kept -= _sweep_states.popitem(last=False)[1].size
+    return state
+
+
+def _require_memo_cap(states: int, edges: int) -> None:
+    """BadParameterError when a count over `edges` product edges keeps more
+    than MAX_MATCHING_MEMO // edges states."""
+    limit = MAX_MATCHING_MEMO // max(1, edges)
+    if states > limit:
+        raise BadParameterError(
+            f"counting the distance-2 matchings of {edges} edges needs more than "
+            f"{limit} states, past the limit of {MAX_MATCHING_MEMO} states times edges"
+        )
 
 
 def _close_masks(g: Graph) -> list[int]:
@@ -417,10 +485,7 @@ def _weighted_matching_count(close: list[int], palette: int) -> dict[int, int]:
             memo[s] = a + palette * b
             stack.pop()
             if len(memo) > limit:
-                raise BadParameterError(
-                    f"counting the distance-2 matchings of {len(close)} edges needs more than "
-                    f"{limit} states, past the limit of {MAX_MATCHING_MEMO} states times edges"
-                )
+                _require_memo_cap(len(memo), len(close))  # raises
     return memo
 
 

@@ -52,3 +52,43 @@ def test_non_graph_is_a_bad_parameter(name):
     # a user error at the boundary, not a bare AttributeError from inside
     with pytest.raises(BadParameterError, match="must be a Graph, got str"):
         getattr(edgex, name)("x", *GRAPH_FIRST[name])
+
+
+# a panel of wrong values; a slot refuses every one its type does not admit
+_G = edgex.path(2)
+_COL = edgex.EdgeColoring(2, {(0, 1): 1})
+PANEL = ("x", None, 1.5, True, -1, [], _G)
+NOT_NONE = tuple(v for v in PANEL if v is not None)
+NOT_ITERABLE = (None, 1.5, True, -1, _G)
+# (function, the call with the bad value in one slot, that slot, the message's
+# wanted type, the panel values it must refuse)
+RECORD_SLOTS = [
+    ("extend_hypercube", lambda bad: edgex.extend_hypercube(1, bad), "pre", "a Precoloring", PANEL),
+    ("extend_over_complete", lambda bad: edgex.extend_over_complete(_G, 1, bad), "pre", "a Precoloring", PANEL),
+    ("extend_over_hypercube", lambda bad: edgex.extend_over_hypercube(_G, 1, bad), "pre", "a Precoloring", PANEL),
+    ("extend_over_star", lambda bad: edgex.extend_over_star(_G, 1, bad), "pre", "a Precoloring", PANEL),
+    ("validate_precoloring", lambda bad: edgex.validate_precoloring(_G, bad), "pre", "a Precoloring", PANEL),
+    ("reduce_instance", lambda bad: edgex.reduce_instance(_G, 1, bad), "pre", "a Precoloring", PANEL),
+    ("decide_extendable", lambda bad: edgex.decide_extendable(_G, bad, 1), "pre", "a Precoloring", PANEL),
+    ("check_local_obstruction", lambda bad: edgex.check_local_obstruction(_G, bad), "pre", "a Precoloring", PANEL),
+    ("verify_proper", lambda bad: edgex.verify_proper(_G, bad), "col", "an EdgeColoring", PANEL),
+    ("verify_proper", lambda bad: edgex.verify_proper(_G, _COL, bad), "lists", "a ListAssignment", NOT_NONE),
+    ("verify_proper", lambda bad: edgex.verify_proper(_G, _COL, None, bad), "prescribed", "a mapping", NOT_NONE),
+    ("demand_list_color", lambda bad: edgex.demand_list_color(_G, bad), "lists", "a ListAssignment", PANEL),
+    ("exact_list_color", lambda bad: edgex.exact_list_color(_G, bad), "lists", "a ListAssignment", PANEL),
+    ("make_list_assignment", lambda bad: edgex.make_list_assignment(_G, bad), "lists", "a mapping", PANEL),
+    ("build_graph", lambda bad: edgex.build_graph(bad, []), "labels", "iterable", NOT_ITERABLE),
+    ("build_graph", lambda bad: edgex.build_graph([], bad), "pairs", "iterable", NOT_ITERABLE),
+    ("standard_family", lambda bad: edgex.standard_family(bad, 1), "kind", "a str", ([],) + NOT_ITERABLE),
+]
+
+
+@pytest.mark.parametrize(
+    "call, slot, wanted, values", [row[1:] for row in RECORD_SLOTS], ids=[f"{r[0]}-{r[2]}" for r in RECORD_SLOTS]
+)
+def test_wrong_record_is_a_bad_parameter(call, slot, wanted, values):
+    # each message names the slot and the type it got, where a bare
+    # AttributeError or TypeError came from inside
+    for bad in values:
+        with pytest.raises(BadParameterError, match=f"^{slot} must be {wanted}, got {type(bad).__name__}$"):
+            call(bad)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -206,6 +207,26 @@ class TestOrderedBuilds:
     def test_hypercube_equals_reference(self):
         for d in range(13):
             assert hypercube(d) == reference_hypercube(d)
+
+    @pytest.mark.parametrize("d", range(11))
+    def test_hypercube_sets_its_dimension(self, d):
+        # Q_d by construction, so no caller scans its edges for _cube_dim;
+        # the value is the scan's verdict on an equal graph
+        q = hypercube(d)
+        assert "_cube_dim" in vars(q)
+        assert vars(q)["_cube_dim"] == build_graph(q.labels, q.edges)._cube_dim == d
+
+    def test_hypercube_memory_per_edge(self):
+        # Q_14's 114,688 edges hold about 79 traced bytes each once built
+        # (peak about 102): a tuple per edge, its two ends shared ints
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            q = hypercube(14)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 110 * len(q.edges), held / len(q.edges)
 
     def test_one_int_object_per_vertex(self):
         # vertex ints above 256 are not cached by CPython: the builders take

@@ -5,7 +5,8 @@ list(assignment.items())) of every call in a seeded set, in order: the
 coloring, its palette and the assignment's order are all pinned. The
 oracle's two digests cover seeded sweeps of small products: one their
 ExplorationReports, the other every decision's witness items and every
-debug record the sweeps log. A change that alters any output, even only its
+debug record the sweeps log, whether a sweep builds its product's state or
+reuses a kept one. A change that alters any output, even only its
 order, changes a digest; one that keeps every output keeps it.
 """
 
@@ -117,7 +118,9 @@ ORACLE_REPORTS = "87f50443fc7e8405674f35d99f2ede1c2e18896ed47b0e450a4414f3836236
 ORACLE_DECISIONS = "176e1f933dd76eb212b19797f0392dc4505907fcb21c253c9214bcffde5e47fe"
 
 
-def test_oracle_sweeps_byte_identical(monkeypatch):
+def sweep_digests(monkeypatch):
+    """The digests of ORACLE_SWEEPS' reports and of their witnesses and
+    debug records, in that order."""
     decide = oracle._decide
     witnesses = []
 
@@ -135,4 +138,17 @@ def test_oracle_sweeps_byte_identical(monkeypatch):
             report = explore_bipartite_factor(g, n, m, 20, seed)
         reports.update(repr(report).encode())
         decisions.update(repr((witnesses, records)).encode())
-    assert (reports.hexdigest(), decisions.hexdigest()) == (ORACLE_REPORTS, ORACLE_DECISIONS)
+    return reports.hexdigest(), decisions.hexdigest()
+
+
+def test_oracle_sweeps_byte_identical(monkeypatch):
+    assert sweep_digests(monkeypatch) == (ORACLE_REPORTS, ORACLE_DECISIONS)
+
+
+def test_oracle_sweeps_cold_then_warm(monkeypatch):
+    # each product's first sweep builds its state and its later seeds reuse
+    # it; a second pass reuses every state, with the same digests
+    assert not oracle._sweep_states
+    assert sweep_digests(monkeypatch) == (ORACLE_REPORTS, ORACLE_DECISIONS)
+    assert len(oracle._sweep_states) == 16
+    assert sweep_digests(monkeypatch) == (ORACLE_REPORTS, ORACLE_DECISIONS)

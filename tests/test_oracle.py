@@ -60,6 +60,7 @@ from helpers import (
     reference_distance2_matchings,
     reference_local_obstruction,
     complete_factor_palette,
+    debug_records,
     small_bipartite_graphs,
 )
 
@@ -803,6 +804,7 @@ class TestExploreScale:
         elapsed = time.perf_counter() - start
         assert (rep.instances, rep.exhaustive, len(rep.counterexamples)) == (20, False, 20)
         assert elapsed < 1.0, elapsed
+        oracle._sweep_states.clear()  # trace a count, not a kept state
         tracemalloc.start()
         try:
             assert explore_bipartite_factor(cycle(10), 3, 3, 20) == rep
@@ -878,3 +880,117 @@ except Stop:
         monkeypatch.setattr(oracle, "MAX_MATCHING_MEMO", 3208 * 66)
         monkeypatch.setattr(oracle, "_decide", lambda g, entries, palette, budget: None)
         assert explore_bipartite_factor(cycle(6), 3, 2, 20).instances == 20
+
+
+def counted(monkeypatch, module, name):
+    """Wrap module.name so each call is counted; returns the count list."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestSweepStates:
+    """Sweeps of one (G, n, m) in a process share one kept state: product,
+    palette, close masks and the count's memo."""
+
+    SWEEPS = [(path(3), 2, 1), (cycle(4), 2, 2), (star(3), 3, 2)]
+
+    def test_repeated_sweeps_build_and_count_once(self, monkeypatch):
+        cold = []
+        for seed in range(4):
+            oracle._sweep_states.clear()
+            with debug_records() as records:
+                cold.append((explore_bipartite_factor(cycle(4), 3, 2, 20, seed), records))
+        oracle._sweep_states.clear()
+        builds = counted(monkeypatch, oracle, "cartesian_product")
+        counts = counted(monkeypatch, oracle, "_weighted_matching_count")
+        for seed in range(4):
+            with debug_records() as records:
+                assert (explore_bipartite_factor(cycle(4), 3, 2, 20, seed), records) == cold[seed]
+        assert (len(builds), len(counts)) == (1, 1)
+        assert len(oracle._sweep_states) == 1
+
+    def test_exhaustive_sweep_reuses_its_state(self, monkeypatch):
+        cold = explore_bipartite_factor(path(3), 2, 1, 1000)
+        counts = counted(monkeypatch, oracle, "_weighted_matching_count")
+        assert explore_bipartite_factor(path(3), 2, 1, 1000) == cold
+        assert cold.exhaustive and counts == []
+
+    def test_equal_graphs_share_a_state(self, monkeypatch):
+        builds = counted(monkeypatch, oracle, "cartesian_product")
+        pairs = [(0, 1), (1, 2), (2, 3)]
+        explore_bipartite_factor(build_graph("abcd", pairs), 2, 1, 5)
+        explore_bipartite_factor(build_graph(list("abcd"), pairs[::-1]), 2, 1, 5, 1)
+        assert len(builds) == 1
+        # another n, another m, other edges, other labels: each its own state
+        explore_bipartite_factor(build_graph("abcd", pairs), 3, 1, 5)
+        explore_bipartite_factor(build_graph("abcd", pairs), 2, 2, 5)
+        explore_bipartite_factor(build_graph("abcd", [(0, 1), (1, 2), (1, 3)]), 2, 1, 5)
+        explore_bipartite_factor(build_graph("wxyz", pairs), 2, 1, 5)
+        assert len(builds) == len(oracle._sweep_states) == 5
+
+    def sizes(self):
+        for g, n, m in self.SWEEPS:
+            explore_bipartite_factor(g, n, m, 5)
+        sizes = [state.size for state in oracle._sweep_states.values()]
+        oracle._sweep_states.clear()
+        return sizes
+
+    def test_eviction_drops_the_least_recently_used(self, monkeypatch):
+        a, b, c = self.sizes()
+        bound = max(a + b, a + c)
+        monkeypatch.setattr(oracle, "_SWEEP_STATE_BYTES", bound)
+        (ga, na, ma), (gb, nb, mb), (gc, nc, mc) = self.SWEEPS
+        explore_bipartite_factor(ga, na, ma, 5)
+        explore_bipartite_factor(gb, nb, mb, 5)
+        explore_bipartite_factor(ga, na, ma, 5, 1)  # a is now the most recent
+        explore_bipartite_factor(gc, nc, mc, 5)
+        assert list(oracle._sweep_states) == [(ga, na, ma), (gc, nc, mc)]
+        assert sum(state.size for state in oracle._sweep_states.values()) == a + c <= bound
+
+    def test_kept_size_stays_within_the_bound(self, monkeypatch):
+        sizes = self.sizes()
+        monkeypatch.setattr(oracle, "_SWEEP_STATE_BYTES", max(sizes))
+        for g, n, m in self.SWEEPS * 2:
+            explore_bipartite_factor(g, n, m, 5)
+            assert list(oracle._sweep_states)[-1] == (g, n, m)
+            assert sum(state.size for state in oracle._sweep_states.values()) <= max(sizes)
+
+    def test_state_over_the_bound_is_not_kept(self, monkeypatch):
+        a, b, c = self.sizes()
+        monkeypatch.setattr(oracle, "_SWEEP_STATE_BYTES", b - 1)
+        (ga, na, ma), (gb, nb, mb), _ = self.SWEEPS
+        explore_bipartite_factor(ga, na, ma, 5)
+        counts = counted(monkeypatch, oracle, "_weighted_matching_count")
+        cold = explore_bipartite_factor(gb, nb, mb, 5)
+        assert explore_bipartite_factor(gb, nb, mb, 5) == cold
+        assert len(counts) == 2
+        assert list(oracle._sweep_states) == [(ga, na, ma)]  # kept, not evicted by b
+
+    def test_kept_memo_is_held_to_a_lowered_cap(self, monkeypatch):
+        # C_6 x K_3,2 needs 3,208 states of 66 edges
+        explore_bipartite_factor(cycle(6), 3, 2, 20)
+        monkeypatch.setattr(oracle, "MAX_MATCHING_MEMO", 3207 * 66)
+        with pytest.raises(BadParameterError) as warm:
+            explore_bipartite_factor(cycle(6), 3, 2, 20)
+        oracle._sweep_states.clear()
+        with pytest.raises(BadParameterError) as cold:
+            explore_bipartite_factor(cycle(6), 3, 2, 20)
+        assert str(warm.value) == str(cold.value)
+        assert "past the limit of 211662 states times edges" in str(cold.value)
+
+    def test_refused_graphs_keep_no_state(self, monkeypatch):
+        with pytest.raises(NotBipartiteError):
+            explore_bipartite_factor(cycle(5), 2, 1, 5)
+        monkeypatch.setattr(oracle, "MAX_MATCHING_MEMO", 10)
+        with pytest.raises(BadParameterError, match="past the limit"):
+            explore_bipartite_factor(path(3), 2, 1, 5)
+        with pytest.raises(BadParameterError, match="past the limit"):
+            explore_bipartite_factor(path(2), 10**6, 1, 5)
+        assert not oracle._sweep_states

@@ -69,9 +69,13 @@ class EdgeColoring:
 
 @dataclass(frozen=True)
 class ListAssignment:
-    """Per-edge color lists, duplicate-free ascending tuples."""
+    """Per-edge color lists, duplicate-free ascending tuples. Lists that
+    are not a mapping raise BadParameterError here, as for EdgeColoring."""
 
     lists: dict[Edge, tuple[int, ...]]
+
+    def __post_init__(self) -> None:
+        _require_mapping(BadParameterError, lists=self.lists)
 
 
 def _require_covered(g: Graph, mapping: Mapping, what: str) -> None:
@@ -786,7 +790,7 @@ def _list_color(
     edges = g.edges
     xs = [u if side[u] == SIDE_X else v for u, v in edges]
     ys = [v if side[u] == SIDE_X else u for u, v in edges]
-    delta = max(map(len, g.adjacency), default=0)
+    delta = max_degree(g)
     short = [i for i, colors in enumerate(ls) if len(colors) < delta]
     name, (base, at) = ("konig", _konig_base(g)) if start is None else ("dimension", start)
     # out(e) on a base ranked by color: the colors at x below e's, and at y above it

@@ -34,19 +34,19 @@ host and reads its edges' colors from the host's base. Both are identities
 of the vertex indexing, proven by the test suite rather than checked at run
 time.
 
-extend_hypercube keeps its base Q_{d-1} and product Q_d for each d <= 12
-once built (``_cube_pair``), after its integer, size and palette checks:
-the base with the adjacency rows the reduction derives on it, the product
-as a separate object whose rows are never derived. Every pair up to Q_12
-holds 5.6 MiB (1.2 MiB up to Q_10); above Q_12 both cubes are built per
-call. Outputs are byte-identical to fresh builds.
+extend_hypercube takes its base Q_{d-1} and product Q_d from the
+process's kept values (``families._kept``), after its integer, size and
+palette checks: the base with the adjacency rows the reduction derives on
+it, the product as a separate object whose rows are never derived. A pair
+is estimated at 90 bytes per edge of its two cubes, so each pair up to
+Q_13 fits the store's bound on its own and a Q_14 pair alone passes it.
+Outputs are byte-identical to fresh builds.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import itemgetter
 
 from .coloring import (
@@ -67,7 +67,7 @@ from .errors import (
     _require_mapping,
 )
 from .families import ProductGraph, _as_graph, cartesian_product, complete, hypercube, star
-from .families import _cube_size, _require_size
+from .families import _cube_size, _kept, _require_size
 from .graph import (
     Edge,
     Graph,
@@ -454,20 +454,6 @@ def extend_over_hypercube(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     return _extend(base, 1, product, max_degree(g) + m, what, pre)
 
 
-# the largest d whose cube pair is kept: every pair up to Q_12 (24,576
-# edges), the bases' rows included, holds 5.6 MiB
-_CACHED_CUBES = 12
-
-
-@lru_cache(maxsize=None)
-def _cube_pair(d: int) -> tuple[Graph, Graph]:
-    """The base Q_{d-1} and the product Q_d of extend_hypercube at d, built
-    once per process for d <= _CACHED_CUBES. The base keeps the rows the
-    reduction derives on it; the product is its own object, never a base,
-    so its rows are never derived."""
-    return hypercube(d - 1), hypercube(d)
-
-
 def extend_hypercube(d: int, pre: Precoloring) -> EdgeColoring:
     """Extend a valid precolored induced matching of Q_d to a proper
     d-edge-coloring: the hypercube is Q_{d-1} box K_2 on the last bit, with
@@ -477,7 +463,9 @@ def extend_hypercube(d: int, pre: Precoloring) -> EdgeColoring:
     what = f"Q_{d}"
     _require_size(what, *_cube_size(d))
     _require_palette(pre, d, what)
-    base, product = _cube_pair(d) if d <= _CACHED_CUBES else (hypercube(d - 1), hypercube(d))
+    base, product = _kept(
+        ("Q", d), lambda: (hypercube(d - 1), hypercube(d)), lambda pair: 90 * sum(len(q.edges) for q in pair)
+    )
     return _extend(base, 1, product, d, what, pre)
 
 

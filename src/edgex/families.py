@@ -20,10 +20,15 @@ the checked entry for outside input.
 
 Every constructor here and the product, and every extension entry point on
 its product's counts, first run ``_require_size``, the one size check.
+
+What a process keeps across calls, extend_hypercube's cube pairs and the
+oracle's sweep states, it keeps in one store (``_kept``) under one bound.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 
 from .errors import BadParameterError, _require_ints
@@ -35,6 +40,27 @@ MAX_PRODUCT_EDGES = 2**21  # in vertices or edges: Q_17 (1,114,112 edges) is bui
 # mask bits; C_10 x K_3,3 needs 45,374 states of 150 edges (6.8 million),
 # P_2000 x K_1,1 7,996 of 5,998 (48 million)
 MAX_MATCHING_MEMO = 2**26
+# the bound on the estimated bytes of every value _kept keeps
+_KEPT_BYTES = 8 << 20
+
+# key -> (kept value, its estimated bytes), least recently used first
+_kept_values: OrderedDict[Hashable, tuple[object, int]] = OrderedDict()
+
+
+def _kept(key: Hashable, build: Callable[[], object], size: Callable[[object], int]) -> object:
+    """The value kept under key, else build()'s, kept unless its estimate
+    size(value) alone passes _KEPT_BYTES; the least recently used values
+    are then dropped until the rest fit."""
+    hit = _kept_values.get(key)
+    if hit is not None:
+        _kept_values.move_to_end(key)
+        return hit[0]
+    value = build()
+    if (estimate := size(value)) <= _KEPT_BYTES:
+        _kept_values[key] = (value, estimate)
+        while sum(est for _value, est in _kept_values.values()) > _KEPT_BYTES:
+            _kept_values.popitem(last=False)
+    return value
 
 
 def _product_edges(g_order: int, g_edges: int, h_order: int, h_edges: int) -> int:

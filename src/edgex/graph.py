@@ -4,11 +4,11 @@ Vertices are dense indices 0..n-1 carrying text labels. Edges are canonical
 pairs (u, v) with u < v, kept in lexicographic order so every derived
 structure (adjacency, colorings, serializations) is deterministic; their
 positions in that order are the only edge index a Graph has. A Graph holds
-only its labels and edges: the adjacency rows, each edge's neighboring
-edge ids for the exact search, and whether it is the indexed cube Q_k, are
-derived from the edges on first use and kept, and edge tests and the
-distance rule read the edges directly, so a graph that is only validated
-against and verified never builds its rows.
+only its labels and edges: the adjacency rows, the maximum degree, each
+edge's neighboring edge ids for the exact search, and whether it is the
+indexed cube Q_k, are derived from the edges on first use and kept, and
+edge tests and the distance rule read the edges directly, so a graph that
+is only validated against and verified never builds its rows.
 A graph less some of its edges takes its rows from its parent's.
 """
 
@@ -72,6 +72,12 @@ class Graph:
             rows[u].append(v)
             rows[v].append(u)
         return tuple(map(tuple, rows))
+
+    @cached_property
+    def _max_degree(self) -> int:
+        """The longest adjacency row's length, 0 without vertices; derived
+        once from the rows and kept, for max_degree."""
+        return max(map(len, self.adjacency), default=0)
 
     @cached_property
     def _edge_neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -317,5 +323,5 @@ def close_edge_pairs(g: Graph, edges: list[Edge]) -> list[tuple[Edge, Edge, int]
 
 def max_degree(g: Graph) -> int:
     _require_graph(g=g)
-    return max((len(ns) for ns in g.adjacency), default=0)
+    return g._max_degree
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import logging
 import random
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .coloring import EdgeColoring, _require_budget, _search, _verify
@@ -31,6 +31,7 @@ from .families import (
     MAX_MATCHING_MEMO,
     ProductGraph,
     _as_graph,
+    _kept,
     _require_size,
     cartesian_product,
     complete_bipartite,
@@ -277,7 +278,7 @@ class ExplorationReport:
     are sorted by (matching, colors); a sampled sweep's are in draw order.
     Memory does not grow with the budget: the sweep holds the count's memo
     and these rows. A report does not depend on whether the sweep built its
-    product's state or found it kept from an earlier sweep in the process.
+    product's state or took it from the process's kept values.
     """
 
     instances: int
@@ -315,13 +316,12 @@ def explore_bipartite_factor(
     serialized. Each call logs W, the count's states and the branch at
     debug level.
 
-    A process keeps each (G, n, m)'s product, neighbor lists, palette,
-    close masks and memo for later sweeps (``_sweep_state``), G compared by
-    value, up to _SWEEP_STATE_BYTES (8 MiB) estimated, least recently used
-    dropped first: the benchmark's 28 small products take 1.7 MB, C_10 box
-    K_3,3 7.2 MB (6.0 MB traced). Every check above runs first and a kept
-    memo is held to the cap again, so a later sweep raises, logs and
-    reports exactly what the first did.
+    A process keeps each (G, n, m)'s product, neighbor lists, close masks
+    and memo for later sweeps (``_sweep_state``), G compared by value, in
+    the store of ``families._kept``: the benchmark's 28 small products are
+    estimated at 1.7 MB, C_10 box K_3,3 at 7.2 MB (6.0 MB traced). Every
+    check above runs first and a kept memo is held to the cap again, so a
+    later sweep raises, logs and reports exactly what the first did.
 
     The sweep stays on edge ids from the unranking to the verdict: each
     instance goes to ``_decide`` as it is unranked, its ids distinct and
@@ -337,8 +337,9 @@ def explore_bipartite_factor(
         raise BadParameterError("budget must be positive")
     bipartition(g)
     _require_size(f"G box K_{n},{m}", g.n, len(g.edges), n + m, n * m)  # before K_n,m is built
-    state = _sweep_state(g, n, m)
-    product, palette, close, memo = state.product, state.palette, state.close, state.memo
+    palette = max_degree(g) + n
+    product, close, memo = _kept(("sweep", g, n, m), lambda: _sweep_state(g, n, m, palette), _state_bytes)
+    _require_memo_cap(len(memo), len(close))  # a kept memo too, against the cap as it stands now
     total = memo[(1 << len(close)) - 1]
     exhaustive = total <= budget
     if _log.isEnabledFor(logging.DEBUG):
@@ -371,51 +372,19 @@ def explore_bipartite_factor(
     )
 
 
-# the bound on the estimated bytes of the kept sweep states
-_SWEEP_STATE_BYTES = 8 << 20
+def _sweep_state(g: Graph, n: int, m: int, palette: int) -> tuple[Graph, list[int], dict[int, int]]:
+    """The product of G box K_{n,m}, its close masks and the count's memo."""
+    product = cartesian_product(g, complete_bipartite(n, m)).graph
+    close = _close_masks(product)
+    return product, close, _weighted_matching_count(close, palette)
 
 
-class _SweepState:
-    """What the sweeps of one G box K_{n,m} share, and its estimated bytes;
-    a plain class, as a dataclass costs each import about 0.5 ms."""
-
-    __slots__ = ("product", "palette", "close", "memo", "size")
-
-    def __init__(self, product: Graph, palette: int, close: list[int], memo: dict[int, int], size: int) -> None:
-        self.product, self.palette, self.close, self.memo, self.size = product, palette, close, memo, size
-
-
-# (G, n, m) -> its sweep state, least recently used first; equal graphs
-# built apart share one
-_sweep_states: OrderedDict[tuple[Graph, int, int], _SweepState] = OrderedDict()
-
-
-def _sweep_state(g: Graph, n: int, m: int) -> _SweepState:
-    """The state of G box K_{n,m}, its arguments checked: a kept one once
-    its memo passes the cap as it stands now, else one built and kept
-    unless its estimate alone passes the bound, least recently used states
-    dropped until the rest fit. Estimated as measured: per memo state 120
+def _state_bytes(state: tuple[Graph, list[int], dict[int, int]]) -> int:
+    """A sweep state's estimated bytes, as measured: per memo state 120
     bytes plus a quarter byte per product edge, per product edge 200 bytes
     plus an eighth of a byte per edge (graph, neighbor list, close mask)."""
-    key = (g, n, m)
-    state = _sweep_states.get(key)
-    if state is not None:
-        _require_memo_cap(len(state.memo), len(state.close))
-        _sweep_states.move_to_end(key)
-        return state
-    product = cartesian_product(g, complete_bipartite(n, m)).graph
-    palette = max_degree(g) + n
-    close = _close_masks(product)
-    memo = _weighted_matching_count(close, palette)
-    edges = len(close)
-    size = len(memo) * (120 + edges // 4) + edges * (200 + edges // 8)
-    state = _SweepState(product, palette, close, memo, size)
-    if size <= _SWEEP_STATE_BYTES:
-        _sweep_states[key] = state
-        kept = sum(s.size for s in _sweep_states.values())
-        while kept > _SWEEP_STATE_BYTES:
-            kept -= _sweep_states.popitem(last=False)[1].size
-    return state
+    _product, close, memo = state
+    return len(memo) * (120 + len(close) // 4) + len(close) * (200 + len(close) // 8)
 
 
 def _require_memo_cap(states: int, edges: int) -> None:

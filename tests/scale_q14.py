@@ -6,11 +6,13 @@ this file. Run it from the repository root:
 The seeded maximal induced matching of Q_14 (114,688 edges, 2,477 short
 residual lists) is extended in a few seconds from the residual's dimension
 base and the peel, with no König base, far past the complete search's
-reach, and colored in Q_14's edge order. Then the prescription is
-validated and the coloring verified on a fresh Q_14, whose adjacency rows
-neither derives; the same instance as Q_11 x Q_3 must color identically,
-item for item; one edge recolored to a neighbor's color sends verify_proper
-through its exact conflict pass at that size. The Q_14 residual, whose
+reach, and colored in Q_14's edge order; its cube pair, estimated past
+the bound on kept values, is not kept, and what is kept stays within that
+bound. Then the prescription is validated and the coloring verified on a
+fresh Q_14, whose adjacency rows neither derives; the same instance as
+Q_11 x Q_3 must color identically, item for item; one edge recolored to a
+neighbor's color sends verify_proper through its exact conflict pass at
+that size. The Q_14 residual, whose
 adjacency rows the reduction patches from Q_13's and which equal a fresh
 derivation, is König-colored as by its reference copy, item for item, and
 list-colored by demand_list_color from the peeled base (the logged record
@@ -22,7 +24,7 @@ edges and adjacency.
 
 from unittest.mock import patch
 
-from edgex import coloring
+from edgex import coloring, families
 from edgex import (EdgeColoring, Graph, cartesian_product, complete, extend_hypercube,
                    extend_over_hypercube, demand_list_color, hypercube, konig_color, reduce_instance,
                    validate_precoloring, verify_proper)
@@ -36,7 +38,11 @@ assert bases == ["peeled"], bases
 assert konig.call_count == 0, konig.call_count
 assert verify_proper(q, col).ok
 assert list(col.assignment) == list(q.edges)
-print(f"Q_14: {len(pre.entries)} prescribed edges extended, colored in edge order")
+assert ("Q", 14) not in families._kept_values, list(families._kept_values)
+kept = sum(size for _value, size in families._kept_values.values())
+assert kept <= families._KEPT_BYTES, kept
+print(f"Q_14: {len(pre.entries)} prescribed edges extended, colored in edge order;"
+      f" its cube pair not kept, {kept} bytes kept")
 fresh = hypercube(14)
 assert validate_precoloring(fresh, pre).ok
 assert verify_proper(fresh, col, prescribed=pre.entries).ok

@@ -77,6 +77,7 @@ RECORD_SLOTS = [
     ("demand_list_color", lambda bad: edgex.demand_list_color(_G, bad), "lists", "a ListAssignment", PANEL),
     ("exact_list_color", lambda bad: edgex.exact_list_color(_G, bad), "lists", "a ListAssignment", PANEL),
     ("make_list_assignment", lambda bad: edgex.make_list_assignment(_G, bad), "lists", "a mapping", PANEL),
+    ("ListAssignment", lambda bad: edgex.ListAssignment(bad), "lists", "a mapping", PANEL),
     ("build_graph", lambda bad: edgex.build_graph(bad, []), "labels", "iterable", NOT_ITERABLE),
     ("build_graph", lambda bad: edgex.build_graph([], bad), "pairs", "iterable", NOT_ITERABLE),
     ("standard_family", lambda bad: edgex.standard_family(bad, 1), "kind", "a str", ([],) + NOT_ITERABLE),

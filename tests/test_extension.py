@@ -794,8 +794,9 @@ class TestExtendHypercube:
 
 
 class TestCubePairs:
-    """extend_hypercube takes Q_{d-1} and Q_d from one pair per d <= 12,
-    built on the first call at d and kept; above 12 it builds both fresh."""
+    """extend_hypercube takes Q_{d-1} and Q_d from one pair per d, built on
+    the first call at d and kept under the store's bound; a pair whose
+    estimate alone passes the bound, Q_14's first, is built fresh per call."""
 
     @staticmethod
     def _recorded(monkeypatch):
@@ -827,16 +828,16 @@ class TestCubePairs:
         assert builds == [d - 1, d]
         assert all(b is bases[0] for b in bases) and all(p is products[0] for p in products)
         assert (bases[0], products[0]) == (hypercube(d - 1), q) and bases[0] is not products[0]
-        assert extension._cube_pair.cache_info().currsize == 1
+        assert list(families._kept_values) == [("Q", d)]
         assert all(verify_proper(q, col).ok for col in cols)
 
     def test_above_the_cap_builds_fresh_and_keeps_nothing(self, monkeypatch):
         builds, _bases, products = self._recorded(monkeypatch)
         for _ in range(2):
-            extend_hypercube(13, Precoloring(13, {(0, 1): 1}))
-        assert builds == [12, 13, 12, 13]
+            extend_hypercube(14, Precoloring(14, {(0, 1): 1}))
+        assert builds == [13, 14, 13, 14]
         assert products[0] is not products[1]
-        assert extension._cube_pair.cache_info().currsize == 0
+        assert not families._kept_values
 
     @pytest.mark.parametrize(
         "call, kept",
@@ -851,7 +852,7 @@ class TestCubePairs:
         # validation runs on the product, so a call refused there keeps its pair
         with pytest.raises(EdgexError):
             call()
-        assert extension._cube_pair.cache_info().currsize == kept
+        assert len(families._kept_values) == kept
 
     @pytest.mark.parametrize("d", [2, 5, 11])
     def test_product_rows_never_derived_under_the_next_base(self, d):
@@ -859,8 +860,8 @@ class TestCubePairs:
         # objects: the reduction derives rows on the base only
         extend_hypercube(d, Precoloring(d, {(0, 1): 1}))
         extend_hypercube(d + 1, Precoloring(d + 1, {(0, 1): 1}))
-        product = extension._cube_pair(d)[1]
-        base = extension._cube_pair(d + 1)[0]
+        product = families._kept_values[("Q", d)][0][1]
+        base = families._kept_values[("Q", d + 1)][0][0]
         assert product == base and product is not base
         assert "adjacency" not in vars(product)
         assert "adjacency" in vars(base)

@@ -29,7 +29,7 @@ from edgex import (
     spider,
     star,
 )
-from edgex import extension, oracle
+from edgex import extension, families, oracle
 from edgex.graph import max_degree
 
 from helpers import debug_records, random_connected_bipartite, random_valid_precoloring, roadmap_cube_instance
@@ -96,14 +96,15 @@ def test_outputs_byte_identical(name):
     assert digest(calls) == want
 
 
-def test_extend_hypercube_cold_then_warm():
+def test_extend_hypercube_cold_then_warm(monkeypatch):
     # the first pass builds and keeps each cube pair, the second reuses them
     calls, want = GOLDEN["extend_hypercube"]
-    assert extension._cube_pair.cache_info().currsize == 0
+    build, builds = extension.hypercube, []
+    monkeypatch.setattr(extension, "hypercube", lambda d: builds.append(d) or build(d))
     assert digest(calls) == want
-    assert extension._cube_pair.cache_info().currsize == 7
+    assert builds == [q for d in range(3, 10) for q in (d - 1, d)]
     assert digest(calls) == want
-    assert extension._cube_pair.cache_info()[:2] == (7, 7)  # hits, misses
+    assert len(builds) == 14
 
 
 # the benchmark's small oracle products, each factor x K_n,m swept at
@@ -148,7 +149,7 @@ def test_oracle_sweeps_byte_identical(monkeypatch):
 def test_oracle_sweeps_cold_then_warm(monkeypatch):
     # each product's first sweep builds its state and its later seeds reuse
     # it; a second pass reuses every state, with the same digests
-    assert not oracle._sweep_states
+    assert not families._kept_values
     assert sweep_digests(monkeypatch) == (ORACLE_REPORTS, ORACLE_DECISIONS)
-    assert len(oracle._sweep_states) == 16
+    assert len(families._kept_values) == 16
     assert sweep_digests(monkeypatch) == (ORACLE_REPORTS, ORACLE_DECISIONS)

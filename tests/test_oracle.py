@@ -25,6 +25,7 @@ from edgex import (
     decide_extendable,
     exact_list_color,
     explore_bipartite_factor,
+    extend_hypercube,
     extend_over_complete,
     extend_over_star,
     find_covering_induced_matching,
@@ -47,7 +48,7 @@ from edgex.errors import (
     UnknownEdgeError,
     VertexIndexError,
 )
-from edgex import oracle
+from edgex import families, oracle
 from edgex.oracle import _close_masks, _unrank_instance, _weighted_matching_count
 
 from helpers import (
@@ -804,7 +805,7 @@ class TestExploreScale:
         elapsed = time.perf_counter() - start
         assert (rep.instances, rep.exhaustive, len(rep.counterexamples)) == (20, False, 20)
         assert elapsed < 1.0, elapsed
-        oracle._sweep_states.clear()  # trace a count, not a kept state
+        families._kept_values.clear()  # trace a count, not a kept state
         tracemalloc.start()
         try:
             assert explore_bipartite_factor(cycle(10), 3, 3, 20) == rep
@@ -904,17 +905,17 @@ class TestSweepStates:
     def test_repeated_sweeps_build_and_count_once(self, monkeypatch):
         cold = []
         for seed in range(4):
-            oracle._sweep_states.clear()
+            families._kept_values.clear()
             with debug_records() as records:
                 cold.append((explore_bipartite_factor(cycle(4), 3, 2, 20, seed), records))
-        oracle._sweep_states.clear()
+        families._kept_values.clear()
         builds = counted(monkeypatch, oracle, "cartesian_product")
         counts = counted(monkeypatch, oracle, "_weighted_matching_count")
         for seed in range(4):
             with debug_records() as records:
                 assert (explore_bipartite_factor(cycle(4), 3, 2, 20, seed), records) == cold[seed]
         assert (len(builds), len(counts)) == (1, 1)
-        assert len(oracle._sweep_states) == 1
+        assert len(families._kept_values) == 1
 
     def test_exhaustive_sweep_reuses_its_state(self, monkeypatch):
         cold = explore_bipartite_factor(path(3), 2, 1, 1000)
@@ -933,45 +934,52 @@ class TestSweepStates:
         explore_bipartite_factor(build_graph("abcd", pairs), 2, 2, 5)
         explore_bipartite_factor(build_graph("abcd", [(0, 1), (1, 2), (1, 3)]), 2, 1, 5)
         explore_bipartite_factor(build_graph("wxyz", pairs), 2, 1, 5)
-        assert len(builds) == len(oracle._sweep_states) == 5
+        assert len(builds) == len(families._kept_values) == 5
 
     def sizes(self):
         for g, n, m in self.SWEEPS:
             explore_bipartite_factor(g, n, m, 5)
-        sizes = [state.size for state in oracle._sweep_states.values()]
-        oracle._sweep_states.clear()
+        sizes = [size for _state, size in families._kept_values.values()]
+        families._kept_values.clear()
         return sizes
 
     def test_eviction_drops_the_least_recently_used(self, monkeypatch):
+        # sweep states and a cube pair share the one bound and evict each other
         a, b, c = self.sizes()
-        bound = max(a + b, a + c)
-        monkeypatch.setattr(oracle, "_SWEEP_STATE_BYTES", bound)
+        extend_hypercube(5, Precoloring(5, {}))
+        q = families._kept_values.pop(("Q", 5))[1]
+        assert a + b <= c and a <= q
+        monkeypatch.setattr(families, "_KEPT_BYTES", c + q)
         (ga, na, ma), (gb, nb, mb), (gc, nc, mc) = self.SWEEPS
         explore_bipartite_factor(ga, na, ma, 5)
         explore_bipartite_factor(gb, nb, mb, 5)
+        extend_hypercube(5, Precoloring(5, {}))
         explore_bipartite_factor(ga, na, ma, 5, 1)  # a is now the most recent
-        explore_bipartite_factor(gc, nc, mc, 5)
-        assert list(oracle._sweep_states) == [(ga, na, ma), (gc, nc, mc)]
-        assert sum(state.size for state in oracle._sweep_states.values()) == a + c <= bound
+        explore_bipartite_factor(gc, nc, mc, 5)  # drops b, then the cube pair
+        assert list(families._kept_values) == [("sweep", ga, na, ma), ("sweep", gc, nc, mc)]
+        assert sum(size for _value, size in families._kept_values.values()) == a + c
+        extend_hypercube(5, Precoloring(5, {}))  # drops a
+        assert list(families._kept_values) == [("sweep", gc, nc, mc), ("Q", 5)]
+        assert sum(size for _value, size in families._kept_values.values()) == c + q
 
     def test_kept_size_stays_within_the_bound(self, monkeypatch):
         sizes = self.sizes()
-        monkeypatch.setattr(oracle, "_SWEEP_STATE_BYTES", max(sizes))
+        monkeypatch.setattr(families, "_KEPT_BYTES", max(sizes))
         for g, n, m in self.SWEEPS * 2:
             explore_bipartite_factor(g, n, m, 5)
-            assert list(oracle._sweep_states)[-1] == (g, n, m)
-            assert sum(state.size for state in oracle._sweep_states.values()) <= max(sizes)
+            assert list(families._kept_values)[-1] == ("sweep", g, n, m)
+            assert sum(size for _state, size in families._kept_values.values()) <= max(sizes)
 
     def test_state_over_the_bound_is_not_kept(self, monkeypatch):
         a, b, c = self.sizes()
-        monkeypatch.setattr(oracle, "_SWEEP_STATE_BYTES", b - 1)
+        monkeypatch.setattr(families, "_KEPT_BYTES", b - 1)
         (ga, na, ma), (gb, nb, mb), _ = self.SWEEPS
         explore_bipartite_factor(ga, na, ma, 5)
         counts = counted(monkeypatch, oracle, "_weighted_matching_count")
         cold = explore_bipartite_factor(gb, nb, mb, 5)
         assert explore_bipartite_factor(gb, nb, mb, 5) == cold
         assert len(counts) == 2
-        assert list(oracle._sweep_states) == [(ga, na, ma)]  # kept, not evicted by b
+        assert list(families._kept_values) == [("sweep", ga, na, ma)]  # kept, not evicted by b
 
     def test_kept_memo_is_held_to_a_lowered_cap(self, monkeypatch):
         # C_6 x K_3,2 needs 3,208 states of 66 edges
@@ -979,7 +987,7 @@ class TestSweepStates:
         monkeypatch.setattr(oracle, "MAX_MATCHING_MEMO", 3207 * 66)
         with pytest.raises(BadParameterError) as warm:
             explore_bipartite_factor(cycle(6), 3, 2, 20)
-        oracle._sweep_states.clear()
+        families._kept_values.clear()
         with pytest.raises(BadParameterError) as cold:
             explore_bipartite_factor(cycle(6), 3, 2, 20)
         assert str(warm.value) == str(cold.value)
@@ -993,4 +1001,4 @@ class TestSweepStates:
             explore_bipartite_factor(path(3), 2, 1, 5)
         with pytest.raises(BadParameterError, match="past the limit"):
             explore_bipartite_factor(path(2), 10**6, 1, 5)
-        assert not oracle._sweep_states
+        assert not families._kept_values

@@ -6,10 +6,12 @@
   method, ranking the edges at each vertex by the König base or by the
   peeled base, which certifies every list of at least the endpoint-degree
   demand (Borodin, Kostochka and Woodall); no repair and no search runs.
-  Its core, ``_list_color``, may start from another proper max-degree
-  coloring in place of the König base: the extension pipeline hands it
-  ``_dimension_base`` on a cube's residual, which colors each edge by the
-  bit its ends differ in, at no search cost.
+  Its core, ``_list_color``, takes the lists as one frozenset per edge id
+  and picks the sides and the base itself. Told that g is a subgraph of
+  the indexed Q_k, as the extension pipeline tells it for a cube's
+  residual, it reads the sides off the bit parities and, while g keeps a
+  vertex of degree k, starts from ``_dimension_base``, which colors each
+  edge by the bit its ends differ in, at no search cost.
   An edge is its id, its position in the lexicographic g.edges, so loops
   visit the edges in canonical order, item for item as over edge tuples.
   Colors stay lists by edge id until the boundary: the assignment lists the
@@ -49,7 +51,8 @@ from .errors import (
     _require_mapping,
 )
 from .families import _require_size
-from .graph import SIDE_X, Edge, Graph, _edge_key, _require_graph, bipartition, canonical_edge, max_degree
+from .graph import SIDE_X, Edge, Graph, bipartition, canonical_edge, max_degree
+from .graph import _edge_key, _parity_sides, _require_graph
 
 _log = logging.getLogger("edgex")
 
@@ -446,35 +449,35 @@ def _peeled_ranks(
     return rx, ry
 
 
-def _edge_lists(g: Graph, lists: ListAssignment) -> tuple[list[tuple[int, ...]], dict[int, set[int]]]:
-    """Each edge's list by edge id, and each distinct list object's colors by
-    its id (the first result keeps the objects alive); MissingEdgeError
-    names the edges `lists` lacks, BadParameterError a bad list's edge."""
+def _edge_lists(g: Graph, lists: ListAssignment) -> list[frozenset[int]]:
+    """Each edge's list by edge id, one frozenset per distinct list object;
+    MissingEdgeError names the edges `lists` lacks, BadParameterError a bad
+    list's edge."""
     try:
-        ls = [lists.lists[e] for e in g.edges]
+        given = [lists.lists[e] for e in g.edges]
     except KeyError:
         _require_covered(g, lists.lists, "lists")
         raise
-    sets: dict[int, set[int]] = {}
-    for e, colors in zip(g.edges, ls):
-        if id(colors) not in sets:
-            sets[id(colors)] = set(_color_list(e, colors, True))
-    return ls, sets
+    parsed: dict[int, frozenset[int]] = {}  # id of a given list (`given` keeps it alive) -> its colors
+    for e, colors in zip(g.edges, given):
+        if id(colors) not in parsed:
+            parsed[id(colors)] = frozenset(_color_list(e, colors, True))
+    return [parsed[id(colors)] for colors in given]
 
 
 def _kernel_rounds(
     g: Graph,
-    ls: list[tuple[int, ...]],
-    sets: dict[int, set[int]],
+    ls: list[frozenset[int]],
     xs: list[int],
     ys: list[int],
     kx: list[int],
     ky: list[int],
 ) -> list[int]:
-    """The kernel rounds of ``demand_list_color``, by edge id: lists `ls`
-    and their colors `sets` (from ``_edge_lists``), ends xs in X and ys, and
-    a base's rank keys kx at the X end and ky at the Y end (the lower ranks
-    higher; 0 <= kx <= |E|). Returns each edge's color by edge id.
+    """The kernel rounds of ``demand_list_color``, by edge id: each edge's
+    list in `ls`, a frozenset that a round tests for its color, ends xs in
+    X and ys, and a base's rank keys kx at the X end and ky at the Y end
+    (the lower ranks higher; 0 <= kx <= |E|). Returns each edge's color by
+    edge id.
 
     Per palette color, ascending, until every edge is colored, the uncolored
     edges whose list holds it are matched by deferred acceptance (X proposes
@@ -486,9 +489,8 @@ def _kernel_rounds(
     tuple is formed but to name an edge in an error.
     """
     edges = g.edges
-    allowed = [sets[id(colors)] for colors in ls]
     colored = [0] * len(edges)
-    palette = sorted(set().union(*sets.values()))
+    palette = sorted(set().union(*set(ls)))
 
     # each X vertex's edges in one run, by ascending key; a round's filter
     # keeps that order, so its runs are its proposals and a round walks
@@ -497,7 +499,7 @@ def _kernel_rounds(
     for k in palette:
         if not uncolored:  # later rounds would find nothing to match
             break
-        rough = [i for i in uncolored if k in allowed[i]]
+        rough = [i for i in uncolored if k in ls[i]]
         todo = {x: iter(list(run)) for x, run in groupby(rough, key=xs.__getitem__)}
         held: dict[int, int] = {}  # y -> the edge it holds
         free = deque(todo)
@@ -543,7 +545,7 @@ def exact_list_color(g: Graph, lists: ListAssignment, budget: int | None = None)
     _require_graph(g=g)
     _require_instance(ListAssignment, lists=lists)
     _require_budget(budget)
-    ls, _sets = _edge_lists(g, lists)
+    ls = _edge_lists(g, lists)
     found = _search(g, [set(colors) for colors in ls], budget)
     if found is None:
         return None
@@ -761,38 +763,32 @@ def demand_list_color(g: Graph, lists: ListAssignment) -> EdgeColoring:
     assignment lists the edges in g.edges order, as konig_color's does; the
     palette size is the largest color of any list.
 
-    The boundary view of ``_list_color``: it reads the lists by edge id and
-    keys the colors by edge."""
+    The boundary view of ``_list_color``: it reads the lists by edge id,
+    before g's bipartition is sought, and keys the colors by edge."""
     _require_graph(g=g)
     _require_instance(ListAssignment, lists=lists)
-    side = bipartition(g).side
-    ls, sets = _edge_lists(g, lists)
-    colors = _list_color(g, side, ls, sets)
-    palette = max(set().union(*sets.values()), default=0)
+    ls = _edge_lists(g, lists)
+    colors = _list_color(g, ls)
+    palette = max(set().union(*set(ls)), default=0)
     return EdgeColoring(palette_size=palette, assignment=dict(zip(g.edges, colors)))
 
 
-def _list_color(
-    g: Graph,
-    side: tuple[str, ...],
-    ls: list[tuple[int, ...]],
-    sets: dict[int, set[int]],
-    start: tuple[list[int], list[dict[int, int]]] | None = None,
-) -> list[int]:
-    """demand_list_color by edge id: g with its bipartition's sides, each
-    edge's list `ls` and the lists' colors `sets` (as ``_edge_lists`` gives
-    them); returns each edge's color by edge id. `start` is the base in
-    place of the König base, in its form: a proper max-degree coloring of
-    g by edge id and each vertex's color -> edge id map, which the peel
-    consumes. The extension pipeline passes ``_dimension_base`` on a cube
-    (logged as base=dimension); any proper max-degree coloring ranks as the
-    König base does and meets the peel's proof."""
+def _list_color(g: Graph, ls: list[frozenset[int]], cube: int | None = None) -> list[int]:
+    """demand_list_color by edge id: g and each edge's list `ls`, as
+    ``_edge_lists`` gives them; returns each edge's color by edge id.
+    `cube` is k when g is a subgraph of the indexed Q_k: its sides are then
+    the bit parities (``graph._parity_sides``), with no bipartition search,
+    and while g keeps a vertex of degree k its base is the dimension
+    coloring (``_dimension_base``, logged as base=dimension) in place of
+    the König base; any proper max-degree coloring ranks as the König base
+    does and meets the peel's proof."""
+    side = bipartition(g).side if cube is None else _parity_sides(cube)
     edges = g.edges
     xs = [u if side[u] == SIDE_X else v for u, v in edges]
     ys = [v if side[u] == SIDE_X else u for u, v in edges]
     delta = max_degree(g)
     short = [i for i, colors in enumerate(ls) if len(colors) < delta]
-    name, (base, at) = ("konig", _konig_base(g)) if start is None else ("dimension", start)
+    name, (base, at) = ("dimension", _dimension_base(g)) if delta == cube else ("konig", _konig_base(g))
     # out(e) on a base ranked by color: the colors at x below e's, and at y above it
     out = (len([c for c in at[xs[i]] if c < base[i]]) + len([c for c in at[ys[i]] if c > base[i]]) for i in short)
     if any(o >= len(ls[i]) for o, i in zip(out, short)):
@@ -807,7 +803,7 @@ def _list_color(
         kx, ky = base, [-c for c in base]
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("list coloring: base=%s short=%d", name, len(short))
-    return _kernel_rounds(g, ls, sets, xs, ys, kx, ky)
+    return _kernel_rounds(g, ls, xs, ys, kx, ky)
 
 
 def one_factorization(order: int) -> list[list[Edge]]:

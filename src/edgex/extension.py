@@ -13,16 +13,15 @@ class pinned to its color); one final check on the caller's product
 internal error. Each stage is the private, positional core of a public
 function (``_reduce`` of reduce_instance, ``coloring._list_color`` of
 demand_list_color, ``coloring._verify`` of verify_proper): lists and colors
-pass between them as lists by edge id, validation resolves each
-prescription key to its edge id once and the final check reads those
-(id, color) pairs, and the only per-edge dict is the result.
-When the base is the indexed Q_k (``Graph._cube_dim``), as it is for
-extend_hypercube, for extend_over_hypercube(Q_j, m) and for any other call
-whose base is a cube, the residual, Q_k less a matching, takes its sides
-from each vertex's bit parity (no bipartition BFS), and its list coloring
-starts from its dimension coloring (``coloring._dimension_base``) in place
-of the König base, unless the removed matching covers every vertex, so
-that the dimension coloring is no max-degree coloring.
+pass between them as lists by edge id, each list one frozenset shared by
+the edges that lose the same colors. Validation resolves each prescription
+key to its edge id once; the reduction takes those ids' edges, and the
+final check the (id, color) pairs; the only per-edge dict is the result.
+The list coloring is told the base's cube dimension (``Graph._cube_dim``,
+None unless the base is the indexed Q_k), as it is for extend_hypercube,
+for extend_over_hypercube(Q_j, m) and for any other call whose base is a
+cube; the residual, Q_k less a matching, is then a subgraph of Q_k, and
+the list coloring picks its sides and base from that.
 An entry point checks its integers, bipartitions the caller's own G first
 (so an odd cycle is reported in G's indices), runs the families size check
 on the counts of its product before building anything, and picks base,
@@ -52,7 +51,6 @@ from operator import itemgetter
 from .coloring import (
     EdgeColoring,
     ListAssignment,
-    _dimension_base,
     _list_color,
     _verify,
     one_factorization,
@@ -72,7 +70,6 @@ from .graph import (
     Edge,
     Graph,
     _edge_key,
-    _parity_sides,
     _require_graph,
     _without_edges,
     bipartition,
@@ -163,12 +160,6 @@ def _validate(g: Graph, pre: Precoloring) -> tuple[ValidationReport, list[tuple[
     return report, entries
 
 
-def require_valid(p: ProductGraph | Graph, pre: Precoloring) -> None:
-    report = validate_precoloring(p, pre)
-    if not report.ok:
-        raise InvalidPrecoloringError(report)
-
-
 def reduce_instance(g: Graph, m: int, pre: Precoloring) -> ReducedInstance:
     """Build the residual base instance for a valid precoloring of G box K_{2m}.
 
@@ -180,44 +171,49 @@ def reduce_instance(g: Graph, m: int, pre: Precoloring) -> ReducedInstance:
     removed edges, its rows g's with those at the removed edges' ends
     rebuilt (g itself when none is removed). A residual edge's list is the
     palette minus the colors blocked at its two ends, one tuple per
-    distinct set of blocked colors; only the edges with a blocked end are
-    looked at one by one, and the full lists' demand is checked once,
-    against the residual's maximum degree. On valid input each base vertex
-    is blocked at most once, so a list loses at most two colors and never
-    drops below the endpoint-degree demand; any breach of that is a
-    validation bug and raises ProofInvariantError. A color that is not an
-    int raises BadParameterError once the entries are classified.
+    distinct list; only the edges with a blocked end are looked at one by
+    one, and the full lists' demand is checked once, against the residual's
+    maximum degree. On valid input each base vertex is blocked at most
+    once, so a list loses at most two colors and never drops below the
+    endpoint-degree demand; any breach of that is a validation bug and
+    raises ProofInvariantError. A color that is not an int raises
+    BadParameterError once the entries are classified.
 
-    The boundary view of ``_reduce``: it keys the lists and the layer
-    entries by edge, the layer entries in the order of their keys.
+    The boundary view of ``_reduce``: after the checks of m and of K_{2m}'s
+    size it parses the keys, and it keys the lists (as ascending tuples)
+    and the layer entries by edge, the layer entries in the order of their
+    keys.
     """
     _require_graph(g=g)
     _require_instance(Precoloring, pre=pre)
-    residual, ls, _sets, forced, fiber_prescriptions = _reduce(g, m, pre.entries)
+    _require_positive(m=m)
+    _require_size(f"K_{2 * m}", 2 * m, m * (2 * m - 1))  # bounds the palette, max degree + 2m - 1
+    pairs = sorted(((_edge_key(e), c) for e, c in pre.entries.items()), key=itemgetter(0))
+    residual, ls, forced, fiber_prescriptions = _reduce(g, m, pairs)
+    tuples = {colors: tuple(sorted(colors)) for colors in set(ls)}
     return ReducedInstance(
         base_residual=residual,
-        lists=ListAssignment(lists=dict(zip(residual.edges, ls))),
+        lists=ListAssignment(lists=dict(zip(residual.edges, map(tuples.__getitem__, ls)))),
         forced_layer={g.edges[i]: color for i, color in forced.items()},
         fiber_prescriptions=fiber_prescriptions,
     )
 
 
 def _reduce(
-    g: Graph, m: int, entries: dict[Edge, int]
-) -> tuple[Graph, list[tuple[int, ...]], dict[int, set[int]], dict[int, int], dict[int, tuple[Edge, int]]]:
-    """reduce_instance by edge id: the residual; its lists in
-    residual.edges order and their colors by list id, as ``_edge_lists``
-    gives them; each removed base edge's id mapped to its color, in the
-    order of the entries' keys; and the fiber prescriptions."""
-    _require_positive(m=m)
+    g: Graph, m: int, pairs: list[tuple[Edge, object]]
+) -> tuple[Graph, list[frozenset[int]], dict[int, int], dict[int, tuple[Edge, int]]]:
+    """reduce_instance by edge id, from the entries as (canonical edge,
+    color) pairs in ascending order of edge: the residual; its lists in
+    residual.edges order, as ``coloring._list_color`` takes them, one
+    frozenset per distinct set of blocked colors; each removed base edge's
+    id mapped to its color, in the order of the entries; and the fiber
+    prescriptions."""
     width = 2 * m
-    _require_size(f"K_{width}", width, m * (width - 1))  # bounds the palette, max degree + 2m - 1
     edges = g.edges
     forced: dict[int, int] = {}  # removed base edge id -> its color
     fiber_prescriptions: dict[int, tuple[Edge, int]] = {}
     blocked: dict[int, int] = {}  # base vertex -> the color prescribed at it
-    keyed = sorted(((_edge_key(e), c) for e, c in entries.items()), key=lambda t: t[0])
-    for (a, b), color in keyed:
+    for (a, b), color in pairs:
         (u, w), (v, z) = divmod(a, width), divmod(b, width)
         i = bisect_left(edges, (u, v))  # a < b, so (u, v) is canonical
         if w == z and i < len(edges) and edges[i] == (u, v):
@@ -238,7 +234,7 @@ def _reduce(
         if type(color) is not int:
             raise BadParameterError(f"color {color!r} blocked at base vertex {x} is not an int")
 
-    full = tuple(range(1, max_degree(g) + width))
+    full = frozenset(range(1, max_degree(g) + width))
     residual = _without_edges(g, sorted(forced)) if forced else g
     rows = residual.adjacency
     top = max_degree(residual)
@@ -249,12 +245,12 @@ def _reduce(
     for x, color in blocked.items():
         mark[x] = color
     touched = [i for i, (u, v) in enumerate(residual.edges) if mark[u] is not None or mark[v] is not None]
-    without: dict[frozenset[int], tuple[int, ...]] = {}  # lost colors -> list
+    without: dict[frozenset[int], frozenset[int]] = {}  # lost colors -> list
     for i in touched:
         e = u, v = residual.edges[i]
         lost = frozenset(mark[x] for x in e if mark[x] is not None)
         if lost not in without:
-            without[lost] = tuple(c for c in full if c not in lost)
+            without[lost] = full - lost
         colors = ls[i] = without[lost]
         demand = max(len(rows[u]), len(rows[v]))
         if len(colors) < demand:
@@ -263,9 +259,7 @@ def _reduce(
         # the other: both ends lie within distance 1 in G box K_2
         if m == 1 and len(lost) == 2 and (u in fiber_prescriptions or v in fiber_prescriptions):
             raise ProofInvariantError(f"edge {e} lost two colors without two removed edges")
-    used = [*without.values(), full] if len(touched) < len(ls) else without.values()
-    sets = {id(colors): set(colors) for colors in used}
-    return residual, ls, sets, forced, fiber_prescriptions
+    return residual, ls, forced, fiber_prescriptions
 
 
 def _vertex_colors(
@@ -347,7 +341,10 @@ def _extend(
     """The pipeline (module docstring) for `product`, named `what`, through
     the host base box K_{2m}; for G box K_{1,star}, the subgraph of the host
     (G box K_{1,star-1}) box K_2 that ``_star_to_host`` gives, only the
-    prescription is mapped into the host.
+    prescription is mapped into the host. The reduction takes the
+    prescription as the (edge, color) pairs of the ids validation resolved,
+    ascending; the star's, mapped into the host, are sorted again. The list
+    coloring takes the base's cube dimension, and picks sides and base.
 
     The coloring is built as one list in product.edges order from
     ``_vertex_colors``: cartesian_product emits product vertex u*k + w with
@@ -366,18 +363,12 @@ def _extend(
     report, prescribed = _validate(product, pre)  # valid, so the ids are distinct
     if not report.ok:
         raise InvalidPrecoloringError(report)
-    entries = pre.entries
+    pairs = [(product.edges[i], c) for i, c in prescribed]
     if star is not None:
-        entries = {
-            canonical_edge(_star_to_host(u, star), _star_to_host(v, star)): c for (u, v), c in entries.items()
-        }
-    residual, ls, sets, forced, fiber_prescriptions = _reduce(base, m, entries)
-    k = base._cube_dim
-    if k is None:
-        colored = _list_color(residual, bipartition(residual).side, ls, sets)
-    else:  # Q_k less a matching: parity sides, and the dimension base while a vertex keeps degree k
-        start = _dimension_base(residual) if max_degree(residual) == k else None
-        colored = _list_color(residual, _parity_sides(k), ls, sets, start)
+        mapped = ((canonical_edge(_star_to_host(u, star), _star_to_host(v, star)), c) for (u, v), c in pairs)
+        pairs = sorted(mapped, key=itemgetter(0))
+    residual, ls, forced, fiber_prescriptions = _reduce(base, m, pairs)
+    colored = _list_color(residual, ls, base._cube_dim)
     if len(colored) != len(residual.edges):
         raise ProofInvariantError(
             f"base coloring holds {len(colored)} colors for {len(residual.edges)} residual edges"

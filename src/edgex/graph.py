@@ -36,8 +36,12 @@ SIDE_Y = "Y"
 
 
 def canonical_edge(u: int, v: int) -> Edge:
-    """Return the unordered pair as (min, max)."""
-    return (u, v) if u < v else (v, u)
+    """Return the unordered pair as (min, max); ends that cannot be
+    compared raise BadParameterError."""
+    try:
+        return (u, v) if u < v else (v, u)
+    except TypeError:
+        raise BadParameterError(f"edge ends {u!r} and {v!r} cannot be ordered") from None
 
 
 def _edge_key(e: object) -> Edge:

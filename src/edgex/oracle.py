@@ -44,6 +44,7 @@ from .graph import (
     canonical_edge,
     max_degree,
 )
+from .serialize import precoloring_to_dict
 
 _log = logging.getLogger("edgex")
 
@@ -313,8 +314,8 @@ def explore_bipartite_factor(
     budget, only with the counterexample rows. A count that would keep more
     than MAX_MATCHING_MEMO states times product edges raises
     BadParameterError before memory runs out. Counterexamples are returned
-    serialized. Each call logs W, the count's states and the branch at
-    debug level.
+    serialized, each by ``serialize.precoloring_to_dict``. Each call logs
+    W, the count's states and the branch at debug level.
 
     A process keeps each (G, n, m)'s product, neighbor lists, close masks
     and memo for later sweeps (``_sweep_state``), G compared by value, in
@@ -360,10 +361,7 @@ def explore_bipartite_factor(
         instances=decided,
         extendable=decided - len(refuted),
         counterexamples=tuple(
-            {
-                "palette_size": palette,
-                "entries": [{"u": edges[i][0], "v": edges[i][1], "color": c} for i, c in zip(ids, colors)],
-            }
+            precoloring_to_dict(Precoloring(palette, {edges[i]: c for i, c in zip(ids, colors)}))
             for ids, colors in refuted
         ),
         budget_used=decided,

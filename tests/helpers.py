@@ -19,6 +19,7 @@ import re
 from collections import deque
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
+from unittest.mock import patch
 
 from edgex import (
     Bipartition,
@@ -553,7 +554,8 @@ def reference_assemble(
 ) -> dict[Edge, int]:
     """The extension pipeline's assembly before the product-order pass, for
     a prescription of `product`: the base colored as the pipeline colors it
-    (on a cube base from parity sides and reference_dimension_base),
+    (on a cube base, Q_k, by the list coloring's core for a subgraph of
+    Q_k, its parity sides and dimension base their references),
     copied into every layer of base box K_{2m} by edge, the fibers of
     reference_color_fibers added, and for G box K_{1,star_m} every product
     edge looked up in that host through ``_star_to_host``."""
@@ -565,11 +567,11 @@ def reference_assemble(
     residual, k = red.base_residual, reference_cube_dim(base)
     if k is None:
         colored = dict(coloring.demand_list_color(residual, red.lists).assignment)
-    else:  # a cube base: parity sides, and the dimension base while the residual keeps degree k
-        ls, sets = coloring._edge_lists(residual, red.lists)
-        start = reference_dimension_base(residual) if max_degree(residual) == k else None
-        side = parity_bipartition(residual).side
-        colored = dict(zip(residual.edges, coloring._list_color(residual, side, ls, sets, start)))
+    else:  # a cube base: the list coloring's parity sides and dimension base are their references
+        sides, ls = parity_bipartition(residual).side, coloring._edge_lists(residual, red.lists)
+        with (patch.object(coloring, "_parity_sides", lambda _k: sides),
+              patch.object(coloring, "_dimension_base", reference_dimension_base)):
+            colored = dict(zip(residual.edges, coloring._list_color(residual, ls, k)))
     colored.update(red.forced_layer)
     width = 2 * m
     host = {(u * width + i, v * width + i): c for (u, v), c in colored.items() for i in range(width)}

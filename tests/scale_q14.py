@@ -4,9 +4,10 @@ this file. Run it from the repository root:
     PYTHONPATH=src:tests timeout 120 python tests/scale_q14.py
 
 The seeded maximal induced matching of Q_14 (114,688 edges, 2,477 short
-residual lists) is extended in a few seconds from the residual's dimension
-base and the peel, with no König base, far past the complete search's
-reach, and colored in Q_14's edge order; its cube pair, estimated past
+residual lists) is extended in a few seconds from the residual's parity
+sides and dimension base and the peel, with neither a bipartition search
+(in coloring or extension) nor a König base, far past the complete
+search's reach, and colored in Q_14's edge order; its cube pair, estimated past
 the bound on kept values, is not kept, and what is kept stays within that
 bound. Then the prescription is validated and the coloring verified on a
 fresh Q_14, whose adjacency rows neither derives; the same instance as
@@ -24,7 +25,7 @@ edges and adjacency.
 
 from unittest.mock import patch
 
-from edgex import coloring, families
+from edgex import coloring, extension, families
 from edgex import (EdgeColoring, Graph, cartesian_product, complete, extend_hypercube,
                    extend_over_hypercube, demand_list_color, hypercube, konig_color, reduce_instance,
                    validate_precoloring, verify_proper)
@@ -32,10 +33,14 @@ from helpers import (list_coloring_bases, list_coloring_records, peeled_rank_sum
                      reference_cartesian_product, reference_konig_color, reference_verify_proper,
                      roadmap_cube_instance)
 q, pre = roadmap_cube_instance(14)
-with list_coloring_bases() as bases, patch.object(coloring, "_konig_base", wraps=coloring._konig_base) as konig:
+with (list_coloring_bases() as bases,
+      patch.object(coloring, "_konig_base", wraps=coloring._konig_base) as konig,
+      patch.object(coloring, "bipartition", wraps=coloring.bipartition) as sides,
+      patch.object(extension, "bipartition", wraps=extension.bipartition) as g_sides):
     col = extend_hypercube(14, pre)
 assert bases == ["peeled"], bases
 assert konig.call_count == 0, konig.call_count
+assert sides.call_count == g_sides.call_count == 0, (sides.call_count, g_sides.call_count)
 assert verify_proper(q, col).ok
 assert list(col.assignment) == list(q.edges)
 assert ("Q", 14) not in families._kept_values, list(families._kept_values)

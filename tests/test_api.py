@@ -1,7 +1,10 @@
+import inspect
+import types
+
 import pytest
 
 import edgex
-from edgex.errors import BadParameterError
+from edgex.errors import BadParameterError, EdgexError
 
 # every public name of the package; adding or removing one is an API change
 PUBLIC_NAMES = [
@@ -93,3 +96,91 @@ def test_wrong_record_is_a_bad_parameter(call, slot, wanted, values):
     for bad in values:
         with pytest.raises(BadParameterError, match=f"^{slot} must be {wanted}, got {type(bad).__name__}$"):
             call(bad)
+
+
+# one valid call of every public callable, every parameter given (a
+# var-positional one as its values); the contract test below swaps each
+# argument in turn for each value of CONTRACT_PANEL
+_P3 = edgex.path(3)
+_HUB = edgex.build_blocked_hub_instance(edgex.path(5), edgex.spider(3, 2))
+_P3_LISTS = edgex.ListAssignment({(0, 1): (1, 2), (1, 2): (1, 2)})
+_P3_COL = edgex.EdgeColoring(2, {(0, 1): 1, (1, 2): 2})
+_P3_PRE = edgex.Precoloring(3, {(0, 2): 3})  # a layer entry of P_3 x K_2, Q_1 and K_1,1
+VALID_CALLS = {
+    "Bipartition": (("X", "Y", "X"),),
+    "BlockedHubInstance": (_HUB.product, _HUB.precoloring, _HUB.hub, _HUB.g_matching, _HUB.h_matching),
+    "ColoringReport": ((), (), (), (), ()),
+    "Edge": None,  # a type alias, not called
+    "EdgeColoring": (2, {(0, 1): 1}),
+    "ExplorationReport": (1, 1, (), 1, 0, True),
+    "Graph": (("a", "b"), ((0, 1),)),
+    "ListAssignment": ({(0, 1): (1,)},),
+    "ObstructionCertificate": (0, 1, {}),
+    "Precoloring": (3, {(0, 1): 1}),
+    "ProductGraph": (_P3, 3, 1),
+    "ReducedInstance": (_P3, _P3_LISTS, {}, {}),
+    "ValidationReport": ((), ()),
+    "bipartition": (_P3,),
+    "build_blocked_hub_instance": (edgex.path(5), edgex.spider(3, 2)),
+    "build_graph": (["a", "b"], [(1, 0)]),
+    "canonical_edge": (1, 0),
+    "cartesian_product": (_P3, edgex.path(2)),
+    "check_local_obstruction": (_HUB.product, _HUB.precoloring),
+    "complete": (4,),
+    "complete_bipartite": (2, 1),
+    "cycle": (4,),
+    "decide_extendable": (_HUB.product.graph, _HUB.precoloring, _HUB.precoloring.palette_size, 1000),
+    "demand_list_color": (_P3, _P3_LISTS),
+    "exact_list_color": (_P3, _P3_LISTS, 100),
+    "explore_bipartite_factor": (edgex.path(2), 2, 1, 20, 1),
+    "extend_hypercube": (3, edgex.Precoloring(3, {(0, 1): 2})),
+    "extend_over_complete": (_P3, 1, _P3_PRE),
+    "extend_over_hypercube": (_P3, 1, _P3_PRE),
+    "extend_over_star": (_P3, 1, _P3_PRE),
+    "find_covering_induced_matching": (edgex.path(5), 2),
+    "hypercube": (3,),
+    "konig_color": (_P3,),
+    "make_list_assignment": (_P3, {(0, 1): [2, 1], (1, 2): {1}}),
+    "max_degree": (_P3,),
+    "one_factorization": (4,),
+    "path": (3,),
+    "reduce_instance": (_P3, 1, _P3_PRE),
+    "spider": (2, 2),
+    "standard_family": ("path", 3),
+    "star": (2,),
+    "validate_precoloring": (_HUB.product, _HUB.precoloring),
+    "verify_proper": (_P3, _P3_COL, _P3_LISTS, {(1, 0): 1}),
+}
+# each wrong value: None, a str, a float, a bool, a negative int, a list,
+# and a Graph where something else is expected; every value but the Graph
+# is a non-graph where a Graph is expected
+CONTRACT_PANEL = (None, "x", 1.5, True, -1, [], edgex.path(2))
+
+
+def test_every_public_callable_has_a_valid_call():
+    assert list(VALID_CALLS) == edgex.__all__
+    for name, args in VALID_CALLS.items():
+        f = getattr(edgex, name)
+        if args is None:
+            assert isinstance(f, types.GenericAlias)
+            continue
+        signature = inspect.signature(f)
+        # every parameter is given, so each is swapped in turn
+        assert set(signature.bind(*args).arguments) == set(signature.parameters), name
+        f(*args)
+
+
+@pytest.mark.parametrize("name", [name for name, args in VALID_CALLS.items() if args is not None])
+def test_no_panel_value_escapes_as_a_bare_exception(name):
+    # one argument at a time takes each panel value; the call succeeds or
+    # raises an EdgexError, never a bare TypeError, AttributeError or the like
+    f, args = getattr(edgex, name), VALID_CALLS[name]
+    for at in range(len(args)):
+        for bad in CONTRACT_PANEL:
+            call = (*args[:at], bad, *args[at + 1 :])
+            try:
+                f(*call)
+            except EdgexError:
+                pass
+            except Exception as exc:
+                pytest.fail(f"{name} with argument {at} = {bad!r} raised {type(exc).__name__}: {exc}")

@@ -182,6 +182,15 @@ class TestGalvin:
         with pytest.raises(NotBipartiteError):
             demand_list_color(g, ListAssignment(lists={e: (1, 2, 3) for e in g.edges}))
 
+    def test_lists_are_read_before_the_bipartition(self):
+        # a non-bipartite graph with malformed or missing lists reports the
+        # lists: they are parsed before the list coloring seeks the sides
+        g = cycle(3)
+        with pytest.raises(BadParameterError, match=r"list of edge \(0, 1\) must hold distinct ints"):
+            demand_list_color(g, ListAssignment(lists={e: (1, "2") for e in g.edges}))
+        with pytest.raises(MissingEdgeError, match="lists misses edges"):
+            demand_list_color(g, ListAssignment(lists={(0, 1): (1, 2, 3)}))
+
     def test_catalog_random_lists_proper_and_in_list(self):
         rng = random.Random(2)
         for g in CATALOG:
@@ -1007,15 +1016,16 @@ def test_verify_proper_is_its_core_on_the_edge_order(case, data):
 @given(kernel_instances())
 @settings(max_examples=200, deadline=None)
 def test_demand_list_color_is_its_core_keyed_by_edge(instance):
-    # demand_list_color parses the lists by edge id, colors by edge id and
-    # keys the colors by g.edges, in that order
+    # demand_list_color parses the lists by edge id, colors by edge id
+    # (sides from the bipartition, inside the core) and keys the colors by
+    # g.edges, in that order
     g, lists = instance
 
     def via_core(g, lists):
-        side = bipartition(g).side
-        ls, sets = coloring._edge_lists(g, lists)
-        colors = coloring._list_color(g, side, ls, sets)
-        return EdgeColoring(max(set().union(*sets.values()), default=0), dict(zip(g.edges, colors)))
+        ls = coloring._edge_lists(g, lists)
+        assert all(type(colors) is frozenset for colors in ls)
+        colors = coloring._list_color(g, ls)
+        return EdgeColoring(max(set().union(*ls), default=0), dict(zip(g.edges, colors)))
 
     got = _kernel_outcome(demand_list_color, g, lists)
     assert got == _kernel_outcome(via_core, g, lists)

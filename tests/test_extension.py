@@ -42,8 +42,8 @@ from edgex.errors import (
     ProofInvariantError,
     UnknownEdgeError,
 )
-from edgex import coloring, extension, families, oracle
-from edgex.extension import ReducedInstance, require_valid
+from edgex import coloring, extension, families, graph, oracle
+from edgex.extension import ReducedInstance
 from edgex.graph import Graph
 
 from helpers import (
@@ -190,7 +190,6 @@ def _pairwise_report(g, pre):
 # every reader of a precoloring's entries, each on path(3) with palette 3
 ENTRY_READERS = {
     "validate_precoloring": lambda pre: validate_precoloring(path(3), pre),
-    "require_valid": lambda pre: require_valid(path(3), pre),
     "reduce_instance": lambda pre: reduce_instance(path(3), 1, pre),
     "decide_extendable": lambda pre: decide_extendable(path(3), pre, 3),
     "check_local_obstruction": lambda pre: oracle.check_local_obstruction(path(3), pre),
@@ -245,7 +244,7 @@ class TestReduce:
         # base edges (0,1) in copy 0 and (2,3) in copy 1, distinct colors:
         # edge (1,2) loses both and keeps demand <= list size
         pre = Precoloring(3, {(0, 2): 3, (5, 7): 2})
-        require_valid(cartesian_product(g, complete(2)), pre)
+        assert validate_precoloring(cartesian_product(g, complete(2)), pre).ok
         red = reduce_instance(g, 1, pre)
         assert red.lists.lists[(1, 2)] == (1,)
         assert red.base_residual.degree(1) == 1
@@ -399,7 +398,7 @@ class TestReduce:
         # the same shape in G box K_4 is a valid prescription
         g = path(2)
         pre = Precoloring(4, {(0, 1): 1, (6, 7): 2})
-        require_valid(cartesian_product(g, complete(4)), pre)
+        assert validate_precoloring(cartesian_product(g, complete(4)), pre).ok
         assert reduce_instance(g, 2, pre).lists.lists[(0, 1)] == (3, 4)
 
     @pytest.mark.parametrize("key", [(0, 1, 2), ("a", 1), (0,), (0.0, 1)])
@@ -422,10 +421,12 @@ class TestReduce:
     @given(st.integers(0, 10**6), st.integers(1, 3), st.sampled_from(["valid", "layers", "unvalidated"]))
     @settings(max_examples=200, deadline=None)
     def test_is_its_core_keyed_by_edge(self, seed, m, shape):
-        # reduce_instance keys _reduce's lists by residual edge and its
-        # removed edge ids by base edge, keeping the order of both; the core's
-        # color sets are those the public lists parse to; on input that
-        # breaks an invariant both raise the same error
+        # reduce_instance parses the keys to canonical pairs in ascending
+        # order, keys _reduce's lists by residual edge and its removed edge
+        # ids by base edge, keeping the order of both; its tuples are the
+        # ascending forms of the core's sets, one tuple per distinct set, and
+        # parse back to them; on input that breaks an invariant both raise
+        # the same error
         rng = random.Random(seed)
         g = random_connected_bipartite(rng, max_n=8)
         width = 2 * m
@@ -436,11 +437,13 @@ class TestReduce:
         else:
             pool = layer_edges(host, width) if shape == "layers" else None
             entries = random_valid_precoloring(rng, host, palette, 6, pool).entries
+        core = []
 
         def via_core():
-            residual, ls, sets, forced, fibers = extension._reduce(g, m, entries)
-            lists = ListAssignment(lists=dict(zip(residual.edges, ls)))
-            assert sets == coloring._edge_lists(residual, lists)[1]
+            pairs = sorted(((canonical_edge(*e), c) for e, c in entries.items()), key=lambda t: t[0])
+            residual, ls, forced, fibers = extension._reduce(g, m, pairs)
+            core.extend(ls)
+            lists = ListAssignment(lists={e: tuple(sorted(colors)) for e, colors in zip(residual.edges, ls)})
             return ReducedInstance(residual, lists, {g.edges[i]: c for i, c in forced.items()}, fibers)
 
         def outcome(reduce):
@@ -450,7 +453,13 @@ class TestReduce:
                 return type(exc), str(exc)
             return red, list(red.lists.lists), list(red.forced_layer.items())
 
-        assert outcome(lambda: reduce_instance(g, m, Precoloring(palette, entries))) == outcome(via_core)
+        public = outcome(lambda: reduce_instance(g, m, Precoloring(palette, entries)))
+        assert public == outcome(via_core)
+        if type(public[0]) is ReducedInstance:
+            red = public[0]
+            assert all(type(colors) is frozenset for colors in core)
+            assert len({id(colors) for colors in red.lists.lists.values()}) == len(set(core))
+            assert coloring._edge_lists(red.base_residual, red.lists) == core
 
     @pytest.mark.parametrize("d", range(3, 12))
     def test_cube_residual_rows_come_from_the_base(self, d):
@@ -691,7 +700,7 @@ class TestExtendOverHypercube:
         g = path(3)
         product = cartesian_product(g, hypercube(2))
         pre = Precoloring(4, {(0, 1): 4, (6, 7): 4})
-        require_valid(product, pre)
+        assert validate_precoloring(product, pre).ok
         col = extend_over_hypercube(g, 2, pre)
         assert verify_proper(product.graph, col).ok
         assert col.assignment[(0, 1)] == 4 and col.assignment[(6, 7)] == 4
@@ -807,9 +816,9 @@ class TestCubePairs:
             builds.append(d)
             return build(d)
 
-        def reducing(g, m, entries):
+        def reducing(g, m, pairs):
             bases.append(g)
-            return reduce(g, m, entries)
+            return reduce(g, m, pairs)
 
         def verifying(g, colors, p, lists=None, prescribed=None):
             products.append(g)
@@ -906,8 +915,8 @@ class TestCubeBase:
         pre = random_valid_precoloring(random.Random(seed), product, max_degree(g) + m, 6)
         calls = self._counted(monkeypatch)
         col = extend_over_hypercube(g, m, pre)
-        # G's own check and the residual's sides, then the König base
-        assert calls == {"extension.bipartition": 2, "coloring._konig_base": 1}
+        # G's own check, then the residual's sides and the König base in the list coloring
+        assert calls == {"extension.bipartition": 1, "coloring.bipartition": 1, "coloring._konig_base": 1}
         assert verify_proper(product, col, prescribed=pre.entries).ok
 
     def test_residual_below_degree_k_falls_back_to_konig(self, monkeypatch):
@@ -970,7 +979,7 @@ class TestExtendOverStar:
         palette = 6
         # two fiber edges in distant fibers
         pre = Precoloring(palette, {(4, 5): 1, (8, 9): 1})
-        require_valid(product, pre)
+        assert validate_precoloring(product, pre).ok
         col = extend_over_star(g, 3, pre)
         assert verify_proper(product.graph, col).ok
         assert col.assignment[(4, 5)] == 1 and col.assignment[(8, 9)] == 1
@@ -1152,6 +1161,29 @@ class TestOnePipeline:
         odd = exc.value.odd_cycle
         assert len(odd) % 2 == 1 and len(set(odd)) == len(odd)
         assert all(g.has_edge(u, v) for u, v in zip(odd, odd[1:] + odd[:1]))
+
+    @pytest.mark.parametrize("kind", ["complete", "over_hypercube", "star", "hypercube"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_each_key_is_parsed_once(self, monkeypatch, kind, m):
+        # validation resolves each key to its edge id and the reduction
+        # takes the edges of those ids: one _edge_key call per entry, keys
+        # in either order
+        parsed = []
+
+        def counting(e, _f=graph._edge_key):
+            parsed.append(e)
+            return _f(e)
+
+        for module in (graph, extension, coloring):
+            monkeypatch.setattr(module, "_edge_key", counting)
+        rng = random.Random(f"parsed {kind} {m}")
+        extend, _base, _host_m, product, palette, _star_m = _assembly_case(kind, random_connected_bipartite(rng, 8), m)
+        matching = random_distance2_matching(rng, product, 6)
+        entries = {(e if rng.random() < 0.5 else e[::-1]): rng.randint(1, palette) for e in matching}
+        assert entries
+        col = extend(Precoloring(palette, entries))
+        assert sorted(parsed) == sorted(entries)
+        assert verify_proper(product, col, prescribed=entries).ok
 
     def test_hypercube_palette_before_validation(self):
         with pytest.raises(InvalidPrecoloringError, match="Q_3 requires palette 3"):

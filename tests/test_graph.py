@@ -34,6 +34,7 @@ from edgex import (
     verify_proper,
 )
 from edgex.errors import (
+    BadParameterError,
     DuplicateEdgeError,
     NotBipartiteError,
     SelfLoopError,
@@ -221,6 +222,9 @@ class TestMaxDegree:
 def test_canonical_edge():
     assert canonical_edge(3, 1) == (1, 3)
     assert canonical_edge(1, 3) == (1, 3)
+    for u, v in [("x", 1), (None, 1), ([], 1), (1, "x")]:  # ends that cannot be compared
+        with pytest.raises(BadParameterError, match="cannot be ordered"):
+            canonical_edge(u, v)
 
 
 class TestCheckEdge:

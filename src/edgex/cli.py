@@ -97,15 +97,13 @@ def cmd_product(args) -> int:
 def cmd_extend(args) -> int:
     kind, value = _parse_factor(args.factor)
     pre = serialize.precoloring_from_dict(serialize.read_doc(args.pre))
-    host = None
     if kind == "qd":
         host_name = f"Q_{value}"
         given = None if args.graph is None else serialize.graph_from_dict(serialize.read_doc(args.graph))[1]
         coloring = extend_hypercube(value, pre)  # checks the size before Q_D is built here
-        if given is not None:
-            host = hypercube(value)
-            if given.edges != host.edges or given.n != host.n:
-                raise FormatError(f"supplied graph is not Q_{value}")
+        # build_graph's edges are canonical and distinct, so this is "given equals Q_D"
+        if given is not None and given._cube_dim != value:
+            raise FormatError(f"supplied graph is not Q_{value}")
     else:
         if args.graph is None:
             raise FormatError("factor kinds k2m, q and star need a base graph file")
@@ -119,7 +117,8 @@ def cmd_extend(args) -> int:
         else:
             coloring = extend_over_star(g, value, pre)
             right, host_name = star(value), f"{gname}xK_1,{value}"
-    if host is None and (args.format == "dot" or args.out_product):
+    host = None
+    if args.format == "dot" or args.out_product:
         host = hypercube(value) if kind == "qd" else cartesian_product(g, right).graph
     if args.format == "dot":
         _emit(serialize.to_dot(host, coloring, host_name), args.out)

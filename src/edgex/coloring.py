@@ -31,7 +31,6 @@
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left
 from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, replace
@@ -46,6 +45,7 @@ from .errors import (
     NoKernelError,
     OddOrderError,
     ProofInvariantError,
+    _require_at_least,
     _require_instance,
     _require_ints,
     _require_mapping,
@@ -157,14 +157,14 @@ def verify_proper(
     ints).
 
     The boundary view of ``_verify``: it reads each edge's color once, in
-    g.edges order (MissingEdgeError names the edges left uncolored), maps
-    each prescribed key naming an edge to its id by one bisection, and
-    checks the color list against those (id, color) pairs. A prescribed
-    pair that is no edge of g disagrees unless the coloring gives it the
-    same color (got None when it is absent); all disagreements are listed
-    by canonical edge, keys naming one edge in insertion order. Once every
-    edge is known colored, the coloring holds a pair outside g only when it
-    has more keys than g has edges; those are listed in insertion order.
+    g.edges order (MissingEdgeError names the edges left uncolored), and
+    checks the color list. A prescribed key disagrees exactly when the
+    coloring's color at its canonical edge differs from the prescribed one
+    (got None when the coloring has none), whether or not that edge is in
+    g; the disagreements are listed by canonical edge, keys naming one edge
+    in insertion order. Once every edge is known colored, the coloring
+    holds a pair outside g only when it has more keys than g has edges;
+    those are listed in insertion order.
     """
     _require_graph(g=g)
     _require_instance(EdgeColoring, col=col)
@@ -178,22 +178,15 @@ def verify_proper(
     except KeyError:
         _require_covered(g, a, "coloring")
         raise
-    pins: list[tuple[int, object]] | None = None
-    strays: list[tuple[Edge, object, object]] = []  # prescribed pairs outside g that disagree
+    disagreements = []
     if prescribed is not None:
-        edges = g.edges
-        pins = []
         for key, c in prescribed.items():
             e = _edge_key(key)
-            i = bisect_left(edges, e)
-            if i < len(edges) and edges[i] == e:
-                pins.append((i, c))
-            elif (got := a.get(e)) != c:
-                strays.append((e, c, got))
-        pins.sort(key=itemgetter(0))
-    report = _verify(g, colors, col.palette_size, lists, pins)
-    if strays:
-        report = replace(report, disagreements=tuple(sorted([*report.disagreements, *strays], key=itemgetter(0))))
+            if (got := a.get(e)) != c:
+                disagreements.append((e, c, got))
+    report = _verify(g, colors, col.palette_size, lists)
+    if disagreements:
+        report = replace(report, disagreements=tuple(sorted(disagreements, key=itemgetter(0))))
     if len(a) > len(colors):
         known = set(g.edges)
         report = replace(report, not_edges=tuple(e for e in a if e not in known))
@@ -209,7 +202,6 @@ def _verify(
 ) -> ColoringReport:
     """verify_proper of the coloring that gives edge i of g colors[i], over
     palette 1..p, against the prescribed (id, color) pairs, ids ascending.
-    Pairs outside g are not its concern.
 
     Linear passes over g.edges read each edge's color once. Properness is
     screened with a set of int keys x * (p + 1) + c, one per end x of an
@@ -225,9 +217,8 @@ def _verify(
     vertex's edge ids in g.edges order), so reports are the same as when it
     ran on every call. A palette size that is not an int raises
     BadParameterError. Disagreements are listed in the order of the pairs,
-    by edge. This is the one place a coloring of g's edges is compared with
-    a prescription: the oracle and the extension pipeline hand it the ids
-    they already hold, and verify_proper the ids of its keys.
+    by edge: the oracle and the extension pipeline hand it the ids they
+    already hold.
     """
     edges = g.edges
     _require_ints(palette_size=p)
@@ -544,7 +535,8 @@ def exact_list_color(g: Graph, lists: ListAssignment, budget: int | None = None)
     """
     _require_graph(g=g)
     _require_instance(ListAssignment, lists=lists)
-    _require_budget(budget)
+    if budget is not None:
+        _require_at_least(0, budget=budget)
     ls = _edge_lists(g, lists)
     found = _search(g, [set(colors) for colors in ls], budget)
     if found is None:
@@ -552,14 +544,6 @@ def exact_list_color(g: Graph, lists: ListAssignment, budget: int | None = None)
     order, colors = found
     palette = max((c for colors in ls for c in colors), default=0)
     return EdgeColoring(palette_size=palette, assignment={g.edges[i]: colors[i] for i in order})
-
-
-def _require_budget(budget: int | None) -> None:
-    """A node budget is None or an int >= 0, else BadParameterError."""
-    if budget is not None:
-        _require_ints(budget=budget)
-        if budget < 0:
-            raise BadParameterError(f"budget must be >= 0, got {budget}")
 
 
 def _search(

@@ -92,6 +92,15 @@ def _require_ints(error: type[Exception] = BadParameterError, **params: object) 
             raise error(f"{name} must be an int, got {value!r}")
 
 
+def _require_at_least(low: int, **params: object) -> None:
+    """_require_ints, then BadParameterError naming the first parameter
+    below `low`: the one range check of every integer argument."""
+    _require_ints(**params)
+    for name, value in params.items():
+        if value < low:
+            raise BadParameterError(f"{name} must be >= {low}, got {value!r}")
+
+
 def _require_instance(cls: type, **params: object) -> None:
     """BadParameterError naming the first parameter that is not a `cls`."""
     article = "an" if cls.__name__[0] in "AEIOU" else "a"

@@ -60,6 +60,7 @@ from .errors import (
     InvalidPrecoloringError,
     ProofInvariantError,
     UnknownEdgeError,
+    _require_at_least,
     _require_instance,
     _require_ints,
     _require_mapping,
@@ -186,7 +187,7 @@ def reduce_instance(g: Graph, m: int, pre: Precoloring) -> ReducedInstance:
     """
     _require_graph(g=g)
     _require_instance(Precoloring, pre=pre)
-    _require_positive(m=m)
+    _require_at_least(1, m=m)
     _require_size(f"K_{2 * m}", 2 * m, m * (2 * m - 1))  # bounds the palette, max degree + 2m - 1
     pairs = sorted(((_edge_key(e), c) for e, c in pre.entries.items()), key=itemgetter(0))
     residual, ls, forced, fiber_prescriptions = _reduce(g, m, pairs)
@@ -314,14 +315,6 @@ def _vertex_colors(
     return fiber, up
 
 
-def _require_positive(**params: int) -> None:
-    """_require_ints, and each parameter at least 1."""
-    _require_ints(**params)
-    for name, value in params.items():
-        if value < 1:
-            raise BadParameterError(f"{name} must be >= 1")
-
-
 def _require_palette(pre: Precoloring, palette: int, what: str) -> None:
     if pre.palette_size != palette:
         raise InvalidPrecoloringError(
@@ -422,7 +415,7 @@ def extend_over_complete(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     """Extend a valid precoloring of G box K_{2m} to a full proper coloring
     with max_degree(G) + 2m - 1 colors."""
     _require_graph(g=g)
-    _require_positive(m=m)
+    _require_at_least(1, m=m)
     _require_instance(Precoloring, pre=pre)
     bipartition(g)
     what = f"G box K_{2 * m}"
@@ -435,7 +428,7 @@ def extend_over_hypercube(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     """Extend a valid precoloring of G box Q_m using max_degree(G) + m colors,
     as one K_2 extension of the iterated base G box Q_{m-1}."""
     _require_graph(g=g)
-    _require_positive(m=m)
+    _require_at_least(1, m=m)
     _require_instance(Precoloring, pre=pre)
     bipartition(g)
     what = f"G box Q_{m}"
@@ -449,7 +442,7 @@ def extend_hypercube(d: int, pre: Precoloring) -> EdgeColoring:
     """Extend a valid precolored induced matching of Q_d to a proper
     d-edge-coloring: the hypercube is Q_{d-1} box K_2 on the last bit, with
     the same edges as hypercube(d), which serves as the product."""
-    _require_positive(d=d)
+    _require_at_least(1, d=d)
     _require_instance(Precoloring, pre=pre)
     what = f"Q_{d}"
     _require_size(what, *_cube_size(d))
@@ -480,7 +473,7 @@ def extend_over_star(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     is put back in canonical order.
     """
     _require_graph(g=g)
-    _require_positive(m=m)
+    _require_at_least(1, m=m)
     _require_instance(Precoloring, pre=pre)
     bipartition(g)
     what = f"G box K_1,{m}"

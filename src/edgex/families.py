@@ -19,7 +19,9 @@ its index. The small families with user parameters go through build_graph,
 the checked entry for outside input.
 
 Every constructor here and the product, and every extension entry point on
-its product's counts, first run ``_require_size``, the one size check.
+its product's counts, first run ``_require_size``, the one size check. Each
+family's integer parameters pass ``errors._require_at_least``, the one
+bounds check, before that.
 
 What a process keeps across calls, extend_hypercube's cube pairs and the
 oracle's sweep states, it keeps in one store (``_kept``) under one bound.
@@ -27,11 +29,12 @@ oracle's sweep states, it keeps in one store (``_kept``) under one bound.
 
 from __future__ import annotations
 
+import inspect
 from collections import OrderedDict
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 
-from .errors import BadParameterError, _require_ints
+from .errors import BadParameterError, _require_at_least
 from .graph import Edge, Graph, _require_graph, build_graph
 
 MAX_PRODUCT_EDGES = 2**21  # in vertices or edges: Q_17 (1,114,112 edges) is built, Q_18 (2,359,296) is not
@@ -110,18 +113,14 @@ def _as_graph(p: ProductGraph | Graph) -> Graph:
 
 
 def complete(n: int) -> Graph:
-    _require_ints(n=n)
-    if n < 1:
-        raise BadParameterError("complete graph needs n >= 1")
+    _require_at_least(1, n=n)
     _require_size(f"K_{n}", n, n * (n - 1) // 2)
     labels = [f"v{i}" for i in range(n)]
     return build_graph(labels, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def complete_bipartite(n: int, m: int) -> Graph:
-    _require_ints(n=n, m=m)
-    if n < 1 or m < 1:
-        raise BadParameterError("complete bipartite graph needs n, m >= 1")
+    _require_at_least(1, n=n, m=m)
     _require_size(f"K_{n},{m}", n + m, n * m)
     labels = [f"x{i}" for i in range(n)] + [f"y{j}" for j in range(m)]
     return build_graph(labels, [(i, n + j) for i in range(n) for j in range(m)])
@@ -129,27 +128,21 @@ def complete_bipartite(n: int, m: int) -> Graph:
 
 def star(m: int) -> Graph:
     """K_{1,m}: center index 0, leaves 1..m."""
-    _require_ints(m=m)
-    if m < 1:
-        raise BadParameterError("star needs m >= 1")
+    _require_at_least(1, m=m)
     _require_size(f"K_1,{m}", m + 1, m)
     labels = ["c"] + [f"l{t}" for t in range(1, m + 1)]
     return build_graph(labels, [(0, t) for t in range(1, m + 1)])
 
 
 def path(n: int) -> Graph:
-    _require_ints(n=n)
-    if n < 1:
-        raise BadParameterError("path needs n >= 1")
+    _require_at_least(1, n=n)
     _require_size(f"P_{n}", n, n - 1)
     labels = [f"p{i}" for i in range(n)]
     return build_graph(labels, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
-    _require_ints(n=n)
-    if n < 3:
-        raise BadParameterError("cycle needs n >= 3")
+    _require_at_least(3, n=n)
     _require_size(f"C_{n}", n, n)
     labels = [f"c{i}" for i in range(n)]
     return build_graph(labels, [(i, (i + 1) % n) for i in range(n)])
@@ -165,9 +158,7 @@ def hypercube(d: int) -> Graph:
     The edges then come out sorted, and both ends of each are taken from
     one list of the vertex ints. The result is Q_d by construction, so its
     ``_cube_dim`` is set to d, and no caller scans its edges for it."""
-    _require_ints(d=d)
-    if d < 0:
-        raise BadParameterError("hypercube needs d >= 0")
+    _require_at_least(0, d=d)
     _require_size(f"Q_{d}", *_cube_size(d))
     labels = [""]
     up: list[list[int]] = [[]]  # vertex -> its upper neighbors' offsets
@@ -187,9 +178,7 @@ def spider(legs: int, leg_length: int) -> Graph:
     With leg_length >= 2 the center is a maximum-degree vertex not adjacent
     to any leaf, the canonical host for non-extendable instances.
     """
-    _require_ints(legs=legs, leg_length=leg_length)
-    if legs < 1 or leg_length < 1:
-        raise BadParameterError("spider needs legs >= 1 and leg_length >= 1")
+    _require_at_least(1, legs=legs, leg_length=leg_length)
     _require_size(f"spider:{legs},{leg_length}", 1 + legs * leg_length, legs * leg_length)
     labels = ["c"] + [f"s{t}.{k}" for t in range(legs) for k in range(1, leg_length + 1)]
     pairs = []
@@ -200,26 +189,21 @@ def spider(legs: int, leg_length: int) -> Graph:
     return build_graph(labels, pairs)
 
 
-_FAMILY_ARITY = {
-    "complete": 1,
-    "complete_bipartite": 2,
-    "star": 1,
-    "path": 1,
-    "cycle": 1,
-    "hypercube": 1,
-    "spider": 2,
-}
+_FAMILIES = {f.__name__: f for f in (complete, complete_bipartite, star, path, cycle, hypercube, spider)}
 
 
 def standard_family(kind: str, *params: int) -> Graph:
-    """Dispatch on a family name; used by the CLI's `build` subcommand."""
+    """Dispatch on a family name; used by the CLI's `build` subcommand. A
+    family takes as many parameters as its function's signature names."""
     if not isinstance(kind, str):
         raise BadParameterError(f"kind must be a str, got {type(kind).__name__}")
-    if kind not in _FAMILY_ARITY:
-        raise BadParameterError(f"unknown family {kind!r}; expected one of {sorted(_FAMILY_ARITY)}")
-    if len(params) != _FAMILY_ARITY[kind]:
-        raise BadParameterError(f"family {kind!r} takes {_FAMILY_ARITY[kind]} parameter(s)")
-    return globals()[kind](*params)
+    if kind not in _FAMILIES:
+        raise BadParameterError(f"unknown family {kind!r}; expected one of {sorted(_FAMILIES)}")
+    build = _FAMILIES[kind]
+    arity = len(inspect.signature(build).parameters)
+    if len(params) != arity:
+        raise BadParameterError(f"family {kind!r} takes {arity} parameter(s)")
+    return build(*params)
 
 
 def cartesian_product(g: Graph, h: Graph) -> ProductGraph:

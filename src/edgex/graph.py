@@ -56,10 +56,17 @@ class Graph:
     """Simple undirected graph; immutable after construction. Its edges are
     canonical and sorted: build_graph sorts them, the other builders emit
     them in order. Equality, hashing and repr read the labels and the edges
-    only, never what is derived from them."""
+    only, never what is derived from them.
+
+    Made directly, a Graph only checks that labels and edges are tuples
+    (BadParameterError otherwise); it trusts its edges to be canonical,
+    sorted and in range. build_graph is the checked constructor."""
 
     labels: tuple[str, ...]
     edges: tuple[Edge, ...]
+
+    def __post_init__(self) -> None:
+        _require_instance(tuple, labels=self.labels, edges=self.edges)
 
     @property
     def n(self) -> int:

@@ -17,12 +17,13 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .coloring import EdgeColoring, _require_budget, _search, _verify
+from .coloring import EdgeColoring, _search, _verify
 from .errors import (
     BadParameterError,
     InapplicableError,
     InvalidPrecoloringError,
     ProofInvariantError,
+    _require_at_least,
     _require_instance,
     _require_ints,
 )
@@ -79,7 +80,8 @@ def decide_extendable(
     _require_graph(g=g)
     _require_instance(Precoloring, pre=pre)
     _require_ints(palette=palette)
-    _require_budget(budget)
+    if budget is not None:
+        _require_at_least(0, budget=budget)
     found = _decide(g, _prescribed_ids(g, pre, palette), palette, budget)
     if found is None:
         return None
@@ -332,10 +334,8 @@ def explore_bipartite_factor(
     """
     _require_graph(g=g)
     _require_ints(n=n, m=m, budget=budget, seed=seed)
-    if n < m or m < 1:
-        raise BadParameterError("needs n >= m >= 1")
-    if budget < 1:
-        raise BadParameterError("budget must be positive")
+    _require_at_least(1, m=m, budget=budget)
+    _require_at_least(m, n=n)
     bipartition(g)
     _require_size(f"G box K_{n},{m}", g.n, len(g.edges), n + m, n * m)  # before K_n,m is built
     palette = max_degree(g) + n

@@ -392,7 +392,7 @@ def reference_reduce_instance(g: Graph, m: int, pre: Precoloring) -> ReducedInst
     test oracle; the same output up to the order of forced_layer and
     fiber_prescriptions when keys are given reversed."""
     if m < 1:
-        raise BadParameterError("m must be >= 1")
+        raise BadParameterError(f"m must be >= 1, got {m!r}")
     width = 2 * m
 
     def check_edge(e: Edge) -> Edge:

@@ -4,6 +4,7 @@ import types
 import pytest
 
 import edgex
+from edgex.cli import main
 from edgex.errors import BadParameterError, EdgexError
 
 # every public name of the package; adding or removing one is an API change
@@ -84,6 +85,8 @@ RECORD_SLOTS = [
     ("build_graph", lambda bad: edgex.build_graph(bad, []), "labels", "iterable", NOT_ITERABLE),
     ("build_graph", lambda bad: edgex.build_graph([], bad), "pairs", "iterable", NOT_ITERABLE),
     ("standard_family", lambda bad: edgex.standard_family(bad, 1), "kind", "a str", ([],) + NOT_ITERABLE),
+    ("Graph", lambda bad: edgex.Graph(bad, ()), "labels", "a tuple", PANEL),
+    ("Graph", lambda bad: edgex.Graph((), bad), "edges", "a tuple", PANEL),
 ]
 
 
@@ -96,6 +99,46 @@ def test_wrong_record_is_a_bad_parameter(call, slot, wanted, values):
     for bad in values:
         with pytest.raises(BadParameterError, match=f"^{slot} must be {wanted}, got {type(bad).__name__}$"):
             call(bad)
+
+
+# every bounded integer parameter one below its bound: (the call, its message);
+# the CLI row returns its exit status and prints the message
+_LIST = edgex.ListAssignment({(0, 1): (1,)})
+BELOW_BOUND = [
+    ("complete-n", lambda: edgex.complete(0), "n must be >= 1, got 0"),
+    ("complete_bipartite-n", lambda: edgex.complete_bipartite(0, 1), "n must be >= 1, got 0"),
+    ("complete_bipartite-m", lambda: edgex.complete_bipartite(1, 0), "m must be >= 1, got 0"),
+    ("star-m", lambda: edgex.star(0), "m must be >= 1, got 0"),
+    ("path-n", lambda: edgex.path(0), "n must be >= 1, got 0"),
+    ("cycle-n", lambda: edgex.cycle(2), "n must be >= 3, got 2"),
+    ("hypercube-d", lambda: edgex.hypercube(-1), "d must be >= 0, got -1"),
+    ("spider-legs", lambda: edgex.spider(0, 1), "legs must be >= 1, got 0"),
+    ("spider-leg_length", lambda: edgex.spider(1, 0), "leg_length must be >= 1, got 0"),
+    ("extend_hypercube-d", lambda: edgex.extend_hypercube(0, _EMPTY), "d must be >= 1, got 0"),
+    ("extend_over_complete-m", lambda: edgex.extend_over_complete(_G, 0, _EMPTY), "m must be >= 1, got 0"),
+    ("extend_over_hypercube-m", lambda: edgex.extend_over_hypercube(_G, 0, _EMPTY), "m must be >= 1, got 0"),
+    ("extend_over_star-m", lambda: edgex.extend_over_star(_G, 0, _EMPTY), "m must be >= 1, got 0"),
+    ("reduce_instance-m", lambda: edgex.reduce_instance(_G, 0, _EMPTY), "m must be >= 1, got 0"),
+    ("exact_list_color-budget", lambda: edgex.exact_list_color(_G, _LIST, -1), "budget must be >= 0, got -1"),
+    ("decide_extendable-budget", lambda: edgex.decide_extendable(_G, _EMPTY, 1, -1), "budget must be >= 0, got -1"),
+    ("explore_bipartite_factor-m", lambda: edgex.explore_bipartite_factor(_G, 1, 0, 5), "m must be >= 1, got 0"),
+    ("explore_bipartite_factor-budget", lambda: edgex.explore_bipartite_factor(_G, 1, 1, 0),
+     "budget must be >= 1, got 0"),
+    ("explore_bipartite_factor-n", lambda: edgex.explore_bipartite_factor(_G, 1, 2, 5), "n must be >= 2, got 1"),
+    ("cli-build-path", lambda: main(["build", "path:0"]), "n must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("call, message", [row[1:] for row in BELOW_BOUND], ids=[row[0] for row in BELOW_BOUND])
+def test_one_below_each_bound_is_a_bad_parameter(call, message, capsys):
+    # every range check of an integer argument has one message shape
+    try:
+        status = call()
+    except BadParameterError as exc:
+        assert str(exc) == message
+    else:
+        assert status == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
 
 
 # one valid call of every public callable, every parameter given (a

@@ -150,7 +150,7 @@ class TestExtendVerify:
             pytest.param("k2m:1", "dot", False, 2, id="dot-2"),
             pytest.param("qd:3", "json", False, 1, id="qd-json-1"),
             pytest.param("qd:3", "dot", False, 2, id="qd-dot-2"),
-            pytest.param("qd:3", "json", True, 2, id="qd-graph-json-2"),
+            pytest.param("qd:3", "json", True, 1, id="qd-graph-json-1"),
             pytest.param("qd:3", "dot", True, 2, id="qd-graph-dot-2"),
         ],
     )
@@ -158,7 +158,7 @@ class TestExtendVerify:
         self, tmp_path, monkeypatch, capsys, factor, fmt, check, builds
     ):
         # one build inside the library, one more in the CLI only for DOT
-        # output or for checking a supplied Q_d against the factor
+        # output; a supplied Q_d is checked without building a second cube
         calls = []
 
         def counting_product(g, h):

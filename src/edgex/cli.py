@@ -12,6 +12,7 @@ import argparse
 import logging
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import serialize
@@ -110,16 +111,16 @@ def cmd_extend(args) -> int:
         gname, g = serialize.graph_from_dict(serialize.read_doc(args.graph))
         if kind == "k2m":
             coloring = extend_over_complete(g, value, pre)
-            right, host_name = complete(2 * value), f"{gname}xK_{2 * value}"
+            right, host_name = partial(complete, 2 * value), f"{gname}xK_{2 * value}"
         elif kind == "q":
             coloring = extend_over_hypercube(g, value, pre)
-            right, host_name = hypercube(value), f"{gname}xQ_{value}"
+            right, host_name = partial(hypercube, value), f"{gname}xQ_{value}"
         else:
             coloring = extend_over_star(g, value, pre)
-            right, host_name = star(value), f"{gname}xK_1,{value}"
+            right, host_name = partial(star, value), f"{gname}xK_1,{value}"
     host = None
-    if args.format == "dot" or args.out_product:
-        host = hypercube(value) if kind == "qd" else cartesian_product(g, right).graph
+    if args.format == "dot" or args.out_product:  # only these read the host
+        host = hypercube(value) if kind == "qd" else cartesian_product(g, right()).graph
     if args.format == "dot":
         _emit(serialize.to_dot(host, coloring, host_name), args.out)
     else:

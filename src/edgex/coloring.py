@@ -49,6 +49,7 @@ from .errors import (
     _require_instance,
     _require_ints,
     _require_mapping,
+    _shown,
 )
 from .families import _require_size
 from .graph import SIDE_X, Edge, Graph, bipartition, canonical_edge, max_degree
@@ -105,7 +106,7 @@ def _color_list(e: Edge, colors: object, distinct: bool = False) -> tuple:
     except TypeError:
         items = None
     if items is None or not {int}.issuperset(map(type, items)) or distinct and len(set(items)) < len(items):
-        raise BadParameterError(f"list of edge {e} must hold {'distinct ' * distinct}ints, got {colors!r}")
+        raise BadParameterError(f"list of edge {e} must hold {'distinct ' * distinct}ints, got {_shown(colors)}")
     return items
 
 
@@ -139,8 +140,9 @@ class ColoringReport:
             lines.append(f"edges {e} and {f} share vertex {v} and color")
         lines.extend(f"edge {e} colored outside palette" for e in self.off_palette)
         lines.extend(f"edge {e} colored outside its list" for e in self.off_list)
-        lines.extend(f"edge {e} prescribed {c} but colored {got}" for e, c, got in self.disagreements)
-        lines.extend(f"pair {e} colored but not an edge" for e in self.not_edges)
+        for e, c, got in self.disagreements:
+            lines.append(f"edge {_shown(e)} prescribed {_shown(c, str)} but colored {_shown(got, str)}")
+        lines.extend(f"pair {_shown(e, str)} colored but not an edge" for e in self.not_edges)
         return "; ".join(lines)
 
 
@@ -798,8 +800,8 @@ def one_factorization(order: int) -> list[list[Edge]]:
     """
     _require_ints(order=order)
     if order < 2 or order % 2:
-        raise OddOrderError(f"1-factorization needs a positive even order, got {order}")
-    _require_size(f"K_{order}", order, order * (order - 1) // 2)
+        raise OddOrderError(f"1-factorization needs a positive even order, got {_shown(order)}")
+    _require_size(f"K_{_shown(order)}", order, order * (order - 1) // 2)
     rounds = []
     mod = order - 1
     for r in range(mod):

@@ -5,7 +5,7 @@ in this library (or a violated theorem), never bad user input, and map to a
 dedicated CLI exit code.
 """
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 
 
 class EdgexError(Exception):
@@ -85,11 +85,29 @@ class ProofInvariantError(InternalInvariantError):
     """A reduction or fiber-assembly invariant failed on validated input."""
 
 
+def _shown(value: object, text: Callable[[object], str] = repr) -> str:
+    """text(value) for a message: its repr, or its str where the message
+    formats it plainly. CPython refuses to turn an int of more digits than
+    sys.get_int_max_str_digits() into text, so such an int, alone or in a
+    tuple or list, is shown by its size instead, as <int of B bits> (with a
+    leading - when negative), and any other value whose text fails by its
+    type's name."""
+    try:
+        return text(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"{'-' * (value < 0)}<int of {value.bit_length()} bits>"
+        if isinstance(value, (tuple, list)):
+            items = ", ".join(map(_shown, value))
+            return f"[{items}]" if isinstance(value, list) else f"({items}{',' * (len(value) == 1)})"
+        return f"<{type(value).__name__}>"
+
+
 def _require_ints(error: type[Exception] = BadParameterError, **params: object) -> None:
     """Raise `error` naming the first parameter that is not an int (a bool is not)."""
     for name, value in params.items():
         if type(value) is not int:
-            raise error(f"{name} must be an int, got {value!r}")
+            raise error(f"{name} must be an int, got {_shown(value)}")
 
 
 def _require_at_least(low: int, **params: object) -> None:
@@ -98,7 +116,7 @@ def _require_at_least(low: int, **params: object) -> None:
     _require_ints(**params)
     for name, value in params.items():
         if value < low:
-            raise BadParameterError(f"{name} must be >= {low}, got {value!r}")
+            raise BadParameterError(f"{name} must be >= {_shown(low)}, got {_shown(value)}")
 
 
 def _require_instance(cls: type, **params: object) -> None:

@@ -64,6 +64,7 @@ from .errors import (
     _require_instance,
     _require_ints,
     _require_mapping,
+    _shown,
 )
 from .families import ProductGraph, _as_graph, cartesian_product, complete, hypercube, star
 from .families import _cube_size, _kept, _require_size
@@ -109,7 +110,7 @@ class ValidationReport:
         if self.ok:
             return "precoloring ok"
         lines = [
-            f"edge {e} colored {c} outside palette" for e, c in self.color_violations
+            f"edge {e} colored {_shown(c, str)} outside palette" for e, c in self.color_violations
         ]
         lines.extend(
             f"edges {e} and {f} at distance {d} < 2" for e, f, d in self.distance_violations
@@ -188,7 +189,7 @@ def reduce_instance(g: Graph, m: int, pre: Precoloring) -> ReducedInstance:
     _require_graph(g=g)
     _require_instance(Precoloring, pre=pre)
     _require_at_least(1, m=m)
-    _require_size(f"K_{2 * m}", 2 * m, m * (2 * m - 1))  # bounds the palette, max degree + 2m - 1
+    _require_size(f"K_{_shown(2 * m)}", 2 * m, m * (2 * m - 1))  # bounds the palette, max degree + 2m - 1
     pairs = sorted(((_edge_key(e), c) for e, c in pre.entries.items()), key=itemgetter(0))
     residual, ls, forced, fiber_prescriptions = _reduce(g, m, pairs)
     tuples = {colors: tuple(sorted(colors)) for colors in set(ls)}
@@ -226,14 +227,14 @@ def _reduce(
                 raise ProofInvariantError(f"two fiber prescriptions at base vertex {u}")
             fiber_prescriptions[u] = ((w, z), color)
         else:
-            raise UnknownEdgeError(f"edge {(a, b)} not in graph")
+            raise UnknownEdgeError(f"edge {_shown((a, b))} not in graph")
         for x in (u, v) if u != v else (u,):
             if x in blocked:
                 raise ProofInvariantError(f"base vertex {x} blocked twice")
             blocked[x] = color
     for x, color in blocked.items():  # lists are keyed by blocked colors
         if type(color) is not int:
-            raise BadParameterError(f"color {color!r} blocked at base vertex {x} is not an int")
+            raise BadParameterError(f"color {_shown(color)} blocked at base vertex {x} is not an int")
 
     full = frozenset(range(1, max_degree(g) + width))
     residual = _without_edges(g, sorted(forced)) if forced else g
@@ -317,9 +318,8 @@ def _vertex_colors(
 
 def _require_palette(pre: Precoloring, palette: int, what: str) -> None:
     if pre.palette_size != palette:
-        raise InvalidPrecoloringError(
-            f"{what} requires palette {palette}, precoloring declares {pre.palette_size!r}"
-        )
+        declared = _shown(pre.palette_size)
+        raise InvalidPrecoloringError(f"{what} requires palette {palette}, precoloring declares {declared}")
 
 
 def _extend(
@@ -418,7 +418,7 @@ def extend_over_complete(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     _require_at_least(1, m=m)
     _require_instance(Precoloring, pre=pre)
     bipartition(g)
-    what = f"G box K_{2 * m}"
+    what = f"G box K_{_shown(2 * m)}"
     _require_size(what, g.n, len(g.edges), 2 * m, m * (2 * m - 1))
     product = cartesian_product(g, complete(2 * m)).graph
     return _extend(g, m, product, max_degree(g) + 2 * m - 1, what, pre)
@@ -431,7 +431,7 @@ def extend_over_hypercube(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     _require_at_least(1, m=m)
     _require_instance(Precoloring, pre=pre)
     bipartition(g)
-    what = f"G box Q_{m}"
+    what = f"G box Q_{_shown(m)}"
     _require_size(what, g.n, len(g.edges), *_cube_size(m))
     base = g if m == 1 else cartesian_product(g, hypercube(m - 1)).graph
     product = cartesian_product(base, complete(2)).graph
@@ -444,7 +444,7 @@ def extend_hypercube(d: int, pre: Precoloring) -> EdgeColoring:
     the same edges as hypercube(d), which serves as the product."""
     _require_at_least(1, d=d)
     _require_instance(Precoloring, pre=pre)
-    what = f"Q_{d}"
+    what = f"Q_{_shown(d)}"
     _require_size(what, *_cube_size(d))
     _require_palette(pre, d, what)
     base, product = _kept(
@@ -476,7 +476,7 @@ def extend_over_star(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     _require_at_least(1, m=m)
     _require_instance(Precoloring, pre=pre)
     bipartition(g)
-    what = f"G box K_1,{m}"
+    what = f"G box K_1,{_shown(m)}"
     _require_size(what, g.n, len(g.edges), m + 1, m)
     base = g if m == 1 else cartesian_product(g, star(m - 1)).graph
     product = cartesian_product(g, star(m)).graph

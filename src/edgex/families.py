@@ -34,7 +34,7 @@ from collections import OrderedDict
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 
-from .errors import BadParameterError, _require_at_least
+from .errors import BadParameterError, _require_at_least, _shown
 from .graph import Edge, Graph, _require_graph, build_graph
 
 MAX_PRODUCT_EDGES = 2**21  # in vertices or edges: Q_17 (1,114,112 edges) is built, Q_18 (2,359,296) is not
@@ -76,7 +76,7 @@ def _cube_size(d: int) -> tuple[int, int]:
     limit Q_d alone has more edges than the limit, so such a d is rejected
     before any power of two is formed."""
     if d > MAX_PRODUCT_EDGES.bit_length():
-        raise BadParameterError(f"Q_{d} has more than {MAX_PRODUCT_EDGES} edges, past the size limit")
+        raise BadParameterError(f"Q_{_shown(d)} has more than {MAX_PRODUCT_EDGES} edges, past the size limit")
     return 1 << d, d * (1 << d) // 2
 
 
@@ -88,7 +88,8 @@ def _require_size(what: str, g_order: int, g_edges: int, h_order: int = 1, h_edg
     edges = max(_product_edges(g_order, g_edges, h_order, h_edges), h_edges)
     if max(order, edges) > MAX_PRODUCT_EDGES:
         raise BadParameterError(
-            f"{what} would have {order} vertices and {edges} edges, past the limit of {MAX_PRODUCT_EDGES}"
+            f"{what} would have {_shown(order)} vertices and {_shown(edges)} edges,"
+            f" past the limit of {MAX_PRODUCT_EDGES}"
         )
 
 
@@ -114,14 +115,14 @@ def _as_graph(p: ProductGraph | Graph) -> Graph:
 
 def complete(n: int) -> Graph:
     _require_at_least(1, n=n)
-    _require_size(f"K_{n}", n, n * (n - 1) // 2)
+    _require_size(f"K_{_shown(n)}", n, n * (n - 1) // 2)
     labels = [f"v{i}" for i in range(n)]
     return build_graph(labels, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def complete_bipartite(n: int, m: int) -> Graph:
     _require_at_least(1, n=n, m=m)
-    _require_size(f"K_{n},{m}", n + m, n * m)
+    _require_size(f"K_{_shown(n)},{_shown(m)}", n + m, n * m)
     labels = [f"x{i}" for i in range(n)] + [f"y{j}" for j in range(m)]
     return build_graph(labels, [(i, n + j) for i in range(n) for j in range(m)])
 
@@ -129,21 +130,21 @@ def complete_bipartite(n: int, m: int) -> Graph:
 def star(m: int) -> Graph:
     """K_{1,m}: center index 0, leaves 1..m."""
     _require_at_least(1, m=m)
-    _require_size(f"K_1,{m}", m + 1, m)
+    _require_size(f"K_1,{_shown(m)}", m + 1, m)
     labels = ["c"] + [f"l{t}" for t in range(1, m + 1)]
     return build_graph(labels, [(0, t) for t in range(1, m + 1)])
 
 
 def path(n: int) -> Graph:
     _require_at_least(1, n=n)
-    _require_size(f"P_{n}", n, n - 1)
+    _require_size(f"P_{_shown(n)}", n, n - 1)
     labels = [f"p{i}" for i in range(n)]
     return build_graph(labels, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     _require_at_least(3, n=n)
-    _require_size(f"C_{n}", n, n)
+    _require_size(f"C_{_shown(n)}", n, n)
     labels = [f"c{i}" for i in range(n)]
     return build_graph(labels, [(i, (i + 1) % n) for i in range(n)])
 
@@ -159,7 +160,7 @@ def hypercube(d: int) -> Graph:
     one list of the vertex ints. The result is Q_d by construction, so its
     ``_cube_dim`` is set to d, and no caller scans its edges for it."""
     _require_at_least(0, d=d)
-    _require_size(f"Q_{d}", *_cube_size(d))
+    _require_size(f"Q_{_shown(d)}", *_cube_size(d))
     labels = [""]
     up: list[list[int]] = [[]]  # vertex -> its upper neighbors' offsets
     for b in range(d):
@@ -179,7 +180,8 @@ def spider(legs: int, leg_length: int) -> Graph:
     to any leaf, the canonical host for non-extendable instances.
     """
     _require_at_least(1, legs=legs, leg_length=leg_length)
-    _require_size(f"spider:{legs},{leg_length}", 1 + legs * leg_length, legs * leg_length)
+    what = f"spider:{_shown(legs)},{_shown(leg_length)}"
+    _require_size(what, 1 + legs * leg_length, legs * leg_length)
     labels = ["c"] + [f"s{t}.{k}" for t in range(legs) for k in range(1, leg_length + 1)]
     pairs = []
     for t in range(legs):

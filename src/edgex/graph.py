@@ -18,6 +18,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from .errors import (
     BadParameterError,
@@ -27,6 +28,7 @@ from .errors import (
     UnknownEdgeError,
     VertexIndexError,
     _require_instance,
+    _shown,
 )
 
 Edge = tuple[int, int]
@@ -41,13 +43,13 @@ def canonical_edge(u: int, v: int) -> Edge:
     try:
         return (u, v) if u < v else (v, u)
     except TypeError:
-        raise BadParameterError(f"edge ends {u!r} and {v!r} cannot be ordered") from None
+        raise BadParameterError(f"edge ends {_shown(u)} and {_shown(v)} cannot be ordered") from None
 
 
 def _edge_key(e: object) -> Edge:
     """Canonicalize an edge key; UnknownEdgeError unless it is a pair of ints."""
     if not (isinstance(e, tuple) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
-        raise UnknownEdgeError(f"edge key {e!r} is not a pair of ints")
+        raise UnknownEdgeError(f"edge key {_shown(e)} is not a pair of ints")
     return canonical_edge(*e)
 
 
@@ -92,9 +94,10 @@ class Graph:
 
     @cached_property
     def _edge_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Each edge's neighboring edge ids: for edge i = (u, v), the other
-        edges at u, then those at v, each run ascending. Derived on first
-        use and kept, so the decisions of one sweep, which share their
+        """Each edge's neighboring edge ids for the exact search
+        (``coloring._search``), their only reader: for edge i = (u, v), the
+        other edges at u, then those at v, each run ascending. Derived on
+        first use and kept, so the decisions of one sweep, which share their
         product graph, derive them once."""
         at: list[list[int]] = [[] for _ in self.labels]  # vertex -> its edge ids
         for i, (u, v) in enumerate(self.edges):
@@ -133,7 +136,7 @@ class Graph:
 
     def check_vertex(self, v: int) -> None:
         if not (type(v) is int and 0 <= v < self.n):
-            raise VertexIndexError(f"vertex {v!r} not in 0..{self.n - 1}")
+            raise VertexIndexError(f"vertex {_shown(v)} not in 0..{self.n - 1}")
 
     def check_edge(self, e: Edge) -> Edge:
         """Canonicalize a key naming an edge in either order; a key that is
@@ -146,7 +149,7 @@ class Graph:
         e = _edge_key(e)
         i = bisect_left(self.edges, e)
         if i == len(self.edges) or self.edges[i] != e:
-            raise UnknownEdgeError(f"edge {e} not in graph")
+            raise UnknownEdgeError(f"edge {_shown(e)} not in graph")
         return i
 
     def incident_edges(self, v: int) -> list[Edge]:
@@ -217,13 +220,13 @@ def build_graph(labels, pairs) -> Graph:
         try:
             u, v = pair
         except (TypeError, ValueError):
-            raise VertexIndexError(f"edge {pair!r} is not a pair of int vertex indices") from None
+            raise VertexIndexError(f"edge {_shown(pair)} is not a pair of int vertex indices") from None
         if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n) or u == v:
             if type(u) is not int or type(v) is not int:
-                raise VertexIndexError(f"edge {pair!r} is not a pair of int vertex indices")
+                raise VertexIndexError(f"edge {_shown(pair)} is not a pair of int vertex indices")
             if u == v:
-                raise SelfLoopError(f"self-loop at vertex {u}")
-            raise VertexIndexError(f"edge ({u}, {v}) out of range 0..{n - 1}")
+                raise SelfLoopError(f"self-loop at vertex {_shown(u)}")
+            raise VertexIndexError(f"edge {_shown((u, v))} out of range 0..{n - 1}")
         e = canonical_edge(u, v)
         if e in seen:
             raise DuplicateEdgeError(f"edge {e} supplied twice")
@@ -287,49 +290,43 @@ def _root_path(parent: list[int], v: int) -> list[int]:
     return path[::-1]
 
 
-def close_edge_pairs(g: Graph, edges: list[Edge]) -> list[tuple[Edge, Edge, int]]:
-    """Pairs (edges[i], edges[j], d), i < j, at edge distance d < 2, by (i, j).
+def _close_ids(g: Graph, edges: list[Edge]) -> dict[tuple[int, int], int]:
+    """{(i, j): d} for every i < j whose edges[i] and edges[j] lie at edge
+    distance d < 2: 0 for a shared end, 1 for an end of one adjacent to an
+    end of the other; every other pair is at distance >= 2. The one rule
+    behind close_edge_pairs, so behind validation, and the oracle's close
+    masks.
 
-    Distance 0 means a shared endpoint, 1 an endpoint of one adjacent to an
-    endpoint of the other; every other pair is at distance >= 2. The entries
-    are indexed by endpoint once. An entry end x finds the entry ends
-    adjacent to it in its run of upper edges (x, w) in g.edges, which one
-    bisection locates; each such link is recorded at both ends, unless both
-    ends hold the same entries, which already pair at distance 0 there. Only
-    the entries at a linked or shared end then look up their partners, so a
-    distance-2 matching costs one bisection and one upper run per end, and
-    g's adjacency rows are never read. Edges must be canonical edges of g; a
-    repeated edge pairs with itself at distance 0.
+    The entries are indexed by end once, and the entries at one end pair at
+    distance 0. An entry end x finds the entry ends w adjacent to it in its
+    run of upper edges (x, w) in g.edges, which one bisection locates; the
+    entries at x and at w pair at distance 1 unless they share an end. So
+    g's adjacency rows are never read. Edges must be canonical edges of g;
+    a repeated edge pairs with itself at distance 0.
     """
     at: dict[int, list[int]] = {}
     for i, e in enumerate(edges):
         for x in e:
             at.setdefault(x, []).append(i)
     g_edges = g.edges
-    size = len(g_edges)
-    near: dict[int, list[int]] = {}  # entry end -> the linked entry ends
+    close = dict.fromkeys((pair for here in at.values() if len(here) > 1 for pair in combinations(here, 2)), 0)
     for x, here in at.items():
-        k = bisect_left(g_edges, (x, x))
-        while k < size:
-            u, w = g_edges[k]
-            if u != x:
-                break
-            if w in at and at[w] != here:
-                near.setdefault(x, []).append(w)
-                near.setdefault(w, []).append(x)
+        k = bisect_left(g_edges, (x,))
+        while k < len(g_edges) and g_edges[k][0] == x:
+            # an end that holds no entries, or the same ones as x, adds no pair
+            if (there := at.get(g_edges[k][1], here)) != here:
+                for j in there:
+                    for i in here:
+                        if i != j:
+                            close.setdefault((i, j) if i < j else (j, i), 1)
             k += 1
-    touched = {i for x in near for i in at[x]}
-    touched.update(i for here in at.values() if len(here) > 1 for i in here)
-    pairs = []
-    for i in sorted(touched):
-        e = edges[i]
-        dist = {j: 1 for x in e for w in near.get(x, ()) for j in at[w] if j > i}
-        for x in e:
-            for j in at[x]:
-                if j > i:
-                    dist[j] = 0
-        pairs += [(e, edges[j], dist[j]) for j in sorted(dist)]
-    return pairs
+    return close
+
+
+def close_edge_pairs(g: Graph, edges: list[Edge]) -> list[tuple[Edge, Edge, int]]:
+    """Pairs (edges[i], edges[j], d), i < j, at edge distance d < 2, by (i, j):
+    ``_close_ids`` in order, by edge."""
+    return [(edges[i], edges[j], d) for (i, j), d in sorted(_close_ids(g, edges).items())]
 
 
 def max_degree(g: Graph) -> int:

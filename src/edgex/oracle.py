@@ -26,6 +26,7 @@ from .errors import (
     _require_at_least,
     _require_instance,
     _require_ints,
+    _shown,
 )
 from .extension import Precoloring, validate_precoloring
 from .families import (
@@ -40,6 +41,7 @@ from .families import (
 from .graph import (
     Edge,
     Graph,
+    _close_ids,
     _require_graph,
     bipartition,
     canonical_edge,
@@ -126,7 +128,7 @@ def _prescribed_ids(g: Graph, pre: Precoloring, palette: int) -> dict[int, int]:
         if i in entries:
             raise BadParameterError(f"edge {g.edges[i]} prescribed twice")
         if not (type(c) is int and 1 <= c <= palette):
-            raise BadParameterError(f"prescribed color {c!r} on {g.edges[i]} outside 1..{palette}")
+            raise BadParameterError(f"prescribed color {_shown(c)} on {g.edges[i]} outside 1..{_shown(palette)}")
         entries[i] = c
     return entries
 
@@ -303,10 +305,11 @@ def explore_bipartite_factor(
     palette max_degree(G) + n, deciding each exactly.
 
     An instance is a distance-2 matching of the product with a palette color
-    on each of its edges. Their number W, the sum of palette**|M| over the
-    matchings M, is counted without listing them
-    (``_weighted_matching_count``), and each instance decided is a rank in
-    0..W - 1 unranked into its edge ids and colors (``_unrank_instance``).
+    on each of its edges; the close masks that keep its edges apart come
+    from ``graph._close_ids``, the rule validation applies. Their number W,
+    the sum of palette**|M| over the matchings M, is counted without listing
+    them (``_weighted_matching_count``), and each instance decided is a rank
+    in 0..W - 1 unranked into its edge ids and colors (``_unrank_instance``).
     When W fits the budget the sweep is exhaustive: it decides ranks 0..W - 1
     in that order, and sorts its counterexample rows by (matching, colors),
     matchings in lexicographic order of edge indices. Otherwise it decides
@@ -337,7 +340,7 @@ def explore_bipartite_factor(
     _require_at_least(1, m=m, budget=budget)
     _require_at_least(m, n=n)
     bipartition(g)
-    _require_size(f"G box K_{n},{m}", g.n, len(g.edges), n + m, n * m)  # before K_n,m is built
+    _require_size(f"G box K_{_shown(n)},{_shown(m)}", g.n, len(g.edges), n + m, n * m)  # before K_n,m is built
     palette = max_degree(g) + n
     product, close, memo = _kept(("sweep", g, n, m), lambda: _sweep_state(g, n, m, palette), _state_bytes)
     _require_memo_cap(len(memo), len(close))  # a kept memo too, against the cap as it stands now
@@ -397,26 +400,13 @@ def _require_memo_cap(states: int, edges: int) -> None:
 
 
 def _close_masks(g: Graph) -> list[int]:
-    """Bit j of close[i]: edges i and j of g, by id, are at distance < 2;
-    bit i is set too.
-
-    Read from g's neighbor lists, which every decision of a sweep uses
-    too: own[i] holds edge i and the edges sharing an end with it. An edge
-    at distance 1 from i shares an end with some edge j that shares the
-    other end of that link with i, so close[i] is own[i] joined with own[j]
-    for each neighbor j of i."""
-    near = g._edge_neighbors
-    own = []
-    for i, js in enumerate(near):
-        mask = 1 << i
-        for j in js:
-            mask |= 1 << j
-        own.append(mask)
-    close = []
-    for mask, js in zip(own, near):
-        for j in js:
-            mask |= own[j]
-        close.append(mask)
+    """Bit j of close[i]: edges i and j of g, by id, are at distance < 2,
+    by ``graph._close_ids`` over g.edges, the rule validation applies;
+    bit i is set too."""
+    close = [1 << i for i in range(len(g.edges))]
+    for i, j in _close_ids(g, g.edges):
+        close[i] |= 1 << j
+        close[j] |= 1 << i
     return close
 
 

@@ -156,7 +156,7 @@ def write_doc(path: str | Path, doc: dict) -> None:
 def read_doc(path: str | Path) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: top-level value must be an object")

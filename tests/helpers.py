@@ -5,8 +5,9 @@ generators.
 The brute-force searchers here are deliberately primitive (fixed edge order,
 no pruning heuristics) so they stay independent of the library's engines.
 The BFS distances are the independent oracle for the library's local rule
-``close_edge_pairs``; infinite distance (between components) is
-``math.inf``, never a sentinel integer.
+``graph._close_ids``, behind ``close_edge_pairs`` and the oracle's close
+masks; infinite distance (between components) is ``math.inf``, never a
+sentinel integer.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from edgex import (
 from edgex import coloring
 from edgex.coloring import _require_covered
 from edgex.extension import _star_to_host
-from edgex.graph import close_edge_pairs
 from edgex.errors import (
     BadParameterError,
     BudgetExceededError,
@@ -870,16 +870,16 @@ def reference_distance2_matchings(g: Graph) -> list[tuple[Edge, ...]]:
 
 
 def reference_close_masks(g: Graph) -> list[int]:
-    """The oracle's close masks by the pairwise rule: bit j of close[i] for
-    each pair of edges i, j that ``close_edge_pairs`` finds at distance < 2
-    over all of g's edges, and bit i; a reference copy of the construction
-    the oracle replaced with one read of g's neighbor lists."""
+    """The oracle's close masks by BFS: bit j of close[i] for each pair of
+    edges i, j whose ``edge_distance`` is below 2, and bit i; independent
+    of the library's distance rule, which the masks take from
+    ``graph._close_ids``."""
     edges = g.edges
-    index = {e: i for i, e in enumerate(edges)}
     close = [1 << i for i in range(len(edges))]
-    for e, f, _d in close_edge_pairs(g, list(edges)):
-        close[index[e]] |= 1 << index[f]
-        close[index[f]] |= 1 << index[e]
+    for (i, e), (j, f) in itertools.combinations(enumerate(edges), 2):
+        if edge_distance(g, e, f) < 2:
+            close[i] |= 1 << j
+            close[j] |= 1 << i
     return close
 
 

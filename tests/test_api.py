@@ -195,9 +195,10 @@ VALID_CALLS = {
     "verify_proper": (_P3, _P3_COL, _P3_LISTS, {(1, 0): 1}),
 }
 # each wrong value: None, a str, a float, a bool, a negative int, a list,
-# and a Graph where something else is expected; every value but the Graph
-# is a non-graph where a Graph is expected
-CONTRACT_PANEL = (None, "x", 1.5, True, -1, [], edgex.path(2))
+# a Graph where something else is expected, and two ints past CPython's
+# int-to-text limit, which every message must show without raising; every
+# value but the Graph is a non-graph where a Graph is expected
+CONTRACT_PANEL = (None, "x", 1.5, True, -1, [], edgex.path(2), 10**5000, -(10**5000))
 
 
 def test_every_public_callable_has_a_valid_call():
@@ -227,3 +228,37 @@ def test_no_panel_value_escapes_as_a_bare_exception(name):
                 pass
             except Exception as exc:
                 pytest.fail(f"{name} with argument {at} = {bad!r} raised {type(exc).__name__}: {exc}")
+
+
+# calls whose int past CPython's int-to-text limit sits inside an argument,
+# where the panel above does not reach: in a key, a color, a palette or a
+# report; each error or report shows it by its size
+_BIG = 10**5000
+HUGE_INSIDE = {
+    "build_graph-key": lambda: edgex.build_graph(["a", "b"], [(0, _BIG)]),
+    "validate_precoloring-key": lambda: edgex.validate_precoloring(_P3, edgex.Precoloring(3, {(0, _BIG): 1})),
+    "reduce_instance-key": lambda: edgex.reduce_instance(edgex.path(2), 1, edgex.Precoloring(3, {(0, _BIG): 1})),
+    "extend_hypercube-palette": lambda: edgex.extend_hypercube(3, edgex.Precoloring(_BIG, {})),
+    "extend_hypercube-color": lambda: edgex.extend_hypercube(3, edgex.Precoloring(3, {(0, 1): _BIG})),
+    "decide_extendable-color": lambda: edgex.decide_extendable(_P3, edgex.Precoloring(3, {(0, 1): _BIG}), 3),
+    "check_local_obstruction-color": lambda: edgex.check_local_obstruction(
+        _P3, edgex.Precoloring(3, {(0, 1): -_BIG})
+    ),
+    "make_list_assignment-list": lambda: edgex.make_list_assignment(_P3, {(0, 1): [_BIG, "x"], (1, 2): [1]}),
+    "ValidationReport": lambda: edgex.validate_precoloring(_P3, edgex.Precoloring(3, {(0, 1): -_BIG})),
+    "ColoringReport": lambda: edgex.verify_proper(
+        _P3, edgex.EdgeColoring(3, {(0, 1): 1, (1, 2): 2, (0, _BIG): 1}), prescribed={(0, 1): _BIG}
+    ),
+}
+
+
+@pytest.mark.parametrize("call", HUGE_INSIDE.values(), ids=list(HUGE_INSIDE))
+def test_a_huge_int_inside_an_argument_is_shown_by_its_size(call):
+    try:
+        report = call()
+    except EdgexError as exc:
+        text = str(exc)
+    else:
+        assert not report.ok
+        text = str(report)
+    assert "<int of 16610 bits>" in text

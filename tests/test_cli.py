@@ -152,14 +152,20 @@ class TestExtendVerify:
             pytest.param("qd:3", "dot", False, 2, id="qd-dot-2"),
             pytest.param("qd:3", "json", True, 1, id="qd-graph-json-1"),
             pytest.param("qd:3", "dot", True, 2, id="qd-graph-dot-2"),
+            pytest.param("k2m:2", "json", False, 1, id="k2m-json-1"),
+            pytest.param("q:2", "json", False, 2, id="q-json-2"),  # G x Q_1, then its product with K_2
+            pytest.param("star:3", "json", False, 2, id="star-json-2"),  # G x K_1,2 and G x K_1,3
         ],
     )
     def test_extend_builds_host_product_only_for_output(
         self, tmp_path, monkeypatch, capsys, factor, fmt, check, builds
     ):
-        # one build inside the library, one more in the CLI only for DOT
-        # output; a supplied Q_d is checked without building a second cube
+        # the library's builds, one more of the host in the CLI only for DOT
+        # output, and the host's right factor only with it; a supplied Q_d is
+        # checked without building a second cube
         calls = []
+        factors = []  # the right factors the CLI builds
+        qd = factor.startswith("qd")
 
         def counting_product(g, h):
             calls.append((g, h))
@@ -170,18 +176,28 @@ class TestExtendVerify:
                 calls.append(d)
             return hypercube(d)
 
+        def cli_build(build):
+            def counted(value):
+                (calls if qd else factors).append(value)  # qd:D's Q_D is the host itself
+                return build(value)
+
+            return counted
+
         monkeypatch.setattr(cli, "cartesian_product", counting_product)
-        monkeypatch.setattr(cli, "hypercube", counting_hypercube)
+        for name, build in (("complete", complete), ("hypercube", hypercube), ("star", star)):
+            monkeypatch.setattr(cli, name, cli_build(build))
         monkeypatch.setattr(extension, "cartesian_product", counting_product)
         monkeypatch.setattr(extension, "hypercube", counting_hypercube)
-        if factor == "qd:3":
+        if qd:
             base = [write_graph(tmp_path, hypercube(3), "q3")] if check else []
             pre = write_pre(tmp_path, Precoloring(3, {(0, 1): 1}))
         else:
             base = [write_graph(tmp_path, path(3), "p3")]
-            pre = write_pre(tmp_path, Precoloring(3, {(0, 2): 3}))
+            palette = {"k2m:1": 3, "k2m:2": 5, "q:2": 4, "star:3": 5}[factor]  # max_degree(P_3) + the factor's
+            pre = write_pre(tmp_path, Precoloring(palette, {(0, 2): 3}))
         assert main(["extend", *base, "--factor", factor, "--pre", pre, "--format", fmt]) == 0
         assert len(calls) == builds
+        assert len(factors) == (fmt == "dot" and not qd)
         out = capsys.readouterr().out
         assert out.startswith("graph" if fmt == "dot" else "{")
 
@@ -402,6 +418,20 @@ class TestErrorPaths:
         f.write_bytes(b"\xff\xfe{\x00}\x00")
         assert main(["export-dot", str(f)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {f}: not valid JSON")
+
+    @pytest.mark.parametrize(
+        "text",
+        [pytest.param("[" * 200_000 + "]" * 200_000, id="deep"), pytest.param("9" * 5000, id="huge-int")],
+    )
+    def test_document_json_cannot_hold_exits_1(self, tmp_path, capsys, text):
+        # too deep for the parser's recursion, or an int literal past
+        # CPython's int-to-text limit: one error line, no traceback
+        g = write_graph(tmp_path, hypercube(3), "q3")
+        f = tmp_path / "doc.json"
+        f.write_text(text)
+        assert main(["verify", g, str(f)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {f}: not valid JSON: ") and err.count("\n") == 1
 
     def test_bad_factor_spec(self, tmp_path):
         g = write_graph(tmp_path, path(2), "k2")

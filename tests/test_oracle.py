@@ -725,8 +725,9 @@ SWEEP_RIGHT = [(2, 1), (2, 2), (3, 1), (3, 2)]
 
 
 class TestCloseMasks:
-    """_close_masks reads g's neighbor lists; the pairwise construction it
-    replaced, ``helpers.reference_close_masks``, is the reference."""
+    """_close_masks sets the bits of the pairs ``graph._close_ids`` finds
+    over g's edges; ``helpers.reference_close_masks``, built from BFS edge
+    distances, is the reference."""
 
     @given(bipartite_graphs(max_n=12))
     @settings(max_examples=200, deadline=None)

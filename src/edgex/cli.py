@@ -12,7 +12,6 @@ import argparse
 import logging
 import os
 import sys
-from functools import partial
 from pathlib import Path
 
 from . import serialize
@@ -47,6 +46,15 @@ EXIT_INCONCLUSIVE = 5
 
 log = logging.getLogger("edgex")
 
+# factor kind of G x H (all but qd:D, which takes no G) -> its entry point,
+# H from the kind's parameter M (a call of this module's builder, looked up
+# when it runs) and H's name
+_FACTORS = {
+    "k2m": (extend_over_complete, lambda m: complete(2 * m), lambda m: f"K_{2 * m}"),
+    "q": (extend_over_hypercube, lambda m: hypercube(m), lambda m: f"Q_{m}"),
+    "star": (extend_over_star, lambda m: star(m), lambda m: f"K_1,{m}"),
+}
+
 
 def _parse_family(spec: str):
     name, _, raw = spec.partition(":")
@@ -59,7 +67,7 @@ def _parse_family(spec: str):
 
 def _parse_factor(spec: str) -> tuple[str, int]:
     kind, _, raw = spec.partition(":")
-    if kind not in {"k2m", "q", "star", "qd"}:
+    if kind not in _FACTORS and kind != "qd":
         raise FormatError(f"factor must be k2m:M, q:M, star:M or qd:D, got {spec!r}")
     try:
         value = int(raw)
@@ -100,27 +108,22 @@ def cmd_extend(args) -> int:
     pre = serialize.precoloring_from_dict(serialize.read_doc(args.pre))
     if kind == "qd":
         host_name = f"Q_{value}"
+        # build_graph's edges are canonical and distinct, so this is "given
+        # equals Q_D", and O(1) on the counts of a graph that is not a cube
         given = None if args.graph is None else serialize.graph_from_dict(serialize.read_doc(args.graph))[1]
-        coloring = extend_hypercube(value, pre)  # checks the size before Q_D is built here
-        # build_graph's edges are canonical and distinct, so this is "given equals Q_D"
         if given is not None and given._cube_dim != value:
             raise FormatError(f"supplied graph is not Q_{value}")
+        coloring = extend_hypercube(value, pre)  # checks the size before Q_D is built here
     else:
         if args.graph is None:
             raise FormatError("factor kinds k2m, q and star need a base graph file")
         gname, g = serialize.graph_from_dict(serialize.read_doc(args.graph))
-        if kind == "k2m":
-            coloring = extend_over_complete(g, value, pre)
-            right, host_name = partial(complete, 2 * value), f"{gname}xK_{2 * value}"
-        elif kind == "q":
-            coloring = extend_over_hypercube(g, value, pre)
-            right, host_name = partial(hypercube, value), f"{gname}xQ_{value}"
-        else:
-            coloring = extend_over_star(g, value, pre)
-            right, host_name = partial(star, value), f"{gname}xK_1,{value}"
+        extend, right, right_name = _FACTORS[kind]
+        coloring = extend(g, value, pre)
+        host_name = f"{gname}x{right_name(value)}"
     host = None
     if args.format == "dot" or args.out_product:  # only these read the host
-        host = hypercube(value) if kind == "qd" else cartesian_product(g, right()).graph
+        host = hypercube(value) if kind == "qd" else cartesian_product(g, right(value)).graph
     if args.format == "dot":
         _emit(serialize.to_dot(host, coloring, host_name), args.out)
     else:

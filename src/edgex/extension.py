@@ -1,14 +1,15 @@
 """Constructive extension of precolored distance-2 matchings.
 
-Every extend_* call runs one pipeline, ``_extend``, through a host
-base box K_{2m}, in a fixed order: palette check; one validation of the
-prescription on the caller's product; the reduction (layer entries remove
-their base edge, fiber entries stay; every surviving base edge gets the
-palette minus the colors blocked at its two ends); the list coloring of the
-residual base; one pass that colors the product in its own edge order, each
-edge a copy of its base edge's color or its fiber class's color at its base
-vertex (``_vertex_colors``, the free-color rule, with each fiber entry's
-class pinned to its color); one final check on the caller's product
+Every extend_* call runs one pipeline, ``_extend``, through a host base box
+K_{2m}, in a fixed order: one validation of the prescription on the
+caller's product, against the palette the entry point has already checked
+(the pipeline reads ``pre.palette_size``); the reduction (layer entries
+remove their base edge, fiber entries stay; every surviving base edge gets
+the palette minus the colors blocked at its two ends); the list coloring of
+the residual base; one pass that colors the product in its own edge order,
+each edge a copy of its base edge's color or its fiber class's color at its
+base vertex (``_vertex_colors``, the free-color rule, with each fiber
+entry's class pinned to its color); one final check on the caller's product
 (proper, in palette, agreeing with the prescription), whose failure is an
 internal error. Each stage is the private, positional core of a public
 function (``_reduce`` of reduce_instance, ``coloring._list_color`` of
@@ -20,26 +21,26 @@ final check the (id, color) pairs; the only per-edge dict is the result.
 The list coloring is told the base's cube dimension (``Graph._cube_dim``,
 None unless the base is the indexed Q_k), as it is for extend_hypercube,
 for extend_over_hypercube(Q_j, m) and for any other call whose base is a
-cube; the residual, Q_k less a matching, is then a subgraph of Q_k, and
-the list coloring picks its sides and base from that.
-An entry point checks its integers, bipartitions the caller's own G first
-(so an odd cycle is reported in G's indices), runs the families size check
-on the counts of its product before building anything, and picks base,
-product and palette. Hypercube and star
+cube; the residual, Q_k less a matching, is then a subgraph of Q_k, and the
+list coloring picks its sides and base from that.
+An entry point makes every check before it builds anything: its integers,
+then a bipartition of the caller's own G (so an odd cycle is reported in
+G's indices), the families size check on the counts of its product, and its
+theorem's palette against the one the precoloring declares; only then does
+it build base and product and call the pipeline. Hypercube and star
 products take m = 1: G box Q_m is (G box Q_{m-1}) box K_2 split on the
 least significant bit, and G box K_{1,m} is an induced subgraph of
-(G box K_{1,m-1}) box K_2, so the star maps its prescription into that
-host and reads its edges' colors from the host's base. Both are identities
-of the vertex indexing, proven by the test suite rather than checked at run
-time.
+(G box K_{1,m-1}) box K_2, so the star maps its prescription into that host
+and reads its edges' colors from the host's base. Both are identities of the
+vertex indexing, proven by the test suite rather than checked at run time.
 
-extend_hypercube takes its base Q_{d-1} and product Q_d from the
-process's kept values (``families._kept``), after its integer, size and
-palette checks: the base with the adjacency rows the reduction derives on
-it, the product as a separate object whose rows are never derived. A pair
-is estimated at 90 bytes per edge of its two cubes, so each pair up to
-Q_13 fits the store's bound on its own and a Q_14 pair alone passes it.
-Outputs are byte-identical to fresh builds.
+extend_hypercube takes its base Q_{d-1} and product Q_d from the process's
+kept values (``families._kept``), after its checks: the base with the
+adjacency rows the reduction derives on it, the product as a separate
+object whose rows are never derived. A pair is estimated at 90 bytes per
+edge of its two cubes, so each pair up to Q_13 fits the store's bound on
+its own and a Q_14 pair alone passes it. Outputs are byte-identical to
+fresh builds.
 """
 
 from __future__ import annotations
@@ -317,27 +318,22 @@ def _vertex_colors(
 
 
 def _require_palette(pre: Precoloring, palette: int, what: str) -> None:
+    """The palette check of every extend_*, before it builds anything:
+    `what`, the graph named in the message, takes `palette` colors."""
     if pre.palette_size != palette:
         declared = _shown(pre.palette_size)
         raise InvalidPrecoloringError(f"{what} requires palette {palette}, precoloring declares {declared}")
 
 
-def _extend(
-    base: Graph,
-    m: int,
-    product: Graph,
-    palette: int,
-    what: str,
-    pre: Precoloring,
-    star: int | None = None,
-) -> EdgeColoring:
-    """The pipeline (module docstring) for `product`, named `what`, through
-    the host base box K_{2m}; for G box K_{1,star}, the subgraph of the host
-    (G box K_{1,star-1}) box K_2 that ``_star_to_host`` gives, only the
-    prescription is mapped into the host. The reduction takes the
-    prescription as the (edge, color) pairs of the ids validation resolved,
-    ascending; the star's, mapped into the host, are sorted again. The list
-    coloring takes the base's cube dimension, and picks sides and base.
+def _extend(base: Graph, m: int, product: Graph, pre: Precoloring, star: int | None = None) -> EdgeColoring:
+    """The pipeline (module docstring) for `product`, in the palette its
+    entry point checked, through the host base box K_{2m}; for
+    G box K_{1,star}, the subgraph of the host (G box K_{1,star-1}) box K_2
+    that ``_star_to_host`` gives, only the prescription is mapped into the
+    host. The reduction takes the prescription as the (edge, color) pairs
+    of the ids validation resolved, ascending; the star's, mapped into the
+    host, are sorted again. The list coloring takes the base's cube
+    dimension, and picks sides and base.
 
     The coloring is built as one list in product.edges order from
     ``_vertex_colors``: cartesian_product emits product vertex u*k + w with
@@ -352,10 +348,10 @@ def _extend(
     leaf `star` sits on c in copy 1, whose layer edges are copies of c's,
     up[c][star-1:] again.
     """
-    _require_palette(pre, palette, what)
     report, prescribed = _validate(product, pre)  # valid, so the ids are distinct
     if not report.ok:
         raise InvalidPrecoloringError(report)
+    palette = pre.palette_size  # an int: validation checked it
     pairs = [(product.edges[i], c) for i, c in prescribed]
     if star is not None:
         mapped = ((canonical_edge(_star_to_host(u, star), _star_to_host(v, star)), c) for (u, v), c in pairs)
@@ -411,31 +407,37 @@ def _extend(
     return EdgeColoring(palette_size=palette, assignment=dict(zip(product.edges, colors)))
 
 
-def extend_over_complete(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
-    """Extend a valid precoloring of G box K_{2m} to a full proper coloring
-    with max_degree(G) + 2m - 1 colors."""
+def _require_over(g: Graph, m: int, pre: Precoloring) -> None:
+    """The opening checks of every extend_over_*: g a Graph, m >= 1, pre a
+    Precoloring, then g bipartite, so an odd cycle is reported in g's own
+    indices."""
     _require_graph(g=g)
     _require_at_least(1, m=m)
     _require_instance(Precoloring, pre=pre)
     bipartition(g)
+
+
+def extend_over_complete(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
+    """Extend a valid precoloring of G box K_{2m} to a full proper coloring
+    with max_degree(G) + 2m - 1 colors."""
+    _require_over(g, m, pre)
     what = f"G box K_{_shown(2 * m)}"
     _require_size(what, g.n, len(g.edges), 2 * m, m * (2 * m - 1))
+    _require_palette(pre, max_degree(g) + 2 * m - 1, what)
     product = cartesian_product(g, complete(2 * m)).graph
-    return _extend(g, m, product, max_degree(g) + 2 * m - 1, what, pre)
+    return _extend(g, m, product, pre)
 
 
 def extend_over_hypercube(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     """Extend a valid precoloring of G box Q_m using max_degree(G) + m colors,
     as one K_2 extension of the iterated base G box Q_{m-1}."""
-    _require_graph(g=g)
-    _require_at_least(1, m=m)
-    _require_instance(Precoloring, pre=pre)
-    bipartition(g)
+    _require_over(g, m, pre)
     what = f"G box Q_{_shown(m)}"
     _require_size(what, g.n, len(g.edges), *_cube_size(m))
+    _require_palette(pre, max_degree(g) + m, what)
     base = g if m == 1 else cartesian_product(g, hypercube(m - 1)).graph
     product = cartesian_product(base, complete(2)).graph
-    return _extend(base, 1, product, max_degree(g) + m, what, pre)
+    return _extend(base, 1, product, pre)
 
 
 def extend_hypercube(d: int, pre: Precoloring) -> EdgeColoring:
@@ -450,7 +452,7 @@ def extend_hypercube(d: int, pre: Precoloring) -> EdgeColoring:
     base, product = _kept(
         ("Q", d), lambda: (hypercube(d - 1), hypercube(d)), lambda pair: 90 * sum(len(q.edges) for q in pair)
     )
-    return _extend(base, 1, product, d, what, pre)
+    return _extend(base, 1, product, pre)
 
 
 def _star_to_host(i: int, m: int) -> int:
@@ -472,12 +474,10 @@ def extend_over_star(g: Graph, m: int, pre: Precoloring) -> EdgeColoring:
     palette. The map does not keep edges canonical, so every mapped entry
     is put back in canonical order.
     """
-    _require_graph(g=g)
-    _require_at_least(1, m=m)
-    _require_instance(Precoloring, pre=pre)
-    bipartition(g)
+    _require_over(g, m, pre)
     what = f"G box K_1,{_shown(m)}"
     _require_size(what, g.n, len(g.edges), m + 1, m)
+    _require_palette(pre, max_degree(g) + m, what)
     base = g if m == 1 else cartesian_product(g, star(m - 1)).graph
     product = cartesian_product(g, star(m)).graph
-    return _extend(base, 1, product, max_degree(g) + m, what, pre, star=m)
+    return _extend(base, 1, product, pre, star=m)

@@ -206,14 +206,18 @@ def build_graph(labels, pairs) -> Graph:
     The edges are sorted, so identical input always yields an identical
     graph. Graphs derived from Graphs (products, hypercubes, residuals) are
     emitted in canonical order by construction instead. Labels or pairs
-    that are not iterable raise BadParameterError.
+    that are not iterable raise BadParameterError, and so does a label
+    whose text str() refuses, such as an int past CPython's digit limit.
     """
     for name, value in (("labels", labels), ("pairs", pairs)):
         try:
             iter(value)
         except TypeError:
             raise BadParameterError(f"{name} must be iterable, got {type(value).__name__}") from None
-    labels = tuple(str(x) for x in labels)
+    try:
+        labels = tuple(map(str, labels))
+    except ValueError as exc:
+        raise BadParameterError(f"a label cannot be turned into text: {exc}") from None
     n = len(labels)
     seen: set[Edge] = set()
     for pair in pairs:

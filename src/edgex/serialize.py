@@ -101,13 +101,15 @@ def product_from_dict(doc: dict) -> tuple[str, ProductGraph]:
     return name, p
 
 
+def _edge_color_doc(palette: int, key: str, mapping: dict) -> dict:
+    """The document of a palette and an edge -> color mapping, one row under
+    `key` per edge in ascending order: what _edge_color_rows reads back."""
+    rows = [{"u": e[0], "v": e[1], "color": c} for e, c in sorted(mapping.items())]
+    return {"palette_size": palette, key: rows}
+
+
 def coloring_to_dict(col: EdgeColoring) -> dict:
-    return {
-        "palette_size": col.palette_size,
-        "assignment": [
-            {"u": e[0], "v": e[1], "color": c} for e, c in sorted(col.assignment.items())
-        ],
-    }
+    return _edge_color_doc(col.palette_size, "assignment", col.assignment)
 
 
 def _edge_color_rows(doc: dict, key: str) -> tuple[int, dict]:
@@ -132,12 +134,7 @@ def coloring_from_dict(doc: dict) -> EdgeColoring:
 
 
 def precoloring_to_dict(pre: Precoloring) -> dict:
-    return {
-        "palette_size": pre.palette_size,
-        "entries": [
-            {"u": e[0], "v": e[1], "color": c} for e, c in sorted(pre.entries.items())
-        ],
-    }
+    return _edge_color_doc(pre.palette_size, "entries", pre.entries)
 
 
 def precoloring_from_dict(doc: dict) -> Precoloring:

@@ -218,7 +218,7 @@ class TestExtendVerify:
         pre = write_pre(tmp_path, Precoloring(3, {}))
         start = time.perf_counter()
         assert main(["extend", g, "--factor", "k2m:99999999999", "--pre", pre]) == 1
-        assert main(["extend", g, "--factor", "qd:18", "--pre", pre]) == 1
+        assert main(["extend", "--factor", "qd:18", "--pre", pre]) == 1
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().err.count("past the") == 2
 
@@ -227,6 +227,18 @@ class TestExtendVerify:
         pre = write_pre(tmp_path, Precoloring(3, {}))
         assert main(["extend", g, "--factor", "qd:3", "--pre", pre]) == 1
         assert "error: supplied graph is not Q_3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d", [15, 18], ids=["q15", "q18-past-the-size-limit"])
+    def test_extend_qd_graph_that_is_not_the_cube_runs_no_extension(self, tmp_path, monkeypatch, capsys, d):
+        # the supplied graph is checked first, even when Q_D is past the size limit
+        def no_extension(*args):
+            raise AssertionError("extend_hypercube ran on a graph that is not Q_D")
+
+        monkeypatch.setattr(cli, "extend_hypercube", no_extension)
+        g = write_graph(tmp_path, path(8), "p8")
+        pre = write_pre(tmp_path, Precoloring(d, {}))
+        assert main(["extend", g, "--factor", f"qd:{d}", "--pre", pre]) == 1
+        assert capsys.readouterr().err == f"error: supplied graph is not Q_{d}\n"
 
     def test_extend_missing_graph_argument(self, tmp_path):
         pre = write_pre(tmp_path, Precoloring(3, {}))

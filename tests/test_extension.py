@@ -773,7 +773,7 @@ class TestExtendHypercube:
         base = hypercube(d - 1)
         split = cartesian_product(base, complete(2)).graph
         assert split.edges == hypercube(d).edges
-        through_split = extension._extend(base, 1, split, d, f"Q_{d}", pre)
+        through_split = extension._extend(base, 1, split, pre)
 
         def no_product(g, h):
             raise AssertionError("extend_hypercube built a Cartesian product")
@@ -1188,6 +1188,39 @@ class TestOnePipeline:
     def test_hypercube_palette_before_validation(self):
         with pytest.raises(InvalidPrecoloringError, match="Q_3 requires palette 3"):
             extend_hypercube(3, Precoloring(4, {(0, 99): 0}))
+
+    @pytest.mark.parametrize(
+        "extend, message",
+        [
+            (lambda pre: extend_hypercube(3, pre), "Q_3 requires palette 3"),
+            (lambda pre: extend_over_complete(P3, 2, pre), "G box K_4 requires palette 5"),
+            (lambda pre: extend_over_hypercube(P3, 3, pre), "G box Q_3 requires palette 5"),
+            (lambda pre: extend_over_star(P3, 3, pre), "G box K_1,3 requires palette 5"),
+        ],
+        ids=["hypercube", "complete", "over_hypercube", "star"],
+    )
+    def test_wrong_palette_refused_before_any_build(self, monkeypatch, extend, message):
+        # m > 1, so the hypercube and star entries would build a base too
+        def no_build(*args):
+            raise AssertionError("a graph was built before the palette was checked")
+
+        for name in ("cartesian_product", "hypercube", "complete", "star"):
+            monkeypatch.setattr(extension, name, no_build)
+        with pytest.raises(InvalidPrecoloringError) as exc:
+            extend(Precoloring(1, {}))
+        assert str(exc.value) == f"{message}, precoloring declares 1"
+
+    @every_extend
+    def test_palette_checked_once(self, monkeypatch, extend):
+        checks = []
+
+        def counting(pre, palette, what, _f=extension._require_palette):
+            checks.append(what)
+            return _f(pre, palette, what)
+
+        monkeypatch.setattr(extension, "_require_palette", counting)
+        extend(Precoloring(3, {(1, 0): 1}))
+        assert len(checks) == 1
 
     @every_extend
     def test_one_final_check_with_the_prescription(self, monkeypatch, extend):

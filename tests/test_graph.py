@@ -95,6 +95,11 @@ class TestBuildGraph:
         with pytest.raises(VertexIndexError):
             build_graph("abc", pairs)
 
+    def test_label_whose_text_python_refuses_is_a_bad_parameter(self):
+        # str() of an int past CPython's 4,300-digit limit raises ValueError
+        with pytest.raises(BadParameterError, match="a label cannot be turned into text: Exceeds the limit"):
+            build_graph([10**5000], [])
+
     def test_out_of_range_self_loop_is_still_a_self_loop(self):
         with pytest.raises(SelfLoopError):
             build_graph("ab", [(5, 5)])
